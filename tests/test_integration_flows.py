@@ -120,12 +120,16 @@ def shared_scenario():
     return data
 
 
-def test_shared_model_notifies_every_bound_instance():
+def shared_thunderstorm_scenario():
     data = shared_scenario()
     data["sources"][0]["timeline"] = [[30, "weather", "thunderstorm, road washed out"]]
     data["sources"][0]["poll"]["weather"] = [
         [0, "clear"], [30, "thunderstorm, road washed out"]]
-    assembly, trace = run(data)
+    return data
+
+
+def test_shared_model_notifies_every_bound_instance():
+    assembly, trace = run(shared_thunderstorm_scenario())
     shared = trace.find("model_shared")
     assert shared and shared[0].payload["bound"] == ["t1", "t2"]
     notified = {

@@ -1,0 +1,61 @@
+"""Trace digests: the sha256 of the full trace text of a pinned corpus.
+
+A change that keeps these digests keeps every trace byte of the corpus.
+A change that alters trace bytes on purpose re-pins ``trace_digests.json``
+by hand, from the digests this test prints.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from ctxflow.scenario import build_simulation, parse_scenario
+
+from .conftest import logistics_scenario_data
+from .scenario_gen import random_scenario
+from .test_integration_flows import shared_scenario, shared_thunderstorm_scenario
+
+PINNED = json.loads((Path(__file__).parent / "trace_digests.json").read_text())
+
+
+def ladder_rung(n_instances):
+    data = random_scenario(random.Random(7), n_leaves=6, n_instances=n_instances)
+    data["limits"]["max_steps"] = 5_000_000
+    return data
+
+
+SCENARIOS = {
+    "logistics": logistics_scenario_data,
+    "shared": shared_scenario,
+    "shared-thunderstorm": shared_thunderstorm_scenario,
+    **{
+        f"random-s{seed}-j{jitter}":
+            (lambda seed=seed, jitter=jitter:
+             random_scenario(random.Random(seed), jitter=jitter))
+        for seed in range(10)
+        for jitter in (0, 2)
+    },
+    "ladder-n100": lambda: ladder_rung(100),
+}
+
+
+def trace_digest(data) -> str:
+    scenario, violations = parse_scenario(data)
+    assert not violations, violations[:3]
+    trace = build_simulation(scenario).simulation.run()
+    return hashlib.sha256(trace.to_text().encode("utf-8")).hexdigest()
+
+
+def test_every_scenario_is_pinned():
+    assert sorted(PINNED) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trace_digest(name):
+    digest = trace_digest(SCENARIOS[name]())
+    assert digest == PINNED.get(name), (
+        f"trace of scenario {name!r} changed: pinned {PINNED.get(name)}, got {digest}"
+    )
