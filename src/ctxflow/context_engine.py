@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DeletionRejected,
@@ -127,24 +128,28 @@ _EXPR_OPS = {
 
 
 def compile_arithmetic(expr: str):
-    """Compile a small arithmetic expression over ``x`` (no eval)."""
-    tree = ast.parse(expr, mode="eval")
+    """Compile a small arithmetic expression over ``x`` (no eval).
 
-    def run(node, x):
-        if isinstance(node, ast.Expression):
-            return run(node.body, x)
+    Bad shapes are rejected by walking the syntax tree; the expression is
+    never evaluated here, so ``100 / x`` compiles and only a call at
+    ``x == 0`` raises.
+    """
+
+    def build(node):
         if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
-            return _EXPR_OPS[type(node.op)](run(node.left, x), run(node.right, x))
+            op, left, right = _EXPR_OPS[type(node.op)], build(node.left), build(node.right)
+            return lambda x: op(left(x), right(x))
         if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
-            return _EXPR_OPS[type(node.op)](run(node.operand, x))
+            op, operand = _EXPR_OPS[type(node.op)], build(node.operand)
+            return lambda x: op(operand(x))
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return node.value
+            constant = node.value
+            return lambda x: constant
         if isinstance(node, ast.Name) and node.id == "x":
-            return x
+            return lambda x: x
         raise ValueError(f"disallowed construct in arithmetic expression: {ast.dump(node)}")
 
-    run(tree, 0.0)  # reject bad shapes at compile time
-    return lambda x: run(tree, x)
+    return build(ast.parse(expr, mode="eval").body)
 
 
 @dataclass(frozen=True)
@@ -171,8 +176,12 @@ class CauseEffectRelation:
                 return table[key]
             return self.function.get("default")
         if kind == "expr":
-            return compile_arithmetic(self.function["expr"])(payload)
+            return self._expr(payload)
         raise ValueError(f"unknown cause-effect function type {kind!r}")
+
+    @cached_property
+    def _expr(self):
+        return compile_arithmetic(self.function["expr"])
 
     @property
     def node_id(self):
@@ -274,6 +283,20 @@ class CatalogEntry:
     requires_value: bool = True
 
 
+def catalog_chain(catalog: dict[str, CatalogEntry], category: str) -> list[str]:
+    """Ancestor chain from the topmost catalogued parent down to ``category``.
+
+    A category's level is its 1-based position in this chain.
+    """
+    chain = []
+    cursor: str | None = category
+    while cursor is not None:
+        chain.append(cursor)
+        cursor = catalog[cursor].parent
+    chain.reverse()
+    return chain
+
+
 @dataclass
 class Registration:
     instance_id: str
@@ -344,30 +367,24 @@ class ContextEngine:
                 "instance": instance_id,
                 "bound": sorted(model.bound_instances),
             })
-        elif copy_from is not None:
-            if copy_from not in self.instances:
-                raise UnknownModel(f"no live instance model {copy_from!r} to copy")
-            origin = self.instances[copy_from]
-            model = clone_instance_model(origin, [instance_id], f"ctx.{instance_id}")
-            self.instances[model.model_id] = model
-            self.sim.trace(self.POOL, "model_instantiated", {
-                "model": model.model_id,
-                "master": model.master_id,
-                "copy_of": copy_from,
-                "instance": instance_id,
-                "categories": sorted(model.intersection.category_ids()),
-            })
         else:
-            if master_id not in self.masters:
-                raise UnknownMaster(f"no master model {master_id!r}")
-            master = self.masters[master_id]
-            model = instantiate_from_master(
-                master, [instance_id], f"ctx.{instance_id}", k=self.max_config_steps
-            )
-            self.instances[model.model_id] = model
+            model_id = f"ctx.{instance_id}"
+            if copy_from is not None:
+                if copy_from not in self.instances:
+                    raise UnknownModel(f"no live instance model {copy_from!r} to copy")
+                model = clone_instance_model(self.instances[copy_from], [instance_id],
+                                             model_id)
+                origin = {"master": model.master_id, "copy_of": copy_from}
+            else:
+                if master_id not in self.masters:
+                    raise UnknownMaster(f"no master model {master_id!r}")
+                model = instantiate_from_master(self.masters[master_id], [instance_id],
+                                                model_id, k=self.max_config_steps)
+                origin = {"master": master_id}
+            self.instances[model_id] = model
             self.sim.trace(self.POOL, "model_instantiated", {
-                "model": model.model_id,
-                "master": master_id,
+                "model": model_id,
+                **origin,
                 "instance": instance_id,
                 "categories": sorted(model.intersection.category_ids()),
             })
@@ -630,7 +647,6 @@ class ContextEngine:
         if winner != g.values[value.category_id]:
             g.values[value.category_id] = winner
         current = g.values[value.category_id]
-        model.path.record_value_update(current)
         self.sim.trace(self.POOL, "value_updated", {
             "model": model.model_id,
             "category": value.category_id,
@@ -651,7 +667,15 @@ class ContextEngine:
             inputs.append(current)
         if isinstance(node, CauseEffectRelation):
             cause = inputs[0]
-            result = node.apply(cause.payload)
+            try:
+                result = node.apply(cause.payload)
+            except ArithmeticError as err:
+                self.sim.trace(self.POOL, "engine_error", {
+                    "error": type(err).__name__, "detail": str(err),
+                    "model": model.model_id,
+                    "relation": node.relation_id,
+                })
+                return []
             if result is None:
                 return []
             return [self._derived_value(node, node.effect_category, result, cause)]
@@ -717,8 +741,9 @@ class ContextEngine:
     def _notify(self, model: InstanceContextModel, changed: dict):
         if not changed:
             return
-        for reg in self.registrations.values():
-            if reg.model_id != model.model_id or not reg.active:
+        for instance_id in model.bound_instances:
+            reg = self.registrations[instance_id]
+            if not reg.active:
                 continue
             changes = []
             for category, (old, new) in changed.items():
@@ -785,7 +810,7 @@ class ContextEngine:
                 if category in model.intersection.values:
                     continue
                 pending.outstanding.add(category)
-                self._request_fetch(model, category)
+                self._request_fetch(model, category, correlation)
         self.pending_requests[correlation] = pending
         self._try_reply(pending)
 
@@ -799,12 +824,11 @@ class ContextEngine:
             entry = self.catalog.get(category)
             if entry is None:
                 continue
-            chain = self._catalog_chain(category)
-            for ancestor in chain:
+            chain = catalog_chain(self.catalog, category)
+            for level, ancestor in enumerate(chain, start=1):
                 if ancestor in model.intersection.categories:
                     continue
                 anc_entry = self.catalog[ancestor]
-                level = self._catalog_level(ancestor)
                 additions.categories.append((anc_entry.category, level))
                 if anc_entry.parent is not None:
                     additions.edges.append((anc_entry.parent, ancestor))
@@ -827,29 +851,14 @@ class ContextEngine:
         })
         return [cat for cat, _ in added]
 
-    def _catalog_chain(self, category: str) -> list[str]:
-        """Ancestor chain from the topmost catalogued parent down to category."""
-        chain = []
-        cursor: str | None = category
-        while cursor is not None:
-            chain.append(cursor)
-            cursor = self.catalog[cursor].parent
-        chain.reverse()
-        return chain
-
-    def _catalog_level(self, category: str) -> int:
-        level = 1
-        cursor = self.catalog[category].parent
-        while cursor is not None:
-            level += 1
-            cursor = self.catalog[cursor].parent
-        return level
-
-    def _request_fetch(self, model: InstanceContextModel, category: str):
+    def _request_fetch(self, model: InstanceContextModel, category: str,
+                       correlation: str):
         key = (model.model_id, category)
         if key in self.pending_fetches:
-            return  # a fetch is already in flight; requests share it
-        self.pending_fetches[key] = []
+            # a fetch is already in flight; requests share it
+            self.pending_fetches[key].append(correlation)
+            return
+        self.pending_fetches[key] = [correlation]
         source = self._best_source_for(category)
         self.sim.send(self.POOL, "external", "PollRequest", {
             "source": source,
@@ -859,10 +868,10 @@ class ContextEngine:
         })
 
     def _resolve_fetch(self, model_id: str, category: str, available: bool):
-        self.pending_fetches.pop((model_id, category), None)
-        for pending in list(self.pending_requests.values()):
-            if pending.model_id != model_id or category not in pending.outstanding:
-                continue
+        for correlation in self.pending_fetches.pop((model_id, category), []):
+            pending = self.pending_requests.get(correlation)
+            if pending is None or category not in pending.outstanding:
+                continue  # the request listed the category twice
             pending.outstanding.discard(category)
             if not available:
                 pending.unavailable.append(category)

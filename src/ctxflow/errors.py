@@ -61,24 +61,12 @@ class DuplicateRegistration(CtxflowError):
     pass
 
 
-class UnknownSource(CtxflowError):
-    pass
-
-
 class UnknownModel(CtxflowError):
     pass
 
 
 class UnknownRegistration(CtxflowError):
     pass
-
-
-class NoProvidingSource(CtxflowError):
-    """No declared source can supply a requested category."""
-
-
-class InitializationTimeout(CtxflowError):
-    """Poll budget exhausted before all context requirements were met."""
 
 
 # --- rules -----------------------------------------------------------------
@@ -96,10 +84,6 @@ class RuleTypeError(CtxflowError):
     """Condition compares incompatible operand kinds."""
 
 
-class UnknownActionTarget(CtxflowError):
-    """Rule action names a gate, variant or compensation that does not exist."""
-
-
 class MissingContext(CtxflowError):
     """Snapshot lacks a category the gate's rules reference."""
 
@@ -108,25 +92,9 @@ class StaleContext(CtxflowError):
     """A required-freshness bound was violated for every applicable rule."""
 
 
-class UnknownInstance(CtxflowError):
-    pass
-
-
 # --- process engine --------------------------------------------------------
 
 class AuthFailed(CtxflowError):
-    pass
-
-
-class UnexpectedDecision(CtxflowError):
-    """Decision arrived for a gate that is not pending."""
-
-
-class UnknownCheckpoint(CtxflowError):
-    """Rollback target gate was never natively evaluated."""
-
-
-class UnknownCompensationModel(CtxflowError):
     pass
 
 
@@ -134,10 +102,6 @@ class UnknownCompensationModel(CtxflowError):
 
 class ForbiddenRoute(CtxflowError):
     """Process engine and context engine may not talk directly."""
-
-
-class MaxStepsExceeded(CtxflowError):
-    """Simulation truncated; the partial trace is still available."""
 
 
 class ScenarioParseError(CtxflowError):

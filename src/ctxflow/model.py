@@ -15,7 +15,6 @@ models are immutable templates.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -448,7 +447,6 @@ class PathEntry:
     snapshot: ContextIntersection
     added_categories: list[tuple[str, int]] = field(default_factory=list)
     added_edges: list[tuple[str, str]] = field(default_factory=list)
-    value_updates: list[tuple[str, str, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -458,22 +456,11 @@ class ConfigurationPath:
     def snapshots(self) -> list[ContextIntersection]:
         return [entry.snapshot for entry in self.entries]
 
-    def record_value_update(self, value: ContextValue):
-        if self.entries:
-            self.entries[-1].value_updates.append(
-                (value.category_id, value.value_id, value.ts)
-            )
-
 
 @dataclass
 class ConfigurationProblem:
-    """Multi-step configuration problem: constraints, budget, endpoints."""
+    """Multi-step configuration problem: step budget and endpoints."""
 
-    constraints: tuple[str, ...] = (
-        "disjoint-levels",
-        "downward-edges",
-        "extension-only",
-    )
     max_steps: int | None = None
     start: ContextIntersection | None = None
     end: ContextIntersection | None = None
@@ -522,26 +509,14 @@ def instantiate_from_master(master: MasterContextModel, instance_ids,
     recorded as the start configuration of the model's configuration
     problem and as the first snapshot of its path.
     """
-    ids = list(instance_ids)
-    if not ids:
-        raise EmptyBinding("an instance model needs at least one bound process instance")
+    ids = _binding(instance_ids)
     report = master.validate()
     if not report.ok:
         first = report.violations[0]
         raise InvalidMaster(f"master {master.model_id!r}: {first.code} on {first.subject}")
-    graph = master.intersection.clone()
-    graph.step = 0
-    start = graph.structural_snapshot()
     if model_id is None:
         model_id = f"{master.model_id}.instance.{ids[0]}"
-    return InstanceContextModel(
-        model_id=model_id,
-        master_id=master.model_id,
-        intersection=graph,
-        bound_instances=ids,
-        path=ConfigurationPath(entries=[PathEntry(step=0, snapshot=start)]),
-        problem=ConfigurationProblem(max_steps=k, start=start.structural_snapshot()),
-    )
+    return _start_model(model_id, master.model_id, master.intersection, ids, k)
 
 
 def clone_instance_model(origin: InstanceContextModel, instance_ids,
@@ -552,23 +527,29 @@ def clone_instance_model(origin: InstanceContextModel, instance_ids,
     child's start configuration is the parent's current graph, values
     included, and the child evolves independently from step 0.
     """
+    return _start_model(model_id, origin.master_id, origin.intersection,
+                        _binding(instance_ids), origin.problem.max_steps)
+
+
+def _binding(instance_ids) -> list[str]:
     ids = list(instance_ids)
     if not ids:
         raise EmptyBinding("an instance model needs at least one bound process instance")
-    graph = origin.intersection.clone()
+    return ids
+
+
+def _start_model(model_id: str, master_id: str, seed: ContextIntersection,
+                 ids: list[str], k: int | None) -> InstanceContextModel:
+    """Instance model at step 0 on a copy of ``seed``; the copy is the start
+    configuration and the first snapshot of the path."""
+    graph = seed.clone()
     graph.step = 0
     start = graph.structural_snapshot()
     return InstanceContextModel(
         model_id=model_id,
-        master_id=origin.master_id,
+        master_id=master_id,
         intersection=graph,
         bound_instances=ids,
         path=ConfigurationPath(entries=[PathEntry(step=0, snapshot=start)]),
-        problem=ConfigurationProblem(
-            max_steps=origin.problem.max_steps, start=start.structural_snapshot()
-        ),
+        problem=ConfigurationProblem(max_steps=k, start=start.structural_snapshot()),
     )
-
-
-def deep_copy_additions(additions: Additions) -> Additions:
-    return copy.deepcopy(additions)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import AuthFailed, UnknownCompensationModel
+from .errors import AuthFailed
 
 # status machine; terminal states have no exits
 _TRANSITIONS = {
@@ -492,12 +492,6 @@ class ProcessEngine:
             parent=parent.instance_id,
         )
         self._set_status(parent, prior)
-
-    def resolve_compensation(self, model_id: str, ref: str) -> str:
-        comp = self.models[model_id].compensation_refs.get(ref)
-        if comp is None:
-            raise UnknownCompensationModel(ref)
-        return comp
 
     # -- dispatch ------------------------------------------------------------------
 

@@ -31,10 +31,6 @@ class EvaluationRecord:
     decision: dict
     evaluation: str  # "native" | "re_evaluation"
 
-    @property
-    def relevant_categories(self) -> set:
-        return set(self.used_context)
-
 
 @dataclass
 class Binding:
@@ -111,7 +107,8 @@ class RulesEngine:
         self.model_masters = model_masters
         self.model_thresholds = model_thresholds
         self.bindings: dict[str, Binding] = {}
-        self.records: dict[tuple[str, str], EvaluationRecord] = {}
+        # instance -> gate -> latest evaluation record
+        self.records: dict[str, dict[str, EvaluationRecord]] = {}
         self.pending: dict[str, PendingEval] = {}
         self._correlation = 0
 
@@ -156,8 +153,7 @@ class RulesEngine:
 
     def unbind(self, instance_id: str):
         self.bindings.pop(instance_id, None)
-        for key in [k for k in self.records if k[0] == instance_id]:
-            del self.records[key]
+        self.records.pop(instance_id, None)
         for correlation in [c for c, p in self.pending.items()
                             if p.instance_id == instance_id]:
             del self.pending[correlation]
@@ -286,7 +282,7 @@ class RulesEngine:
             decision=decision,
             evaluation=evaluation,
         )
-        self.records[(binding.instance_id, gate)] = record
+        self.records.setdefault(binding.instance_id, {})[gate] = record
         self.sim.trace(self.POOL, "gate_evaluated", {
             "instance": binding.instance_id,
             "gate": gate,
@@ -394,9 +390,8 @@ class RulesEngine:
             return
         changed = {change["category"] for change in payload.get("changes", [])}
         hits = [
-            record for record in self.records.values()
-            if record.instance_id == instance
-            and record.relevant_categories & changed
+            record for record in self.records.get(instance, {}).values()
+            if not changed.isdisjoint(record.used_context)
         ]
         self.sim.trace(self.POOL, "re_evaluation_triggered", {
             "instance": instance,

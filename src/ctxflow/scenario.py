@@ -25,6 +25,7 @@ from .context_engine import (
     ContextEngine,
     DerivationAgent,
     NotificationThreshold,
+    catalog_chain,
     compile_arithmetic,
     topological_order,
 )
@@ -171,15 +172,6 @@ def _parse_catalog(data, scenario, bad):
             cursor = scenario.catalog[cursor].parent
 
 
-def _catalog_level(scenario, cat_id: str) -> int:
-    level = 1
-    cursor = scenario.catalog[cat_id].parent
-    while cursor is not None:
-        level += 1
-        cursor = scenario.catalog[cursor].parent
-    return level
-
-
 def _parse_masters(data, scenario, bad):
     for entry in data.get("masters", []):
         model_id = entry.get("model_id", "")
@@ -200,7 +192,7 @@ def _parse_masters(data, scenario, bad):
             continue
         for cat_id in categories:
             graph.add_category(scenario.catalog[cat_id].category,
-                               _catalog_level(scenario, cat_id))
+                               len(catalog_chain(scenario.catalog, cat_id)))
         for cat_id in categories:
             parent = scenario.catalog[cat_id].parent
             if parent is not None:
@@ -530,11 +522,6 @@ def _bind_rules(scenario, bad):
                         bad("UnknownActionTarget", rule_id,
                             f"compensation ref {action.process_ref!r} not declared "
                             f"in model {model.model_id!r}")
-
-
-def validate_scenario_data(data: dict) -> list[Violation]:
-    _, violations = parse_scenario(data)
-    return violations
 
 
 @dataclass

@@ -318,6 +318,25 @@ def test_cascade_keeps_root_timestamp():
     assert model.intersection.values["y"].causing_ts == 9
 
 
+def test_relation_arithmetic_fault_becomes_engine_error():
+    relation = CauseEffectRelation(
+        "inverse", "x", "y", {"type": "expr", "expr": "100 / x"},
+    )
+    sim = FakeSim()
+    engine = make_engine(sim, relations=[relation])
+    model = register_active(engine)
+    push(engine, sim, "x", 4, 1)
+    assert model.intersection.values["y"].payload == 25
+    push(engine, sim, "x", 0, 2)
+    assert [r.payload for r in sim.records("engine_error")] == [{
+        "error": "ZeroDivisionError", "detail": "division by zero",
+        "model": model.model_id, "relation": "inverse",
+    }]
+    assert model.intersection.values["x"].payload == 0
+    # the derived value is dropped; the effect keeps its last good value
+    assert model.intersection.values["y"].payload == 25
+
+
 def test_propagation_is_order_independent(rng):
     relation = CauseEffectRelation(
         "sum", "x", "y", {"type": "expr", "expr": "3 * x - 2"},
@@ -497,7 +516,28 @@ def test_concurrent_requests_extend_once():
         "absent": [],
     })
     snapshots = [p for (_, _, k, p) in sim.sent if k == "ContextSnapshot"]
-    assert {s["correlation"] for s in snapshots} == {"q1", "q2"}
+    # q2 finds z already in the model and is answered at once; q1 waits
+    # for the fetch its extension started
+    assert [s["correlation"] for s in snapshots] == ["q2", "q1"]
+
+
+def test_category_listed_twice_is_fetched_and_answered_once():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    model = register_active(engine)
+    engine.handle_context_request({
+        "model": model.model_id, "categories": ["z", "z"], "correlation": "q1",
+    })
+    assert engine.pending_fetches == {(model.model_id, "z"): ["q1", "q1"]}
+    engine.handle_poll_response({
+        "source": "certified", "purpose": "administer", "model": model.model_id,
+        "values": [{"category_id": "z", "payload": 7, "ts": sim.now,
+                    "reliability": 0.9}],
+        "absent": [],
+    })
+    assert [k for (_, _, k, _) in sim.sent] == ["PollRequest", "ContextSnapshot"]
+    assert sim.sent[-1][3]["graph"]["values"]["z"]["payload"] == 7
+    assert not engine.pending_fetches and not engine.pending_requests
 
 
 def test_repeated_request_same_tick_identical_snapshot():

@@ -132,14 +132,14 @@ def test_shared_model_notifies_every_bound_instance():
     assembly, trace = run(shared_thunderstorm_scenario())
     shared = trace.find("model_shared")
     assert shared and shared[0].payload["bound"] == ["t1", "t2"]
-    notified = {
+    notified = [
         r.payload["data"]["instance"]
         for r in trace
         if r.kind == "ContextNotification"
         and any(c["category"] == "weather"
                 for c in r.payload["data"]["changes"])
-    }
-    assert notified == {"t1", "t2"}
+    ]
+    assert notified == ["t1", "t2"]
     # one congestion-style change rolled back every impacted delivery
     rolled = {r.payload["data"]["instance"] for r in trace
               if r.kind == "BreakRollback"}

@@ -183,7 +183,7 @@ def test_native_evaluation_round_trip():
     assert decisions[0]["action"] == {
         "type": "select_variant", "gate": "shipping", "variant": "truck",
     }
-    record = engine.records[("p1", "shipping")]
+    record = engine.records["p1"]["shipping"]
     assert record.evaluation == "native"
     assert set(record.used_context) == {
         "estimatedDeliveryTime", "estimatedSLAFine",
@@ -236,7 +236,7 @@ def test_re_evaluation_on_intersecting_change():
     rollback = [p for (_, _, k, p) in sim.sent if k == "BreakRollback"][0]
     assert rollback["target"] == "start"
     assert rollback["disposition"] == "cancel"
-    assert engine.records[("p1", "shipping")].evaluation == "re_evaluation"
+    assert engine.records["p1"]["shipping"].evaluation == "re_evaluation"
 
 
 def test_non_intersecting_change_is_ignored():
@@ -339,7 +339,7 @@ def test_used_context_restricted_to_declared_references():
         geospatial="zone-7",  # ancestor delivered with the subgraph
     )
     engine.handle_context_snapshot(payload)
-    record = engine.records[("p1", "shipping")]
+    record = engine.records["p1"]["shipping"]
     declared = set()
     for rule in rules_for_shipping():
         declared.update(rule.referenced_categories)

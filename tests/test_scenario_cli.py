@@ -73,6 +73,16 @@ def test_cycle_in_relations_reported(tmp_path, capsys):
     assert "propagation-cycle" in capsys.readouterr().out
 
 
+def test_expr_relation_is_shape_checked_not_evaluated(tmp_path, capsys):
+    data = logistics_scenario_data()
+    fine = next(r for r in data["cause_effects"] if r["id"] == "etaToFine")
+    fine["function"] = {"type": "expr", "expr": "100 / x"}
+    assert main(["validate", write_scenario(tmp_path, data)]) == 0
+    fine["function"] = {"type": "expr", "expr": "x ** 2"}
+    assert main(["validate", write_scenario(tmp_path, data)]) == 2
+    assert "relation-bad-function" in capsys.readouterr().out
+
+
 # --- run ---------------------------------------------------------------------------
 
 
