@@ -329,8 +329,7 @@ class ContextEngine:
                  relations=(), agents=(),
                  poll_budget: int = DEFAULT_POLL_BUDGET,
                  max_config_steps: int | None = None,
-                 staleness: tuple[int, float] | None = None,
-                 auto_extend_on_push: bool = True):
+                 staleness: tuple[int, float] | None = None):
         self.sim = sim
         self.catalog = catalog
         self.masters = masters
@@ -341,9 +340,7 @@ class ContextEngine:
         self.poll_budget = poll_budget
         self.max_config_steps = max_config_steps
         self.staleness = staleness
-        self.auto_extend_on_push = auto_extend_on_push
         self.instances: dict[str, InstanceContextModel] = {}
-        self.closed: dict[str, InstanceContextModel] = {}
         self.registrations: dict[str, Registration] = {}
         self.pending_requests: dict[str, PendingRequest] = {}
         # (model_id, category) -> correlations waiting on an administered fetch
@@ -524,11 +521,8 @@ class ContextEngine:
             cost=descriptor.cost_per_value,
         )
         for model in list(self.instances.values()):
-            in_model = category in model.intersection.categories
-            if not in_model and self.auto_extend_on_push:
-                extended = self._administer_extension(model, [category])
-                in_model = category in extended
-            if in_model:
+            if (category in model.intersection.categories
+                    or category in self._administer_extension(model, [category])):
                 changed = self._ingest_batch(model, [value])
                 self._notify(model, changed)
 
@@ -641,9 +635,7 @@ class ContextEngine:
                 "model": model.model_id,
             })
             return
-        candidates = [v for v in g.streams.values()
-                      if v.category_id == value.category_id]
-        winner = resolve_conflict(candidates)
+        winner = resolve_conflict(list(g.streams[value.category_id].values()))
         if winner != g.values[value.category_id]:
             g.values[value.category_id] = winner
         current = g.values[value.category_id]
@@ -788,27 +780,32 @@ class ContextEngine:
             instance_id=payload.get("instance", ""),
             requested=requested,
         )
-        missing = [c for c in requested if c not in model.intersection.categories]
-        if missing:
-            extendable = []
-            for category in missing:
-                if category not in self.catalog:
+        extendable = []
+        for category in requested:
+            if category in model.intersection.categories:
+                continue
+            if category not in self.catalog:
+                pending.unavailable.append(category)
+                continue
+            if self._best_source_for(category) is None:
+                self.sim.trace(self.POOL, "admin_no_source", {
+                    "model": model_id, "category": category,
+                })
+                pending.unavailable.append(category)
+                continue
+            extendable.append(category)
+        self._administer_extension(model, extendable)
+        g = model.intersection
+        for category in requested:
+            if category not in g.categories:
+                if category in extendable:
                     pending.unavailable.append(category)
-                    continue
-                if self._best_source_for(category) is None:
-                    self.sim.trace(self.POOL, "admin_no_source", {
-                        "model": model_id, "category": category,
-                    })
-                    pending.unavailable.append(category)
-                    continue
-                extendable.append(category)
-            self._administer_extension(model, extendable)
-            for category in extendable:
-                if category not in model.intersection.categories:
-                    pending.unavailable.append(category)
-                    continue
-                if category in model.intersection.values:
-                    continue
+                continue
+            if category in g.values:
+                continue
+            # a category this request added, or one an earlier request's
+            # fetch is still filling: wait for the fetch
+            if category in extendable or (model_id, category) in self.pending_fetches:
                 pending.outstanding.add(category)
                 self._request_fetch(model, category, correlation)
         self.pending_requests[correlation] = pending
@@ -818,16 +815,15 @@ class ContextEngine:
                               categories: list[str]) -> list[str]:
         """Extend a model with catalogued categories; one step per call."""
         additions = Additions()
+        queued: set[str] = set()
         for category in categories:
-            if category in model.intersection.categories:
-                continue
-            entry = self.catalog.get(category)
-            if entry is None:
+            if category in model.intersection.categories or category not in self.catalog:
                 continue
             chain = catalog_chain(self.catalog, category)
             for level, ancestor in enumerate(chain, start=1):
-                if ancestor in model.intersection.categories:
+                if ancestor in model.intersection.categories or ancestor in queued:
                     continue
+                queued.add(ancestor)
                 anc_entry = self.catalog[ancestor]
                 additions.categories.append((anc_entry.category, level))
                 if anc_entry.parent is not None:
@@ -928,12 +924,11 @@ class ContextEngine:
         if instance_id in model.bound_instances:
             model.bound_instances.remove(instance_id)
         if not model.bound_instances:
-            model.close()
-            self.closed[model.model_id] = self.instances.pop(model.model_id)
+            del self.instances[model.model_id]
             self.sim.trace(self.POOL, "model_closed", {
                 "model": model.model_id,
                 "end_step": model.intersection.step,
-                "end": model.problem.end.to_payload(),
+                "end": model.intersection.to_payload(),
             })
 
     def handle_shutdown_model(self, payload: dict):

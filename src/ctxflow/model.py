@@ -9,8 +9,9 @@ timestamped values attached.  The structural rules enforced here:
 * run-time change is extension-only: a later configuration step is always
   a supergraph of the earlier one.
 
-Instance models evolve along a configuration path of snapshots; master
-models are immutable templates.
+Instance models evolve along a configuration path, a list of per-step
+snapshots whose first entry is the start configuration; master models
+are immutable templates.
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ class ContextIntersection:
         self.categories: dict[str, ContextCategory] = {}
         self.values: dict[str, ContextValue] = {}
         self.history: dict[str, list[ContextValue]] = {}
-        # latest value per stream (value_id); feeds conflict resolution
-        self.streams: dict[str, ContextValue] = {}
+        # category -> stream (value_id) -> latest value; feeds conflict resolution
+        self.streams: dict[str, dict[str, ContextValue]] = {}
         self.step: int = 0
         self.history_limit = history_limit
 
@@ -197,9 +198,6 @@ class ContextIntersection:
             out.extend(level)
         return out
 
-    def parents_of(self, category_id: str) -> list[str]:
-        return [a for (a, b) in self.edges if b == category_id]
-
     def clone(self) -> "ContextIntersection":
         other = ContextIntersection(history_limit=self.history_limit)
         other.levels = [list(level) for level in self.levels]
@@ -207,7 +205,7 @@ class ContextIntersection:
         other.categories = dict(self.categories)
         other.values = dict(self.values)
         other.history = {k: list(v) for k, v in self.history.items()}
-        other.streams = dict(self.streams)
+        other.streams = {cat: dict(s) for cat, s in self.streams.items()}
         other.step = self.step
         return other
 
@@ -246,7 +244,7 @@ class ContextIntersection:
         for cat_id, value_data in data.get("values", {}).items():
             value = ContextValue.from_payload(value_data)
             g.values[cat_id] = value
-            g.streams[value.value_id] = value
+            g.streams.setdefault(value.category_id, {})[value.value_id] = value
         return g
 
 
@@ -354,13 +352,14 @@ def update_value(g: ContextIntersection, v: ContextValue) -> ContextIntersection
             f"payload {v.payload!r} does not match kind {category.value_kind!r} "
             f"of category {v.category_id!r}"
         )
-    stream_latest = g.streams.get(v.value_id)
+    streams = g.streams.setdefault(v.category_id, {})
+    stream_latest = streams.get(v.value_id)
     if stream_latest is not None and v.ts <= stream_latest.ts:
         raise StaleWrite(
             f"stream {v.value_id!r} already holds ts {stream_latest.ts}, "
             f"rejecting ts {v.ts}"
         )
-    g.streams[v.value_id] = v
+    streams[v.value_id] = v
     previous = g.values.get(v.category_id)
     if previous is not None:
         bucket = g.history.setdefault(v.category_id, [])
@@ -391,6 +390,9 @@ def relevant_subgraph(g: ContextIntersection, categories) -> ContextIntersection
     for cat in requested:
         if cat not in known:
             raise UnknownCategory(f"no category {cat!r} in the graph")
+    parents: dict[str, list[str]] = {}
+    for a, b in g.edges:
+        parents.setdefault(b, []).append(a)
     closure: set[str] = set()
     frontier = list(requested)
     while frontier:
@@ -398,7 +400,7 @@ def relevant_subgraph(g: ContextIntersection, categories) -> ContextIntersection
         if cat in closure:
             continue
         closure.add(cat)
-        frontier.extend(g.parents_of(cat))
+        frontier.extend(parents.get(cat, ()))
     sub = ContextIntersection(history_limit=g.history_limit)
     sub.levels = [[cat for cat in level if cat in closure] for level in g.levels]
     sub.edges = [(a, b) for (a, b) in g.edges if a in closure and b in closure]
@@ -440,57 +442,25 @@ class MasterContextModel:
 
 
 @dataclass
-class PathEntry:
-    """One configuration step: snapshot plus the delta that produced it."""
-
-    step: int
-    snapshot: ContextIntersection
-    added_categories: list[tuple[str, int]] = field(default_factory=list)
-    added_edges: list[tuple[str, str]] = field(default_factory=list)
-
-
-@dataclass
-class ConfigurationPath:
-    entries: list[PathEntry] = field(default_factory=list)
-
-    def snapshots(self) -> list[ContextIntersection]:
-        return [entry.snapshot for entry in self.entries]
-
-
-@dataclass
-class ConfigurationProblem:
-    """Multi-step configuration problem: step budget and endpoints."""
-
-    max_steps: int | None = None
-    start: ContextIntersection | None = None
-    end: ContextIntersection | None = None
-
-
-@dataclass
 class InstanceContextModel:
-    """Live, extensible copy of a master bound to one or more instances."""
+    """Live, extensible copy of a master bound to one or more instances.
+
+    ``path`` holds one structural snapshot per configuration step;
+    ``path[0]`` is the start configuration and each later entry contains
+    the one before it.  ``max_steps`` bounds the step counter when set.
+    """
 
     model_id: str
     master_id: str
     intersection: ContextIntersection
     bound_instances: list[str]
-    path: ConfigurationPath
-    problem: ConfigurationProblem
+    path: list[ContextIntersection]
+    max_steps: int | None = None
 
     def apply_extension(self, additions: Additions) -> list[tuple[str, int]]:
-        added = [(cat.category_id, level) for cat, level in additions.categories]
-        new_graph = extend(self.intersection, additions, k=self.problem.max_steps)
-        self.intersection = new_graph
-        self.path.entries.append(PathEntry(
-            step=new_graph.step,
-            snapshot=new_graph.structural_snapshot(),
-            added_categories=added,
-            added_edges=list(additions.edges),
-        ))
-        return added
-
-    def close(self):
-        self.problem.end = self.intersection.structural_snapshot()
+        self.intersection = extend(self.intersection, additions, k=self.max_steps)
+        self.path.append(self.intersection.structural_snapshot())
+        return [(cat.category_id, level) for cat, level in additions.categories]
 
     def to_payload(self) -> dict:
         payload = self.intersection.to_payload()
@@ -505,9 +475,8 @@ def instantiate_from_master(master: MasterContextModel, instance_ids,
                             k: int | None = None) -> InstanceContextModel:
     """Deep-copy the master into a fresh instance model at step 0.
 
-    Mutating the returned model never touches the master.  The copy is
-    recorded as the start configuration of the model's configuration
-    problem and as the first snapshot of its path.
+    Mutating the returned model never touches the master.  A snapshot of
+    the copy starts the model's configuration path.
     """
     ids = _binding(instance_ids)
     report = master.validate()
@@ -528,7 +497,7 @@ def clone_instance_model(origin: InstanceContextModel, instance_ids,
     included, and the child evolves independently from step 0.
     """
     return _start_model(model_id, origin.master_id, origin.intersection,
-                        _binding(instance_ids), origin.problem.max_steps)
+                        _binding(instance_ids), origin.max_steps)
 
 
 def _binding(instance_ids) -> list[str]:
@@ -540,16 +509,15 @@ def _binding(instance_ids) -> list[str]:
 
 def _start_model(model_id: str, master_id: str, seed: ContextIntersection,
                  ids: list[str], k: int | None) -> InstanceContextModel:
-    """Instance model at step 0 on a copy of ``seed``; the copy is the start
-    configuration and the first snapshot of the path."""
+    """Instance model at step 0 on a copy of ``seed``; a snapshot of the copy
+    is the start configuration, ``path[0]``."""
     graph = seed.clone()
     graph.step = 0
-    start = graph.structural_snapshot()
     return InstanceContextModel(
         model_id=model_id,
         master_id=master_id,
         intersection=graph,
         bound_instances=ids,
-        path=ConfigurationPath(entries=[PathEntry(step=0, snapshot=start)]),
-        problem=ConfigurationProblem(max_steps=k, start=start.structural_snapshot()),
+        path=[graph.structural_snapshot()],
+        max_steps=k,
     )

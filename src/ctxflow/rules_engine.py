@@ -24,11 +24,8 @@ from .rule_dsl import (
 
 @dataclass
 class EvaluationRecord:
-    instance_id: str
     gate_id: str
-    rule_ids: list[str]
     used_context: dict[str, int]  # category -> ts of the value used
-    decision: dict
     evaluation: str  # "native" | "re_evaluation"
 
 
@@ -274,15 +271,9 @@ class RulesEngine:
                 "instance": binding.instance_id, "gate": gate, **skip,
             })
         decision = self._decision_payload(outcome, gate, evaluation, default)
-        record = EvaluationRecord(
-            instance_id=binding.instance_id,
-            gate_id=gate,
-            rule_ids=[rule.rule_id for rule in rules],
-            used_context=outcome.used_context,
-            decision=decision,
-            evaluation=evaluation,
+        self.records.setdefault(binding.instance_id, {})[gate] = EvaluationRecord(
+            gate_id=gate, used_context=outcome.used_context, evaluation=evaluation,
         )
-        self.records.setdefault(binding.instance_id, {})[gate] = record
         self.sim.trace(self.POOL, "gate_evaluated", {
             "instance": binding.instance_id,
             "gate": gate,

@@ -171,8 +171,7 @@ def test_criterion_2_extension_only_invariant():
                     category, rng.randint(0, 99), rng.randint(0, 50)))
             except StaleWrite:
                 pass
-        snapshots = model.path.snapshots()
-        for earlier, later in zip(snapshots, snapshots[1:]):
+        for earlier, later in zip(model.path, model.path[1:]):
             if not containment_oracle(earlier, later):
                 failures += 1
     elapsed = time.perf_counter() - started
@@ -235,8 +234,7 @@ def acceptance_engine(sim):
         "alpha": SourceDescriptor("alpha", "push", 0.9, provided_categories=("x",)),
         "beta": SourceDescriptor("beta", "push", 0.6, provided_categories=("x",)),
     }
-    return ContextEngine(sim, catalog, {"acc": master}, sources,
-                         relations=relations, auto_extend_on_push=False)
+    return ContextEngine(sim, catalog, {"acc": master}, sources, relations=relations)
 
 
 def test_criterion_4_propagation_order_independence():

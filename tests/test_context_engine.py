@@ -192,7 +192,7 @@ def make_engine(sim, relations=(), agents=(), categories=("root", "x", "y", "w")
     }
     return ContextEngine(
         sim, catalog, {"mini": mini_master(catalog, categories)}, sources,
-        relations=relations, agents=agents, auto_extend_on_push=False,
+        relations=relations, agents=agents,
     )
 
 
@@ -516,9 +516,9 @@ def test_concurrent_requests_extend_once():
         "absent": [],
     })
     snapshots = [p for (_, _, k, p) in sim.sent if k == "ContextSnapshot"]
-    # q2 finds z already in the model and is answered at once; q1 waits
-    # for the fetch its extension started
-    assert [s["correlation"] for s in snapshots] == ["q2", "q1"]
+    # q2 finds z in the model but still unvalued and joins q1's fetch
+    assert [s["correlation"] for s in snapshots] == ["q1", "q2"]
+    assert [s["graph"]["values"]["z"]["payload"] for s in snapshots] == [7, 7]
 
 
 def test_category_listed_twice_is_fetched_and_answered_once():
@@ -528,6 +528,8 @@ def test_category_listed_twice_is_fetched_and_answered_once():
     engine.handle_context_request({
         "model": model.model_id, "categories": ["z", "z"], "correlation": "q1",
     })
+    [extended] = sim.records("model_extended")
+    assert extended.payload["added"] == [{"category": "z", "level": 2}]
     assert engine.pending_fetches == {(model.model_id, "z"): ["q1", "q1"]}
     engine.handle_poll_response({
         "source": "certified", "purpose": "administer", "model": model.model_id,
@@ -538,6 +540,32 @@ def test_category_listed_twice_is_fetched_and_answered_once():
     assert [k for (_, _, k, _) in sim.sent] == ["PollRequest", "ContextSnapshot"]
     assert sim.sent[-1][3]["graph"]["values"]["z"]["payload"] == 7
     assert not engine.pending_fetches and not engine.pending_requests
+
+
+def test_shared_missing_parent_is_added_once():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    engine.catalog.update({
+        "region": CatalogEntry(ContextCategory("region", "region"), parent="root",
+                               requires_value=False),
+        "temp": CatalogEntry(ContextCategory("temp", "temp", "numeric"), parent="region"),
+        "wind": CatalogEntry(ContextCategory("wind", "wind", "numeric"), parent="region"),
+    })
+    engine.sources["station"] = SourceDescriptor(
+        "station", "push", 0.9, provided_categories=("temp", "wind"))
+    model = register_active(engine)
+    engine.handle_context_request({
+        "model": model.model_id, "categories": ["temp", "wind"], "correlation": "q1",
+    })
+    [extended] = sim.records("model_extended")
+    assert extended.payload["added"] == [
+        {"category": "region", "level": 2},
+        {"category": "temp", "level": 3},
+        {"category": "wind", "level": 3},
+    ]
+    assert sorted(model.intersection.edges) == sorted(
+        [("root", c) for c in ("x", "y", "w", "region")]
+        + [("region", "temp"), ("region", "wind")])
 
 
 def test_repeated_request_same_tick_identical_snapshot():
@@ -576,9 +604,10 @@ def test_last_shutdown_closes_model_with_end_snapshot():
     engine = make_engine(sim)
     model = register_active(engine)
     engine.shutdown_model("p1")
-    assert model.model_id in engine.closed
-    assert model.problem.end is not None
-    assert sim.records("model_closed")
+    assert model.model_id not in engine.instances
+    [closed] = sim.records("model_closed")
+    assert closed.payload["end_step"] == 0
+    assert closed.payload["end"] == model.intersection.to_payload()
 
 
 def test_sharing_instance_keeps_model_alive():

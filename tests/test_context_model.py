@@ -136,8 +136,8 @@ def test_instance_starts_as_master_copy(master):
     assert inst.intersection.step == 0
     assert is_subgraph(inst.intersection, master.intersection)
     assert is_subgraph(master.intersection, inst.intersection)
-    assert len(inst.path.entries) == 1
-    assert inst.problem.start is not None
+    assert len(inst.path) == 1
+    assert inst.path[0].to_payload() == inst.intersection.to_payload()
 
 
 def test_two_instantiations_are_distinct(master):
@@ -212,8 +212,7 @@ def test_random_extension_sequences_stay_subgraphs(rng):
         inst = instantiate_from_master(master, ["p"])
         for _ in range(10):
             inst.apply_extension(random_additions(rng, inst.intersection, counter))
-        snapshots = inst.path.snapshots()
-        for earlier, later in zip(snapshots, snapshots[1:]):
+        for earlier, later in zip(inst.path, inst.path[1:]):
             assert containment_oracle(earlier, later)
             assert is_subgraph(earlier, later)
             assert validate_intersection(later).ok
@@ -256,6 +255,24 @@ def test_weather_update_replaces_current(master):
     update_value(g, value("weather", "thunderstorm, road washed out", 8))
     assert g.values["weather"].payload == "thunderstorm, road washed out"
     assert [v.payload for v in g.history["weather"]] == ["clear"]
+
+
+def test_writes_to_clone_or_extension_leave_original_untouched(master):
+    g = instantiate_from_master(master, ["p1"]).intersection
+    update_value(g, value("weather", "clear", 3))
+    update_value(g, value("weather", "fog", 4))
+    before = (canonical_json(g.to_payload()),
+              {cat: dict(s) for cat, s in g.streams.items()},
+              {cat: list(h) for cat, h in g.history.items()})
+    for copy in (g.clone(), extend(g, methods_extension())):
+        update_value(copy, value("weather", "rain", 9))
+        update_value(copy, value("weather", "hail", 9, source="radar"))
+        update_value(copy, value("traffic", "jam", 9))
+        assert (canonical_json(g.to_payload()),
+                {cat: dict(s) for cat, s in g.streams.items()},
+                {cat: list(h) for cat, h in g.history.items()}) == before
+    # the original stream still accepts a timestamp the copies already passed
+    update_value(g, value("weather", "sun", 5))
 
 
 def test_equal_ts_redelivery_is_stale(master):
@@ -354,9 +371,8 @@ def test_relevant_subgraph_unknown_category(master):
 def test_close_records_end_configuration(master):
     inst = instantiate_from_master(master, ["p1"])
     inst.apply_extension(methods_extension())
-    inst.close()
-    assert inst.problem.end is not None
-    assert is_subgraph(inst.problem.start, inst.problem.end)
+    assert [g.step for g in inst.path] == [0, 1]
+    assert is_subgraph(inst.path[0], inst.intersection)
 
 
 def test_history_is_bounded(master):

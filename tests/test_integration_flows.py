@@ -165,13 +165,14 @@ def test_shared_model_survives_first_shutdown():
 def test_compensation_context_equals_parent_at_spawn():
     assembly, trace = run(logistics_scenario_data())
     spawn = trace.find("model_instantiated", copy_of="ctx.p1")[0]
-    parent_end = assembly.context.closed["ctx.p1"].problem.end
-    child_start = assembly.context.closed["ctx.p1.comp1"].problem.start
-    parent_payload = parent_end.to_payload()
-    child_payload = child_start.to_payload()
-    parent_payload.pop("step")
-    child_payload.pop("step")
-    assert canonical_json(parent_payload) == canonical_json(child_payload)
+    parent_end = trace.find("model_closed", model="ctx.p1")[0].payload["end"]
+    child_start = next(
+        r.payload["data"]["graph"] for r in trace
+        if r.kind == "ContextSnapshot" and r.payload["data"].get("phase") == "init"
+        and r.payload["data"].get("instance") == "p1.comp1"
+    )
+    assert canonical_json({**parent_end, "step": None}) == \
+        canonical_json({**child_start, "step": None})
     assert spawn.payload["instance"] == "p1.comp1"
 
 
@@ -224,8 +225,8 @@ def test_step_budget_rejects_late_extensions_without_crashing():
     assert rejected and rejected[0].payload["error"] == "StepBudgetExceeded"
     assert not assembly.simulation.truncated
     # budgeted snapshots still respect the step bound
-    closed = assembly.context.closed["ctx.p1"]
-    assert closed.intersection.step <= 1
+    closed = trace.find("model_closed", model="ctx.p1")[0].payload
+    assert closed["end_step"] <= 1 and closed["end"]["step"] == closed["end_step"]
 
 
 def test_scenario_deny_list_blocks_principal():
