@@ -49,7 +49,7 @@ def cmd_run(args) -> int:
     if args.trace_out:
         trace.write(args.trace_out)
     else:
-        sys.stdout.write(trace.to_text())
+        sys.stdout.writelines(trace.lines())
     terminal = {
         i.instance_id: i.status for i in assembly.process.instances.values()
     }

@@ -26,7 +26,6 @@ from .rule_dsl import (
 class EvaluationRecord:
     gate_id: str
     used_context: dict[str, int]  # category -> ts of the value used
-    evaluation: str  # "native" | "re_evaluation"
 
 
 @dataclass
@@ -272,8 +271,7 @@ class RulesEngine:
             })
         decision = self._decision_payload(outcome, gate, evaluation, default)
         self.records.setdefault(binding.instance_id, {})[gate] = EvaluationRecord(
-            gate_id=gate, used_context=outcome.used_context, evaluation=evaluation,
-        )
+            gate_id=gate, used_context=outcome.used_context)
         self.sim.trace(self.POOL, "gate_evaluated", {
             "instance": binding.instance_id,
             "gate": gate,

@@ -109,12 +109,7 @@ def parse_scenario(data: dict) -> tuple[Scenario, list[Violation]]:
     scenario.poll_budget = limits.get("poll_budget", DEFAULT_POLL_BUDGET)
     scenario.max_config_steps = limits.get("max_config_steps")
     scenario.history_limit = limits.get("history", DEFAULT_HISTORY_LIMIT)
-    latency = data.get("latency", {})
-    scenario.latency = LatencyConfig(
-        default=latency.get("default", 1),
-        channels=dict(latency.get("channels", {})),
-        jitter=latency.get("jitter", 0),
-    )
+    _parse_latency(data, scenario, bad)
     staleness = data.get("staleness")
     if staleness is not None:
         scenario.staleness = (staleness["max_age"], staleness["decay"])
@@ -130,6 +125,25 @@ def parse_scenario(data: dict) -> tuple[Scenario, list[Violation]]:
     _parse_instances(data, scenario, bad)
     _bind_rules(scenario, bad)
     return scenario, violations
+
+
+def _parse_latency(data, scenario, bad):
+    latency = data.get("latency", {})
+    if not isinstance(latency, dict) or not isinstance(latency.get("channels", {}), dict):
+        bad("latency-invalid", "latency", "latency and latency.channels must be objects")
+        return
+    scenario.latency = LatencyConfig(
+        default=latency.get("default", 1),
+        channels=dict(latency.get("channels", {})),
+        jitter=latency.get("jitter", 0),
+    )
+    ticks = {"latency.default": scenario.latency.default,
+             "latency.jitter": scenario.latency.jitter}
+    for channel, value in scenario.latency.channels.items():
+        ticks[f"latency.channels[{channel}]"] = value
+    for subject, value in ticks.items():
+        if type(value) is not int or value < 0:
+            bad("latency-invalid", subject, f"{value!r} is not a non-negative integer")
 
 
 def _parse_catalog(data, scenario, bad):

@@ -7,13 +7,24 @@ be diffed as a stream.
 
 from __future__ import annotations
 
+import itertools
 import json
+import json.encoder
 from dataclasses import dataclass
+
+# Built once: json.dumps builds a new encoder on every call.  No circular
+# check (markers None); unserializable values still raise TypeError.
+if json.encoder.c_make_encoder is not None:
+    _encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ":", ",", True, False, True)
+else:
+    _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).iterencode
 
 
 def canonical_json(obj) -> str:
-    """Serialize with sorted keys and fixed separators; byte-stable."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Serialize with sorted keys, fixed separators and ASCII escapes; byte-stable."""
+    return "".join(_encode(obj, 0))
 
 
 @dataclass(frozen=True)
@@ -25,13 +36,13 @@ class TraceRecord:
     payload: dict
 
     def to_line(self) -> str:
-        return canonical_json({
+        return "".join(_encode({
             "kind": self.kind,
             "payload": self.payload,
             "pool": self.pool,
             "seq": self.seq,
             "tick": self.tick,
-        })
+        }, 0))
 
     @classmethod
     def from_line(cls, line: str) -> "TraceRecord":
@@ -64,12 +75,17 @@ class Trace:
     def __len__(self):
         return len(self.records)
 
+    def lines(self):
+        """Each record's line with its newline, one at a time."""
+        for record in self.records:
+            yield record.to_line() + "\n"
+
     def to_text(self) -> str:
-        return "".join(record.to_line() + "\n" for record in self.records)
+        return "".join(self.lines())
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_text())
+            handle.writelines(self.lines())
 
     @classmethod
     def read(cls, path) -> "Trace":
@@ -95,19 +111,17 @@ class Trace:
 
 
 def replay_verify(path_a, path_b) -> tuple[bool, str]:
-    """Byte-compare two trace files; report the first divergence."""
-    with open(path_a, "rb") as handle:
-        lines_a = handle.read().splitlines()
-    with open(path_b, "rb") as handle:
-        lines_b = handle.read().splitlines()
-    for i, (line_a, line_b) in enumerate(zip(lines_a, lines_b)):
-        if line_a != line_b:
-            seq = _seq_of(line_a) or _seq_of(line_b) or i
-            return False, f"divergence at seq {seq}: {line_a[:120]!r} != {line_b[:120]!r}"
-    if len(lines_a) != len(lines_b):
-        longer = lines_a if len(lines_a) > len(lines_b) else lines_b
-        seq = _seq_of(longer[min(len(lines_a), len(lines_b))])
-        return False, f"length mismatch; first extra record has seq {seq}"
+    """Byte-compare two trace files line by line; report the first divergence."""
+    with open(path_a, "rb") as handle_a, open(path_b, "rb") as handle_b:
+        pairs = itertools.zip_longest(handle_a, handle_b)
+        for i, (line_a, line_b) in enumerate(pairs):
+            if line_a is None or line_b is None:
+                seq = _seq_of(line_a if line_b is None else line_b)
+                return False, f"length mismatch; first extra record has seq {seq}"
+            line_a, line_b = line_a.rstrip(b"\r\n"), line_b.rstrip(b"\r\n")
+            if line_a != line_b:
+                seq = _seq_of(line_a) or _seq_of(line_b) or i
+                return False, f"divergence at seq {seq}: {line_a[:120]!r} != {line_b[:120]!r}"
     return True, "identical"
 
 

@@ -183,8 +183,8 @@ def test_native_evaluation_round_trip():
     assert decisions[0]["action"] == {
         "type": "select_variant", "gate": "shipping", "variant": "truck",
     }
+    assert sim.records("gate_evaluated")[-1].payload["evaluation"] == "native"
     record = engine.records["p1"]["shipping"]
-    assert record.evaluation == "native"
     assert set(record.used_context) == {
         "estimatedDeliveryTime", "estimatedSLAFine",
         "executionTimeConstraint", "maxSLAFineAmount",
@@ -236,7 +236,7 @@ def test_re_evaluation_on_intersecting_change():
     rollback = [p for (_, _, k, p) in sim.sent if k == "BreakRollback"][0]
     assert rollback["target"] == "start"
     assert rollback["disposition"] == "cancel"
-    assert engine.records["p1"]["shipping"].evaluation == "re_evaluation"
+    assert sim.records("gate_evaluated")[-1].payload["evaluation"] == "re_evaluation"
 
 
 def test_non_intersecting_change_is_ignored():

@@ -3,6 +3,10 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxflow.cli import main
 from ctxflow.scenario import parse_scenario, run_scenario_data
@@ -83,6 +87,43 @@ def test_expr_relation_is_shape_checked_not_evaluated(tmp_path, capsys):
     assert "relation-bad-function" in capsys.readouterr().out
 
 
+def assert_latency_violation(tmp_path, capsys, latency, subject):
+    data = logistics_scenario_data()
+    data["latency"] = latency
+    assert main(["validate", write_scenario(tmp_path, data)]) == 2
+    assert f"latency-invalid: {subject}:" in capsys.readouterr().out
+
+
+def test_latency_jitter_string_is_a_violation(tmp_path, capsys):
+    assert_latency_violation(tmp_path, capsys, {"jitter": "2"}, "latency.jitter")
+
+
+def test_latency_default_string_is_a_violation(tmp_path, capsys):
+    assert_latency_violation(tmp_path, capsys, {"default": "1"}, "latency.default")
+
+
+def test_latency_fractional_default_is_a_violation(tmp_path, capsys):
+    assert_latency_violation(tmp_path, capsys, {"default": 1.5}, "latency.default")
+
+
+def test_latency_channel_must_be_non_negative_integer(tmp_path, capsys):
+    for ticks in (-1, True, 2.0, None):
+        assert_latency_violation(tmp_path, capsys, {"channels": {"process->rules": ticks}},
+                                 "latency.channels[process->rules]")
+    assert_latency_violation(tmp_path, capsys, {"jitter": False}, "latency.jitter")
+
+
+def test_latency_that_is_not_an_object_is_a_violation(tmp_path, capsys):
+    assert_latency_violation(tmp_path, capsys, 5, "latency")
+    assert_latency_violation(tmp_path, capsys, {"channels": "ab"}, "latency")
+
+
+def test_zero_and_integer_latencies_validate_clean(tmp_path):
+    data = logistics_scenario_data()
+    data["latency"] = {"default": 0, "jitter": 0, "channels": {"process->rules": 3}}
+    assert main(["validate", write_scenario(tmp_path, data)]) == 0
+
+
 # --- run ---------------------------------------------------------------------------
 
 
@@ -137,7 +178,30 @@ def test_replay_reports_divergence_point(tmp_path):
     main(["run", path, "--trace-out", str(out_b), "--seed", "20"])
     ok, detail = replay_verify(str(out_a), str(out_b))
     assert not ok
-    assert "seq" in detail
+    assert detail.startswith("divergence at seq ")
+
+
+def write_trace(path, values):
+    trace = Trace()
+    for value in values:
+        trace.emit(0, "context", "value_updated", {"v": value})
+    trace.write(path)
+    return str(path)
+
+
+def test_replay_detail_names_divergence_and_length_mismatch(tmp_path, capsys):
+    base = write_trace(tmp_path / "base.trace", [1, 2, 3])
+    changed = write_trace(tmp_path / "changed.trace", [1, 9, 3])
+    short = write_trace(tmp_path / "short.trace", [1, 2])
+    assert replay_verify(base, changed) == (False, (
+        "divergence at seq 1: "
+        """b'{"kind":"value_updated","payload":{"v":2},"pool":"context","seq":1,"tick":0}' != """
+        """b'{"kind":"value_updated","payload":{"v":9},"pool":"context","seq":1,"tick":0}'"""))
+    mismatch = (False, "length mismatch; first extra record has seq 2")
+    assert replay_verify(base, short) == mismatch
+    assert replay_verify(short, base) == mismatch
+    assert main(["replay", short, base]) == 1
+    assert capsys.readouterr().out == mismatch[1] + "\n"
 
 
 # --- trace canonical form -------------------------------------------------------------
@@ -160,6 +224,37 @@ def test_record_key_order_is_canonical():
 
 def test_canonical_json_is_stable():
     assert canonical_json({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}'
+
+
+def oracle_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers(min_value=-(2 ** 80), max_value=2 ** 80),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None)
+@given(payloads=st.lists(st.dictionaries(st.text(), json_values, max_size=5), max_size=4),
+       pool=st.text(max_size=8), kind=st.text(max_size=12))
+def test_trace_lines_match_json_dumps(payloads, pool, kind):
+    trace = Trace()
+    for i, payload in enumerate(payloads):
+        record = trace.emit(i * 3, pool, kind, payload)
+        assert canonical_json(payload) == oracle_json(payload)
+        assert record.to_line() == oracle_json({
+            "kind": kind, "payload": payload, "pool": pool, "seq": i, "tick": i * 3,
+        })
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "run.trace")
+        trace.write(path)
+        with open(path, "rb") as handle:
+            assert handle.read() == trace.to_text().encode("ascii")
 
 
 # --- generated scenarios: validate then run never crashes --------------------------------
