@@ -342,9 +342,8 @@ class ContextEngine:
         self.staleness = staleness
         self.instances: dict[str, InstanceContextModel] = {}
         self.registrations: dict[str, Registration] = {}
-        self.pending_requests: dict[str, PendingRequest] = {}
-        # (model_id, category) -> correlations waiting on an administered fetch
-        self.pending_fetches: dict[tuple[str, str], list[str]] = {}
+        # (model_id, category) -> requests waiting on an administered fetch
+        self.pending_fetches: dict[tuple[str, str], list[PendingRequest]] = {}
 
     # -- registration / initialization ---------------------------------------
 
@@ -807,8 +806,7 @@ class ContextEngine:
             # fetch is still filling: wait for the fetch
             if category in extendable or (model_id, category) in self.pending_fetches:
                 pending.outstanding.add(category)
-                self._request_fetch(model, category, correlation)
-        self.pending_requests[correlation] = pending
+                self._request_fetch(model, category, pending)
         self._try_reply(pending)
 
     def _administer_extension(self, model: InstanceContextModel,
@@ -848,13 +846,13 @@ class ContextEngine:
         return [cat for cat, _ in added]
 
     def _request_fetch(self, model: InstanceContextModel, category: str,
-                       correlation: str):
+                       pending: PendingRequest):
         key = (model.model_id, category)
         if key in self.pending_fetches:
             # a fetch is already in flight; requests share it
-            self.pending_fetches[key].append(correlation)
+            self.pending_fetches[key].append(pending)
             return
-        self.pending_fetches[key] = [correlation]
+        self.pending_fetches[key] = [pending]
         source = self._best_source_for(category)
         self.sim.send(self.POOL, "external", "PollRequest", {
             "source": source,
@@ -864,9 +862,8 @@ class ContextEngine:
         })
 
     def _resolve_fetch(self, model_id: str, category: str, available: bool):
-        for correlation in self.pending_fetches.pop((model_id, category), []):
-            pending = self.pending_requests.get(correlation)
-            if pending is None or category not in pending.outstanding:
+        for pending in self.pending_fetches.pop((model_id, category), []):
+            if category not in pending.outstanding:
                 continue  # the request listed the category twice
             pending.outstanding.discard(category)
             if not available:
@@ -876,10 +873,7 @@ class ContextEngine:
     def _try_reply(self, pending: PendingRequest):
         if pending.outstanding:
             return
-        self.pending_requests.pop(pending.correlation, None)
-        model = self.instances.get(pending.model_id)
-        if model is None:
-            return
+        model = self.instances[pending.model_id]
         available = [c for c in pending.requested
                      if c in model.intersection.categories
                      and c not in pending.unavailable]
@@ -925,6 +919,9 @@ class ContextEngine:
             model.bound_instances.remove(instance_id)
         if not model.bound_instances:
             del self.instances[model.model_id]
+            # requests waiting on the model's fetches are never answered
+            for key in [k for k in self.pending_fetches if k[0] == model.model_id]:
+                del self.pending_fetches[key]
             self.sim.trace(self.POOL, "model_closed", {
                 "model": model.model_id,
                 "end_step": model.intersection.step,
@@ -942,17 +939,13 @@ class ContextEngine:
     # -- dispatch --------------------------------------------------------------------
 
     def handle_message(self, kind: str, payload: dict):
-        if kind == "Register":
-            self.handle_register(payload)
-        elif kind == "SourceEvent":
-            self.handle_source_event(payload)
-        elif kind == "PollResponse":
-            self.handle_poll_response(payload)
-        elif kind == "ContextRequest":
-            self.handle_context_request(payload)
-        elif kind == "ShutdownModel":
-            self.handle_shutdown_model(payload)
-        else:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": "UnhandledMessage", "detail": kind,
-            })
+        self.HANDLERS[kind](self, payload)
+
+    # exactly the kinds CHANNELS delivers to the context pool
+    HANDLERS = {
+        "Register": handle_register,
+        "SourceEvent": handle_source_event,
+        "PollResponse": handle_poll_response,
+        "ContextRequest": handle_context_request,
+        "ShutdownModel": handle_shutdown_model,
+    }

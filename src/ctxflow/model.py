@@ -100,19 +100,6 @@ class ContextValue:
             out["causing_ts"] = self.causing_ts
         return out
 
-    @classmethod
-    def from_payload(cls, data: dict) -> "ContextValue":
-        return cls(
-            value_id=data["value_id"],
-            category_id=data["category_id"],
-            payload=data["payload"],
-            ts=data["ts"],
-            source_id=data["source_id"],
-            reliability=data["reliability"],
-            cost=data.get("cost", 0.0),
-            causing_ts=data.get("causing_ts"),
-        )
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -228,24 +215,6 @@ class ContextIntersection:
             "values": {cat: self.values[cat].to_payload() for cat in sorted(self.values)},
             "step": self.step,
         }
-
-    @classmethod
-    def from_payload(cls, data: dict, categories: dict[str, ContextCategory],
-                     history_limit: int = DEFAULT_HISTORY_LIMIT) -> "ContextIntersection":
-        g = cls(history_limit=history_limit)
-        for level_no, level in enumerate(data.get("levels", []), start=1):
-            for cat_id in level:
-                if cat_id not in categories:
-                    raise UnknownCategory(f"{cat_id!r} missing from the category catalog")
-                g.add_category(categories[cat_id], level_no)
-        for from_cat, to_cat in data.get("edges", []):
-            g.add_edge(from_cat, to_cat)
-        g.step = data.get("step", 0)
-        for cat_id, value_data in data.get("values", {}).items():
-            value = ContextValue.from_payload(value_data)
-            g.values[cat_id] = value
-            g.streams.setdefault(value.category_id, {})[value.value_id] = value
-        return g
 
 
 @dataclass
@@ -461,13 +430,6 @@ class InstanceContextModel:
         self.intersection = extend(self.intersection, additions, k=self.max_steps)
         self.path.append(self.intersection.structural_snapshot())
         return [(cat.category_id, level) for cat, level in additions.categories]
-
-    def to_payload(self) -> dict:
-        payload = self.intersection.to_payload()
-        payload["model_id"] = self.model_id
-        payload["master_id"] = self.master_id
-        payload["bound_instances"] = sorted(self.bound_instances)
-        return payload
 
 
 def instantiate_from_master(master: MasterContextModel, instance_ids,

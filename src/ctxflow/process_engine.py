@@ -316,8 +316,6 @@ class ProcessEngine:
                 share_with=payload.get("share_with"),
             )
             return
-        if payload.get("kind") != "task_done":
-            return
         instance = self.instances.get(payload["instance"])
         if instance is None or instance.status != "Running":
             return
@@ -493,21 +491,19 @@ class ProcessEngine:
         )
         self._set_status(parent, prior)
 
-    # -- dispatch ------------------------------------------------------------------
-
-    def handle_message(self, kind: str, payload: dict):
-        if kind == "Decision":
-            self.handle_decision(payload)
-        elif kind == "BreakRollback":
-            self.handle_break_rollback(payload)
-        elif kind == "StartCompensation":
-            self.handle_start_compensation(payload)
-        else:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": "UnhandledMessage", "detail": kind,
-            })
-
     def all_terminal(self) -> bool:
         if self.pending_starts > 0:
             return False
         return all(i.status in TERMINAL for i in self.instances.values())
+
+    # -- dispatch ------------------------------------------------------------------
+
+    def handle_message(self, kind: str, payload: dict):
+        self.HANDLERS[kind](self, payload)
+
+    # exactly the kinds CHANNELS delivers to the process pool
+    HANDLERS = {
+        "Decision": handle_decision,
+        "BreakRollback": handle_break_rollback,
+        "StartCompensation": handle_start_compensation,
+    }

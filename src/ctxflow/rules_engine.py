@@ -231,22 +231,16 @@ class RulesEngine:
                 "instance": instance, "reason": "instance unbound",
             })
             return
-        if payload.get("status") != "ok":
-            self.sim.send(self.POOL, "process", "Decision", {
-                "instance": instance,
-                "evaluation": "init",
-                "action": {"type": "abort",
-                           "reason": payload.get("status", "error")},
+        if payload.get("status") == "ok":
+            binding.context_model_id = payload["model"]
+            self.sim.trace(self.POOL, "listening", {
+                "instance": instance, "context_model": payload["model"],
             })
-            return
-        binding.context_model_id = payload["model"]
-        self.sim.trace(self.POOL, "listening", {
-            "instance": instance, "context_model": payload["model"],
-        })
+            action = {"type": "continue"}
+        else:
+            action = {"type": "abort", "reason": payload.get("status", "error")}
         self.sim.send(self.POOL, "process", "Decision", {
-            "instance": instance,
-            "evaluation": "init",
-            "action": {"type": "continue"},
+            "instance": instance, "evaluation": "init", "action": action,
         })
 
     # -- evaluation ---------------------------------------------------------------
@@ -305,65 +299,35 @@ class RulesEngine:
 
     def _issue(self, binding: Binding, gate: str, evaluation: str,
                outcome: GateOutcome, decision: dict):
-        instance = binding.instance_id
+        def send(kind: str, fields: dict):
+            self.sim.send(self.POOL, "process", kind, {
+                "instance": binding.instance_id,
+                "fired_rule": outcome.fired_rule,
+                **fields,
+            })
+
         kind = decision["type"]
-        if kind == "select_variant":
-            self.sim.send(self.POOL, "process", "Decision", {
-                "instance": instance,
-                "gate": gate,
-                "evaluation": evaluation,
-                "fired_rule": outcome.fired_rule,
-                "action": decision,
-            })
-            return
-        if kind == "continue":
-            if evaluation == "native":
-                self.sim.send(self.POOL, "process", "Decision", {
-                    "instance": instance,
-                    "gate": gate,
-                    "evaluation": evaluation,
-                    "fired_rule": outcome.fired_rule,
-                    "action": decision,
-                })
-            # re-evaluation continue: process execution proceeds as if
-            # nothing happened; the gate_evaluated record is the only effect
-            return
         if kind == "break_rollback":
-            self.sim.send(self.POOL, "process", "BreakRollback", {
-                "instance": instance,
-                "target": decision["target"],
-                "disposition": "resume",
-                "fired_rule": outcome.fired_rule,
-            })
+            send("BreakRollback", {"target": decision["target"], "disposition": "resume"})
             return
         if kind == "start_compensation":
-            self.sim.send(self.POOL, "process", "StartCompensation", {
-                "instance": instance,
-                "process_ref": decision["process_ref"],
-                "fired_rule": outcome.fired_rule,
-            })
+            send("StartCompensation", {"process_ref": decision["process_ref"]})
             if evaluation == "re_evaluation":
                 # the context change invalidated the running plan: recall it
                 # (break + rollback to start) and hand over to the child
-                self.sim.send(self.POOL, "process", "BreakRollback", {
-                    "instance": instance,
-                    "target": "start",
-                    "disposition": "cancel",
-                    "fired_rule": outcome.fired_rule,
-                })
-            else:
-                # natively started compensation runs alongside; the gate
-                # still selects its default branch so the parent continues
-                default = self.gate_defaults.get((binding.process_model_id, gate))
-                if default is not None:
-                    self.sim.send(self.POOL, "process", "Decision", {
-                        "instance": instance,
-                        "gate": gate,
-                        "evaluation": evaluation,
-                        "fired_rule": outcome.fired_rule,
-                        "action": {"type": "select_variant", "gate": gate,
-                                   "variant": default},
-                    })
+                send("BreakRollback", {"target": "start", "disposition": "cancel"})
+                return
+            # natively started compensation runs alongside; the gate
+            # still selects its default branch so the parent continues
+            default = self.gate_defaults.get((binding.process_model_id, gate))
+            if default is None:
+                return
+            decision = {"type": "select_variant", "gate": gate, "variant": default}
+        elif evaluation == "re_evaluation":
+            # re-evaluation continue: process execution proceeds as if
+            # nothing happened; the gate_evaluated record is the only effect
+            return
+        send("Decision", {"gate": gate, "evaluation": evaluation, "action": decision})
 
     # -- context change path ---------------------------------------------------------
 
@@ -393,20 +357,17 @@ class RulesEngine:
     # -- dispatch ---------------------------------------------------------------------
 
     def handle_message(self, kind: str, payload: dict):
-        if kind == "Register":
-            self.handle_register(payload)
-        elif kind == "RuleEvalRequest":
-            self.handle_rule_eval_request(payload)
-        elif kind == "ContextSnapshot":
-            self.handle_context_snapshot(payload)
-        elif kind == "ContextNotification":
-            self.handle_context_notification(payload)
-        elif kind in ("ProcessCompleted", "ProcessCancelled"):
-            self.handle_process_terminal(payload)
-        else:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": "UnhandledMessage", "detail": kind,
-            })
+        self.HANDLERS[kind](self, payload)
+
+    # exactly the kinds CHANNELS delivers to the rules pool
+    HANDLERS = {
+        "Register": handle_register,
+        "RuleEvalRequest": handle_rule_eval_request,
+        "ContextSnapshot": handle_context_snapshot,
+        "ContextNotification": handle_context_notification,
+        "ProcessCompleted": handle_process_terminal,
+        "ProcessCancelled": handle_process_terminal,
+    }
 
 
 def _env_from_snapshot(payload: dict) -> dict:

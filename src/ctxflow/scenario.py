@@ -104,16 +104,10 @@ def parse_scenario(data: dict) -> tuple[Scenario, list[Violation]]:
 
     scenario = Scenario()
     scenario.seed = data.get("seed", 0)
-    limits = data.get("limits", {})
-    scenario.max_steps = limits.get("max_steps", DEFAULT_MAX_STEPS)
-    scenario.poll_budget = limits.get("poll_budget", DEFAULT_POLL_BUDGET)
-    scenario.max_config_steps = limits.get("max_config_steps")
-    scenario.history_limit = limits.get("history", DEFAULT_HISTORY_LIMIT)
+    _parse_limits(data, scenario, bad)
     _parse_latency(data, scenario, bad)
-    staleness = data.get("staleness")
-    if staleness is not None:
-        scenario.staleness = (staleness["max_age"], staleness["decay"])
-    scenario.deny_principals = list(data.get("auth", {}).get("deny", []))
+    _parse_staleness(data, scenario, bad)
+    _parse_auth(data, scenario, bad)
 
     _parse_catalog(data, scenario, bad)
     _parse_masters(data, scenario, bad)
@@ -125,6 +119,57 @@ def parse_scenario(data: dict) -> tuple[Scenario, list[Violation]]:
     _parse_instances(data, scenario, bad)
     _bind_rules(scenario, bad)
     return scenario, violations
+
+
+def _is_count(value) -> bool:
+    """A non-negative int; bools and floats do not count."""
+    return type(value) is int and value >= 0
+
+
+# limits key -> Scenario attribute; ``max_config_steps`` may also be null
+_LIMITS = {"max_steps": "max_steps", "poll_budget": "poll_budget",
+           "history": "history_limit", "max_config_steps": "max_config_steps"}
+
+
+def _parse_limits(data, scenario, bad):
+    limits = data.get("limits", {})
+    if not isinstance(limits, dict):
+        bad("limits-invalid", "limits", "limits must be an object")
+        return
+    for key, attribute in _LIMITS.items():
+        if key not in limits or (key == "max_config_steps" and limits[key] is None):
+            continue
+        value = limits[key]
+        if not _is_count(value):
+            bad("limits-invalid", f"limits.{key}", f"{value!r} is not a non-negative integer")
+            continue
+        setattr(scenario, attribute, value)
+
+
+def _parse_staleness(data, scenario, bad):
+    staleness = data.get("staleness")
+    if staleness is None:
+        return
+    if not isinstance(staleness, dict):
+        bad("staleness-invalid", "staleness", "staleness must be an object or null")
+        return
+    max_age, decay = staleness.get("max_age"), staleness.get("decay")
+    if type(max_age) is not int or max_age < 1:
+        bad("staleness-invalid", "staleness.max_age",
+            f"{max_age!r} is not an integer of at least 1")
+    elif type(decay) not in (int, float) or not 0 < decay <= 1:
+        bad("staleness-invalid", "staleness.decay", f"{decay!r} is not a number in (0, 1]")
+    else:
+        scenario.staleness = (max_age, decay)
+
+
+def _parse_auth(data, scenario, bad):
+    auth = data.get("auth", {})
+    deny = auth.get("deny", []) if isinstance(auth, dict) else None
+    if not isinstance(deny, list) or not all(isinstance(name, str) for name in deny):
+        bad("auth-invalid", "auth", "auth must be an object whose deny is a list of strings")
+        return
+    scenario.deny_principals = list(deny)
 
 
 def _parse_latency(data, scenario, bad):
@@ -142,7 +187,7 @@ def _parse_latency(data, scenario, bad):
     for channel, value in scenario.latency.channels.items():
         ticks[f"latency.channels[{channel}]"] = value
     for subject, value in ticks.items():
-        if type(value) is not int or value < 0:
+        if not _is_count(value):
             bad("latency-invalid", subject, f"{value!r} is not a non-negative integer")
 
 

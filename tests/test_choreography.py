@@ -2,8 +2,11 @@ import random
 
 import pytest
 
-from ctxflow.choreography import LatencyConfig, Simulation
+from ctxflow.choreography import CHANNELS, LatencyConfig, Simulation
+from ctxflow.context_engine import ContextEngine
 from ctxflow.errors import ForbiddenRoute
+from ctxflow.process_engine import ProcessEngine
+from ctxflow.rules_engine import RulesEngine
 from ctxflow.scenario import build_simulation, parse_scenario
 
 from .conftest import logistics_scenario_data
@@ -42,6 +45,24 @@ def test_unknown_pool_and_kind_rejected():
         sim.route("process", "rules", "Telegram")
 
 
+def test_real_kind_on_wrong_channel_is_forbidden():
+    sim = Simulation()
+    with pytest.raises(ForbiddenRoute):
+        sim.route("process", "rules", "Decision")
+    with pytest.raises(ForbiddenRoute):
+        sim.route("rules", "context", "SourceEvent")
+
+
+def test_each_engine_handles_exactly_what_its_channels_deliver():
+    delivered = {}
+    for (_, receiver), kinds in CHANNELS.items():
+        delivered.setdefault(receiver, set()).update(kinds)
+    assert set(ProcessEngine.HANDLERS) == delivered["process"]
+    assert set(RulesEngine.HANDLERS) == delivered["rules"]
+    assert set(ContextEngine.HANDLERS) == delivered["context"]
+    assert delivered["external"] == {"PollRequest"}
+
+
 def test_send_enforces_route():
     sim = Simulation()
     with pytest.raises(ForbiddenRoute):
@@ -67,7 +88,7 @@ def test_latency_defaults_to_one_tick():
     sim = Simulation()
     seen = []
     sim.register_pool("rules", lambda kind, payload: seen.append(sim.now))
-    sim.send("process", "rules", "Decision", {})
+    sim.send("process", "rules", "RuleEvalRequest", {})
     sim.run()
     assert seen == [1]
 
@@ -76,7 +97,7 @@ def test_channel_latency_override():
     sim = Simulation(latency=LatencyConfig(default=1, channels={"process->rules": 5}))
     seen = []
     sim.register_pool("rules", lambda kind, payload: seen.append(sim.now))
-    sim.send("process", "rules", "Decision", {})
+    sim.send("process", "rules", "RuleEvalRequest", {})
     sim.run()
     assert seen == [5]
 
@@ -86,7 +107,7 @@ def test_clock_never_goes_backwards():
     ticks = []
     sim.register_pool("rules", lambda kind, payload: ticks.append(sim.now))
     for _ in range(5):
-        sim.send("process", "rules", "Decision", {})
+        sim.send("process", "rules", "RuleEvalRequest", {})
     sim.timer("rules", {}, 9)
     sim.run()
     assert ticks == sorted(ticks)

@@ -530,7 +530,9 @@ def test_category_listed_twice_is_fetched_and_answered_once():
     })
     [extended] = sim.records("model_extended")
     assert extended.payload["added"] == [{"category": "z", "level": 2}]
-    assert engine.pending_fetches == {(model.model_id, "z"): ["q1", "q1"]}
+    assert list(engine.pending_fetches) == [(model.model_id, "z")]
+    held = engine.pending_fetches[(model.model_id, "z")]
+    assert [pending.correlation for pending in held] == ["q1", "q1"]
     engine.handle_poll_response({
         "source": "certified", "purpose": "administer", "model": model.model_id,
         "values": [{"category_id": "z", "payload": 7, "ts": sim.now,
@@ -539,7 +541,29 @@ def test_category_listed_twice_is_fetched_and_answered_once():
     })
     assert [k for (_, _, k, _) in sim.sent] == ["PollRequest", "ContextSnapshot"]
     assert sim.sent[-1][3]["graph"]["values"]["z"]["payload"] == 7
-    assert not engine.pending_fetches and not engine.pending_requests
+    assert not engine.pending_fetches
+
+
+def test_closing_model_drops_its_in_flight_fetches():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    model = register_active(engine)
+    engine.handle_context_request({
+        "model": model.model_id, "categories": ["z"], "correlation": "q1",
+    })
+    assert list(engine.pending_fetches) == [(model.model_id, "z")]
+    engine.shutdown_model("p1")
+    assert sim.records("model_closed")
+    assert engine.pending_fetches == {}
+    sim.sent.clear()
+    engine.handle_poll_response({
+        "source": "certified", "purpose": "administer", "model": model.model_id,
+        "values": [{"category_id": "z", "payload": 7, "ts": sim.now,
+                    "reliability": 0.9}],
+        "absent": [],
+    })
+    assert sim.sent == []
+    assert engine.pending_fetches == {}
 
 
 def test_shared_missing_parent_is_added_once():

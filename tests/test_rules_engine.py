@@ -1,6 +1,7 @@
-from ctxflow.rule_dsl import Rule, parse_rule
+import pytest
+
+from ctxflow.rule_dsl import Rule, SelectVariant, StartCompensation, parse_rule
 from ctxflow.rules_engine import RulesEngine, evaluate_gate
-from ctxflow.rule_dsl import SelectVariant, StartCompensation
 
 from .conftest import FakeSim
 
@@ -344,3 +345,83 @@ def test_used_context_restricted_to_declared_references():
     for rule in rules_for_shipping():
         declared.update(rule.referenced_categories)
     assert set(record.used_context) <= declared
+
+
+# --- what each decision sends -----------------------------------------------------
+
+SELECT_TRUCK = {"type": "select_variant", "gate": "shipping", "variant": "truck"}
+SELECT_PLANE = {"type": "select_variant", "gate": "shipping", "variant": "plane"}
+
+
+def decision(evaluation, action):
+    return ("Decision", {"instance": "p1", "gate": "shipping", "evaluation": evaluation,
+                         "fired_rule": "R", "action": action})
+
+
+def rollback(target, disposition):
+    return ("BreakRollback", {"instance": "p1", "target": target,
+                              "disposition": disposition, "fired_rule": "R"})
+
+
+COMPENSATE = ("StartCompensation", {"instance": "p1", "fired_rule": "R",
+                                    "process_ref": "process.compensation.deliveryVariant"})
+
+# action text, gate default, evaluation, the exact (kind, payload) list sent
+DECISION_CASES = {
+    "native-select-variant": ("selectVariant(shipping, truck)", "plane", "native",
+                              [decision("native", SELECT_TRUCK)]),
+    "native-continue-with-default": ("continue", "plane", "native",
+                                     [decision("native", SELECT_PLANE)]),
+    "native-continue-without-default": ("continue", None, "native",
+                                        [decision("native", {"type": "continue"})]),
+    "re-evaluation-continue": ("continue", "plane", "re_evaluation", []),
+    "native-break-rollback": ("rollback(start)", "plane", "native",
+                              [rollback("start", "resume")]),
+    "re-evaluation-break-rollback": ("break", "plane", "re_evaluation",
+                                     [rollback("shipping", "resume")]),
+    "native-compensation-with-default": (
+        "start process.compensation.deliveryVariant", "plane", "native",
+        [COMPENSATE, decision("native", SELECT_PLANE)]),
+    "native-compensation-without-default": (
+        "start process.compensation.deliveryVariant", None, "native", [COMPENSATE]),
+    "re-evaluation-compensation": (
+        "start process.compensation.deliveryVariant", "plane", "re_evaluation",
+        [COMPENSATE, rollback("start", "cancel")]),
+}
+
+
+def answer_last_request(engine, sim):
+    """Reply to the latest context request; return what the reply made the engine send."""
+    correlation = [p for (_, _, k, p) in sim.sent
+                   if k == "ContextRequest"][-1]["correlation"]
+    mark = len(sim.sent)
+    engine.handle_context_snapshot(snapshot_payload(correlation, estimatedDeliveryTime=40))
+    return sim.sent[mark:]
+
+
+@pytest.mark.parametrize("action, default, evaluation, expected",
+                         list(DECISION_CASES.values()), ids=list(DECISION_CASES))
+def test_each_decision_sends_exact_messages(action, default, evaluation, expected):
+    sim = FakeSim()
+    engine = RulesEngine(
+        sim,
+        gate_rules={("m", "shipping"): [parse_rule(
+            f"RULE R WHEN estimatedDeliveryTime > 0 THEN {action} END")]},
+        gate_defaults={} if default is None else {("m", "shipping"): default},
+        model_masters={"m": "master-1"},
+        model_thresholds={},
+    )
+    bind(engine, sim)
+    engine.handle_rule_eval_request({"instance": "p1", "gate": "shipping"})
+    sent = answer_last_request(engine, sim)
+    if evaluation == "re_evaluation":
+        engine.handle_context_notification({
+            "model": "ctx.p1", "instance": "p1",
+            "changes": [{"category": "estimatedDeliveryTime",
+                         "value": {"payload": 40, "ts": 1}}],
+        })
+        sent = answer_last_request(engine, sim)
+    assert sim.records("gate_evaluated")[-1].payload["evaluation"] == evaluation
+    assert all(sender == "rules" and receiver == "process"
+               for (sender, receiver, _, _) in sent)
+    assert [(kind, payload) for (_, _, kind, payload) in sent] == expected

@@ -124,6 +124,96 @@ def test_zero_and_integer_latencies_validate_clean(tmp_path):
     assert main(["validate", write_scenario(tmp_path, data)]) == 0
 
 
+def assert_violation(tmp_path, capsys, changes, code, subject):
+    data = logistics_scenario_data()
+    data.update(changes)
+    assert main(["validate", write_scenario(tmp_path, data)]) == 2
+    assert f"{code}: {subject}:" in capsys.readouterr().out
+
+
+def with_limit(key, value):
+    limits = dict(logistics_scenario_data()["limits"])
+    limits[key] = value
+    return {"limits": limits}
+
+
+def test_limits_history_string_is_a_violation(tmp_path, capsys):
+    assert_violation(tmp_path, capsys, with_limit("history", "5"),
+                     "limits-invalid", "limits.history")
+
+
+def test_limits_poll_budget_string_is_a_violation(tmp_path, capsys):
+    assert_violation(tmp_path, capsys, with_limit("poll_budget", "3"),
+                     "limits-invalid", "limits.poll_budget")
+
+
+def test_limits_max_steps_string_is_a_violation(tmp_path, capsys):
+    assert_violation(tmp_path, capsys, with_limit("max_steps", "10"),
+                     "limits-invalid", "limits.max_steps")
+
+
+def test_limits_max_config_steps_string_is_a_violation(tmp_path, capsys):
+    assert_violation(tmp_path, capsys, with_limit("max_config_steps", "3"),
+                     "limits-invalid", "limits.max_config_steps")
+
+
+def test_limits_bool_or_negative_is_a_violation(tmp_path, capsys):
+    for key in ("max_steps", "poll_budget", "history", "max_config_steps"):
+        for value in (True, -1, 2.0):
+            assert_violation(tmp_path, capsys, with_limit(key, value),
+                             "limits-invalid", f"limits.{key}")
+    for key in ("max_steps", "poll_budget", "history"):
+        assert_violation(tmp_path, capsys, with_limit(key, None),
+                         "limits-invalid", f"limits.{key}")
+
+
+def test_limits_that_is_not_an_object_is_a_violation(tmp_path, capsys):
+    assert_violation(tmp_path, capsys, {"limits": []}, "limits-invalid", "limits")
+
+
+def test_staleness_max_age_string_is_a_violation(tmp_path, capsys):
+    assert_violation(tmp_path, capsys, {"staleness": {"max_age": "5", "decay": 0.5}},
+                     "staleness-invalid", "staleness.max_age")
+
+
+def test_staleness_zero_decay_is_a_violation(tmp_path, capsys):
+    assert_violation(tmp_path, capsys, {"staleness": {"max_age": 5, "decay": 0}},
+                     "staleness-invalid", "staleness.decay")
+
+
+def test_staleness_zero_max_age_is_a_violation(tmp_path, capsys):
+    assert_violation(tmp_path, capsys, {"staleness": {"max_age": 0, "decay": 0.5}},
+                     "staleness-invalid", "staleness.max_age")
+
+
+def test_empty_staleness_is_a_violation(tmp_path, capsys):
+    assert_violation(tmp_path, capsys, {"staleness": {}},
+                     "staleness-invalid", "staleness.max_age")
+
+
+def test_staleness_that_is_not_an_object_is_a_violation(tmp_path, capsys):
+    assert_violation(tmp_path, capsys, {"staleness": 3}, "staleness-invalid", "staleness")
+
+
+def test_auth_that_is_not_an_object_is_a_violation(tmp_path, capsys):
+    assert_violation(tmp_path, capsys, {"auth": []}, "auth-invalid", "auth")
+
+
+def test_auth_deny_must_list_strings(tmp_path, capsys):
+    for deny in ("mallory", [1], None):
+        assert_violation(tmp_path, capsys, {"auth": {"deny": deny}}, "auth-invalid", "auth")
+
+
+def test_well_formed_limits_staleness_and_auth_validate_and_run(tmp_path):
+    data = logistics_scenario_data()
+    data["limits"].update({"max_config_steps": None, "history": 0})
+    data["staleness"] = {"max_age": 1, "decay": 1}
+    data["auth"] = {"deny": ["mallory"]}
+    assert main(["validate", write_scenario(tmp_path, data)]) == 0
+    _, completed = run_scenario_data(data)
+    assert completed
+
+
 # --- run ---------------------------------------------------------------------------
 
 
