@@ -37,6 +37,7 @@ from .model import (
     relevant_subgraph,
     update_value,
 )
+from .rule_dsl import OPERATORS
 from .sources import SourceDescriptor
 
 DEFAULT_POLL_BUDGET = 16
@@ -53,21 +54,24 @@ def resolve_conflict(candidates: list[ContextValue]) -> ContextValue:
     """
     if not candidates:
         raise ValueError("resolve_conflict needs at least one candidate")
-    return sorted(
+    return min(
         candidates,
         key=lambda v: (-v.reliability, -v.ts, v.source_id, v.value_id, repr(v.payload)),
-    )[0]
+    )
+
+
+THRESHOLD_KINDS = ("numeric-delta", "any-change")
 
 
 @dataclass(frozen=True)
 class NotificationThreshold:
     category_id: str
-    kind: str  # "numeric-delta" | "any-change"
+    kind: str
     theta: float | None = None
     min_reliability: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("numeric-delta", "any-change"):
+        if self.kind not in THRESHOLD_KINDS:
             raise ValueError(f"unknown threshold kind {self.kind!r}")
         if self.kind == "numeric-delta" and (self.theta is None or self.theta <= 0):
             raise ValueError("numeric-delta thresholds need theta > 0")
@@ -196,7 +200,7 @@ class CauseEffectRelation:
         return (self.effect_category,)
 
 
-_REDUCERS = {
+REDUCERS = {
     "min": min,
     "max": max,
     "mean": lambda xs: sum(xs) / len(xs),
@@ -206,15 +210,14 @@ _REDUCERS = {
 
 AGENT_KINDS = ("filter", "translate", "aggregate", "compose", "split")
 
-_FILTER_OPS = {
-    "<": operator.lt, "<=": operator.le, ">": operator.gt,
-    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
-}
-
 
 @dataclass(frozen=True)
 class DerivationAgent:
-    """Event-derivation operator: filter, translate, aggregate, compose, split."""
+    """Event-derivation operator: filter, translate, aggregate, compose, split.
+
+    ``spec`` holds every field its kind reads; the scenario shape table
+    (``scenario.SCENARIO``) lists them with their defaults.
+    """
 
     agent_id: str
     kind: str
@@ -225,6 +228,8 @@ class DerivationAgent:
     def __post_init__(self):
         if self.kind not in AGENT_KINDS:
             raise ValueError(f"unknown agent kind {self.kind!r}")
+        if not self.inputs or not self.outputs:
+            raise ValueError("an agent needs at least one input and one output")
 
     @property
     def node_id(self):
@@ -676,25 +681,25 @@ class ContextEngine:
         trigger = max(inputs, key=lambda v: (v.ts, v.value_id))
         reliability = min(v.reliability for v in inputs)
         if agent.kind == "filter":
-            op = _FILTER_OPS[agent.spec["op"]]
+            op = OPERATORS[agent.spec["op"]]
             if not op(inputs[0].payload, agent.spec["value"]):
                 return []
             return [self._derived_value(agent, agent.outputs[0],
                                         inputs[0].payload, trigger)]
         if agent.kind == "translate":
-            table = agent.spec.get("map", {})
+            table = agent.spec["map"]
             key = inputs[0].payload if isinstance(inputs[0].payload, str) \
                 else repr(inputs[0].payload)
             if key in table:
                 out = table[key]
-            elif "default" in agent.spec:
+            elif agent.spec["default"] is not None:
                 out = agent.spec["default"]
             else:
                 return []
             return [self._derived_value(agent, agent.outputs[0], out, trigger)]
         if agent.kind == "aggregate":
-            window = recent_values(g, agent.inputs[0], agent.spec.get("window", 4))
-            reducer = _REDUCERS[agent.spec.get("reducer", "last")]
+            window = recent_values(g, agent.inputs[0], agent.spec["window"])
+            reducer = REDUCERS[agent.spec["reducer"]]
             out = reducer([v.payload for v in window])
             return [self._derived_value(agent, agent.outputs[0], out, trigger)]
         if agent.kind == "compose":
@@ -706,7 +711,7 @@ class ContextEngine:
         if not isinstance(record, dict):
             return []
         out = []
-        for fan_field, category in sorted(agent.spec.get("fan_out", {}).items()):
+        for fan_field, category in sorted(agent.spec["fan_out"].items()):
             if fan_field in record:
                 out.append(self._derived_value(agent, category,
                                                record[fan_field], trigger))

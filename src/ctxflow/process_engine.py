@@ -68,16 +68,20 @@ class ProcessModel:
     context_master: str | None = None
 
     def gates(self) -> dict[str, GateNode]:
-        found: dict[str, GateNode] = {}
+        return {node.gate_id: node for node in walk_nodes(self.nodes)
+                if isinstance(node, GateNode)}
 
-        def walk(nodes):
-            for node in nodes:
-                if isinstance(node, GateNode):
-                    found[node.gate_id] = node
-                    for branch in node.variants.values():
-                        walk(branch)
-        walk(self.nodes)
-        return found
+
+def walk_nodes(nodes) -> list:
+    """Every node of a sequence and of its gates' branches, in declaration order."""
+    found, stack = [], nodes[::-1]
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        if isinstance(node, GateNode):
+            for branch in reversed(node.variants.values()):
+                stack.extend(branch[::-1])
+    return found
 
 
 @dataclass

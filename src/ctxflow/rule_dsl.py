@@ -19,8 +19,10 @@ name runs from RULE to the end of its line or to the WHEN keyword):
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import MissingContext, RuleSyntaxError, RuleTypeError
 
@@ -102,28 +104,59 @@ class Rule:
     required_freshness: dict = field(default_factory=dict, compare=False)
 
 
+# comparison operator -> function; also the filter agent's ``op``
+OPERATORS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+}
+
+
+def value_kind(value) -> str:
+    """The kind a payload or literal compares as: numeric, text or record."""
+    if isinstance(value, str):
+        return "text"
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return "numeric" if numeric else "record"
+
+
+def comparable(left: str, op: str, right: str) -> bool:
+    """Whether values of two kinds meet under ``op`` without a RuleTypeError.
+
+    Numbers compare with numbers under every operator, text and enum values
+    with each other under ``==`` and ``!=`` only, and records never.
+    """
+    if left == right == "numeric":
+        return True
+    return left in ("text", "enum") and right in ("text", "enum") and op in ("==", "!=")
+
+
 # --- tokenizer ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<number>-?\d+(?:\.\d+)?)
+# one match per token, with the whitespace before it
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<number>-?\d+(?:\.\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<op><=|>=|==|!=|<|>)
   | (?P<punct>[(),.])
-""", re.VERBOSE)
+)""", re.VERBOSE)
 
 _KEYWORDS = {
     "RULE", "WHEN", "THEN", "END", "AND", "OR", "NOT", "fresh",
     "continue", "selectVariant", "break", "rollback", "start",
 }
+_NOT_NAMES = _KEYWORDS - {"start"}  # words no gate, variant or process name may be
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | ident | string | op | punct | eof
     text: str
     pos: int
+
+
+# builds a _Token from a (kind, text, pos) tuple in C, skipping the
+# Python-level __new__ that would cost more than the regex match
+_make_token = tuple.__new__
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -133,18 +166,17 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 
 
 def _tokenize(text: str, start: int) -> list[_Token]:
-    tokens = []
-    pos = start
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            line, col = _line_col(text, pos)
-            raise RuleSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        pos = match.end()
+    tokens, pos = [], start
+    for match in _TOKEN_RE.finditer(text, start):
+        if match.start() != pos:
+            break  # the search skipped a character no token starts with
         kind = match.lastgroup
-        if kind == "ws":
-            continue
-        tokens.append(_Token(kind, match.group(), match.start()))
+        tokens.append(_make_token(_Token, (kind, match.group(kind), match.start(kind))))
+        pos = match.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        line, col = _line_col(text, len(text) - len(rest))
+        raise RuleSyntaxError(f"unexpected character {rest[0]!r}", line, col)
     tokens.append(_Token("eof", "", len(text)))
     return tokens
 
@@ -232,24 +264,12 @@ class _Parser:
         return self.typed_comparison(left, op_token.text, right, op_token)
 
     def typed_comparison(self, left, op, right, token) -> Comparison:
-        def literal_kind(operand):
-            if isinstance(operand, Num):
-                return "numeric"
-            if isinstance(operand, Str):
-                return "text"
-            return None
-
-        lk, rk = literal_kind(left), literal_kind(right)
-        if lk and rk and lk != rk:
+        # a category's kind is known only from the catalog: take it to match the other side
+        lk, rk = (None if isinstance(o, Ref) else value_kind(o.value) for o in (left, right))
+        if (lk or rk) and not comparable(lk or rk, op, rk or lk):
             line, col = _line_col(self.text, token.pos)
-            raise RuleTypeError(
-                f"cannot compare {lk} with {rk} (line {line}, column {col})"
-            )
-        if op not in ("==", "!=") and "text" in (lk, rk):
-            line, col = _line_col(self.text, token.pos)
-            raise RuleTypeError(
-                f"text operands only support equality, not {op!r} (line {line}, column {col})"
-            )
+            raise RuleTypeError(f"cannot compare {lk or 'a category'} with "
+                                f"{rk or 'a category'} under {op!r} (line {line}, column {col})")
         return Comparison(left, op, right)
 
     def parse_operand(self):
@@ -271,7 +291,7 @@ class _Parser:
 
     def parse_plain_ident(self, what: str) -> str:
         token = self.peek()
-        if token.kind != "ident" or token.text in _KEYWORDS - {"start"}:
+        if token.kind != "ident" or token.text in _NOT_NAMES:
             self.fail(f"expected {what}, found {token.text or 'end of input'!r}")
         self.next()
         return token.text
@@ -316,12 +336,13 @@ def _quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+_HEAD = re.compile(r"\s*RULE[ \t]+")
 _NAME_STOP = re.compile(r"\bWHEN\b|\n")
 
 
 def parse_rule(text: str, rule_id: str | None = None) -> Rule:
     """Parse one rule statement; raises RuleSyntaxError / RuleTypeError."""
-    head = re.match(r"\s*RULE[ \t]+", text)
+    head = _HEAD.match(text)
     if head is None:
         line, col = _line_col(text, len(text) - len(text.lstrip()))
         raise RuleSyntaxError("rule must begin with RULE", line, col)
@@ -348,24 +369,42 @@ def parse_rule(text: str, rule_id: str | None = None) -> Rule:
     )
 
 
+def atoms(condition) -> list:
+    """The comparisons and ``fresh`` tests of a condition, left to right."""
+    found, stack = [], [condition]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (And, Or)):
+            stack.extend(reversed(node.terms))
+        elif isinstance(node, Not):
+            stack.append(node.term)
+        else:
+            found.append(node)
+    return found
+
+
+def mistyped(condition, kind_of):
+    """Describe each comparison in ``condition`` that would raise RuleTypeError.
+
+    ``kind_of`` maps a referenced category to its kind, or to None when
+    unknown; a comparison with an unknown side is not judged.
+    """
+    for atom in atoms(condition):
+        if isinstance(atom, Comparison):
+            left, right = (kind_of(side.name) if isinstance(side, Ref) else value_kind(side.value)
+                           for side in (atom.left, atom.right))
+            if None not in (left, right) and not comparable(left, atom.op, right):
+                yield f"cannot compare {left} with {right} under {atom.op!r}"
+
+
 def referenced_categories(condition) -> tuple[str, ...]:
     """Sorted, de-duplicated context references appearing in a condition."""
     found: set[str] = set()
-
-    def walk(node):
-        if isinstance(node, (And, Or)):
-            for term in node.terms:
-                walk(term)
-        elif isinstance(node, Not):
-            walk(node.term)
-        elif isinstance(node, Comparison):
-            for operand in (node.left, node.right):
-                if isinstance(operand, Ref):
-                    found.add(operand.name)
-        elif isinstance(node, Fresh):
-            found.add(node.category)
-
-    walk(condition)
+    for atom in atoms(condition):
+        if isinstance(atom, Fresh):
+            found.add(atom.category)
+        else:
+            found.update(o.name for o in (atom.left, atom.right) if isinstance(o, Ref))
     return tuple(sorted(found))
 
 
@@ -450,27 +489,10 @@ def evaluate_condition(condition, env: dict, now: int) -> bool:
 def _compare(node: Comparison, env: dict) -> bool:
     left = _resolve(node.left, env)
     right = _resolve(node.right, env)
-    numeric = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-    if numeric(left) and numeric(right):
-        pass
-    elif isinstance(left, str) and isinstance(right, str):
-        if node.op not in ("==", "!="):
-            raise RuleTypeError(f"text operands only support equality, not {node.op!r}")
-    else:
-        raise RuleTypeError(
-            f"cannot compare {type(left).__name__} with {type(right).__name__}"
-        )
-    if node.op == "<":
-        return left < right
-    if node.op == "<=":
-        return left <= right
-    if node.op == ">":
-        return left > right
-    if node.op == ">=":
-        return left >= right
-    if node.op == "==":
-        return left == right
-    return left != right
+    if not comparable(value_kind(left), node.op, value_kind(right)):
+        raise RuleTypeError(f"cannot compare {type(left).__name__} with "
+                            f"{type(right).__name__} under {node.op!r}")
+    return OPERATORS[node.op](left, right)
 
 
 def _resolve(operand, env: dict):

@@ -10,7 +10,8 @@ wires the four pools together and returns a runnable simulation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .choreography import (
     DEFAULT_MAX_STEPS,
@@ -19,7 +20,10 @@ from .choreography import (
     Simulation,
 )
 from .context_engine import (
+    AGENT_KINDS,
     DEFAULT_POLL_BUDGET,
+    REDUCERS,
+    THRESHOLD_KINDS,
     CatalogEntry,
     CauseEffectRelation,
     ContextEngine,
@@ -32,6 +36,7 @@ from .context_engine import (
 from .errors import RuleSyntaxError, RuleTypeError, ScenarioParseError
 from .model import (
     DEFAULT_HISTORY_LIMIT,
+    VALUE_KINDS,
     ContextCategory,
     ContextIntersection,
     MasterContextModel,
@@ -45,25 +50,21 @@ from .process_engine import (
     StartNode,
     SubprocessNode,
     TaskNode,
+    walk_nodes,
 )
 from .rule_dsl import (
+    OPERATORS,
     BreakRollback,
     Rule,
     SelectVariant,
     StartCompensation,
+    comparable,
+    mistyped,
     parse_rule,
+    value_kind,
 )
 from .rules_engine import RulesEngine
-from .sources import MirrorSpec, ScriptedSource, SourceDescriptor, TimelineEntry
-
-
-@dataclass
-class InstanceStart:
-    instance_id: str
-    model_id: str
-    principal: str
-    start_tick: int = 0
-    share_with: str | None = None
+from .sources import SOURCE_MODES, MirrorSpec, ScriptedSource, SourceDescriptor, TimelineEntry
 
 
 @dataclass
@@ -84,7 +85,8 @@ class Scenario:
     process_models: dict[str, ProcessModel] = field(default_factory=dict)
     rules: dict[str, Rule] = field(default_factory=dict)
     thresholds: dict[str, list[dict]] = field(default_factory=dict)
-    instances: list[InstanceStart] = field(default_factory=list)
+    # {"id", "model", "principal", "start_tick", "share_with"} per instance
+    instances: list[dict] = field(default_factory=list)
 
 
 def load_scenario_data(path) -> dict:
@@ -95,126 +97,318 @@ def load_scenario_data(path) -> dict:
         raise ScenarioParseError(f"cannot read scenario {path}: {err}") from err
 
 
-def parse_scenario(data: dict) -> tuple[Scenario, list[Violation]]:
-    """Build a typed scenario, collecting every violation found."""
+def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
+    """Build a typed scenario from any JSON value, collecting every violation."""
     violations: list[Violation] = []
 
     def bad(code, subject, detail):
         violations.append(Violation(code, subject, detail))
 
-    scenario = Scenario()
-    scenario.seed = data.get("seed", 0)
-    _parse_limits(data, scenario, bad)
-    _parse_latency(data, scenario, bad)
-    _parse_staleness(data, scenario, bad)
-    _parse_auth(data, scenario, bad)
-
-    _parse_catalog(data, scenario, bad)
-    _parse_masters(data, scenario, bad)
-    _parse_sources(data, scenario, bad)
-    _parse_propagation(data, scenario, bad)
-    _parse_rules(data, scenario, bad)
-    _parse_process_models(data, scenario, bad)
-    _parse_thresholds(data, scenario, bad)
-    _parse_instances(data, scenario, bad)
+    doc = SCENARIO.walk(data, "", "", "scenario-invalid", bad)
+    if doc is _BAD:
+        return Scenario(), violations
+    limits, staleness = doc["limits"], doc["staleness"]
+    scenario = Scenario(
+        seed=doc["seed"], max_steps=limits["max_steps"], poll_budget=limits["poll_budget"],
+        max_config_steps=limits["max_config_steps"], history_limit=limits["history"],
+        latency=LatencyConfig(**doc["latency"]),
+        staleness=staleness and (staleness["max_age"], staleness["decay"]),
+        deny_principals=doc["auth"]["deny"], instances=doc["instances"],
+    )
+    for parse in (_parse_catalog, _parse_masters, _parse_sources, _parse_propagation,
+                  _parse_rules, _parse_process_models, _parse_thresholds, _check_instances):
+        parse(doc, scenario, bad)
     _bind_rules(scenario, bad)
     return scenario, violations
 
 
-def _is_count(value) -> bool:
-    """A non-negative int; bools and floats do not count."""
-    return type(value) is int and value >= 0
+# --- the shape table -------------------------------------------------------------
+#
+# ``SCENARIO`` maps each record field to (shape, default[, violation code]);
+# a row without a code reports under the code of the row holding it, and a
+# field whose default is null also accepts null.  One walk reads the document
+# against it and hands the section parsers typed values with every default
+# filled in.  An unfit value is reported and replaced by its default, or
+# dropped from its list or object; a record then still lacking a field is
+# dropped.  A violation names the field (``limits.history``), object entry
+# (``latency.channels[a->b]``) or list record (``catalog[3]``) at fault; a
+# list or object of the wrong type, or a bad plain element of a list, is
+# reported on the record holding it.
+
+_BAD = object()
+REQUIRED = object()  # the field has no default
 
 
-# limits key -> Scenario attribute; ``max_config_steps`` may also be null
-_LIMITS = {"max_steps": "max_steps", "poll_budget": "poll_budget",
-           "history": "history_limit", "max_config_steps": "max_config_steps"}
+def _name(path) -> str:
+    """Print a path: a string, or (parent path, "." or "[", key) built lazily."""
+    if type(path) is str:
+        return path
+    parent, sep, key = path
+    head = _name(parent)
+    return f"{head}[{key}]" if sep == "[" else f"{head}.{key}" if head else key
 
 
-def _parse_limits(data, scenario, bad):
-    limits = data.get("limits", {})
-    if not isinstance(limits, dict):
-        bad("limits-invalid", "limits", "limits must be an object")
-        return
-    for key, attribute in _LIMITS.items():
-        if key not in limits or (key == "max_config_steps" and limits[key] is None):
-            continue
-        value = limits[key]
-        if not _is_count(value):
-            bad("limits-invalid", f"limits.{key}", f"{value!r} is not a non-negative integer")
-            continue
-        setattr(scenario, attribute, value)
+class _Leaf:
+    """A plain value of one of ``types`` that ``extra``, if given, accepts."""
+
+    def __init__(self, types, what, extra=None):
+        self.types, self.what, self.extra = frozenset(types), what, extra
+
+    def walk(self, value, path, owner, code, bad):
+        if type(value) in self.types and (self.extra is None or self.extra(value)):
+            return value
+        bad(code, _name(path), f"{value!r} is not {self.what}")
+        return _BAD
 
 
-def _parse_staleness(data, scenario, bad):
-    staleness = data.get("staleness")
-    if staleness is None:
-        return
-    if not isinstance(staleness, dict):
-        bad("staleness-invalid", "staleness", "staleness must be an object or null")
-        return
-    max_age, decay = staleness.get("max_age"), staleness.get("decay")
-    if type(max_age) is not int or max_age < 1:
-        bad("staleness-invalid", "staleness.max_age",
-            f"{max_age!r} is not an integer of at least 1")
-    elif type(decay) not in (int, float) or not 0 < decay <= 1:
-        bad("staleness-invalid", "staleness.decay", f"{decay!r} is not a number in (0, 1]")
-    else:
-        scenario.staleness = (max_age, decay)
+class _Many:
+    """A list, or with ``keyed`` an object with free keys, of one shape."""
+
+    def __init__(self, item, keyed=False):
+        self.item, self.keyed = item, keyed
+        self.named = keyed or isinstance(item, _Record)
+
+    def walk(self, value, path, owner, code, bad):
+        item, keyed, named = self.item, self.keyed, self.named
+        if not value and type(value) is (dict if keyed else list):
+            return {} if keyed else []
+        if type(value) is not (dict if keyed else list):
+            where = f"{_name(path)}: " if path != owner else ""
+            bad(code, _name(owner), f"{where}{value!r} is not {'an object' if keyed else 'a list'}")
+            return _BAD
+        values = value.values() if keyed else value
+        if type(item) is _Leaf and set(map(type, values)) <= item.types and (
+                item.extra is None or all(map(item.extra, values))):
+            return dict(value) if keyed else list(value)  # plain values that all fit
+        walk, out = item.walk, {} if keyed else []
+        if keyed:
+            for key, element in value.items():
+                typed = walk(element, (path, "[", key), owner, code, bad)
+                if typed is not _BAD:
+                    out[key] = typed
+            return out
+        append = out.append
+        for key, element in enumerate(value):
+            typed = walk(element, (path, "[", key) if named else owner, owner, code, bad)
+            if typed is not _BAD:
+                append(typed)
+        return out
 
 
-def _parse_auth(data, scenario, bad):
-    auth = data.get("auth", {})
-    deny = auth.get("deny", []) if isinstance(auth, dict) else None
-    if not isinstance(deny, list) or not all(isinstance(name, str) for name in deny):
-        bad("auth-invalid", "auth", "auth must be an object whose deny is a list of strings")
-        return
-    scenario.deny_principals = list(deny)
+class _Record:
+    """An object with named fields; field ``tag`` picks more from ``variants``.
+
+    With ``text``, a bare string stands for an object holding it in that field.
+    """
+
+    def __init__(self, fields, tag=None, variants=(), text=None):
+        self.tag, self.text = tag, text
+        self.fields = self._rows(fields)
+        self.variants = {key: self._rows(rows) for key, rows in dict(variants).items()}
+
+    @staticmethod
+    def _rows(fields):
+        rows = []
+        for name, (shape, default, *code) in fields.items():
+            types, extra = getattr(shape, "types", frozenset()), getattr(shape, "extra", None)
+            if default is None and types:  # null is accepted where the default is null
+                types |= {type(None)}
+                extra = extra and (lambda value, fits=extra: value is None or fits(value))
+            rows.append((name, shape, types, extra, default, code[0] if code else None))
+        return rows
+
+    def walk(self, value, path, owner, code, bad):
+        if type(value) is not dict:
+            if self.text is None or type(value) is not str:
+                bad(code, _name(path) or "scenario", f"{value!r} is not an object")
+                return _BAD
+            value = {self.text: value}
+        out, get, ok = {}, value.get, True
+        for name, shape, types, extra, default, row_code in self.fields:
+            item = get(name, default)
+            # the check of _Leaf.walk, inline: most fields are plain values that fit
+            if type(item) in types and (extra is None or extra(item)):
+                out[name] = item
+            elif not self._read(name, shape, default, row_code or code, item, out, path, bad):
+                ok = False
+        if ok and self.tag is not None:
+            variant = self.variants.get(out[self.tag], ())
+            for name, shape, types, extra, default, row_code in variant:
+                item = get(name, default)
+                if type(item) in types and (extra is None or extra(item)):
+                    out[name] = item
+                elif not self._read(name, shape, default, row_code or code, item, out, path, bad):
+                    ok = False
+        return out if ok else _BAD
+
+    @staticmethod
+    def _read(name, shape, default, code, item, out, path, bad) -> bool:
+        """Store field ``name`` holding ``item``, which is no plain value that fits."""
+        where = (path, ".", name)
+        if item is None is default:
+            typed = None
+        elif item is REQUIRED:
+            bad(code, _name(where), "missing")
+            typed = _BAD
+        else:
+            typed = shape.walk(item, where, path or where, code, bad)
+        if typed is _BAD and item is not default and default is not REQUIRED:
+            # the unfit value is reported already: fall back to the default quietly
+            typed = default if type(default) not in (dict, list) else shape.walk(
+                default, where, path or where, code, lambda *_: None)
+        if typed is _BAD:
+            return False
+        out[name] = typed
+        return True
 
 
-def _parse_latency(data, scenario, bad):
-    latency = data.get("latency", {})
-    if not isinstance(latency, dict) or not isinstance(latency.get("channels", {}), dict):
-        bad("latency-invalid", "latency", "latency and latency.channels must be objects")
-        return
-    scenario.latency = LatencyConfig(
-        default=latency.get("default", 1),
-        channels=dict(latency.get("channels", {})),
-        jitter=latency.get("jitter", 0),
-    )
-    ticks = {"latency.default": scenario.latency.default,
-             "latency.jitter": scenario.latency.jitter}
-    for channel, value in scenario.latency.channels.items():
-        ticks[f"latency.channels[{channel}]"] = value
-    for subject, value in ticks.items():
-        if not _is_count(value):
-            bad("latency-invalid", subject, f"{value!r} is not a non-negative integer")
+def _one_of(values):
+    """A string naming a member of ``values``."""
+    return _Leaf((str,), "one of " + " | ".join(values), values.__contains__)
 
 
-def _parse_catalog(data, scenario, bad):
-    for entry in data.get("catalog", []):
-        cat_id = entry.get("id", "")
-        if not cat_id:
-            bad("catalog-missing-id", "?", "catalog entry without an id")
-            continue
+def _entry(*shapes):
+    """A list of fixed length holding plain values, one leaf per position."""
+    checks = [(shape.types, shape.extra) for shape in shapes]
+
+    def fits(value):
+        if len(value) != len(checks):
+            return False
+        for (types, extra), item in zip(checks, value):
+            if type(item) not in types or extra is not None and not extra(item):
+                return False
+        return True
+    return _Leaf((list,), f"[{', '.join(shape.what for shape in shapes)}]", fits)
+
+
+ANY = _Leaf((str, int, float, bool, type(None), list, dict), "a JSON value")
+TEXT = _Leaf((str,), "a string")
+INT = _Leaf((int,), "an integer")
+COUNT = _Leaf((int,), "a non-negative integer", (0).__le__)
+POSITIVE = _Leaf((int,), "an integer of at least 1", (1).__le__)
+NUMBER = _Leaf((int, float), "a number")
+NAMES = _Many(TEXT)
+
+_NODES = {
+    "start": lambda raw: StartNode(),
+    "end": lambda raw: EndNode(),
+    "task": lambda raw: TaskNode(raw["name"], raw["duration"]),
+    "subprocess": lambda raw: SubprocessNode(raw["model"]),
+    "gate": lambda raw: GateNode(
+        raw["id"], {variant: _build_nodes(branch) for variant, branch in raw["variants"].items()},
+        raw["default"], raw["rules"]),
+}
+_NODE = _Record({"type": (_one_of(_NODES), REQUIRED, "model-bad-node")}, "type", {
+    "task": {"name": (TEXT, "task"), "duration": (COUNT, 1, "model-bad-duration")},
+    "subprocess": {"model": (TEXT, "")},
+    "gate": {"id": (TEXT, ""), "default": (TEXT, ""), "rules": (NAMES, [])},
+})
+# a gate's branches are node lists: the node shape refers to itself
+_NODE.variants["gate"] += _Record._rows({"variants": (_Many(_Many(_NODE), keyed=True), {})})
+
+_FUNCTIONS = {
+    "linear": {"a": (NUMBER, REQUIRED), "b": (NUMBER, REQUIRED)},
+    "lookup": {"table": (_Many(ANY, keyed=True), REQUIRED), "default": (ANY, None)},
+    "expr": {"expr": (TEXT, REQUIRED)},
+}
+_SPECS = {
+    "filter": {"op": (_one_of(OPERATORS), REQUIRED), "value": (ANY, REQUIRED)},
+    "translate": {"map": (_Many(ANY, keyed=True), {}), "default": (ANY, None)},
+    "aggregate": {"window": (POSITIVE, 4), "reducer": (_one_of(REDUCERS), "last")},
+    "split": {"fan_out": (_Many(TEXT, keyed=True), {})},
+}
+
+SCENARIO = _Record({
+    "seed": (INT, 0, "seed-invalid"),
+    "limits": (_Record({
+        "max_steps": (COUNT, DEFAULT_MAX_STEPS), "poll_budget": (COUNT, DEFAULT_POLL_BUDGET),
+        "history": (COUNT, DEFAULT_HISTORY_LIMIT), "max_config_steps": (COUNT, None),
+    }), {}, "limits-invalid"),
+    "latency": (_Record({
+        "default": (COUNT, 1), "jitter": (COUNT, 0), "channels": (_Many(COUNT, keyed=True), {}),
+    }), {}, "latency-invalid"),
+    "staleness": (_Record({
+        "max_age": (POSITIVE, REQUIRED),
+        "decay": (_Leaf((int, float), "a number in (0, 1]", lambda v: 0 < v <= 1), REQUIRED),
+    }), None, "staleness-invalid"),
+    "auth": (_Record({"deny": (NAMES, [])}), {}, "auth-invalid"),
+    "catalog": (_Many(_Record({
+        "id": (_Leaf((str,), "a non-empty string", len), REQUIRED, "catalog-missing-id"),
+        "name": (TEXT, None), "kind": (_one_of(VALUE_KINDS), "text", "catalog-bad-kind"),
+        "unit": (TEXT, None), "parent": (TEXT, None),
+        "requires_value": (_Leaf((bool,), "true or false"), True),
+    })), [], "catalog-invalid"),
+    "masters": (_Many(_Record({
+        "model_id": (TEXT, ""), "categories": (NAMES, []), "predefined": (NAMES, None),
+    })), [], "master-invalid"),
+    "cause_effects": (_Many(_Record({
+        "id": (TEXT, ""), "cause": (TEXT, ""), "effect": (TEXT, ""),
+        "function": (_Record({"type": (_one_of(_FUNCTIONS), REQUIRED)}, "type", _FUNCTIONS),
+                     REQUIRED, "relation-bad-function"),
+    })), [], "relation-invalid"),
+    "agents": (_Many(_Record({
+        "id": (TEXT, ""), "kind": (_one_of(AGENT_KINDS), REQUIRED), "inputs": (NAMES, []),
+        "output": (TEXT, None), "outputs": (NAMES, None),
+    }, "kind", {kind: {"spec": (_Record(_SPECS.get(kind, {})), {})} for kind in AGENT_KINDS})),
+        [], "agent-invalid"),
+    "sources": (_Many(_Record({
+        "id": (TEXT, ""), "mode": (_one_of(SOURCE_MODES), "push"), "reliability": (NUMBER, 1.0),
+        "cost": (NUMBER, 0.0), "interval": (INT, 1), "provides": (NAMES, []),
+        "poll": (_Many(_Many(_entry(COUNT, ANY)), keyed=True), {}),
+        "timeline": (_Many(_entry(COUNT, TEXT, ANY)), []),
+        "mirrors": (_Many(_Record({
+            "model": (TEXT, REQUIRED), "gate": (TEXT, REQUIRED), "category": (TEXT, REQUIRED),
+            "trigger": (_Leaf((str,), "decision or task:<name>",
+                              lambda v: v == "decision" or v.startswith("task:")), "decision"),
+        })), []),
+    })), [], "source-invalid"),
+    "rules": (_Many(_Record({
+        "text": (TEXT, ""), "id": (TEXT, None),
+        "required_freshness": (_Many(COUNT, keyed=True), {}),
+    }, text="text")), [], "rule-invalid"),
+    "process_models": (_Many(_Record({
+        "model_id": (TEXT, ""), "nodes": (_Many(_NODE), []),
+        "compensation_refs": (_Many(TEXT, keyed=True), {}),
+        "execution_time_constraint": (COUNT, None), "context_master": (TEXT, None),
+    })), [], "model-invalid"),
+    "thresholds": (_Many(_Many(_Record({
+        "category": (TEXT, ""), "kind": (_one_of(THRESHOLD_KINDS), "any-change"),
+        "theta": (NUMBER, None), "min_reliability": (NUMBER, 0.0),
+    })), keyed=True), {}, "threshold-invalid"),
+    "instances": (_Many(_Record({
+        "id": (TEXT, ""), "model": (TEXT, ""), "principal": (TEXT, ""),
+        "start_tick": (COUNT, 0), "share_with": (TEXT, None),
+    })), [], "instance-invalid"),
+})
+
+
+# --- section parsers: typed values in, model objects and cross-checks out -------------
+
+
+def _kind(scenario, category):
+    """The catalog kind of ``category``, None when it is not catalogued."""
+    entry = scenario.catalog.get(category)
+    return entry and entry.category.value_kind
+
+
+def _known(scenario, bad, code, subject, categories) -> bool:
+    """Report each of ``categories`` missing from the catalog."""
+    unknown = [cat for cat in categories if cat not in scenario.catalog]
+    for cat in unknown:
+        bad(code, subject, f"{cat!r} not in catalog")
+    return not unknown
+
+
+def _parse_catalog(doc, scenario, bad):
+    for entry in doc["catalog"]:
+        cat_id = entry["id"]
         if cat_id in scenario.catalog:
             bad("catalog-duplicate", cat_id, "duplicate catalog id")
             continue
-        try:
-            category = ContextCategory(
-                category_id=cat_id,
-                name=entry.get("name", cat_id),
-                value_kind=entry.get("kind", "text"),
-                unit=entry.get("unit"),
-            )
-        except ValueError as err:
-            bad("catalog-bad-kind", cat_id, str(err))
-            continue
+        name = cat_id if entry["name"] is None else entry["name"]
         scenario.catalog[cat_id] = CatalogEntry(
-            category=category,
-            parent=entry.get("parent"),
-            requires_value=entry.get("requires_value", True),
-        )
+            ContextCategory(cat_id, name, entry["kind"], entry["unit"]),
+            entry["parent"], entry["requires_value"])
     for cat_id, entry in scenario.catalog.items():
         seen = {cat_id}
         cursor = entry.parent
@@ -231,18 +425,13 @@ def _parse_catalog(data, scenario, bad):
             cursor = scenario.catalog[cursor].parent
 
 
-def _parse_masters(data, scenario, bad):
-    for entry in data.get("masters", []):
-        model_id = entry.get("model_id", "")
-        categories = entry.get("categories", [])
+def _parse_masters(doc, scenario, bad):
+    for entry in doc["masters"]:
+        model_id, categories = entry["model_id"], entry["categories"]
         graph = ContextIntersection(history_limit=scenario.history_limit)
-        ok = True
+        ok = _known(scenario, bad, "master-unknown-category", model_id, categories)
         for cat_id in categories:
-            if cat_id not in scenario.catalog:
-                bad("master-unknown-category", model_id, f"{cat_id!r} not in catalog")
-                ok = False
-                continue
-            parent = scenario.catalog[cat_id].parent
+            parent = scenario.catalog[cat_id].parent if cat_id in scenario.catalog else None
             if parent is not None and parent not in categories:
                 bad("master-missing-parent", model_id,
                     f"{cat_id!r} listed without its parent {parent!r}")
@@ -256,202 +445,117 @@ def _parse_masters(data, scenario, bad):
             parent = scenario.catalog[cat_id].parent
             if parent is not None:
                 graph.add_edge(parent, cat_id)
-        predefined = entry.get("predefined")
+        predefined = entry["predefined"]
         if predefined is None:
             predefined = list(graph.levels[0]) if graph.levels else []
-        master = MasterContextModel(
-            model_id=model_id,
-            intersection=graph,
-            predefined_categories=predefined,
-        )
-        report = master.validate()
-        for violation in report.violations:
+        master = MasterContextModel(model_id=model_id, intersection=graph,
+                                    predefined_categories=predefined)
+        for violation in master.validate().violations:
             bad(violation.code, f"{model_id}:{violation.subject}", violation.detail)
         scenario.masters[model_id] = master
 
 
-def _parse_sources(data, scenario, bad):
-    for entry in data.get("sources", []):
-        source_id = entry.get("id", "")
-        provides = tuple(entry.get("provides", []))
-        for cat in provides:
-            if cat not in scenario.catalog:
-                bad("source-unknown-category", source_id, f"{cat!r} not in catalog")
-        try:
-            descriptor = SourceDescriptor(
-                source_id=source_id,
-                mode=entry.get("mode", "push"),
-                reliability=entry.get("reliability", 1.0),
-                cost_per_value=entry.get("cost", 0.0),
-                poll_interval=entry.get("interval", 1),
-                provided_categories=provides,
-            )
-        except ValueError as err:
-            bad("source-invalid", source_id, str(err))
-            continue
-        timeline = [
-            TimelineEntry(tick, category, payload)
-            for tick, category, payload in entry.get("timeline", [])
-        ]
-        poll_table = {
-            category: [tuple(pair) for pair in schedule]
-            for category, schedule in entry.get("poll", {}).items()
-        }
-        mirrors = [
-            MirrorSpec(
-                model_id=m["model"],
-                gate_id=m["gate"],
-                category_id=m["category"],
-                trigger=m.get("trigger", "decision"),
-            )
-            for m in entry.get("mirrors", [])
-        ]
+def _parse_sources(doc, scenario, bad):
+    for entry in doc["sources"]:
+        source_id, provides = entry["id"], tuple(entry["provides"])
+        _known(scenario, bad, "source-unknown-category", source_id, provides)
         try:
             scenario.sources[source_id] = ScriptedSource(
-                descriptor=descriptor,
-                timeline=timeline,
-                poll_table=poll_table,
-                mirrors=mirrors,
+                descriptor=SourceDescriptor(source_id, entry["mode"], entry["reliability"],
+                                            entry["cost"], entry["interval"], provides),
+                timeline=[TimelineEntry(*item) for item in entry["timeline"]],
+                poll_table=entry["poll"],
+                mirrors=[MirrorSpec(m["model"], m["gate"], m["category"], m["trigger"])
+                         for m in entry["mirrors"]],
             )
         except ValueError as err:
             bad("source-invalid", source_id, str(err))
 
 
-def _parse_propagation(data, scenario, bad):
-    for entry in data.get("cause_effects", []):
-        relation_id = entry.get("id", "")
-        cause = entry.get("cause", "")
-        effect = entry.get("effect", "")
-        for cat in (cause, effect):
-            if cat not in scenario.catalog:
-                bad("relation-unknown-category", relation_id, f"{cat!r} not in catalog")
-        function = entry.get("function", {})
-        if function.get("type") == "expr":
+def _parse_propagation(doc, scenario, bad):
+    for entry in doc["cause_effects"]:
+        relation_id, cause, function = entry["id"], entry["cause"], entry["function"]
+        _known(scenario, bad, "relation-unknown-category", relation_id, (cause, entry["effect"]))
+        if function["type"] == "expr":
             try:
-                compile_arithmetic(function.get("expr", ""))
+                compile_arithmetic(function["expr"])
             except (ValueError, SyntaxError) as err:
                 bad("relation-bad-function", relation_id, str(err))
                 continue
-        elif function.get("type") not in ("linear", "lookup"):
-            bad("relation-bad-function", relation_id,
-                f"unknown function type {function.get('type')!r}")
-            continue
+        if function["type"] != "lookup" and _kind(scenario, cause) not in (None, "numeric"):
+            bad("relation-kind-mismatch", relation_id,
+                f"a {function['type']} relation needs a numeric cause, not {cause!r}")
         try:
-            scenario.relations.append(CauseEffectRelation(
-                relation_id=relation_id,
-                cause_category=cause,
-                effect_category=effect,
-                function=function,
-            ))
+            scenario.relations.append(
+                CauseEffectRelation(relation_id, cause, entry["effect"], function))
         except ValueError as err:
             bad("relation-invalid", relation_id, str(err))
-    for entry in data.get("agents", []):
-        agent_id = entry.get("id", "")
-        outputs = entry.get("outputs")
+    for entry in doc["agents"]:
+        agent_id, spec, outputs = entry["id"], entry["spec"], entry["outputs"]
         if outputs is None:
-            outputs = [entry["output"]] if "output" in entry else []
-        inputs = entry.get("inputs", [])
-        for cat in list(inputs) + list(outputs):
-            if cat not in scenario.catalog:
-                bad("agent-unknown-category", agent_id, f"{cat!r} not in catalog")
+            outputs = [] if entry["output"] is None else [entry["output"]]
+        _known(scenario, bad, "agent-unknown-category", agent_id, entry["inputs"] + outputs)
         try:
-            scenario.agents.append(DerivationAgent(
-                agent_id=agent_id,
-                kind=entry.get("kind", ""),
-                inputs=tuple(inputs),
-                outputs=tuple(outputs),
-                spec=entry.get("spec", {}),
-            ))
+            agent = DerivationAgent(agent_id, entry["kind"], tuple(entry["inputs"]),
+                                    tuple(outputs), spec)
         except ValueError as err:
             bad("agent-invalid", agent_id, str(err))
+            continue
+        kind = _kind(scenario, agent.inputs[0])
+        reducer = spec["reducer"] if agent.kind == "aggregate" else None
+        if kind is not None and (
+                agent.kind == "filter"
+                and not comparable(kind, spec["op"], value_kind(spec["value"]))
+                or reducer == "mean" and kind != "numeric"
+                or reducer in ("min", "max") and kind == "record"):
+            bad("agent-kind-mismatch", agent_id,
+                f"{agent.kind} spec {spec} cannot apply to the {kind} input {agent.inputs[0]!r}")
+        scenario.agents.append(agent)
     try:
         topological_order(scenario.relations + scenario.agents)
     except ValueError as err:
         bad("propagation-cycle", "cause_effects/agents", str(err))
 
 
-def _parse_rules(data, scenario, bad):
-    for entry in data.get("rules", []):
-        if isinstance(entry, str):
-            text, rule_id, freshness = entry, None, {}
-        else:
-            text = entry.get("text", "")
-            rule_id = entry.get("id")
-            freshness = entry.get("required_freshness", {})
+def _parse_rules(doc, scenario, bad):
+    kinds = {cat_id: entry.category.value_kind for cat_id, entry in scenario.catalog.items()}
+    for entry in doc["rules"]:
+        text, rule_id = entry["text"], entry["id"]
         try:
             rule = parse_rule(text, rule_id=rule_id)
         except (RuleSyntaxError, RuleTypeError) as err:
             bad("rule-parse-error", rule_id or text[:40], str(err))
             continue
-        rule = Rule(
-            rule_id=rule.rule_id,
-            name=rule.name,
-            condition=rule.condition,
-            action=rule.action,
-            referenced_categories=rule.referenced_categories,
-            required_freshness=dict(freshness),
-        )
+        if entry["required_freshness"]:
+            rule = replace(rule, required_freshness=entry["required_freshness"])
         if rule.rule_id in scenario.rules:
             bad("rule-duplicate", rule.rule_id, "duplicate rule id")
             continue
-        for cat in rule.referenced_categories:
-            if cat not in scenario.catalog:
-                bad("rule-unknown-category", rule.rule_id, f"{cat!r} not in catalog")
+        _known(scenario, bad, "rule-unknown-category", rule.rule_id, rule.referenced_categories)
+        for problem in mistyped(rule.condition, kinds.get):
+            bad("rule-kind-mismatch", rule.rule_id, problem)
         scenario.rules[rule.rule_id] = rule
 
 
-def _parse_nodes(raw_nodes, model_id, bad):
-    nodes = []
-    for raw in raw_nodes:
-        node_type = raw.get("type")
-        if node_type == "start":
-            nodes.append(StartNode())
-        elif node_type == "end":
-            nodes.append(EndNode())
-        elif node_type == "task":
-            duration = raw.get("duration", 1)
-            if duration < 0:
-                bad("model-bad-duration", model_id,
-                    f"task {raw.get('name')!r} has negative duration")
-                duration = 0
-            nodes.append(TaskNode(name=raw.get("name", "task"), duration=duration))
-        elif node_type == "subprocess":
-            nodes.append(SubprocessNode(model_id=raw.get("model", "")))
-        elif node_type == "gate":
-            variants = {
-                variant: _parse_nodes(branch, model_id, bad)
-                for variant, branch in raw.get("variants", {}).items()
-            }
-            nodes.append(GateNode(
-                gate_id=raw.get("id", ""),
-                variants=variants,
-                default_variant=raw.get("default", ""),
-                rule_ids=list(raw.get("rules", [])),
-            ))
-        else:
-            bad("model-bad-node", model_id, f"unknown node type {node_type!r}")
-    return nodes
+def _build_nodes(raw_nodes):
+    return [_NODES[raw["type"]](raw) for raw in raw_nodes]
 
 
-def _parse_process_models(data, scenario, bad):
-    for entry in data.get("process_models", []):
-        model_id = entry.get("model_id", "")
-        nodes = _parse_nodes(entry.get("nodes", []), model_id, bad)
-        model = ProcessModel(
-            model_id=model_id,
-            nodes=nodes,
-            compensation_refs=dict(entry.get("compensation_refs", {})),
-            execution_time_constraint=entry.get("execution_time_constraint"),
-            context_master=entry.get("context_master"),
-        )
+def _parse_process_models(doc, scenario, bad):
+    walked = {}  # model id -> every node of the model
+    for entry in doc["process_models"]:
+        model_id, nodes = entry["model_id"], _build_nodes(entry["nodes"])
+        walked[model_id] = every = walk_nodes(nodes)
+        model = ProcessModel(model_id, nodes, entry["compensation_refs"],
+                             entry["execution_time_constraint"], entry["context_master"])
         if not nodes or not isinstance(nodes[0], StartNode):
             bad("model-no-start", model_id, "first node must be start")
-        if sum(1 for n in _walk_nodes(nodes) if isinstance(n, StartNode)) != 1:
+        if sum(1 for n in every if isinstance(n, StartNode)) != 1:
             bad("model-start-count", model_id, "exactly one start node required")
         if not any(isinstance(n, EndNode) for n in nodes):
             bad("model-no-end", model_id, "top-level sequence must contain end")
         gates = {}
-        for node in _walk_nodes(nodes):
+        for node in every:
             if isinstance(node, GateNode):
                 if node.gate_id in gates:
                     bad("model-duplicate-gate", model_id,
@@ -471,83 +575,57 @@ def _parse_process_models(data, scenario, bad):
             if target not in scenario.process_models:
                 bad("model-unknown-compensation", model.model_id,
                     f"{ref!r} points at unknown model {target!r}")
-        for node in _walk_nodes(model.nodes):
+        for node in walked[model.model_id]:
             if isinstance(node, SubprocessNode) and node.model_id not in scenario.process_models:
                 bad("model-unknown-subprocess", model.model_id,
                     f"subprocess {node.model_id!r} not declared")
 
 
-def _walk_nodes(nodes):
-    for node in nodes:
-        yield node
-        if isinstance(node, GateNode):
-            for branch in node.variants.values():
-                yield from _walk_nodes(branch)
-
-
-def _parse_thresholds(data, scenario, bad):
-    for model_id, entries in data.get("thresholds", {}).items():
+def _parse_thresholds(doc, scenario, bad):
+    for model_id, entries in doc["thresholds"].items():
         if model_id not in scenario.process_models:
             bad("threshold-unknown-model", model_id, "no such process model")
         parsed = []
         for entry in entries:
-            category = entry.get("category", "")
-            catalog_entry = scenario.catalog.get(category)
-            if catalog_entry is None:
+            category, kind = entry["category"], entry["kind"]
+            if category not in scenario.catalog:
                 bad("threshold-unknown-category", category, "not in catalog")
                 continue
-            kind = entry.get("kind", "any-change")
-            if kind == "numeric-delta" and catalog_entry.category.value_kind != "numeric":
+            if kind == "numeric-delta" and _kind(scenario, category) != "numeric":
                 bad("threshold-kind-mismatch", category,
                     "numeric-delta threshold on a non-numeric category")
                 continue
             try:
-                NotificationThreshold(
-                    category_id=category, kind=kind,
-                    theta=entry.get("theta"),
-                    min_reliability=entry.get("min_reliability", 0.0),
-                )
+                NotificationThreshold(category, kind, entry["theta"], entry["min_reliability"])
             except ValueError as err:
                 bad("threshold-invalid", category, str(err))
                 continue
-            parsed.append({
-                "category_id": category,
-                "kind": kind,
-                "theta": entry.get("theta"),
-                "min_reliability": entry.get("min_reliability", 0.0),
-            })
+            parsed.append({"category_id": category, "kind": kind, "theta": entry["theta"],
+                           "min_reliability": entry["min_reliability"]})
         scenario.thresholds[model_id] = parsed
 
 
-def _parse_instances(data, scenario, bad):
-    starts = {}
-    for entry in data.get("instances", []):
-        instance_id = entry.get("id", "")
-        if instance_id in starts:
-            bad("instance-duplicate", instance_id, "duplicate instance id")
-            continue
-        model_id = entry.get("model", "")
-        if model_id not in scenario.process_models:
-            bad("instance-unknown-model", instance_id, f"no process model {model_id!r}")
-        start = InstanceStart(
-            instance_id=instance_id,
-            model_id=model_id,
-            principal=entry.get("principal", ""),
-            start_tick=entry.get("start_tick", 0),
-            share_with=entry.get("share_with"),
-        )
-        starts[instance_id] = start
-        scenario.instances.append(start)
-    for start in scenario.instances:
-        if start.share_with is None:
-            continue
-        target = starts.get(start.share_with)
+def _check_instances(doc, scenario, bad):
+    instances, models = scenario.instances, scenario.process_models
+    ids = list(map(itemgetter("id"), instances))
+    starts = dict(zip(ids, instances))
+    if len(starts) < len(ids):
+        seen = set()
+        for instance_id in ids:
+            if instance_id in seen:
+                bad("instance-duplicate", instance_id, "duplicate instance id")
+            seen.add(instance_id)
+    if not set(map(itemgetter("model"), instances)) <= models.keys():
+        for start in instances:
+            if start["model"] not in models:
+                bad("instance-unknown-model", start["id"], f"no process model {start['model']!r}")
+    for start in [start for start in instances if start["share_with"] is not None]:
+        target = starts.get(start["share_with"])
         if target is None:
-            bad("instance-unknown-share", start.instance_id,
-                f"share target {start.share_with!r} not declared")
-        elif target.start_tick >= start.start_tick:
-            bad("instance-share-order", start.instance_id,
-                "share target must start strictly earlier")
+            bad("instance-unknown-share", start["id"],
+                f"share target {start['share_with']!r} not declared")
+        elif target["start_tick"] >= start["start_tick"]:
+            bad("instance-share-order", start["id"], "share target must start strictly earlier")
 
 
 def _bind_rules(scenario, bad):
@@ -646,15 +724,15 @@ def build_simulation(scenario: Scenario, seed: int | None = None,
         if source.descriptor.mode == "poll":
             sim.timer("context", {"kind": "poll", "source": source.source_id},
                       source.descriptor.poll_interval)
+    process.pending_starts += len(scenario.instances)
     for start in scenario.instances:
-        process.pending_starts += 1
         sim.timer("process", {
             "kind": "start_instance",
-            "instance": start.instance_id,
-            "model": start.model_id,
-            "principal": start.principal,
-            "share_with": start.share_with,
-        }, start.start_tick)
+            "instance": start["id"],
+            "model": start["model"],
+            "principal": start["principal"],
+            "share_with": start["share_with"],
+        }, start["start_tick"])
     sim.is_quiescent = process.all_terminal
     return Assembly(sim, process, rules, context, externals, scenario)
 

@@ -12,22 +12,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+SOURCE_MODES = ("push", "poll")
+
+
 @dataclass(frozen=True)
 class SourceDescriptor:
     source_id: str
-    mode: str  # "push" | "poll"
+    mode: str
     reliability: float
     cost_per_value: float = 0.0
     poll_interval: int = 1
     provided_categories: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in ("push", "poll"):
+        if self.mode not in SOURCE_MODES:
             raise ValueError(f"unknown source mode {self.mode!r}")
         if self.mode == "poll" and self.poll_interval < 1:
             raise ValueError("poll interval must be at least one tick")
         if not 0.0 <= self.reliability <= 1.0:
             raise ValueError("reliability must lie in [0, 1]")
+        if self.cost_per_value < 0:
+            raise ValueError("cost must be non-negative")
 
 
 @dataclass(frozen=True)

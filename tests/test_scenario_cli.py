@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -5,10 +6,12 @@ import subprocess
 import sys
 import tempfile
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctxflow.cli import main
+from ctxflow.errors import ScenarioParseError
 from ctxflow.scenario import parse_scenario, run_scenario_data
 from ctxflow.trace import Trace, TraceRecord, canonical_json, replay_verify
 
@@ -212,6 +215,157 @@ def test_well_formed_limits_staleness_and_auth_validate_and_run(tmp_path):
     assert main(["validate", write_scenario(tmp_path, data)]) == 0
     _, completed = run_scenario_data(data)
     assert completed
+
+
+# --- any JSON document gets a verdict -----------------------------------------------
+
+
+def set_section(name, value):
+    def change(data):
+        data[name] = value
+        return data
+    return change
+
+
+def change_rule(old, new):
+    def change(data):
+        data["rules"] = [rule.replace(old, new) for rule in data["rules"]]
+        return data
+    return change
+
+
+def change_relation(function):
+    def change(data):
+        data["cause_effects"][0]["function"] = function
+        return data
+    return change
+
+
+def with_agent(kind, spec):
+    """Add a numeric category and one agent reading the ETA into it."""
+    def change(data):
+        data["catalog"].append({"id": "derived", "kind": "numeric", "parent": "processObject"})
+        data["masters"][0]["categories"].append("derived")
+        data["agents"] = [{"id": "probe", "kind": kind, "inputs": ["estimatedDeliveryTime"],
+                           "output": "derived", "spec": spec}]
+        return data
+    return change
+
+
+def short_timeline_entry(data):
+    data["sources"][0]["timeline"] = [[30, "weather"]]
+    return data
+
+
+# each row once raised out of parse_scenario, validated clean and then raised
+# during the run, or validated clean and ran wrong
+MALFORMED = {
+    "document-is-a-list": (lambda data: [], "scenario-invalid"),
+    "catalog-of-numbers": (set_section("catalog", [1]), "catalog-invalid"),
+    "rules-of-numbers": (set_section("rules", [1]), "rule-invalid"),
+    "sources-of-numbers": (set_section("sources", [1]), "source-invalid"),
+    "masters-of-numbers": (set_section("masters", [1]), "master-invalid"),
+    "cause-effects-of-numbers": (set_section("cause_effects", [1]), "relation-invalid"),
+    "process-models-of-numbers": (set_section("process_models", [1]), "model-invalid"),
+    "instances-of-numbers": (set_section("instances", [1]), "instance-invalid"),
+    "thresholds-as-a-list": (set_section("thresholds", [1]), "threshold-invalid"),
+    "two-element-timeline-entry": (short_timeline_entry, "source-invalid"),
+    "seed-as-a-list": (set_section("seed", [1]), "seed-invalid"),
+    "lookup-without-table": (change_relation({"type": "lookup"}), "relation-bad-function"),
+    "linear-on-text-cause": (change_relation({"type": "linear", "a": 1, "b": 0}),
+                             "relation-kind-mismatch"),
+    "aggregate-median": (with_agent("aggregate", {"reducer": "median"}), "agent-invalid"),
+    "filter-without-op": (with_agent("filter", {"value": 50}), "agent-invalid"),
+    "text-ordered-against-number": (
+        change_rule("estimatedDeliveryTime <= executionTimeConstraint",
+                    "weather <= executionTimeConstraint"), "rule-kind-mismatch"),
+    "aggregate-window-zero": (with_agent("aggregate", {"window": 0, "reducer": "count"}),
+                              "agent-invalid"),
+    "aggregate-window-negative": (with_agent("aggregate", {"window": -1, "reducer": "count"}),
+                                  "agent-invalid"),
+}
+
+
+@pytest.mark.parametrize("change, code", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_document_is_a_violation(tmp_path, capsys, change, code):
+    data = change(logistics_scenario_data())
+    assert main(["validate", write_scenario(tmp_path, data)]) == 2
+    assert code in [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    with pytest.raises(ScenarioParseError):
+        run_scenario_data(data)
+
+
+def document_nodes(holder):
+    """Every (container, key) pair below ``holder``, depth first."""
+    nodes = []
+
+    def walk(container):
+        for key in (list(container) if isinstance(container, dict) else range(len(container))):
+            nodes.append((container, key))
+            if isinstance(container[key], (dict, list)):
+                walk(container[key])
+
+    walk(holder)
+    return nodes
+
+
+ODD_VALUES = st.sampled_from([None, True, -1, 0, 2.5, "x", "", 10 ** 30, [], {}, [1], {"a": 1}])
+
+
+STRUCTURAL = ("container", "element", "missing", "short")
+
+
+@st.composite
+def mutated_documents(draw, kinds=STRUCTURAL):
+    """A logistics or generated scenario after one to four mutations.
+
+    Each mutation, at a node drawn from the whole document (the deepest
+    first, so that simple examples change a leaf), is one of ``kinds``:
+    change a container's type, replace a value with one of another type,
+    delete a key, drop a list's last element, or ``retype``: give a string
+    another string of the document, such as a category, kind or operator
+    name, or a number another number.
+    """
+    if draw(st.booleans()):
+        data = logistics_scenario_data()
+    else:
+        data = random_scenario(random.Random(draw(st.integers(0, 2 ** 16))),
+                               jitter=draw(st.sampled_from([0, 2])))
+    holder = {"document": data}
+    for _ in range(draw(st.integers(1, 4))):
+        container, key = draw(st.sampled_from(document_nodes(holder)[::-1]))
+        value, kind = container[key], draw(st.sampled_from(kinds))
+        if kind == "retype" and isinstance(value, str):
+            names = sorted({v for c, k in document_nodes(holder) for v in (c[k], k)
+                            if isinstance(v, str)})
+            container[key] = draw(st.sampled_from(names))
+        elif kind == "retype" and type(value) in (int, float):
+            container[key] = draw(st.sampled_from([0, 1, 5, 40, 0.5]))
+        elif kind == "missing" and container is not holder and isinstance(container, dict):
+            del container[key]
+        elif kind == "short" and isinstance(value, list) and value:
+            value.pop()
+        elif kind == "container":
+            container[key] = list(value.values()) if isinstance(value, dict) else \
+                dict(enumerate(value)) if isinstance(value, list) else [value]
+        elif kind == "element":
+            container[key] = copy.deepcopy(draw(ODD_VALUES))
+    return holder["document"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated_documents())
+def test_parse_never_raises_on_mutated_documents(data):
+    scenario, violations = parse_scenario(data)
+    assert all(v.code and isinstance(v.subject, str) for v in violations)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=mutated_documents(kinds=("retype",) * 6 + ("missing", "short")))
+def test_clean_document_runs_without_raising(data):
+    assume(not parse_scenario(data)[1])
+    assembly, completed = run_scenario_data(data, max_steps=20000)
+    assert completed or assembly.simulation.truncated
 
 
 # --- run ---------------------------------------------------------------------------
