@@ -33,25 +33,6 @@ CHANNELS = {
 DEFAULT_MAX_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class Message:
-    seq: int
-    sent_tick: int
-    deliver_tick: int
-    sender: str
-    receiver: str
-    kind: str
-    payload: dict
-
-
-@dataclass(frozen=True)
-class TimerEvent:
-    seq: int
-    tick: int
-    pool: str
-    payload: dict
-
-
 @dataclass
 class LatencyConfig:
     default: int = 1
@@ -89,7 +70,10 @@ class Simulation:
         self.trace_log = Trace()
         self.handlers = {}   # pool -> handle_message(kind, payload)
         self.timer_handlers = {}  # pool -> handle_timer(payload)
-        self._queue: list[tuple[int, int, object]] = []
+        # entries (tick, seq, pool, kind, payload, sender, sent tick); a timer
+        # has no kind, sender or sent tick.  seq is unique, so the heap orders
+        # entries by (tick, seq) and never compares past it.
+        self._queue: list[tuple] = []
         self._next_seq = 0
         self._messages_in_flight = 0
         self.truncated = False
@@ -113,19 +97,19 @@ class Simulation:
         self.route(sender, receiver, kind)
         seq = self._next_seq
         self._next_seq += 1
-        deliver = self.now + self.latency.for_channel(sender, receiver, self.rng)
-        message = Message(seq, self.now, deliver, sender, receiver, kind, payload)
-        heapq.heappush(self._queue, (deliver, seq, message))
+        now = self.clock.tick
+        deliver = now + self.latency.for_channel(sender, receiver, self.rng)
+        heapq.heappush(self._queue, (deliver, seq, receiver, kind, payload, sender, now))
         self._messages_in_flight += 1
 
     def timer(self, pool: str, payload: dict, at_tick: int):
         seq = self._next_seq
         self._next_seq += 1
-        heapq.heappush(self._queue, (max(at_tick, self.now), seq,
-                                     TimerEvent(seq, at_tick, pool, payload)))
+        heapq.heappush(self._queue, (max(at_tick, self.clock.tick), seq, pool, None,
+                                     payload, None, None))
 
     def trace(self, pool: str, kind: str, payload: dict):
-        self.trace_log.emit(self.now, pool, kind, payload)
+        self.trace_log.emit(self.clock.tick, pool, kind, payload)
 
     def run(self) -> Trace:
         steps = 0
@@ -137,23 +121,23 @@ class Simulation:
                 self.truncated = True
                 self.trace("context", "run_truncated", {"max_steps": self.max_steps})
                 break
-            tick, _, event = heapq.heappop(self._queue)
+            tick, seq, pool, kind, payload, sender, sent = heapq.heappop(self._queue)
             self.clock.advance_to(tick)
-            if isinstance(event, Message):
+            if kind is not None:
                 self._messages_in_flight -= 1
-                self.trace(event.sender, event.kind, {
-                    "to": event.receiver,
-                    "msg_seq": event.seq,
-                    "sent": event.sent_tick,
-                    "data": event.payload,
+                self.trace(sender, kind, {
+                    "to": pool,
+                    "msg_seq": seq,
+                    "sent": sent,
+                    "data": payload,
                 })
-                handler = self.handlers.get(event.receiver)
+                handler = self.handlers.get(pool)
                 if handler is not None:
-                    handler(event.kind, event.payload)
+                    handler(kind, payload)
             else:
-                handler = self.timer_handlers.get(event.pool)
+                handler = self.timer_handlers.get(pool)
                 if handler is not None:
-                    handler(event.payload)
+                    handler(payload)
         return self.trace_log
 
 

@@ -609,7 +609,7 @@ class ContextEngine:
         for value in values:
             self._apply_value(model, value, changed)
         for node in self.propagation:
-            if not any(cat in changed for cat in node.input_categories):
+            if changed.keys().isdisjoint(node.input_categories):
                 continue
             for derived in self._derive(model, node):
                 self._apply_value(model, derived, changed)
@@ -618,16 +618,17 @@ class ContextEngine:
     def _apply_value(self, model: InstanceContextModel, value: ContextValue,
                      changed: dict):
         g = model.intersection
-        if value.category_id not in g.categories:
+        category = value.category_id
+        if category not in g.categories:
             return
-        old = changed[value.category_id][0] if value.category_id in changed \
-            else g.values.get(value.category_id)
+        entry = changed.get(category)
+        old = g.values.get(category) if entry is None else entry[0]
         try:
             update_value(g, value)
         except StaleWrite:
             self.sim.trace(self.POOL, "value_rejected", {
                 "model": model.model_id,
-                "category": value.category_id,
+                "category": category,
                 "stream": value.value_id,
                 "ts": value.ts,
                 "reason": "stale",
@@ -639,19 +640,23 @@ class ContextEngine:
                 "model": model.model_id,
             })
             return
-        winner = resolve_conflict(list(g.streams[value.category_id].values()))
-        if winner != g.values[value.category_id]:
-            g.values[value.category_id] = winner
-        current = g.values[value.category_id]
+        # Values are compared by identity: a stream's timestamps strictly
+        # rise, so two distinct values held by one model are never equal.
+        streams = g.streams[category]
+        current = value
+        if len(streams) > 1:
+            current = resolve_conflict(list(streams.values()))
+            if current is not value:
+                g.values[category] = current
         self.sim.trace(self.POOL, "value_updated", {
             "model": model.model_id,
-            "category": value.category_id,
+            "category": category,
             "value": current.to_payload(),
         })
-        if old is not None and current == old:
-            changed.pop(value.category_id, None)  # batch restored the old value
+        if current is old:
+            changed.pop(category, None)  # batch restored the old value
         else:
-            changed[value.category_id] = (old, current)
+            changed[category] = (old, current)
 
     def _derive(self, model: InstanceContextModel, node) -> list[ContextValue]:
         g = model.intersection

@@ -17,6 +17,7 @@ are immutable templates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DeletionRejected,
@@ -87,6 +88,12 @@ class ContextValue:
             raise ValueError("causing_ts must not exceed ts")
 
     def to_payload(self) -> dict:
+        """The value as a trace payload, built once and shared by every record,
+        notification and snapshot that carries the value: never mutate it."""
+        return self._payload
+
+    @cached_property
+    def _payload(self) -> dict:
         out = {
             "value_id": self.value_id,
             "category_id": self.category_id,

@@ -178,11 +178,15 @@ class _Many:
             return _BAD
         values = value.values() if keyed else value
         if type(item) is _Leaf and set(map(type, values)) <= item.types and (
-                item.extra is None or all(map(item.extra, values))):
+                item.extra is None or all(map(item.extra, values))) and (
+                not keyed or all(type(key) is str for key in value)):
             return dict(value) if keyed else list(value)  # plain values that all fit
         walk, out = item.walk, {} if keyed else []
         if keyed:
             for key, element in value.items():
+                if type(key) is not str:  # only a document built in code has such keys
+                    bad(code, _name((path, "[", key)), f"key {key!r} is not a string")
+                    continue
                 typed = walk(element, (path, "[", key), owner, code, bad)
                 if typed is not _BAD:
                     out[key] = typed
@@ -570,15 +574,32 @@ def _parse_process_models(doc, scenario, bad):
                 f"context master {model.context_master!r} not declared")
         scenario.process_models[model_id] = model
     # second pass: cross-model references
+    enters = {}  # model id -> declared models its subprocess nodes run inline
     for model in scenario.process_models.values():
         for ref, target in model.compensation_refs.items():
             if target not in scenario.process_models:
                 bad("model-unknown-compensation", model.model_id,
                     f"{ref!r} points at unknown model {target!r}")
+        enters[model.model_id] = targets = []
         for node in walked[model.model_id]:
-            if isinstance(node, SubprocessNode) and node.model_id not in scenario.process_models:
+            if not isinstance(node, SubprocessNode):
+                continue
+            if node.model_id in scenario.process_models:
+                targets.append(node.model_id)
+            else:
                 bad("model-unknown-subprocess", model.model_id,
                     f"subprocess {node.model_id!r} not declared")
+    # a subprocess runs inline, so a chain back to its own model never ends
+    for model_id in enters:
+        seen, frontier = set(), list(enters[model_id])
+        while frontier and model_id not in seen:
+            target = frontier.pop()
+            if target not in seen:
+                seen.add(target)
+                frontier.extend(enters[target])
+        if model_id in seen:
+            bad("model-subprocess-cycle", model_id,
+                "a chain of subprocess nodes returns to this model")
 
 
 def _parse_thresholds(doc, scenario, bad):

@@ -27,7 +27,7 @@ def canonical_json(obj) -> str:
     return "".join(_encode(obj, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
     seq: int
     tick: int

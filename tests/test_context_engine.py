@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxflow.context_engine import (
     CatalogEntry,
@@ -456,6 +458,40 @@ def test_arithmetic_expressions_are_sandboxed():
     assert compile_arithmetic("2 * x + 1")(5) == 11
     with pytest.raises(ValueError):
         compile_arithmetic("__import__('os')")
+
+
+# (stream, ts, reliability, payload) of one write to category x
+WRITES = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5),
+                            st.sampled_from((0.2, 0.5, 0.9)), st.integers(0, 2)),
+                  max_size=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_streams=st.integers(1, 3), writes=WRITES, batch=st.integers(1, 4))
+def test_apply_value_keeps_the_winner_and_the_changes(n_streams, writes, batch):
+    """Writes, stale ones included, over one to three streams of a category:
+    the current value is the winner over the streams' latest values, and
+    ``changed`` maps the category to (batch start, current) exactly when the
+    two differ by ``==``."""
+    engine = make_engine(FakeSim())
+    model = register_active(engine)
+    values = model.intersection.values
+    latest = {}  # source -> the stream's latest accepted value
+    for start in range(0, len(writes), batch):
+        changed = {}
+        before = values.get("x")
+        for stream, ts, reliability, payload in writes[start:start + batch]:
+            source = f"s{stream % n_streams}"
+            v = value("x", payload, ts, source=source, reliability=reliability)
+            engine._apply_value(model, v, changed)
+            if source not in latest or ts > latest[source].ts:
+                latest[source] = v
+            if not latest:
+                assert "x" not in values and changed == {}
+                continue
+            winner = resolve_conflict(list(latest.values()))
+            assert values["x"] == winner
+            assert changed == ({} if winner == before else {"x": (before, winner)})
 
 
 # --- read path -------------------------------------------------------------------

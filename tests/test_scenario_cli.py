@@ -252,6 +252,16 @@ def with_agent(kind, spec):
     return change
 
 
+def with_subprocess(*model_ids):
+    """Let each listed model run the next one (the last the first) inline."""
+    def change(data):
+        models = {model["model_id"]: model for model in data["process_models"]}
+        for model_id, target in zip(model_ids, model_ids[1:] + model_ids[:1]):
+            models[model_id]["nodes"].insert(-1, {"type": "subprocess", "model": target})
+        return data
+    return change
+
+
 def short_timeline_entry(data):
     data["sources"][0]["timeline"] = [[30, "weather"]]
     return data
@@ -283,6 +293,11 @@ MALFORMED = {
                               "agent-invalid"),
     "aggregate-window-negative": (with_agent("aggregate", {"window": -1, "reducer": "count"}),
                                   "agent-invalid"),
+    "subprocess-enters-itself": (with_subprocess("spare_part_delivery"),
+                                 "model-subprocess-cycle"),
+    "subprocess-loop-of-two": (with_subprocess("spare_part_delivery",
+                                               "spare_part_delivery_comp"),
+                               "model-subprocess-cycle"),
 }
 
 
@@ -358,6 +373,16 @@ def mutated_documents(draw, kinds=STRUCTURAL):
 def test_parse_never_raises_on_mutated_documents(data):
     scenario, violations = parse_scenario(data)
     assert all(v.code and isinstance(v.subject, str) for v in violations)
+
+
+def test_object_key_that_is_not_a_string_is_a_violation():
+    data = logistics_scenario_data()
+    data["thresholds"] = dict(enumerate(data["thresholds"].values()))
+    data["latency"]["channels"] = {7: 1}
+    violations = parse_scenario(data)[1]
+    assert {(v.code, v.subject) for v in violations} == {
+        ("threshold-invalid", "thresholds[0]"), ("threshold-invalid", "thresholds[1]"),
+        ("latency-invalid", "latency.channels[7]")}
 
 
 @settings(max_examples=50, deadline=None)

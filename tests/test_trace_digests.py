@@ -59,3 +59,26 @@ def test_trace_digest(name):
     assert digest == PINNED.get(name), (
         f"trace of scenario {name!r} changed: pinned {PINNED.get(name)}, got {digest}"
     )
+
+
+# records share payload dicts: a context value's dict rides in every record,
+# notification and snapshot that carries it
+SHARED_PAYLOADS = ["logistics", "shared", "shared-thunderstorm",
+                   *(f"random-s{seed}-j0" for seed in range(10))]
+
+
+@pytest.mark.parametrize("name", SHARED_PAYLOADS)
+def test_no_record_changes_after_it_is_emitted(name):
+    scenario, violations = parse_scenario(SCENARIOS[name]())
+    assert not violations, violations[:3]
+    sim = build_simulation(scenario).simulation
+    emitted = []
+    emit = sim.trace_log.emit
+
+    def emit_and_keep_line(*args):
+        record = emit(*args)
+        emitted.append(record.to_line() + "\n")
+        return record
+
+    sim.trace_log.emit = emit_and_keep_line
+    assert list(sim.run().lines()) == emitted
