@@ -241,15 +241,27 @@ def change_relation(function):
     return change
 
 
-def with_agent(kind, spec):
-    """Add a numeric category and one agent reading the ETA into it."""
+def with_agent(kind, spec, reads="estimatedDeliveryTime"):
+    """Add a numeric category and one agent reading ``reads`` into it.
+
+    ``reads`` is the ETA, another catalogued category, or ``"record"``,
+    which adds a record category for the agent to read.
+    """
     def change(data):
         data["catalog"].append({"id": "derived", "kind": "numeric", "parent": "processObject"})
         data["masters"][0]["categories"].append("derived")
-        data["agents"] = [{"id": "probe", "kind": kind, "inputs": ["estimatedDeliveryTime"],
+        if reads == "record":
+            data["catalog"].append({"id": "record", "kind": "record", "parent": "processObject"})
+            data["masters"][0]["categories"].append("record")
+        data["agents"] = [{"id": "probe", "kind": kind, "inputs": [reads],
                            "output": "derived", "spec": spec}]
         return data
     return change
+
+
+def relation_onto_its_cause(data):
+    data["cause_effects"][1]["effect"] = data["cause_effects"][1]["cause"]
+    return data
 
 
 def with_subprocess(*model_ids):
@@ -293,6 +305,13 @@ MALFORMED = {
                               "agent-invalid"),
     "aggregate-window-negative": (with_agent("aggregate", {"window": -1, "reducer": "count"}),
                                   "agent-invalid"),
+    "relation-cause-is-effect": (relation_onto_its_cause, "relation-invalid"),
+    "filter-orders-number-against-text": (with_agent("filter", {"op": "<", "value": "soon"}),
+                                          "agent-kind-mismatch"),
+    "mean-over-text": (with_agent("aggregate", {"reducer": "mean"}, reads="weather"),
+                       "agent-kind-mismatch"),
+    "min-over-record": (with_agent("aggregate", {"reducer": "min"}, reads="record"),
+                        "agent-kind-mismatch"),
     "subprocess-enters-itself": (with_subprocess("spare_part_delivery"),
                                  "model-subprocess-cycle"),
     "subprocess-loop-of-two": (with_subprocess("spare_part_delivery",

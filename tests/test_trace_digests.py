@@ -27,8 +27,67 @@ def ladder_rung(n_instances):
     return data
 
 
+def propagation_scenario():
+    """The logistics scenario with one propagation node of every kind.
+
+    A push sensor reports a numeric level and a text status; relations and
+    agents derive from them: lookup hits and misses with and without a
+    default, linear, ``100 / x`` at ``x = 0``, a filter that passes and
+    fails, translate hits and defaults, each aggregate reducer, and a
+    compose, over inputs of unequal reliability, whose record a split fans
+    back out.
+    """
+    data = logistics_scenario_data()
+    kinds = {"level": "numeric", "status": "text", "ranked": "numeric",
+             "rankedOrNone": "numeric", "scaled": "numeric", "inverse": "numeric",
+             "spike": "numeric", "statusCode": "numeric", "reading": "record",
+             "splitLevel": "numeric", "splitStatus": "text",
+             **{f"level{name.title()}": "numeric" for name in REDUCER_NAMES}}
+    data["catalog"] += [{"id": cat, "kind": kind, "parent": "processObject",
+                         "requires_value": False} for cat, kind in kinds.items()]
+    data["masters"][0]["categories"] += list(kinds)
+    data["sources"].append({
+        "id": "sensor", "mode": "push", "reliability": 0.7, "provides": ["level", "status"],
+        "timeline": [[2, "level", 5], [3, "status", "ok"], [5, "level", 0],
+                     [6, "status", "odd"], [8, "level", 12], [9, "status", "fault"],
+                     [11, "level", 3], [12, "status", "ok"]],
+    })
+    data["cause_effects"] += [
+        {"id": "rank", "cause": "status", "effect": "ranked",
+         "function": {"type": "lookup", "table": {"ok": 10, "fault": 30}, "default": 20}},
+        {"id": "rankOrNone", "cause": "status", "effect": "rankedOrNone",
+         "function": {"type": "lookup", "table": {"ok": 10}}},
+        {"id": "scale", "cause": "level", "effect": "scaled",
+         "function": {"type": "linear", "a": 3, "b": -1}},
+        {"id": "invert", "cause": "level", "effect": "inverse",
+         "function": {"type": "expr", "expr": "100 / x"}},
+    ]
+    data["agents"] = [
+        {"id": "spikes", "kind": "filter", "inputs": ["level"], "output": "spike",
+         "spec": {"op": ">", "value": 4}},
+        {"id": "code", "kind": "translate", "inputs": ["status"], "output": "statusCode",
+         "spec": {"map": {"ok": 0, "fault": 2}, "default": 1}},
+        *({"id": f"window-{name}", "kind": "aggregate", "inputs": ["level"],
+           "output": f"level{name.title()}", "spec": {"window": 3, "reducer": name}}
+          for name in REDUCER_NAMES),
+        {"id": "pair", "kind": "compose", "inputs": ["level", "status", "weather"],
+         "output": "reading"},
+        {"id": "unpair", "kind": "split", "inputs": ["reading"],
+         "outputs": ["splitLevel", "splitStatus"],
+         "spec": {"fan_out": {"level": "splitLevel", "status": "splitStatus"}}},
+    ]
+    data["thresholds"]["spare_part_delivery"] += [
+        {"category": "levelMean", "kind": "numeric-delta", "theta": 1},
+        {"category": "reading", "kind": "any-change"},
+    ]
+    return data
+
+
+REDUCER_NAMES = ("min", "max", "mean", "count", "last")
+
 SCENARIOS = {
     "logistics": logistics_scenario_data,
+    "propagation": propagation_scenario,
     "shared": shared_scenario,
     "shared-thunderstorm": shared_thunderstorm_scenario,
     **{
