@@ -320,7 +320,53 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("change, code", MALFORMED.values(), ids=MALFORMED.keys())
+def edited(edit):
+    """A change that applies ``edit`` to the document and returns it."""
+    def change(data):
+        edit(data)
+        return data
+    return change
+
+
+def model(data, model_id):
+    return next(m for m in data["process_models"] if m["model_id"] == model_id)
+
+
+def parents_in_a_ring(data):
+    entries = {entry["id"]: entry for entry in data["catalog"]}
+    entries["geospatial"]["parent"], entries["traffic"]["parent"] = "traffic", "geospatial"
+
+
+def rename_packaging_gate(data):
+    shipping = model(data, "spare_part_delivery_comp")["nodes"][2]
+    shipping["variants"]["plane"][0]["id"] = "shipping"
+
+
+def late_share(data):
+    data["instances"].append({"id": "p2", "model": "spare_part_delivery", "share_with": "p1"})
+
+
+# each row is a section cross-check no other test reaches
+CROSS_CHECKS = {
+    "catalog-duplicate": edited(lambda data: data["catalog"].append(data["catalog"][3])),
+    "catalog-parent-cycle": edited(parents_in_a_ring),
+    "rule-parse-error": edited(lambda data: data["rules"].append("RULE Broken\nWHEN\nEND")),
+    "rule-duplicate": edited(lambda data: data["rules"].append(data["rules"][0])),
+    "model-duplicate-gate": edited(rename_packaging_gate),
+    "model-unknown-compensation": edited(lambda data: model(data, "spare_part_delivery")[
+        "compensation_refs"].update({"process.compensation.other": "nowhere"})),
+    "model-unknown-subprocess": edited(lambda data: model(data, "spare_part_delivery")[
+        "nodes"].insert(-1, {"type": "subprocess", "model": "nowhere"})),
+    "instance-duplicate": edited(lambda data: data["instances"].append(data["instances"][0])),
+    "instance-unknown-share": edited(lambda data: data["instances"][0].update(
+        share_with="nobody")),
+    "instance-share-order": edited(late_share),
+}
+
+
+@pytest.mark.parametrize("change, code", [*MALFORMED.values(), *(
+    (change, code) for code, change in CROSS_CHECKS.items())],
+    ids=[*MALFORMED, *CROSS_CHECKS])
 def test_malformed_document_is_a_violation(tmp_path, capsys, change, code):
     data = change(logistics_scenario_data())
     assert main(["validate", write_scenario(tmp_path, data)]) == 2
