@@ -11,7 +11,6 @@ from __future__ import annotations
 import ast
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import (
     DeletionRejected,
@@ -156,50 +155,6 @@ def compile_arithmetic(expr: str):
     return build(ast.parse(expr, mode="eval").body)
 
 
-@dataclass(frozen=True)
-class CauseEffectRelation:
-    """f: X -> Y between two categories; the causing timestamp propagates."""
-
-    relation_id: str
-    cause_category: str
-    effect_category: str
-    function: dict  # {"type": "linear"|"lookup"|"expr", ...}
-
-    def __post_init__(self):
-        if self.cause_category == self.effect_category:
-            raise ValueError("cause and effect categories must differ")
-
-    def apply(self, payload):
-        kind = self.function["type"]
-        if kind == "linear":
-            return self.function["a"] * payload + self.function["b"]
-        if kind == "lookup":
-            table = self.function["table"]
-            key = payload if isinstance(payload, str) else repr(payload)
-            if key in table:
-                return table[key]
-            return self.function.get("default")
-        if kind == "expr":
-            return self._expr(payload)
-        raise ValueError(f"unknown cause-effect function type {kind!r}")
-
-    @cached_property
-    def _expr(self):
-        return compile_arithmetic(self.function["expr"])
-
-    @property
-    def node_id(self):
-        return self.relation_id
-
-    @property
-    def input_categories(self):
-        return (self.cause_category,)
-
-    @property
-    def output_categories(self):
-        return (self.effect_category,)
-
-
 REDUCERS = {
     "min": min,
     "max": max,
@@ -208,73 +163,128 @@ REDUCERS = {
     "last": lambda xs: xs[-1],
 }
 
-AGENT_KINDS = ("filter", "translate", "aggregate", "compose", "split")
-
-
 @dataclass(frozen=True)
 class DerivationAgent:
-    """Event-derivation operator: filter, translate, aggregate, compose, split.
+    """One propagation node: a cause-effect relation or a derivation agent.
 
-    ``spec`` holds every field its kind reads; the scenario shape table
-    (``scenario.SCENARIO``) lists them with their defaults.
+    ``kind`` picks the node's function in ``DERIVE``; ``spec`` holds every
+    field that function reads.  The agent kinds read the fields that the
+    scenario shape table (``scenario.SCENARIO``) lists with their defaults.
     """
 
-    agent_id: str
+    node_id: str
     kind: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in AGENT_KINDS:
-            raise ValueError(f"unknown agent kind {self.kind!r}")
+        if self.kind not in DERIVE:
+            raise ValueError(f"unknown node kind {self.kind!r}")
         if not self.inputs or not self.outputs:
-            raise ValueError("an agent needs at least one input and one output")
+            raise ValueError("a node needs at least one input and one output")
 
-    @property
-    def node_id(self):
-        return self.agent_id
 
-    @property
-    def input_categories(self):
-        return self.inputs
+def CauseEffectRelation(relation_id: str, cause: str, effect: str,
+                        function: dict) -> DerivationAgent:
+    """f: X -> Y between two categories, as a one-input, one-output node.
 
-    @property
-    def output_categories(self):
-        return self.outputs
+    ``function`` is ``{"type": "linear", "a", "b"}``, ``{"type": "lookup",
+    "table", "default"?}`` or ``{"type": "expr", "expr"}``.  A lookup runs
+    as a translate over ``table``; an expr is compiled here, once.
+    """
+    if cause == effect:
+        raise ValueError("cause and effect categories must differ")
+    spec = dict(function)
+    if function["type"] == "lookup":
+        spec.update(map=function["table"], default=function.get("default"))
+    elif function["type"] == "expr":
+        spec["apply"] = compile_arithmetic(function["expr"])
+    return DerivationAgent(relation_id, function["type"], (cause,), (effect,), spec)
+
+
+# Each node kind maps the current values of its inputs (and, for an
+# aggregate, the input's history in graph ``g``) to (category, payload) pairs.
+
+
+def _linear(node, inputs, g):
+    return [(node.outputs[0], node.spec["a"] * inputs[0].payload + node.spec["b"])]
+
+
+def _expr(node, inputs, g):
+    return [(node.outputs[0], node.spec["apply"](inputs[0].payload))]
+
+
+def _translate(node, inputs, g):
+    """Map a payload, a number by its repr; a null result derives nothing."""
+    payload = inputs[0].payload
+    out = node.spec["map"].get(payload if isinstance(payload, str) else repr(payload),
+                               node.spec["default"])
+    return [] if out is None else [(node.outputs[0], out)]
+
+
+def _filter(node, inputs, g):
+    payload = inputs[0].payload
+    if not OPERATORS[node.spec["op"]](payload, node.spec["value"]):
+        return []
+    return [(node.outputs[0], payload)]
+
+
+def _aggregate(node, inputs, g):
+    window = recent_values(g, node.inputs[0], node.spec["window"])
+    return [(node.outputs[0], REDUCERS[node.spec["reducer"]]([v.payload for v in window]))]
+
+
+def _compose(node, inputs, g):
+    return [(node.outputs[0], {v.category_id: v.payload for v in inputs})]
+
+
+def _split(node, inputs, g):
+    """Fan a record payload out to several categories."""
+    record = inputs[0].payload
+    if not isinstance(record, dict):
+        return []
+    return [(category, record[fan_field])
+            for fan_field, category in sorted(node.spec["fan_out"].items())
+            if fan_field in record]
+
+
+DERIVE = {
+    "linear": _linear, "lookup": _translate, "expr": _expr,
+    "filter": _filter, "translate": _translate, "aggregate": _aggregate,
+    "compose": _compose, "split": _split,
+}
+
+_NEWEST = operator.attrgetter("ts", "value_id")
+_RELIABILITY = operator.attrgetter("reliability")
 
 
 def topological_order(nodes):
-    """Order propagation nodes so producers precede consumers; reject cycles."""
-    produced_by: dict[str, list] = {}
-    for node in nodes:
-        for cat in node.output_categories:
-            produced_by.setdefault(cat, []).append(node)
-    deps = {
-        node.node_id: [
-            upstream.node_id
-            for cat in node.input_categories
-            for upstream in produced_by.get(cat, [])
-        ]
-        for node in nodes
-    }
-    by_id = {node.node_id: node for node in nodes}
+    """Order propagation nodes so producers precede consumers; reject cycles.
+
+    Nodes are told apart by position, so two that share an id both run.
+    """
+    produced_by: dict[str, list[int]] = {}
+    for position, node in enumerate(nodes):
+        for cat in node.outputs:
+            produced_by.setdefault(cat, []).append(position)
     ordered, done, visiting = [], set(), set()
 
-    def visit(node_id):
-        if node_id in done:
+    def visit(position):
+        if position in done:
             return
-        if node_id in visiting:
+        if position in visiting:
             raise ValueError("cause-effect/agent graph contains a cycle")
-        visiting.add(node_id)
-        for dep in deps[node_id]:
-            visit(dep)
-        visiting.discard(node_id)
-        done.add(node_id)
-        ordered.append(by_id[node_id])
+        visiting.add(position)
+        for cat in nodes[position].inputs:
+            for upstream in produced_by.get(cat, ()):
+                visit(upstream)
+        visiting.discard(position)
+        done.add(position)
+        ordered.append(nodes[position])
 
-    for node in nodes:
-        visit(node.node_id)
+    for position in range(len(nodes)):
+        visit(position)
     return ordered
 
 
@@ -339,9 +349,7 @@ class ContextEngine:
         self.catalog = catalog
         self.masters = masters
         self.sources = sources
-        self.relations = list(relations)
-        self.agents = list(agents)
-        self.propagation = topological_order(self.relations + self.agents)
+        self.propagation = topological_order([*relations, *agents])
         self.poll_budget = poll_budget
         self.max_config_steps = max_config_steps
         self.staleness = staleness
@@ -609,7 +617,7 @@ class ContextEngine:
         for value in values:
             self._apply_value(model, value, changed)
         for node in self.propagation:
-            if changed.keys().isdisjoint(node.input_categories):
+            if changed.keys().isdisjoint(node.inputs):
                 continue
             for derived in self._derive(model, node):
                 self._apply_value(model, derived, changed)
@@ -658,84 +666,36 @@ class ContextEngine:
         else:
             changed[category] = (old, current)
 
-    def _derive(self, model: InstanceContextModel, node) -> list[ContextValue]:
+    def _derive(self, model: InstanceContextModel,
+                node: DerivationAgent) -> list[ContextValue]:
         g = model.intersection
         inputs = []
-        for cat in node.input_categories:
+        for cat in node.inputs:
             current = g.values.get(cat)
             if current is None:
                 return []
             inputs.append(current)
-        if isinstance(node, CauseEffectRelation):
-            cause = inputs[0]
-            try:
-                result = node.apply(cause.payload)
-            except ArithmeticError as err:
-                self.sim.trace(self.POOL, "engine_error", {
-                    "error": type(err).__name__, "detail": str(err),
-                    "model": model.model_id,
-                    "relation": node.relation_id,
-                })
-                return []
-            if result is None:
-                return []
-            return [self._derived_value(node, node.effect_category, result, cause)]
-        return self._run_agent(node, g, inputs)
-
-    def _run_agent(self, agent: DerivationAgent, g, inputs) -> list[ContextValue]:
-        trigger = max(inputs, key=lambda v: (v.ts, v.value_id))
-        reliability = min(v.reliability for v in inputs)
-        if agent.kind == "filter":
-            op = OPERATORS[agent.spec["op"]]
-            if not op(inputs[0].payload, agent.spec["value"]):
-                return []
-            return [self._derived_value(agent, agent.outputs[0],
-                                        inputs[0].payload, trigger)]
-        if agent.kind == "translate":
-            table = agent.spec["map"]
-            key = inputs[0].payload if isinstance(inputs[0].payload, str) \
-                else repr(inputs[0].payload)
-            if key in table:
-                out = table[key]
-            elif agent.spec["default"] is not None:
-                out = agent.spec["default"]
-            else:
-                return []
-            return [self._derived_value(agent, agent.outputs[0], out, trigger)]
-        if agent.kind == "aggregate":
-            window = recent_values(g, agent.inputs[0], agent.spec["window"])
-            reducer = REDUCERS[agent.spec["reducer"]]
-            out = reducer([v.payload for v in window])
-            return [self._derived_value(agent, agent.outputs[0], out, trigger)]
-        if agent.kind == "compose":
-            record = {v.category_id: v.payload for v in inputs}
-            return [self._derived_value(agent, agent.outputs[0], record, trigger,
-                                        reliability=reliability)]
-        # split: fan a record payload out to several categories
-        record = inputs[0].payload
-        if not isinstance(record, dict):
+        try:
+            derived = DERIVE[node.kind](node, inputs, g)
+        except ArithmeticError as err:
+            self.sim.trace(self.POOL, "engine_error", {
+                "error": type(err).__name__, "detail": str(err),
+                "model": model.model_id,
+                "relation": node.node_id,
+            })
             return []
-        out = []
-        for fan_field, category in sorted(agent.spec["fan_out"].items()):
-            if fan_field in record:
-                out.append(self._derived_value(agent, category,
-                                               record[fan_field], trigger))
-        return out
-
-    def _derived_value(self, node, category: str, payload, cause: ContextValue,
-                       reliability: float | None = None) -> ContextValue:
-        # one derived stream per cause stream: when conflict resolution flips
-        # the current cause between sources, the derived side mirrors it
-        # instead of fighting the per-stream timestamp monotonicity guard
-        return ContextValue(
-            value_id=f"{category}@{node.node_id}:{cause.value_id}",
-            category_id=category,
-            payload=payload,
-            ts=cause.ts,
-            source_id=node.node_id,
-            reliability=cause.reliability if reliability is None else reliability,
-            causing_ts=cause.causing_ts if cause.causing_ts is not None else cause.ts,
-        )
+        # the newest input stamps the derived values, one derived stream per
+        # cause stream: when conflict resolution flips the current cause
+        # between sources, the derived side mirrors it instead of fighting
+        # the per-stream timestamp monotonicity guard
+        cause = max(inputs, key=_NEWEST)
+        reliability = min(map(_RELIABILITY, inputs))
+        causing_ts = cause.ts if cause.causing_ts is None else cause.causing_ts
+        return [
+            ContextValue(f"{category}@{node.node_id}:{cause.value_id}", category, payload,
+                         cause.ts, node.node_id, reliability, causing_ts=causing_ts)
+            for category, payload in derived
+        ]
 
     # -- notifications ----------------------------------------------------------
 

@@ -20,7 +20,6 @@ from .choreography import (
     Simulation,
 )
 from .context_engine import (
-    AGENT_KINDS,
     DEFAULT_POLL_BUDGET,
     REDUCERS,
     THRESHOLD_KINDS,
@@ -30,7 +29,6 @@ from .context_engine import (
     DerivationAgent,
     NotificationThreshold,
     catalog_chain,
-    compile_arithmetic,
     topological_order,
 )
 from .errors import RuleSyntaxError, RuleTypeError, ScenarioParseError
@@ -79,7 +77,7 @@ class Scenario:
     deny_principals: list[str] = field(default_factory=list)
     catalog: dict[str, CatalogEntry] = field(default_factory=dict)
     masters: dict[str, MasterContextModel] = field(default_factory=dict)
-    relations: list[CauseEffectRelation] = field(default_factory=list)
+    relations: list[DerivationAgent] = field(default_factory=list)
     agents: list[DerivationAgent] = field(default_factory=list)
     sources: dict[str, ScriptedSource] = field(default_factory=dict)
     process_models: dict[str, ProcessModel] = field(default_factory=dict)
@@ -319,6 +317,7 @@ _SPECS = {
     "filter": {"op": (_one_of(OPERATORS), REQUIRED), "value": (ANY, REQUIRED)},
     "translate": {"map": (_Many(ANY, keyed=True), {}), "default": (ANY, None)},
     "aggregate": {"window": (POSITIVE, 4), "reducer": (_one_of(REDUCERS), "last")},
+    "compose": {},
     "split": {"fan_out": (_Many(TEXT, keyed=True), {})},
 }
 
@@ -351,9 +350,9 @@ SCENARIO = _Record({
                      REQUIRED, "relation-bad-function"),
     })), [], "relation-invalid"),
     "agents": (_Many(_Record({
-        "id": (TEXT, ""), "kind": (_one_of(AGENT_KINDS), REQUIRED), "inputs": (NAMES, []),
+        "id": (TEXT, ""), "kind": (_one_of(_SPECS), REQUIRED), "inputs": (NAMES, []),
         "output": (TEXT, None), "outputs": (NAMES, None),
-    }, "kind", {kind: {"spec": (_Record(_SPECS.get(kind, {})), {})} for kind in AGENT_KINDS})),
+    }, "kind", {kind: {"spec": (_Record(spec), {})} for kind, spec in _SPECS.items()})),
         [], "agent-invalid"),
     "sources": (_Many(_Record({
         "id": (TEXT, ""), "mode": (_one_of(SOURCE_MODES), "push"), "reliability": (NUMBER, 1.0),
@@ -476,45 +475,47 @@ def _parse_sources(doc, scenario, bad):
             bad("source-invalid", source_id, str(err))
 
 
+# whether a node of each kind can read a first input of a catalog kind;
+# a kind missing here reads any kind
+_READS = {
+    "linear": lambda kind, spec: kind == "numeric",
+    "expr": lambda kind, spec: kind == "numeric",
+    "filter": lambda kind, spec: comparable(kind, spec["op"], value_kind(spec["value"])),
+    "aggregate": lambda kind, spec: not (spec["reducer"] == "mean" and kind != "numeric"
+                                         or spec["reducer"] in ("min", "max") and kind == "record"),
+}
+
+
 def _parse_propagation(doc, scenario, bad):
-    for entry in doc["cause_effects"]:
-        relation_id, cause, function = entry["id"], entry["cause"], entry["function"]
-        _known(scenario, bad, "relation-unknown-category", relation_id, (cause, entry["effect"]))
-        if function["type"] == "expr":
-            try:
-                compile_arithmetic(function["expr"])
-            except (ValueError, SyntaxError) as err:
-                bad("relation-bad-function", relation_id, str(err))
-                continue
-        if function["type"] != "lookup" and _kind(scenario, cause) not in (None, "numeric"):
-            bad("relation-kind-mismatch", relation_id,
-                f"a {function['type']} relation needs a numeric cause, not {cause!r}")
-        try:
-            scenario.relations.append(
-                CauseEffectRelation(relation_id, cause, entry["effect"], function))
-        except ValueError as err:
-            bad("relation-invalid", relation_id, str(err))
+    """One node per relation and per agent; the violation codes stay per section."""
+    relations = [(entry["id"], entry["function"]["type"], (entry["cause"],), (entry["effect"],),
+                  entry["function"]) for entry in doc["cause_effects"]]
+    agents = []
     for entry in doc["agents"]:
-        agent_id, spec, outputs = entry["id"], entry["spec"], entry["outputs"]
+        outputs = entry["outputs"]
         if outputs is None:
             outputs = [] if entry["output"] is None else [entry["output"]]
-        _known(scenario, bad, "agent-unknown-category", agent_id, entry["inputs"] + outputs)
-        try:
-            agent = DerivationAgent(agent_id, entry["kind"], tuple(entry["inputs"]),
-                                    tuple(outputs), spec)
-        except ValueError as err:
-            bad("agent-invalid", agent_id, str(err))
-            continue
-        kind = _kind(scenario, agent.inputs[0])
-        reducer = spec["reducer"] if agent.kind == "aggregate" else None
-        if kind is not None and (
-                agent.kind == "filter"
-                and not comparable(kind, spec["op"], value_kind(spec["value"]))
-                or reducer == "mean" and kind != "numeric"
-                or reducer in ("min", "max") and kind == "record"):
-            bad("agent-kind-mismatch", agent_id,
-                f"{agent.kind} spec {spec} cannot apply to the {kind} input {agent.inputs[0]!r}")
-        scenario.agents.append(agent)
+        agents.append((entry["id"], entry["kind"], tuple(entry["inputs"]), tuple(outputs),
+                       entry["spec"]))
+    for section, entries, nodes in (("relation", relations, scenario.relations),
+                                    ("agent", agents, scenario.agents)):
+        for node_id, kind, inputs, outputs, spec in entries:
+            _known(scenario, bad, f"{section}-unknown-category", node_id, inputs + outputs)
+            try:
+                if section == "relation":
+                    node = CauseEffectRelation(node_id, *inputs, *outputs, spec)
+                else:
+                    node = DerivationAgent(node_id, kind, inputs, outputs, spec)
+            except (ValueError, SyntaxError) as err:
+                # a relation fails on a cause that is its effect, else on its expr
+                code = "invalid" if section == "agent" or inputs == outputs else "bad-function"
+                bad(f"{section}-{code}", node_id, str(err))
+                continue
+            reads, input_kind = _READS.get(kind), _kind(scenario, inputs[0])
+            if reads and input_kind is not None and not reads(input_kind, spec):
+                bad(f"{section}-kind-mismatch", node_id,
+                    f"a {kind} node cannot read the {input_kind} input {inputs[0]!r}")
+            nodes.append(node)
     try:
         topological_order(scenario.relations + scenario.agents)
     except ValueError as err:

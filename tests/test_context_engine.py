@@ -416,6 +416,19 @@ def test_translate_agent_maps_payloads():
     assert model.intersection.values["z"].payload == 1  # default
 
 
+def test_null_translate_entry_derives_nothing():
+    agent = DerivationAgent("label", "translate", ("w",), ("z",),
+                            {"map": {"clear": 0, "fog": None}, "default": 1})
+    sim = FakeSim()
+    engine = make_engine(sim, agents=[agent],
+                         categories=("root", "x", "y", "z", "w"))
+    model = register_active(engine)
+    push(engine, sim, "w", "clear", 1)
+    push(engine, sim, "w", "fog", 2)
+    assert model.intersection.values["z"].payload == 0
+    assert sim.records("engine_error") == []
+
+
 def test_split_agent_fans_out_record_fields():
     split = DerivationAgent("burst", "split", ("w",), ("x", "y"),
                             {"fan_out": {"load": "x", "speed": "y"}})
@@ -452,6 +465,15 @@ def test_topological_order_rejects_cycles():
     ]
     with pytest.raises(ValueError):
         topological_order(relations)
+
+
+def test_nodes_sharing_an_id_all_run():
+    relations = [
+        CauseEffectRelation("r", "y", "z", {"type": "linear", "a": 1, "b": 1}),
+        CauseEffectRelation("r", "x", "y", {"type": "linear", "a": 1, "b": 1}),
+        CauseEffectRelation("r", "w", "root", {"type": "lookup", "table": {}}),
+    ]
+    assert topological_order(relations) == [relations[1], relations[0], relations[2]]
 
 
 def test_arithmetic_expressions_are_sandboxed():

@@ -458,6 +458,17 @@ def test_clean_document_runs_without_raising(data):
     assert completed or assembly.simulation.truncated
 
 
+def test_agent_arithmetic_fault_becomes_engine_error(tmp_path):
+    data = with_agent("aggregate", {"window": 2, "reducer": "mean"})(logistics_scenario_data())
+    data["cause_effects"][0]["function"]["table"]["clear"] = 10 ** 400
+    assert main(["validate", write_scenario(tmp_path, data)]) == 0
+    assembly, completed = run_scenario_data(data)
+    assert completed
+    faults = {(r.payload["error"], r.payload["relation"])
+              for r in assembly.simulation.trace_log.find("engine_error")}
+    assert faults == {("OverflowError", "probe")}
+
+
 # --- run ---------------------------------------------------------------------------
 
 
