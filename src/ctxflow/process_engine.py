@@ -29,25 +29,23 @@ TERMINAL = ("Completed", "Cancelled")
 
 @dataclass(frozen=True)
 class StartNode:
-    kind: str = "start"
+    """The first node of a model."""
 
 
 @dataclass(frozen=True)
 class EndNode:
-    kind: str = "end"
+    """Completes the instance, or ends an inlined sub-process."""
 
 
 @dataclass(frozen=True)
 class TaskNode:
     name: str
     duration: int
-    kind: str = "task"
 
 
 @dataclass(frozen=True)
 class SubprocessNode:
     model_id: str
-    kind: str = "subprocess"
 
 
 @dataclass
@@ -56,7 +54,6 @@ class GateNode:
     variants: dict  # variant_id -> list of nodes, declaration order
     default_variant: str
     rule_ids: list[str] = field(default_factory=list)
-    kind: str = "gate"
 
 
 @dataclass
@@ -98,7 +95,6 @@ class Checkpoint:
     gate_id: str
     cursor: list  # list of (nodes, index) pairs, nodes by reference
     exec_len: int
-    tick: int
     variant: str
 
 
@@ -383,7 +379,6 @@ class ProcessEngine:
             gate_id=gate_id,
             cursor=[(f.nodes, f.index, f.subprocess) for f in instance.cursor],
             exec_len=len(instance.executed),
-            tick=self.sim.now,
             variant=variant_id,
         ))
         instance.selected_variants[gate_id] = variant_id

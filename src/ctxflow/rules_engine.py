@@ -37,7 +37,6 @@ class Binding:
 
 @dataclass
 class PendingEval:
-    correlation: str
     instance_id: str
     gate_id: str
     evaluation: str
@@ -186,9 +185,7 @@ class RulesEngine:
             self._evaluate(binding, gate, evaluation, env={})
             return
         correlation = self._next_correlation()
-        self.pending[correlation] = PendingEval(
-            correlation, binding.instance_id, gate, evaluation,
-        )
+        self.pending[correlation] = PendingEval(binding.instance_id, gate, evaluation)
         self.sim.send(self.POOL, "context", "ContextRequest", {
             "model": binding.context_model_id,
             "instance": binding.instance_id,
@@ -208,18 +205,14 @@ class RulesEngine:
                 "reason": "no pending evaluation",
             })
             return
-        binding = self.bindings.get(pending.instance_id)
-        if binding is None:
-            self.sim.trace(self.POOL, "snapshot_dropped", {
-                "correlation": correlation, "reason": "instance unbound",
-            })
-            return
         if payload.get("status") != "ok":
             self.sim.trace(self.POOL, "snapshot_dropped", {
                 "correlation": correlation,
                 "reason": payload.get("detail", payload.get("status", "error")),
             })
             return
+        # unbind drops an instance's pending evaluations: the binding is live
+        binding = self.bindings[pending.instance_id]
         env = _env_from_snapshot(payload)
         self._evaluate(binding, pending.gate_id, pending.evaluation, env)
 
