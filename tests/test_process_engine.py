@@ -10,6 +10,7 @@ from ctxflow.process_engine import (
     SubprocessNode,
     TaskNode,
 )
+from ctxflow.sources import MirrorSpec
 
 from .conftest import FakeSim
 
@@ -350,3 +351,63 @@ def test_late_decision_after_terminal_dropped():
         "action": {"type": "select_variant", "gate": "g", "variant": "slow"},
     })
     assert sim.records("decision_dropped")
+
+
+NOT_LIVE_MESSAGES = {
+    "Decision": {"gate": "g", "evaluation": "native", "fired_rule": "R",
+                 "action": {"type": "select_variant", "gate": "g", "variant": "slow"}},
+    "BreakRollback": {"target": "start", "disposition": "resume", "fired_rule": "R"},
+    "StartCompensation": {"process_ref": "redo", "fired_rule": "R"},
+}
+
+
+@pytest.mark.parametrize("state", ["Completed", "Cancelled", "unknown"])
+@pytest.mark.parametrize("kind", sorted(NOT_LIVE_MESSAGES))
+def test_message_to_instance_that_is_not_live_is_dropped(kind, state):
+    sim = FakeSim()
+    engine = make_engine(sim)
+    instance = started(engine, sim)
+    if state == "unknown":
+        instance = "p9"
+    else:
+        engine.complete_or_cancel(instance, state)
+        instance = "p1"
+    sim.sent.clear()
+    mark = len(sim.trace_log.records)
+    engine.handle_message(kind, {"instance": instance, **NOT_LIVE_MESSAGES[kind]})
+    assert sim.sent == []
+    assert [(r.kind, r.payload) for r in sim.trace_log.records[mark:]] == [
+        ("decision_dropped", {"instance": instance, "reason": "not live"})]
+
+
+def test_zero_duration_task_completes_in_its_tick():
+    sim = FakeSim()
+    model = ProcessModel("m", [
+        StartNode(),
+        GateNode("g", {"slow": [TaskNode("haul", 3)], "fast": [TaskNode("fly", 1)]},
+                 "slow"),
+        TaskNode("stamp", 0),
+        TaskNode("deliver", 1),
+        EndNode(),
+    ])
+    mirrored = []
+    engine = ProcessEngine(
+        sim, {"m": model},
+        mirror_emit=lambda category, payload: mirrored.append((sim.now, category, payload)))
+    engine.register_mirrors([MirrorSpec("m", "g", "shippingMethod", "task:stamp")])
+    instance = started(engine, sim)
+    engine.handle_message("Decision", {
+        "instance": "p1", "gate": "g", "evaluation": "native",
+        "action": {"type": "select_variant", "gate": "g", "variant": "fast"},
+    })
+    drive_timers(engine, sim, 1)
+    stamp = [(r.tick, r.kind) for r in sim.trace_log.records
+             if r.payload.get("task") == "stamp"]
+    assert stamp == [(1, "task_started"), (1, "task_completed")]
+    assert mirrored == [(1, "shippingMethod", "fast")]
+    assert instance.current_task == "deliver"
+    engine.handle_message("BreakRollback", {"instance": "p1", "target": "g",
+                                            "disposition": "resume"})
+    undone = [(r.payload["task"], r.payload["completed"])
+              for r in sim.records("task_undone")]
+    assert undone == [("deliver", False), ("stamp", True), ("fly", True)]

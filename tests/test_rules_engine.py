@@ -366,27 +366,37 @@ def rollback(target, disposition):
 COMPENSATE = ("StartCompensation", {"instance": "p1", "fired_rule": "R",
                                     "process_ref": "process.compensation.deliveryVariant"})
 
-# action text, gate default, evaluation, the exact (kind, payload) list sent
+ROLLBACK_START = {"type": "break_rollback", "target": "start"}
+ROLLBACK_GATE = {"type": "break_rollback", "target": "shipping"}
+CONTINUE = {"type": "continue"}
+COMPENSATION = {"type": "start_compensation",
+                "process_ref": "process.compensation.deliveryVariant"}
+
+# action text, gate default, evaluation, the decision gate_evaluated records,
+# the exact (kind, payload) list sent
 DECISION_CASES = {
     "native-select-variant": ("selectVariant(shipping, truck)", "plane", "native",
-                              [decision("native", SELECT_TRUCK)]),
-    "native-continue-with-default": ("continue", "plane", "native",
+                              SELECT_TRUCK, [decision("native", SELECT_TRUCK)]),
+    "re-evaluation-select-variant": ("selectVariant(shipping, truck)", "plane",
+                                     "re_evaluation", CONTINUE, []),
+    "native-continue-with-default": ("continue", "plane", "native", SELECT_PLANE,
                                      [decision("native", SELECT_PLANE)]),
-    "native-continue-without-default": ("continue", None, "native",
-                                        [decision("native", {"type": "continue"})]),
-    "re-evaluation-continue": ("continue", "plane", "re_evaluation", []),
-    "native-break-rollback": ("rollback(start)", "plane", "native",
+    "native-continue-without-default": ("continue", None, "native", CONTINUE,
+                                        [decision("native", CONTINUE)]),
+    "re-evaluation-continue": ("continue", "plane", "re_evaluation", CONTINUE, []),
+    "native-break-rollback": ("rollback(start)", "plane", "native", ROLLBACK_START,
                               [rollback("start", "resume")]),
-    "re-evaluation-break-rollback": ("break", "plane", "re_evaluation",
+    "re-evaluation-break-rollback": ("break", "plane", "re_evaluation", ROLLBACK_GATE,
                                      [rollback("shipping", "resume")]),
     "native-compensation-with-default": (
-        "start process.compensation.deliveryVariant", "plane", "native",
+        "start process.compensation.deliveryVariant", "plane", "native", COMPENSATION,
         [COMPENSATE, decision("native", SELECT_PLANE)]),
     "native-compensation-without-default": (
-        "start process.compensation.deliveryVariant", None, "native", [COMPENSATE]),
+        "start process.compensation.deliveryVariant", None, "native", COMPENSATION,
+        [COMPENSATE]),
     "re-evaluation-compensation": (
         "start process.compensation.deliveryVariant", "plane", "re_evaluation",
-        [COMPENSATE, rollback("start", "cancel")]),
+        COMPENSATION, [COMPENSATE, rollback("start", "cancel")]),
 }
 
 
@@ -399,9 +409,10 @@ def answer_last_request(engine, sim):
     return sim.sent[mark:]
 
 
-@pytest.mark.parametrize("action, default, evaluation, expected",
+@pytest.mark.parametrize("action, default, evaluation, recorded, expected",
                          list(DECISION_CASES.values()), ids=list(DECISION_CASES))
-def test_each_decision_sends_exact_messages(action, default, evaluation, expected):
+def test_each_decision_sends_exact_messages(action, default, evaluation, recorded,
+                                            expected):
     sim = FakeSim()
     engine = RulesEngine(
         sim,
@@ -421,7 +432,25 @@ def test_each_decision_sends_exact_messages(action, default, evaluation, expecte
                          "value": {"payload": 40, "ts": 1}}],
         })
         sent = answer_last_request(engine, sim)
-    assert sim.records("gate_evaluated")[-1].payload["evaluation"] == evaluation
+    evaluated = sim.records("gate_evaluated")[-1].payload
+    assert (evaluated["evaluation"], evaluated["decision"]) == (evaluation, recorded)
     assert all(sender == "rules" and receiver == "process"
                for (sender, receiver, _, _) in sent)
     assert [(kind, payload) for (_, _, kind, payload) in sent] == expected
+
+
+def test_terminal_instance_drops_its_evaluation_in_flight():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    bind(engine, sim)
+    engine.handle_rule_eval_request({"instance": "p1", "gate": "shipping"})
+    correlation = [p for (_, _, k, p) in sim.sent
+                   if k == "ContextRequest"][-1]["correlation"]
+    engine.handle_process_terminal({"instance": "p1"})
+    assert engine.pending == {}
+    sim.sent.clear()
+    engine.handle_context_snapshot(snapshot_payload(correlation, estimatedDeliveryTime=40))
+    assert sim.sent == []
+    assert [r.payload for r in sim.records("snapshot_dropped")] == [
+        {"correlation": correlation, "reason": "no pending evaluation"}]
+    assert sim.records("gate_evaluated") == []
