@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import operator
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -677,6 +678,14 @@ class ContextEngine:
             inputs.append(current)
         try:
             derived = DERIVE[node.kind](node, inputs, g)
+            # the trace writes each payload as text, and the interpreter
+            # refuses an int of more decimal digits than its limit (0: none);
+            # 10 ** limit has more than 3 * limit bits
+            limit = sys.get_int_max_str_digits()
+            for _, payload in derived:
+                if (limit and isinstance(payload, int) and payload.bit_length() > 3 * limit
+                        and abs(payload) >= 10 ** limit):
+                    raise OverflowError(f"derived integer exceeds {limit} decimal digits")
         except ArithmeticError as err:
             self.sim.trace(self.POOL, "engine_error", {
                 "error": type(err).__name__, "detail": str(err),

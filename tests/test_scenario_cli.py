@@ -469,6 +469,28 @@ def test_agent_arithmetic_fault_becomes_engine_error(tmp_path):
     assert faults == {("OverflowError", "probe")}
 
 
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_derived_integer_too_long_for_text_becomes_engine_error(tmp_path, limit):
+    data = logistics_scenario_data()
+    data["cause_effects"][0]["function"]["table"]["clear"] = 10 ** 4000
+    data["cause_effects"][1]["function"]["a"] = 10 ** 400
+    path = write_scenario(tmp_path, data)
+    out = tmp_path / "run.trace"
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--trace-out", str(out)]) == 0
+        faults = Trace.read(str(out)).find("engine_error")
+    finally:
+        sys.set_int_max_str_digits(default)
+    if limit:
+        assert faults and {(r.payload["error"], r.payload["relation"]) for r in faults} == {
+            ("OverflowError", "etaToFine")}
+    else:
+        assert faults == []
+
+
 # --- run ---------------------------------------------------------------------------
 
 
