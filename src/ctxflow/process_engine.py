@@ -124,10 +124,9 @@ class ProcessEngine:
         self.sim = sim
         self.models = models
         self.deny_principals = set(deny_principals)
-        # (model_id, gate_id) -> [MirrorSpec] emitted when the decision lands;
-        # (model_id, task_name) -> [MirrorSpec] emitted when the task completes
-        self.decision_mirrors: dict[tuple[str, str], list] = {}
-        self.task_mirrors: dict[tuple[str, str], list] = {}
+        # (model_id, "decision:<gate>" | "task:<name>") -> [MirrorSpec], emitted
+        # when the gate's decision lands or when the task completes
+        self.mirrors: dict[tuple[str, str], list] = {}
         self.mirror_emit = mirror_emit or (lambda category, payload: None)
         self.instances: dict[str, ProcessInstance] = {}
         self.pending_starts = 0
@@ -135,14 +134,18 @@ class ProcessEngine:
     def register_mirrors(self, mirrors):
         for spec in mirrors:
             if spec.trigger == "decision":
-                self.decision_mirrors.setdefault(
-                    (spec.model_id, spec.gate_id), []).append(spec)
+                trigger = f"decision:{spec.gate_id}"
             elif spec.trigger.startswith("task:"):
-                task = spec.trigger.split(":", 1)[1]
-                self.task_mirrors.setdefault(
-                    (spec.model_id, task), []).append(spec)
+                trigger = spec.trigger
             else:
                 raise ValueError(f"unknown mirror trigger {spec.trigger!r}")
+            self.mirrors.setdefault((spec.model_id, trigger), []).append(spec)
+
+    def _mirror(self, instance: ProcessInstance, trigger: str):
+        for spec in self.mirrors.get((instance.model_id, trigger), ()):
+            variant = instance.selected_variants.get(spec.gate_id)
+            if variant is not None:
+                self.mirror_emit(spec.category_id, variant)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -252,27 +255,27 @@ class ProcessEngine:
                 self.complete_or_cancel(instance, "Completed")
                 return
             elif isinstance(node, TaskNode):
-                if instance.current_task != node.name:
-                    instance.current_task = node.name
-                    instance.executed.append({
-                        "task": node.name,
-                        "started": self.sim.now,
-                        "finished": None,
-                    })
-                    self.sim.trace(self.POOL, "task_started", {
+                # no task is open: step follows init, a selection, a rollback or a task's end
+                instance.current_task = node.name
+                instance.executed.append({
+                    "task": node.name,
+                    "started": self.sim.now,
+                    "finished": None,
+                })
+                self.sim.trace(self.POOL, "task_started", {
+                    "instance": instance.instance_id,
+                    "task": node.name,
+                    "duration": node.duration,
+                })
+                if node.duration > 0:
+                    self.sim.timer(self.POOL, {
+                        "kind": "task_done",
                         "instance": instance.instance_id,
                         "task": node.name,
-                        "duration": node.duration,
-                    })
-                    if node.duration > 0:
-                        self.sim.timer(self.POOL, {
-                            "kind": "task_done",
-                            "instance": instance.instance_id,
-                            "task": node.name,
-                            "epoch": instance.epoch,
-                        }, self.sim.now + node.duration)
-                        return
-                self._finish_task(instance, node)
+                        "epoch": instance.epoch,
+                    }, self.sim.now + node.duration)
+                    return
+                self._finish_task(instance)
             elif isinstance(node, GateNode):
                 instance.pending_gate = node.gate_id
                 self._set_status(instance, "AwaitingDecision")
@@ -293,19 +296,16 @@ class ProcessEngine:
             else:
                 raise AssertionError(f"unknown node {node!r}")
 
-    def _finish_task(self, instance: ProcessInstance, node: TaskNode):
-        for entry in reversed(instance.executed):
-            if entry["task"] == node.name and entry["finished"] is None:
-                entry["finished"] = self.sim.now
-                break
+    def _finish_task(self, instance: ProcessInstance):
+        # the open task is the last one executed: a task ends only by its own
+        # timer or as a zero-duration pass, and a rollback truncates the list
+        entry = instance.executed[-1]
+        entry["finished"] = self.sim.now
         instance.current_task = None
         self.sim.trace(self.POOL, "task_completed", {
-            "instance": instance.instance_id, "task": node.name,
+            "instance": instance.instance_id, "task": entry["task"],
         })
-        for spec in self.task_mirrors.get((instance.model_id, node.name), []):
-            variant = instance.selected_variants.get(spec.gate_id)
-            if variant is not None:
-                self.mirror_emit(spec.category_id, variant)
+        self._mirror(instance, f"task:{entry['task']}")
         instance.cursor[-1].index += 1
 
     def handle_timer(self, payload: dict):
@@ -321,20 +321,12 @@ class ProcessEngine:
             return
         if payload["epoch"] != instance.epoch or instance.current_task != payload["task"]:
             return  # task was rolled back while the timer was in flight
-        frame = instance.cursor[-1]
-        node = frame.nodes[frame.index]
-        self._finish_task(instance, node)
+        self._finish_task(instance)
         self.step(instance)
 
     # -- decisions --------------------------------------------------------------
 
-    def handle_decision(self, payload: dict):
-        instance = self.instances.get(payload["instance"])
-        if instance is None or instance.status in TERMINAL:
-            self.sim.trace(self.POOL, "decision_dropped", {
-                "instance": payload["instance"], "reason": "not live",
-            })
-            return
+    def handle_decision(self, instance: ProcessInstance, payload: dict):
         action = payload.get("action", {})
         kind = action.get("type")
         if payload.get("evaluation") == "init":
@@ -346,14 +338,12 @@ class ProcessEngine:
                 self._set_status(instance, "Running")
                 self.step(instance)
             return
-        if kind == "continue":
-            return  # nothing changed; the message record is the whole story
         if kind == "select_variant":
             self._apply_select_variant(instance, action)
-            return
-        self.sim.trace(self.POOL, "decision_dropped", {
-            "instance": instance.instance_id, "reason": f"unknown action {kind!r}",
-        })
+        elif kind != "continue":  # a continue leaves the instance as it is
+            self.sim.trace(self.POOL, "decision_dropped", {
+                "instance": instance.instance_id, "reason": f"unknown action {kind!r}",
+            })
 
     def _apply_select_variant(self, instance: ProcessInstance, action: dict):
         gate_id = action["gate"]
@@ -394,38 +384,29 @@ class ProcessEngine:
         if branch:
             instance.cursor.append(Frame(branch, 0))
         self._set_status(instance, "Running")
-        for spec in self.decision_mirrors.get((instance.model_id, gate_id), []):
-            self.mirror_emit(spec.category_id, variant_id)
+        self._mirror(instance, f"decision:{gate_id}")
         self.step(instance)
 
     # -- break / rollback ----------------------------------------------------------
 
-    def handle_break_rollback(self, payload: dict):
-        instance = self.instances.get(payload["instance"])
-        if instance is None or instance.status in TERMINAL:
-            self.sim.trace(self.POOL, "decision_dropped", {
-                "instance": payload["instance"], "reason": "not live",
-            })
-            return
+    def handle_break_rollback(self, instance: ProcessInstance, payload: dict):
+        # "start" is a rollback to an empty checkpoint at the model's first node
         target = payload["target"]
         if target == "start":
-            keep = 0
-            exec_len = 0
+            keep, exec_len = 0, 0
+            cursor = [(self.models[instance.model_id].nodes, 0, False)]
         else:
-            index = None
-            for i in range(len(instance.checkpoints) - 1, -1, -1):
-                if instance.checkpoints[i].gate_id == target:
-                    index = i
-                    break
-            if index is None:
+            keep = max((i + 1 for i, checkpoint in enumerate(instance.checkpoints)
+                        if checkpoint.gate_id == target), default=0)
+            if not keep:
                 self.sim.trace(self.POOL, "engine_error", {
                     "error": "UnknownCheckpoint",
                     "instance": instance.instance_id,
                     "target": target,
                 })
                 return
-            keep = index + 1
-            exec_len = instance.checkpoints[index].exec_len
+            exec_len = instance.checkpoints[keep - 1].exec_len
+            cursor = instance.checkpoints[keep - 1].cursor
         # execution halts; tasks performed after the target are undone in
         # reverse order (trace-only: simulated tasks have no side effects)
         instance.epoch += 1
@@ -439,14 +420,8 @@ class ProcessEngine:
                 "completed": entry["finished"] is not None,
             })
         del instance.executed[exec_len:]
-        if target == "start":
-            instance.cursor = [Frame(self.models[instance.model_id].nodes, 0)]
-            instance.checkpoints = []
-        else:
-            checkpoint = instance.checkpoints[keep - 1]
-            instance.cursor = [Frame(nodes, idx, sub)
-                               for nodes, idx, sub in checkpoint.cursor]
-            instance.checkpoints = instance.checkpoints[:keep]
+        instance.cursor = [Frame(nodes, idx, sub) for nodes, idx, sub in cursor]
+        del instance.checkpoints[keep:]
         self._set_status(instance, "RolledBack")
         self.sim.trace(self.POOL, "rollback_applied", {
             "instance": instance.instance_id,
@@ -462,13 +437,7 @@ class ProcessEngine:
 
     # -- compensation ------------------------------------------------------------
 
-    def handle_start_compensation(self, payload: dict):
-        parent = self.instances.get(payload["instance"])
-        if parent is None or parent.status in TERMINAL:
-            self.sim.trace(self.POOL, "decision_dropped", {
-                "instance": payload["instance"], "reason": "not live",
-            })
-            return
+    def handle_start_compensation(self, parent: ProcessInstance, payload: dict):
         model = self.models[parent.model_id]
         ref = payload["process_ref"]
         comp_model_id = model.compensation_refs.get(ref)
@@ -498,7 +467,13 @@ class ProcessEngine:
     # -- dispatch ------------------------------------------------------------------
 
     def handle_message(self, kind: str, payload: dict):
-        self.HANDLERS[kind](self, payload)
+        instance = self.instances.get(payload["instance"])
+        if instance is None or instance.status in TERMINAL:
+            self.sim.trace(self.POOL, "decision_dropped", {
+                "instance": payload["instance"], "reason": "not live",
+            })
+            return
+        self.HANDLERS[kind](self, instance, payload)
 
     # exactly the kinds CHANNELS delivers to the process pool
     HANDLERS = {

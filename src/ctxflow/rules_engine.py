@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .errors import MissingContext, StaleContext
 from .rule_dsl import (
     BreakRollback,
-    Continue,
     Rule,
     SelectVariant,
     StartCompensation,
@@ -256,7 +255,7 @@ class RulesEngine:
             self.sim.trace(self.POOL, "rule_skipped", {
                 "instance": binding.instance_id, "gate": gate, **skip,
             })
-        decision = self._decision_payload(outcome, gate, evaluation, default)
+        decision, messages = self._decide(outcome, gate, evaluation, default)
         self.records.setdefault(binding.instance_id, {})[gate] = EvaluationRecord(
             gate_id=gate, used_context=outcome.used_context)
         self.sim.trace(self.POOL, "gate_evaluated", {
@@ -267,60 +266,48 @@ class RulesEngine:
             "decision": decision,
             "used": {c: env[c][1] for c in sorted(outcome.used_context)},
         })
-        self._issue(binding, gate, evaluation, outcome, decision)
-
-    def _decision_payload(self, outcome: GateOutcome, gate: str,
-                          evaluation: str, default: str | None) -> dict:
-        action = outcome.action
-        if isinstance(action, SelectVariant):
-            if evaluation == "re_evaluation":
-                # a variant choice cannot be revised in flight; switching
-                # takes an explicit rollback rule
-                return {"type": "continue"}
-            return {"type": "select_variant", "gate": action.gate_id,
-                    "variant": action.variant_id}
-        if isinstance(action, Continue):
-            if evaluation == "native" and default is not None:
-                # the gate still needs a branch; fall back to the default
-                return {"type": "select_variant", "gate": gate, "variant": default}
-            return {"type": "continue"}
-        if isinstance(action, BreakRollback):
-            target = action.target if action.target is not None else gate
-            return {"type": "break_rollback", "target": target}
-        assert isinstance(action, StartCompensation)
-        return {"type": "start_compensation", "process_ref": action.process_ref}
-
-    def _issue(self, binding: Binding, gate: str, evaluation: str,
-               outcome: GateOutcome, decision: dict):
-        def send(kind: str, fields: dict):
+        for kind, fields in messages:
             self.sim.send(self.POOL, "process", kind, {
                 "instance": binding.instance_id,
                 "fired_rule": outcome.fired_rule,
                 **fields,
             })
 
-        kind = decision["type"]
-        if kind == "break_rollback":
-            send("BreakRollback", {"target": decision["target"], "disposition": "resume"})
-            return
-        if kind == "start_compensation":
-            send("StartCompensation", {"process_ref": decision["process_ref"]})
+    @staticmethod
+    def _decide(outcome: GateOutcome, gate: str, evaluation: str,
+                default: str | None) -> tuple[dict, list]:
+        """The decision ``gate_evaluated`` records, and the (kind, fields) messages it sends."""
+        action = outcome.action
+        fallback = (None if default is None
+                    else {"type": "select_variant", "gate": gate, "variant": default})
+        if isinstance(action, BreakRollback):
+            target = action.target if action.target is not None else gate
+            return ({"type": "break_rollback", "target": target},
+                    [("BreakRollback", {"target": target, "disposition": "resume"})])
+        if isinstance(action, StartCompensation):
+            messages = [("StartCompensation", {"process_ref": action.process_ref})]
             if evaluation == "re_evaluation":
                 # the context change invalidated the running plan: recall it
                 # (break + rollback to start) and hand over to the child
-                send("BreakRollback", {"target": "start", "disposition": "cancel"})
-                return
-            # natively started compensation runs alongside; the gate
-            # still selects its default branch so the parent continues
-            default = self.gate_defaults.get((binding.process_model_id, gate))
-            if default is None:
-                return
-            decision = {"type": "select_variant", "gate": gate, "variant": default}
-        elif evaluation == "re_evaluation":
-            # re-evaluation continue: process execution proceeds as if
-            # nothing happened; the gate_evaluated record is the only effect
-            return
-        send("Decision", {"gate": gate, "evaluation": evaluation, "action": decision})
+                messages.append(("BreakRollback", {"target": "start", "disposition": "cancel"}))
+            elif fallback is not None:
+                # natively started compensation runs alongside; the gate
+                # still selects its default branch so the parent continues
+                messages.append(("Decision", {"gate": gate, "evaluation": evaluation,
+                                              "action": fallback}))
+            return {"type": "start_compensation", "process_ref": action.process_ref}, messages
+        if evaluation == "re_evaluation":
+            # a variant choice cannot be revised in flight (switching takes a
+            # rollback rule), and a continue changes nothing: the record is all
+            return {"type": "continue"}, []
+        if isinstance(action, SelectVariant):
+            decision = {"type": "select_variant", "gate": action.gate_id,
+                        "variant": action.variant_id}
+        else:
+            # a native continue: the gate still needs a branch, so the default
+            decision = fallback or {"type": "continue"}
+        return decision, [("Decision", {"gate": gate, "evaluation": evaluation,
+                                        "action": decision})]
 
     # -- context change path ---------------------------------------------------------
 

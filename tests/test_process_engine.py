@@ -63,8 +63,8 @@ def drive_timers(engine, sim, until_tick):
 
 def started(engine, sim, instance="p1"):
     engine.start_instance(instance, "m", "dispatcher-7")
-    engine.handle_decision({"instance": instance, "evaluation": "init",
-                            "action": {"type": "continue"}})
+    engine.handle_message("Decision", {"instance": instance, "evaluation": "init",
+                                       "action": {"type": "continue"}})
     return engine.instances[instance]
 
 
@@ -119,7 +119,7 @@ def test_full_run_to_completion():
     engine = make_engine(sim)
     instance = started(engine, sim)
     drive_timers(engine, sim, 2)
-    engine.handle_decision({
+    engine.handle_message("Decision", {
         "instance": "p1", "evaluation": "native",
         "action": {"type": "select_variant", "gate": "g", "variant": "fast"},
     })
@@ -135,7 +135,7 @@ def test_decision_applies_checkpoint_and_branch():
     engine = make_engine(sim)
     instance = started(engine, sim)
     drive_timers(engine, sim, 2)
-    engine.handle_decision({
+    engine.handle_message("Decision", {
         "instance": "p1", "evaluation": "native",
         "action": {"type": "select_variant", "gate": "g", "variant": "slow"},
     })
@@ -148,7 +148,7 @@ def test_unexpected_decision_traced_not_applied():
     sim = FakeSim()
     engine = make_engine(sim)
     instance = started(engine, sim)
-    engine.handle_decision({
+    engine.handle_message("Decision", {
         "instance": "p1", "evaluation": "native",
         "action": {"type": "select_variant", "gate": "g", "variant": "slow"},
     })
@@ -161,7 +161,7 @@ def test_continue_decision_changes_nothing():
     engine = make_engine(sim)
     instance = started(engine, sim)
     before = (instance.status, instance.current_task)
-    engine.handle_decision({
+    engine.handle_message("Decision", {
         "instance": "p1", "evaluation": "re_evaluation",
         "action": {"type": "continue"},
     })
@@ -175,8 +175,8 @@ def test_subprocess_runs_inline():
     ])
     engine = ProcessEngine(sim, {"m": model, "m2": tiny_model()})
     engine.start_instance("p1", "m", "u")
-    engine.handle_decision({"instance": "p1", "evaluation": "init",
-                            "action": {"type": "continue"}})
+    engine.handle_message("Decision", {"instance": "p1", "evaluation": "init",
+                                       "action": {"type": "continue"}})
     assert sim.records("subprocess_entered")
     drive_timers(engine, sim, 10)
     assert engine.instances["p1"].status == "Completed"
@@ -190,7 +190,7 @@ def test_subprocess_runs_inline():
 def rolled_instance(sim, engine):
     instance = started(engine, sim)
     drive_timers(engine, sim, 2)
-    engine.handle_decision({
+    engine.handle_message("Decision", {
         "instance": "p1", "evaluation": "native",
         "action": {"type": "select_variant", "gate": "g", "variant": "slow"},
     })
@@ -202,8 +202,8 @@ def test_rollback_to_start_recalls_everything():
     engine = make_engine(sim)
     instance = rolled_instance(sim, engine)
     sim.tick = 4
-    engine.handle_break_rollback({"instance": "p1", "target": "start",
-                                  "disposition": "resume"})
+    engine.handle_message("BreakRollback", {"instance": "p1", "target": "start",
+                                            "disposition": "resume"})
     undone = [r.payload["task"] for r in sim.records("task_undone")]
     assert undone == ["haul", "prepare"]  # reverse execution order
     assert instance.checkpoints == []
@@ -220,8 +220,8 @@ def test_rollback_to_recent_gate_undoes_suffix_only():
     engine = make_engine(sim)
     instance = rolled_instance(sim, engine)
     sim.tick = 4
-    engine.handle_break_rollback({"instance": "p1", "target": "g",
-                                  "disposition": "resume"})
+    engine.handle_message("BreakRollback", {"instance": "p1", "target": "g",
+                                            "disposition": "resume"})
     undone = [r.payload["task"] for r in sim.records("task_undone")]
     assert undone == ["haul"]
     assert [c.gate_id for c in instance.checkpoints] == ["g"]
@@ -237,8 +237,8 @@ def test_rollback_keeps_checkpoint_prefix():
     instance = rolled_instance(sim, engine)
     pre = [c.gate_id for c in instance.checkpoints]
     sim.tick = 4
-    engine.handle_break_rollback({"instance": "p1", "target": "g",
-                                  "disposition": "resume"})
+    engine.handle_message("BreakRollback", {"instance": "p1", "target": "g",
+                                            "disposition": "resume"})
     post = [c.gate_id for c in instance.checkpoints]
     assert post == pre[: len(post)]
     assert post and post[-1] == "g"
@@ -248,8 +248,8 @@ def test_rollback_to_unknown_gate_is_an_error():
     sim = FakeSim()
     engine = make_engine(sim)
     rolled_instance(sim, engine)
-    engine.handle_break_rollback({"instance": "p1", "target": "nope",
-                                  "disposition": "resume"})
+    engine.handle_message("BreakRollback", {"instance": "p1", "target": "nope",
+                                            "disposition": "resume"})
     errors = sim.records("engine_error")
     assert errors[-1].payload["error"] == "UnknownCheckpoint"
 
@@ -259,8 +259,8 @@ def test_stale_task_timer_after_rollback_is_discarded():
     engine = make_engine(sim)
     instance = rolled_instance(sim, engine)
     stale = [t for t in sim.timers if t[1].get("task") == "haul"]
-    engine.handle_break_rollback({"instance": "p1", "target": "start",
-                                  "disposition": "resume"})
+    engine.handle_message("BreakRollback", {"instance": "p1", "target": "start",
+                                            "disposition": "resume"})
     for _, payload, _ in stale:
         engine.handle_timer(payload)
     assert instance.current_task == "prepare"  # haul completion was ignored
@@ -270,8 +270,8 @@ def test_cancel_disposition_ends_instance():
     sim = FakeSim()
     engine = make_engine(sim)
     instance = rolled_instance(sim, engine)
-    engine.handle_break_rollback({"instance": "p1", "target": "start",
-                                  "disposition": "cancel"})
+    engine.handle_message("BreakRollback", {"instance": "p1", "target": "start",
+                                            "disposition": "cancel"})
     assert instance.status == "Cancelled"
     assert [k for (_, _, k, _) in sim.sent if k == "ProcessCancelled"]
 
@@ -284,7 +284,7 @@ def test_compensation_spawns_child_with_context_copy():
     engine = make_engine(sim)
     parent = rolled_instance(sim, engine)
     sim.sent.clear()
-    engine.handle_start_compensation({"instance": "p1", "process_ref": "redo"})
+    engine.handle_message("StartCompensation", {"instance": "p1", "process_ref": "redo"})
     child = engine.instances["p1.comp1"]
     assert child.parent == "p1"
     assert child.model_id == "m2"
@@ -304,11 +304,11 @@ def test_compensation_of_compensation_chains():
     )}
     engine = ProcessEngine(sim, models)
     rolled_instance(sim, engine)
-    engine.handle_start_compensation({"instance": "p1", "process_ref": "redo"})
-    engine.handle_decision({"instance": "p1.comp1", "evaluation": "init",
-                            "action": {"type": "continue"}})
-    engine.handle_start_compensation({"instance": "p1.comp1",
-                                      "process_ref": "again"})
+    engine.handle_message("StartCompensation", {"instance": "p1", "process_ref": "redo"})
+    engine.handle_message("Decision", {"instance": "p1.comp1", "evaluation": "init",
+                                       "action": {"type": "continue"}})
+    engine.handle_message("StartCompensation", {"instance": "p1.comp1",
+                                                "process_ref": "again"})
     grandchild = engine.instances["p1.comp1.comp1"]
     assert grandchild.parent == "p1.comp1"
     chain = 0
@@ -323,7 +323,7 @@ def test_unknown_compensation_ref_is_error():
     sim = FakeSim()
     engine = make_engine(sim)
     rolled_instance(sim, engine)
-    engine.handle_start_compensation({"instance": "p1", "process_ref": "nope"})
+    engine.handle_message("StartCompensation", {"instance": "p1", "process_ref": "nope"})
     assert sim.records("engine_error")[-1].payload["error"] == "UnknownCompensationModel"
 
 
@@ -346,7 +346,7 @@ def test_late_decision_after_terminal_dropped():
     engine = make_engine(sim)
     instance = started(engine, sim)
     engine.complete_or_cancel(instance, "Cancelled")
-    engine.handle_decision({
+    engine.handle_message("Decision", {
         "instance": "p1", "evaluation": "native",
         "action": {"type": "select_variant", "gate": "g", "variant": "slow"},
     })
