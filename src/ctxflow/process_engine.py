@@ -255,7 +255,7 @@ class ProcessEngine:
                 self.complete_or_cancel(instance, "Completed")
                 return
             elif isinstance(node, TaskNode):
-                # no task is open: step follows init, a selection, a rollback or a task's end
+                # step never runs while a task is open
                 instance.current_task = node.name
                 instance.executed.append({
                     "task": node.name,

@@ -276,7 +276,7 @@ class RulesEngine:
     @staticmethod
     def _decide(outcome: GateOutcome, gate: str, evaluation: str,
                 default: str | None) -> tuple[dict, list]:
-        """The decision ``gate_evaluated`` records, and the (kind, fields) messages it sends."""
+        """The recorded decision, and the (kind, fields) messages that carry it."""
         action = outcome.action
         fallback = (None if default is None
                     else {"type": "select_variant", "gate": gate, "variant": default})

@@ -411,3 +411,9 @@ def test_zero_duration_task_completes_in_its_tick():
     undone = [(r.payload["task"], r.payload["completed"])
               for r in sim.records("task_undone")]
     assert undone == [("deliver", False), ("stamp", True), ("fly", True)]
+
+
+def test_unknown_mirror_trigger_is_rejected():
+    engine = make_engine(FakeSim())
+    with pytest.raises(ValueError, match="unknown mirror trigger"):
+        engine.register_mirrors([MirrorSpec("m", "g", "shippingMethod", "decision:g")])
