@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ForbiddenRoute
-from .sources import ScriptedSource, advance, respond_poll
 from .trace import Trace
 
 # the architecture's conversation table: (sender, receiver) -> the kinds
@@ -35,37 +34,26 @@ DEFAULT_MAX_STEPS = 100_000
 
 @dataclass
 class LatencyConfig:
+    """A scenario's latency: ``channels`` maps ``"sender->receiver"`` to ticks."""
+
     default: int = 1
     channels: dict = field(default_factory=dict)
     jitter: int = 0
 
-    def for_channel(self, sender: str, receiver: str, rng: random.Random) -> int:
-        base = self.channels.get(f"{sender}->{receiver}", self.default)
-        if self.jitter > 0:
-            base += rng.randint(0, self.jitter)
-        return max(1, base)
-
-
-class SimClock:
-    """Logical tick counter; never decreases."""
-
-    def __init__(self):
-        self.tick = 0
-
-    def advance_to(self, tick: int):
-        if tick < self.tick:
-            raise AssertionError(f"clock moved backwards: {self.tick} -> {tick}")
-        self.tick = tick
-
 
 class Simulation:
-    """Owns the event queue, the clock, the seeded RNG and the trace."""
+    """Owns the event queue, the clock, the channel table, the seeded RNG and the trace."""
 
     def __init__(self, seed: int = 0, latency: LatencyConfig | None = None,
                  max_steps: int = DEFAULT_MAX_STEPS):
-        self.clock = SimClock()
+        latency = latency or LatencyConfig()
+        self.now = 0  # the tick of the entry being handled; never decreases
         self.rng = random.Random(seed)
-        self.latency = latency or LatencyConfig()
+        self.jitter = latency.jitter
+        # (sender, receiver) -> (the kinds that channel carries, its base latency)
+        self.channels = {
+            pair: (kinds, latency.channels.get("->".join(pair), latency.default))
+            for pair, kinds in CHANNELS.items()}
         self.max_steps = max_steps
         self.trace_log = Trace()
         self.handlers = {}   # pool -> handle_message(kind, payload)
@@ -79,37 +67,37 @@ class Simulation:
         self.truncated = False
         self.is_quiescent = lambda: False
 
-    @property
-    def now(self) -> int:
-        return self.clock.tick
-
     def register_pool(self, pool: str, handler, timer_handler=None):
         self.handlers[pool] = handler
         if timer_handler is not None:
             self.timer_handlers[pool] = timer_handler
 
-    def route(self, sender: str, receiver: str, kind: str):
-        """Reject any kind the channel sender -> receiver does not carry."""
-        if kind not in CHANNELS.get((sender, receiver), ()):
+    def route(self, sender: str, receiver: str, kind: str) -> int:
+        """The base latency of channel sender -> receiver; reject a kind it does not carry."""
+        kinds, base = self.channels.get((sender, receiver), ((), 0))
+        if kind not in kinds:
             raise ForbiddenRoute(f"{sender} -> {receiver} does not carry {kind!r}")
+        return base
 
     def send(self, sender: str, receiver: str, kind: str, payload: dict):
-        self.route(sender, receiver, kind)
+        latency = self.route(sender, receiver, kind)
+        if self.jitter > 0:
+            latency += self.rng.randint(0, self.jitter)
         seq = self._next_seq
         self._next_seq += 1
-        now = self.clock.tick
-        deliver = now + self.latency.for_channel(sender, receiver, self.rng)
-        heapq.heappush(self._queue, (deliver, seq, receiver, kind, payload, sender, now))
+        now = self.now
+        heapq.heappush(self._queue, (now + max(1, latency), seq, receiver, kind, payload,
+                                     sender, now))
         self._messages_in_flight += 1
 
     def timer(self, pool: str, payload: dict, at_tick: int):
         seq = self._next_seq
         self._next_seq += 1
-        heapq.heappush(self._queue, (max(at_tick, self.clock.tick), seq, pool, None,
+        heapq.heappush(self._queue, (max(at_tick, self.now), seq, pool, None,
                                      payload, None, None))
 
     def trace(self, pool: str, kind: str, payload: dict):
-        self.trace_log.emit(self.clock.tick, pool, kind, payload)
+        self.trace_log.emit(self.now, pool, kind, payload)
 
     def run(self) -> Trace:
         steps = 0
@@ -122,7 +110,9 @@ class Simulation:
                 self.trace("context", "run_truncated", {"max_steps": self.max_steps})
                 break
             tick, seq, pool, kind, payload, sender, sent = heapq.heappop(self._queue)
-            self.clock.advance_to(tick)
+            if tick < self.now:
+                raise AssertionError(f"clock moved backwards: {self.now} -> {tick}")
+            self.now = tick
             if kind is not None:
                 self._messages_in_flight -= 1
                 self.trace(sender, kind, {
@@ -139,57 +129,3 @@ class Simulation:
                 if handler is not None:
                     handler(payload)
         return self.trace_log
-
-
-class ExternalSystems:
-    """Pool of scripted sources answering polls and pushing events."""
-
-    POOL = "external"
-
-    def __init__(self, sim: Simulation, sources: dict[str, ScriptedSource]):
-        self.sim = sim
-        self.sources = sources
-
-    def schedule_timeline(self):
-        for source in self.sources.values():
-            ticks = sorted({entry.tick for entry in source.timeline})
-            for tick in ticks:
-                self.sim.timer(self.POOL, {"source": source.source_id, "at": tick}, tick)
-
-    def handle_timer(self, payload: dict):
-        source = self.sources[payload["source"]]
-        for event in advance(source, payload["at"]):
-            self.sim.send(self.POOL, "context", "SourceEvent", event)
-
-    def handle_message(self, kind: str, payload: dict):
-        """Answer a PollRequest, the one kind CHANNELS delivers here."""
-        source = self.sources.get(payload["source"])
-        if source is None:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": "UnknownSource", "detail": payload["source"],
-            })
-            return
-        response = respond_poll(source, payload["categories"], self.sim.now)
-        reply = {
-            "source": response["source_id"],
-            "values": response["values"],
-            "absent": response["absent"],
-            "purpose": payload.get("purpose", "refresh"),
-        }
-        for key in ("instance", "model"):
-            if key in payload:
-                reply[key] = payload[key]
-        self.sim.send(self.POOL, "context", "PollResponse", reply)
-
-    def emit_mirror(self, category_id: str, payload):
-        """The BPM system acting as an external context source."""
-        for source in self.sources.values():
-            if category_id in source.descriptor.provided_categories and source.mirrors:
-                source.record_mirror(category_id, payload)
-                self.sim.send(self.POOL, "context", "SourceEvent", {
-                    "source_id": source.source_id,
-                    "category_id": category_id,
-                    "payload": payload,
-                    "ts": self.sim.now,
-                })
-                return

@@ -13,12 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
-from .choreography import (
-    DEFAULT_MAX_STEPS,
-    ExternalSystems,
-    LatencyConfig,
-    Simulation,
-)
+from .choreography import DEFAULT_MAX_STEPS, LatencyConfig, Simulation
 from .context_engine import (
     DEFAULT_POLL_BUDGET,
     REDUCERS,
@@ -62,7 +57,14 @@ from .rule_dsl import (
     value_kind,
 )
 from .rules_engine import RulesEngine
-from .sources import SOURCE_MODES, MirrorSpec, ScriptedSource, SourceDescriptor, TimelineEntry
+from .sources import (
+    SOURCE_MODES,
+    ExternalSystems,
+    MirrorSpec,
+    ScriptedSource,
+    SourceDescriptor,
+    TimelineEntry,
+)
 
 
 @dataclass

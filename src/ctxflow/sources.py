@@ -1,10 +1,10 @@
-"""Scripted stand-ins for external systems (weather, traffic, ERP, BPM).
+"""The external systems pool and its scripted sources (weather, traffic, ERP, BPM).
 
 A source either pushes timeline entries at fixed ticks or answers polls
 from a piecewise-constant schedule.  Responses are pure functions of
 (script, tick).  The one exception is the BPM mirror source, whose
 answers reflect decisions the process engine has taken so far; the
-choreography feeds those in deterministically.
+process engine feeds those in deterministically through ``emit_mirror``.
 """
 
 from __future__ import annotations
@@ -67,18 +67,21 @@ class ScriptedSource:
     poll_table: dict[str, list[tuple[int, object]]] = field(default_factory=dict)
     mirrors: list[MirrorSpec] = field(default_factory=list)
     mirror_state: dict[str, object] = field(default_factory=dict)
+    due: dict[int, list[TimelineEntry]] = field(init=False, repr=False)  # tick -> entries
 
     def __post_init__(self):
         ticks = [entry.tick for entry in self.timeline]
         if ticks != sorted(ticks):
             raise ValueError("timeline ticks must be non-decreasing")
         provided = set(self.descriptor.provided_categories)
+        self.due = {}
         for entry in self.timeline:
             if entry.category_id not in provided:
                 raise ValueError(
                     f"timeline entry for {entry.category_id!r} outside the "
                     f"provided set of source {self.descriptor.source_id!r}"
                 )
+            self.due.setdefault(entry.tick, []).append(entry)
         for category in self.poll_table:
             if category not in provided:
                 raise ValueError(
@@ -90,22 +93,11 @@ class ScriptedSource:
     def source_id(self) -> str:
         return self.descriptor.source_id
 
-    def record_mirror(self, category_id: str, payload):
-        self.mirror_state[category_id] = payload
-
 
 def advance(source: ScriptedSource, now: int) -> list[dict]:
     """Timeline entries due exactly at ``now``, as source-event payloads."""
-    events = []
-    for entry in source.timeline:
-        if entry.tick == now:
-            events.append({
-                "source_id": source.source_id,
-                "category_id": entry.category_id,
-                "payload": entry.payload,
-                "ts": now,
-            })
-    return events
+    return [{"source_id": source.source_id, "category_id": entry.category_id,
+             "payload": entry.payload, "ts": now} for entry in source.due.get(now, ())]
 
 
 def respond_poll(source: ScriptedSource, categories, now: int) -> dict:
@@ -128,7 +120,7 @@ def respond_poll(source: ScriptedSource, categories, now: int) -> dict:
             "reliability": source.descriptor.reliability,
             "cost": source.descriptor.cost_per_value,
         })
-    return {"source_id": source.source_id, "values": values, "absent": absent}
+    return {"source": source.source_id, "values": values, "absent": absent}
 
 
 _MISSING = object()
@@ -148,3 +140,51 @@ def _scheduled_value(source: ScriptedSource, category: str, now: int):
     if category in source.mirror_state:
         return source.mirror_state[category]
     return _MISSING
+
+
+class ExternalSystems:
+    """Pool of scripted sources answering polls and pushing events."""
+
+    POOL = "external"
+
+    def __init__(self, sim, sources: dict[str, ScriptedSource]):
+        self.sim = sim
+        self.sources = sources
+
+    def schedule_timeline(self):
+        for source in self.sources.values():
+            for tick in source.due:  # ascending: the timeline is sorted
+                self.sim.timer(self.POOL, {"source": source.source_id, "at": tick}, tick)
+
+    def handle_timer(self, payload: dict):
+        source = self.sources[payload["source"]]
+        for event in advance(source, payload["at"]):
+            self.sim.send(self.POOL, "context", "SourceEvent", event)
+
+    def handle_message(self, kind: str, payload: dict):
+        """Answer a PollRequest, the one kind CHANNELS delivers here."""
+        source = self.sources.get(payload["source"])
+        if source is None:
+            self.sim.trace(self.POOL, "engine_error", {
+                "error": "UnknownSource", "detail": payload["source"],
+            })
+            return
+        reply = respond_poll(source, payload["categories"], self.sim.now)
+        reply["purpose"] = payload.get("purpose", "refresh")
+        for key in ("instance", "model"):
+            if key in payload:
+                reply[key] = payload[key]
+        self.sim.send(self.POOL, "context", "PollResponse", reply)
+
+    def emit_mirror(self, category_id: str, payload):
+        """The BPM system acting as an external context source."""
+        for source in self.sources.values():
+            if category_id in source.descriptor.provided_categories and source.mirrors:
+                source.mirror_state[category_id] = payload
+                self.sim.send(self.POOL, "context", "SourceEvent", {
+                    "source_id": source.source_id,
+                    "category_id": category_id,
+                    "payload": payload,
+                    "ts": self.sim.now,
+                })
+                return

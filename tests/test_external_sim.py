@@ -104,6 +104,6 @@ def test_mirror_state_answers_polls():
     )
     before = respond_poll(source, ["shippingMethod"], 3)
     assert before["absent"] == ["shippingMethod"]
-    source.record_mirror("shippingMethod", "truck")
+    source.mirror_state["shippingMethod"] = "truck"
     after = respond_poll(source, ["shippingMethod"], 4)
     assert after["values"][0]["payload"] == "truck"
