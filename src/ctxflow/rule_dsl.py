@@ -254,7 +254,7 @@ class _Parser:
                 self.fail("fresh() takes a non-negative integer age")
             self.next()
             self.expect_punct(")")
-            return Fresh(name, int(age_token.text))
+            return Fresh(name, self.integer(age_token))
         left = self.parse_operand()
         op_token = self.peek()
         if op_token.kind != "op":
@@ -278,7 +278,7 @@ class _Parser:
             self.next()
             if "." in token.text:
                 return Num(float(token.text))
-            return Num(int(token.text))
+            return Num(self.integer(token))
         if token.kind == "string":
             self.next()
             return Str(_unquote(token.text))
@@ -288,6 +288,12 @@ class _Parser:
             self.next()
             return Ref(token.text)
         self.fail(f"expected an operand, found {token.text or 'end of input'!r}")
+
+    def integer(self, token: _Token) -> int:
+        try:
+            return int(token.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            self.fail(f"number literal of {len(token.text)} characters is too long", token)
 
     def parse_plain_ident(self, what: str) -> str:
         token = self.peek()

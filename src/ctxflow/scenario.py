@@ -10,10 +10,11 @@ wires the four pools together and returns a runnable simulation.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
-from .choreography import DEFAULT_MAX_STEPS, LatencyConfig, Simulation
+from .choreography import CHANNELS, DEFAULT_MAX_STEPS, LatencyConfig, Simulation
 from .context_engine import (
     DEFAULT_POLL_BUDGET,
     REDUCERS,
@@ -107,7 +108,10 @@ def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
     doc = SCENARIO.walk(data, "", "", "scenario-invalid", bad)
     if doc is _BAD:
         return Scenario(), violations
-    limits, staleness = doc["limits"], doc["staleness"]
+    limits, staleness, channels = doc["limits"], doc["staleness"], doc["latency"]["channels"]
+    for key in [key for key in channels if tuple(key.split("->")) not in CHANNELS]:
+        bad("latency-invalid", f"latency.channels[{key}]", "names none of the six channels")
+        del channels[key]
     scenario = Scenario(
         seed=doc["seed"], max_steps=limits["max_steps"], poll_budget=limits["poll_budget"],
         max_config_steps=limits["max_config_steps"], history_limit=limits["history"],
@@ -120,6 +124,10 @@ def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
         parse(doc, scenario, bad)
     _bind_rules(scenario, bad)
     return scenario, violations
+
+
+# the id a compensation child gets: its parent's id, ".comp", its number from 1
+_COMP_CHILD = re.compile(r"(.+)\.comp[1-9][0-9]*")
 
 
 # --- the shape table -------------------------------------------------------------
@@ -639,6 +647,14 @@ def _check_instances(doc, scenario, bad):
             if instance_id in seen:
                 bad("instance-duplicate", instance_id, "duplicate instance id")
             seen.add(instance_id)
+    for instance_id in starts:
+        head = instance_id
+        while match := _COMP_CHILD.fullmatch(head):
+            head = match[1]
+            if head in starts:
+                bad("instance-reserved-id", instance_id,
+                    f"a compensation child of {head!r} takes this id")
+                break
     if not set(map(itemgetter("model"), instances)) <= models.keys():
         for start in instances:
             if start["model"] not in models:

@@ -101,15 +101,19 @@ def advance(source: ScriptedSource, now: int) -> list[dict]:
 
 
 def respond_poll(source: ScriptedSource, categories, now: int) -> dict:
-    """Current schedule values at ``now``; unknown categories are flagged."""
+    """Current schedule values at ``now``; a category without one is absent.
+
+    The schedule holds only provided categories, and so does the mirror
+    state, which answers where the schedule has no entry at or before ``now``.
+    """
     values = []
     absent = []
-    provided = set(source.descriptor.provided_categories)
     for category in categories:
-        if category not in provided:
-            absent.append(category)
-            continue
-        payload = _scheduled_value(source, category, now)
+        payload = source.mirror_state.get(category, _MISSING)
+        for tick, scheduled in source.poll_table.get(category, ()):
+            if tick > now:
+                break
+            payload = scheduled
         if payload is _MISSING:
             absent.append(category)
             continue
@@ -124,22 +128,6 @@ def respond_poll(source: ScriptedSource, categories, now: int) -> dict:
 
 
 _MISSING = object()
-
-
-def _scheduled_value(source: ScriptedSource, category: str, now: int):
-    schedule = source.poll_table.get(category)
-    if schedule:
-        current = _MISSING
-        for tick, payload in schedule:
-            if tick <= now:
-                current = payload
-            else:
-                break
-        if current is not _MISSING:
-            return current
-    if category in source.mirror_state:
-        return source.mirror_state[category]
-    return _MISSING
 
 
 class ExternalSystems:

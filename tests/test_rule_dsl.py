@@ -104,6 +104,19 @@ def test_type_errors_rejected_at_parse():
     parse_rule('RULE t WHEN "a" == "b" THEN continue END')
 
 
+LONG_LITERAL = "9" * 5000  # more digits than the interpreter converts by default
+
+
+@pytest.mark.parametrize("condition", [
+    f"eta < {LONG_LITERAL}",
+    f"fresh(eta, {LONG_LITERAL})",
+], ids=["operand", "fresh-age"])
+def test_number_literal_too_long_is_a_syntax_error(condition):
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rule(f"RULE t\nWHEN {condition}\nTHEN continue\nEND")
+    assert (err.value.line, err.value.column) == (2, condition.index("9") + 6)
+
+
 def test_trailing_garbage_rejected():
     with pytest.raises(RuleSyntaxError):
         parse_rule("RULE t WHEN 1 < 2 THEN continue END END")
@@ -126,6 +139,27 @@ def test_evaluation_fresh_predicate():
     cond = parse_rule("RULE t WHEN fresh(weather, 5) THEN continue END").condition
     assert evaluate_condition(cond, {"weather": ("clear", 10)}, now=12) is True
     assert evaluate_condition(cond, {"weather": ("clear", 10)}, now=16) is False
+
+
+@pytest.mark.parametrize("condition, env, expected", [
+    ("eta < 5 OR weather == \"storm\"", {"eta": (9, 0), "weather": ("storm", 0)}, True),
+    ("eta < 5 OR weather == \"storm\"", {"eta": (9, 0), "weather": ("clear", 0)}, False),
+    ("eta < 5 OR weather == \"storm\"", {"eta": (3, 0)}, True),  # stops at the first true term
+    ("NOT eta < 5", {"eta": (3, 0)}, False),
+    ("NOT eta < 5", {"eta": (9, 0)}, True),
+    ("NOT fresh(eta, 2)", {"eta": (9, 0)}, True),
+    ("fresh(eta, 2) OR weather == \"storm\"", {"eta": (9, 9), "weather": ("clear", 0)}, True),
+    ("fresh(eta, 2)", {"eta": (9, 0), "weather": ("clear", 10)}, False),
+    ("fresh(eta, 2)", {"weather": ("clear", 10)}, MissingContext),
+    ("NOT fresh(eta, 2)", {}, MissingContext),
+])
+def test_evaluation_of_or_not_and_fresh(condition, env, expected):
+    cond = parse_rule(f"RULE t WHEN {condition} THEN continue END").condition
+    if expected is MissingContext:
+        with pytest.raises(MissingContext):
+            evaluate_condition(cond, env, now=10)
+    else:
+        assert evaluate_condition(cond, env, now=10) is expected
 
 
 def test_evaluation_missing_reference():

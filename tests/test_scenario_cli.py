@@ -279,6 +279,13 @@ def short_timeline_entry(data):
     return data
 
 
+def change_source(**fields):
+    def change(data):
+        data["sources"][0].update(fields)  # weatherService, a poll source
+        return data
+    return change
+
+
 # each row once raised out of parse_scenario, validated clean and then raised
 # during the run, or validated clean and ran wrong
 MALFORMED = {
@@ -317,6 +324,13 @@ MALFORMED = {
     "subprocess-loop-of-two": (with_subprocess("spare_part_delivery",
                                                "spare_part_delivery_comp"),
                                "model-subprocess-cycle"),
+    "latency-of-no-channel": (set_section("latency", {"channels": {"process->context": 5}}),
+                              "latency-invalid"),
+    "rule-literal-too-long": (change_rule("< estimatedDeliveryTime", "< " + "9" * 5000),
+                              "rule-parse-error"),
+    "source-reliability-above-one": (change_source(reliability=1.5), "source-invalid"),
+    "source-poll-interval-zero": (change_source(interval=0), "source-invalid"),
+    "source-cost-negative": (change_source(cost=-1), "source-invalid"),
 }
 
 
@@ -346,6 +360,13 @@ def late_share(data):
     data["instances"].append({"id": "p2", "model": "spare_part_delivery", "share_with": "p1"})
 
 
+def declare_instance(instance_id):
+    def edit(data):
+        data["instances"].append({"id": instance_id, "model": "spare_part_delivery",
+                                  "principal": "dispatcher-7", "start_tick": 30})
+    return edit
+
+
 # each row is a section cross-check no other test reaches
 CROSS_CHECKS = {
     "catalog-duplicate": edited(lambda data: data["catalog"].append(data["catalog"][3])),
@@ -361,6 +382,10 @@ CROSS_CHECKS = {
     "instance-unknown-share": edited(lambda data: data["instances"][0].update(
         share_with="nobody")),
     "instance-share-order": edited(late_share),
+    "instance-reserved-id": edited(declare_instance("p1.comp1")),
+    "UnknownActionTarget": change_rule("selectVariant(shipping, truck)", "rollback(nowhere)"),
+    "master-missing-parent": edited(lambda data: data["masters"][0]["categories"].remove(
+        "geospatial")),
 }
 
 
@@ -373,6 +398,18 @@ def test_malformed_document_is_a_violation(tmp_path, capsys, change, code):
     assert code in [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     with pytest.raises(ScenarioParseError):
         run_scenario_data(data)
+
+
+@pytest.mark.parametrize("instance_id, reserved", [
+    ("p1.comp1", True), ("p1.comp2.comp1", True), ("p1.comp12", True),
+    ("p1.comp0", False), ("p1.comp", False), ("p1.comp1x", False), ("p1comp1", False),
+    ("p2.comp1", False),  # p2 is not declared
+])
+def test_compensation_child_ids_are_reserved(tmp_path, capsys, instance_id, reserved):
+    data = logistics_scenario_data()
+    declare_instance(instance_id)(data)
+    assert main(["validate", write_scenario(tmp_path, data)]) == (2 if reserved else 0)
+    assert ("instance-reserved-id" in capsys.readouterr().out) is reserved
 
 
 def document_nodes(holder):
