@@ -126,10 +126,6 @@ def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
     return scenario, violations
 
 
-# the id a compensation child gets: its parent's id, ".comp", its number from 1
-_COMP_CHILD = re.compile(r"(.+)\.comp[1-9][0-9]*")
-
-
 # --- the shape table -------------------------------------------------------------
 #
 # ``SCENARIO`` maps each record field to (shape, default[, violation code]);
@@ -637,6 +633,10 @@ def _parse_thresholds(doc, scenario, bad):
         scenario.thresholds[model_id] = parsed
 
 
+# the id a compensation child gets: its parent's id, ".comp", its number from 1
+_COMP_CHILD = re.compile(r"(.+)\.comp[1-9][0-9]*")
+
+
 def _check_instances(doc, scenario, bad):
     instances, models = scenario.instances, scenario.process_models
     ids = list(map(itemgetter("id"), instances))
@@ -647,7 +647,7 @@ def _check_instances(doc, scenario, bad):
             if instance_id in seen:
                 bad("instance-duplicate", instance_id, "duplicate instance id")
             seen.add(instance_id)
-    for instance_id in starts:
+    for instance_id in [key for key in starts if ".comp" in key]:
         head = instance_id
         while match := _COMP_CHILD.fullmatch(head):
             head = match[1]

@@ -279,13 +279,6 @@ def short_timeline_entry(data):
     return data
 
 
-def change_source(**fields):
-    def change(data):
-        data["sources"][0].update(fields)  # weatherService, a poll source
-        return data
-    return change
-
-
 # each row once raised out of parse_scenario, validated clean and then raised
 # during the run, or validated clean and ran wrong
 MALFORMED = {
@@ -328,9 +321,6 @@ MALFORMED = {
                               "latency-invalid"),
     "rule-literal-too-long": (change_rule("< estimatedDeliveryTime", "< " + "9" * 5000),
                               "rule-parse-error"),
-    "source-reliability-above-one": (change_source(reliability=1.5), "source-invalid"),
-    "source-poll-interval-zero": (change_source(interval=0), "source-invalid"),
-    "source-cost-negative": (change_source(cost=-1), "source-invalid"),
 }
 
 
@@ -398,6 +388,14 @@ def test_malformed_document_is_a_violation(tmp_path, capsys, change, code):
     assert code in [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     with pytest.raises(ScenarioParseError):
         run_scenario_data(data)
+
+
+@pytest.mark.parametrize("field, value", [("reliability", 1.5), ("interval", 0), ("cost", -1)])
+def test_source_value_out_of_range_is_a_violation(tmp_path, capsys, field, value):
+    data = logistics_scenario_data()
+    data["sources"][0][field] = value  # weatherService, a poll source
+    assert main(["validate", write_scenario(tmp_path, data)]) == 2
+    assert "source-invalid: weatherService:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("instance_id, reserved", [
