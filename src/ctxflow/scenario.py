@@ -120,7 +120,8 @@ def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
         deny_principals=doc["auth"]["deny"], instances=doc["instances"],
     )
     for parse in (_parse_catalog, _parse_masters, _parse_sources, _parse_propagation,
-                  _parse_rules, _parse_process_models, _parse_thresholds, _check_instances):
+                  _parse_rules, _parse_process_models, _parse_thresholds, _check_instances,
+                  _check_mirrors):
         parse(doc, scenario, bad)
     _bind_rules(scenario, bad)
     return scenario, violations
@@ -666,6 +667,47 @@ def _check_instances(doc, scenario, bad):
                 f"share target {start['share_with']!r} not declared")
         elif target["start_tick"] >= start["start_tick"]:
             bad("instance-share-order", start["id"], "share target must start strictly earlier")
+
+
+def _check_mirrors(doc, scenario, bad):
+    """A mirror names a declared model, a gate and task its instances run, and a
+    category its source provides; any other mirror would never fire."""
+    models, runs = scenario.process_models, {}  # model id -> (gate ids, task names)
+    for source in scenario.sources.values():
+        for spec in source.mirrors:
+            missing = []
+            if spec.model_id in models:
+                if spec.model_id not in runs:
+                    runs[spec.model_id] = _gates_and_tasks(models, spec.model_id)
+                gates, tasks = runs[spec.model_id]
+                if spec.gate_id not in gates:
+                    missing.append(f"gate {spec.gate_id!r}")
+                task = spec.trigger.removeprefix("task:")
+                if task != spec.trigger and task not in tasks:
+                    missing.append(f"task {task!r}")
+            else:
+                missing.append(f"model {spec.model_id!r}")
+            if spec.category_id not in source.descriptor.provided_categories:
+                missing.append(f"provided category {spec.category_id!r}")
+            for what in missing:
+                bad("mirror-unknown-target", source.source_id,
+                    f"mirror of {spec.model_id!r}: no {what}")
+
+
+def _gates_and_tasks(models, model_id):
+    """The gate ids and task names an instance of ``model_id`` runs: subprocess
+    nodes run inline, under the instance's own model."""
+    gates, tasks, entered = set(), set(), [model_id]
+    for current in entered:
+        for node in walk_nodes(models[current].nodes):
+            if isinstance(node, GateNode):
+                gates.add(node.gate_id)
+            elif isinstance(node, TaskNode):
+                tasks.add(node.name)
+            elif (isinstance(node, SubprocessNode) and node.model_id in models
+                  and node.model_id not in entered):
+                entered.append(node.model_id)
+    return gates, tasks
 
 
 def _bind_rules(scenario, bad):

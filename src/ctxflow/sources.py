@@ -66,7 +66,6 @@ class ScriptedSource:
     # last entry with tick <= t
     poll_table: dict[str, list[tuple[int, object]]] = field(default_factory=dict)
     mirrors: list[MirrorSpec] = field(default_factory=list)
-    mirror_state: dict[str, object] = field(default_factory=dict)
     due: dict[int, list[TimelineEntry]] = field(init=False, repr=False)  # tick -> entries
 
     def __post_init__(self):
@@ -100,16 +99,20 @@ def advance(source: ScriptedSource, now: int) -> list[dict]:
              "payload": entry.payload, "ts": now} for entry in source.due.get(now, ())]
 
 
-def respond_poll(source: ScriptedSource, categories, now: int) -> dict:
+def respond_poll(source: ScriptedSource, categories, now: int,
+                 mirrored: dict | None = None) -> dict:
     """Current schedule values at ``now``; a category without one is absent.
 
-    The schedule holds only provided categories, and so does the mirror
-    state, which answers where the schedule has no entry at or before ``now``.
+    ``mirrored`` is this run's mirror state of the source (category ->
+    last mirrored payload).  The schedule holds only provided categories,
+    and so does the mirror state, which answers where the schedule has no
+    entry at or before ``now``.
     """
+    mirrored = mirrored or {}
     values = []
     absent = []
     for category in categories:
-        payload = source.mirror_state.get(category, _MISSING)
+        payload = mirrored.get(category, _MISSING)
         for tick, scheduled in source.poll_table.get(category, ()):
             if tick > now:
                 break
@@ -138,6 +141,10 @@ class ExternalSystems:
     def __init__(self, sim, sources: dict[str, ScriptedSource]):
         self.sim = sim
         self.sources = sources
+        # source -> category -> last mirrored payload; per run, so a parsed
+        # scenario built twice starts each run with nothing mirrored
+        self.mirror_state: dict[str, dict[str, object]] = {
+            source.source_id: {} for source in sources.values()}
 
     def schedule_timeline(self):
         for source in self.sources.values():
@@ -157,7 +164,8 @@ class ExternalSystems:
                 "error": "UnknownSource", "detail": payload["source"],
             })
             return
-        reply = respond_poll(source, payload["categories"], self.sim.now)
+        reply = respond_poll(source, payload["categories"], self.sim.now,
+                             self.mirror_state[source.source_id])
         reply["purpose"] = payload.get("purpose", "refresh")
         for key in ("instance", "model"):
             if key in payload:
@@ -168,7 +176,7 @@ class ExternalSystems:
         """The BPM system acting as an external context source."""
         for source in self.sources.values():
             if category_id in source.descriptor.provided_categories and source.mirrors:
-                source.mirror_state[category_id] = payload
+                self.mirror_state[source.source_id][category_id] = payload
                 self.sim.send(self.POOL, "context", "SourceEvent", {
                     "source_id": source.source_id,
                     "category_id": category_id,

@@ -2,7 +2,8 @@
 
 One record per line, canonical key order, so that two runs of the same
 scenario with the same seed produce byte-identical files and a trace can
-be diffed as a stream.
+be diffed as a stream.  A line is written in a fixed layout; its bytes
+are those of ``canonical_json`` over the record's five keys.
 """
 
 from __future__ import annotations
@@ -22,9 +23,83 @@ else:
     _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).iterencode
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+# Walking a payload key by key costs more than encoding it whole, and pays
+# only where a value's text is reused.  So a kind's payloads are walked for
+# this many lines after one of its lines reused a text; otherwise they are
+# encoded whole, except two neighbouring lines in every this many, which are
+# walked to find sharing.
+_PROBE = 64
+# The memo is cleared when it holds this many values.  Every record is
+# alive while its trace is written, so what the memo keeps adds to the
+# peak memory of the write, and sharing is between nearby records anyway.
+_MEMO_BOUND = 64
+
+
 def canonical_json(obj) -> str:
     """Serialize with sorted keys, fixed separators and ASCII escapes; byte-stable."""
     return "".join(_encode(obj, 0))
+
+
+class _LineWriter:
+    """Writes records as lines for one pass over a trace.
+
+    The line is joined by hand in the fixed layout
+    ``{"kind":K,"payload":P,"pool":O,"seq":N,"tick":T}``.  The payload is
+    walked key by key so that a dict value shared by several records (the
+    context engine shares each value's payload between the models it is
+    written to) is encoded once and its text reused; a kind whose records
+    share nothing is encoded whole (``_PROBE``).  The memo is keyed
+    by identity and each entry holds its dict, so an id is not reused
+    while its entry exists.  Records do not change once emitted, so the
+    reused text is the text the dict would encode to again.
+    """
+
+    __slots__ = ("_memo", "_since_reuse")
+
+    def __init__(self):
+        self._memo: dict[int, tuple[dict, str]] = {}
+        self._since_reuse: dict[str, int] = {}  # kind -> lines since a value was reused
+
+    def line(self, record: "TraceRecord") -> str:
+        kind, payload = record.kind, record.payload
+        lines = self._since_reuse.get(kind, _PROBE)
+        if payload.__class__ is dict and (lines < _PROBE or lines % _PROBE < 2):
+            text = self._walk(payload, kind, lines)
+        else:
+            self._since_reuse[kind] = lines + 1
+            text = canonical_json(payload)
+        return (f'{{"kind":{_escape(kind)},"payload":{text},'
+                f'"pool":{_escape(record.pool)},"seq":{record.seq},"tick":{record.tick}}}')
+
+    def _walk(self, payload: dict, kind: str, lines: int) -> str:
+        memo = self._memo
+        reused = False
+        parts = []
+        try:
+            # the order the C encoder sorts in: (key, value) pairs
+            for key, value in sorted(payload.items()):
+                cls = value.__class__
+                if cls is str:
+                    text = _escape(value)
+                elif cls is dict:
+                    entry = memo.get(id(value))
+                    if entry is None:
+                        if len(memo) >= _MEMO_BOUND:
+                            memo.clear()
+                        text = canonical_json(value)
+                        memo[id(value)] = (value, text)
+                    else:
+                        text = entry[1]
+                        reused = True
+                else:
+                    text = canonical_json(value)
+                parts.append(f"{_escape(key)}:{text}")
+        except TypeError:  # a key that is not a string: the encoder decides
+            return canonical_json(payload)
+        self._since_reuse[kind] = 0 if reused else lines + 1
+        return "{" + ",".join(parts) + "}"
 
 
 @dataclass(slots=True)
@@ -36,13 +111,7 @@ class TraceRecord:
     payload: dict
 
     def to_line(self) -> str:
-        return "".join(_encode({
-            "kind": self.kind,
-            "payload": self.payload,
-            "pool": self.pool,
-            "seq": self.seq,
-            "tick": self.tick,
-        }, 0))
+        return _LineWriter().line(self)
 
     @classmethod
     def from_line(cls, line: str) -> "TraceRecord":
@@ -77,8 +146,9 @@ class Trace:
 
     def lines(self):
         """Each record's line with its newline, one at a time."""
+        line = _LineWriter().line
         for record in self.records:
-            yield record.to_line() + "\n"
+            yield line(record) + "\n"
 
     def to_text(self) -> str:
         return "".join(self.lines())

@@ -235,3 +235,19 @@ def test_quiescent_run_stops_despite_pending_poll_timers():
     assembly.simulation.run()
     assert not assembly.simulation.truncated
     assert assembly.process.all_terminal()
+
+
+def test_one_parsed_scenario_runs_twice_the_same():
+    # bpm answers polls, and every model holds shippingMethod from the
+    # start, so bpm is polled for it before p1 mirrors it at tick 18
+    data = logistics_scenario_data()
+    next(s for s in data["sources"] if s["id"] == "bpm").update(mode="poll", interval=4)
+    next(c for c in data["catalog"] if c["id"] == "shippingMethod")["requires_value"] = False
+    data["masters"][0]["categories"].append("shippingMethod")
+    scenario, violations = parse_scenario(data)
+    assert not violations
+    first = build_simulation(scenario).simulation.run()
+    polled = first.find("PollResponse", to="context")
+    bpm = [r.payload["data"] for r in polled if r.payload["data"]["source"] == "bpm"]
+    assert bpm[0]["absent"] == ["shippingMethod"]
+    assert build_simulation(scenario).simulation.run().to_text() == first.to_text()

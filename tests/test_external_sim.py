@@ -104,6 +104,5 @@ def test_mirror_state_answers_polls():
     )
     before = respond_poll(source, ["shippingMethod"], 3)
     assert before["absent"] == ["shippingMethod"]
-    source.mirror_state["shippingMethod"] = "truck"
-    after = respond_poll(source, ["shippingMethod"], 4)
+    after = respond_poll(source, ["shippingMethod"], 4, {"shippingMethod": "truck"})
     assert after["values"][0]["payload"] == "truck"

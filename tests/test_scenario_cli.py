@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ctxflow.cli import main
 from ctxflow.errors import ScenarioParseError
 from ctxflow.scenario import parse_scenario, run_scenario_data
-from ctxflow.trace import Trace, TraceRecord, canonical_json, replay_verify
+from ctxflow.trace import Trace, TraceRecord, _LineWriter, canonical_json, replay_verify
 
 from .conftest import logistics_scenario_data
 from .scenario_gen import random_scenario
@@ -274,6 +274,15 @@ def with_subprocess(*model_ids):
     return change
 
 
+def change_mirror(**fields):
+    """bpm's first mirror, spare_part_delivery's shipping at load_truck, with ``fields``."""
+    def change(data):
+        bpm = next(source for source in data["sources"] if source["id"] == "bpm")
+        bpm["mirrors"][0].update(fields)
+        return data
+    return change
+
+
 def short_timeline_entry(data):
     data["sources"][0]["timeline"] = [[30, "weather"]]
     return data
@@ -321,6 +330,11 @@ MALFORMED = {
                               "latency-invalid"),
     "rule-literal-too-long": (change_rule("< estimatedDeliveryTime", "< " + "9" * 5000),
                               "rule-parse-error"),
+    "mirror-of-no-model": (change_mirror(model="nowhere"), "mirror-unknown-target"),
+    "mirror-of-no-gate": (change_mirror(gate="nogate"), "mirror-unknown-target"),
+    "mirror-after-no-task": (change_mirror(trigger="task:nosuch"), "mirror-unknown-target"),
+    "mirror-of-an-unprovided-category": (change_mirror(category="weather"),
+                                         "mirror-unknown-target"),
 }
 
 
@@ -388,6 +402,15 @@ def test_malformed_document_is_a_violation(tmp_path, capsys, change, code):
     assert code in [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     with pytest.raises(ScenarioParseError):
         run_scenario_data(data)
+
+
+def test_mirror_may_name_a_gate_and_task_its_subprocess_runs(tmp_path, capsys):
+    data = logistics_scenario_data()
+    data["process_models"].append({"model_id": "wrapper", "nodes": [
+        {"type": "start"}, {"type": "subprocess", "model": "spare_part_delivery"},
+        {"type": "end"}]})
+    change_mirror(model="wrapper")(data)  # shipping at load_truck, both in the subprocess
+    assert main(["validate", write_scenario(tmp_path, data)]) == 0, capsys.readouterr().out
 
 
 @pytest.mark.parametrize("field, value", [("reliability", 1.5), ("interval", 0), ("cost", -1)])
@@ -657,6 +680,51 @@ def test_trace_lines_match_json_dumps(payloads, pool, kind):
         trace.write(path)
         with open(path, "rb") as handle:
             assert handle.read() == trace.to_text().encode("ascii")
+
+
+# Payload keys that are not strings: ints sort among themselves, any other
+# kind stands alone, as json.dumps(sort_keys=True) needs.
+other_keys = (st.dictionaries(st.integers(), json_values, min_size=1, max_size=3)
+              | st.dictionaries(st.none() | st.booleans() | st.floats(), json_values,
+                                min_size=1, max_size=1))
+
+
+@st.composite
+def traces_sharing_values(draw):
+    """Records whose top-level values include dicts shared between records, some
+    reused right away and some after more fresh dicts than the writer's memo holds."""
+    shared = draw(st.lists(st.dictionaries(st.text(max_size=2), json_values, max_size=3),
+                           min_size=1, max_size=4))
+    value = (json_values | st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=3)
+             | st.integers(0, len(shared) - 1).map(shared.__getitem__))
+    trace = Trace()
+    for tick in range(draw(st.integers(1, 6))):
+        for i in range(draw(st.sampled_from([0, 1, 70]))):
+            fresh = {"i": i}  # one new dict per filler, reused within it
+            trace.emit(tick, "context", "filler", {"fresh": fresh, "same": fresh})
+        payload = draw(st.dictionaries(st.text(max_size=4), value, max_size=4) | other_keys)
+        trace.emit(tick, draw(st.sampled_from(["context", "r\u00e9gles"])),
+                   draw(st.sampled_from(["value_updated", "k\u00efnd"])), payload)
+    return trace
+
+
+@settings(deadline=None)
+@given(trace=traces_sharing_values())
+def test_trace_writer_matches_json_dumps_when_records_share_values(trace):
+    expected = [oracle_json({"kind": r.kind, "payload": r.payload, "pool": r.pool,
+                             "seq": r.seq, "tick": r.tick}) + "\n" for r in trace]
+    assert list(trace.lines()) == expected
+    assert [record.to_line() + "\n" for record in trace] == expected
+
+
+def test_trace_writer_memo_stays_bounded():
+    # every record is alive while its trace is written, so the memo must not
+    # keep a text for each of them
+    writer = _LineWriter()
+    for seq in range(1000):
+        value = {"seq": seq}  # reused within its record, so every record is walked
+        writer.line(TraceRecord(seq, 0, "context", "value_updated", {"a": value, "b": value}))
+        assert len(writer._memo) <= 64
 
 
 # --- generated scenarios: validate then run never crashes --------------------------------
