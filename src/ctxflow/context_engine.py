@@ -533,10 +533,11 @@ class ContextEngine:
             reliability=descriptor.reliability,
             cost=descriptor.cost_per_value,
         )
+        derived: dict = {}
         for model in list(self.instances.values()):
             if (category in model.intersection.categories
                     or category in self._administer_extension(model, [category])):
-                changed = self._ingest_batch(model, [value])
+                changed = self._ingest_batch(model, [value], derived)
                 self._notify(model, changed)
 
     def handle_poll_response(self, payload: dict):
@@ -555,16 +556,17 @@ class ContextEngine:
         ]
         purpose = payload.get("purpose", "refresh")
         if purpose == "refresh":
+            derived: dict = {}
             for model in list(self.instances.values()):
                 relevant = [v for v in values if v.category_id in model.intersection.categories]
                 if relevant:
-                    changed = self._ingest_batch(model, relevant)
+                    changed = self._ingest_batch(model, relevant, derived)
                     self._notify(model, changed)
             return
         model = self.instances.get(payload.get("model", ""))
         if model is None:
             return  # model shut down while the poll was in flight
-        changed = self._ingest_batch(model, values)
+        changed = self._ingest_batch(model, values, {})
         self._notify(model, changed)
         if purpose == "init":
             reg = self.registrations.get(payload.get("instance", ""))
@@ -606,22 +608,26 @@ class ContextEngine:
                        self.sim.now + descriptor.poll_interval)
 
     def _ingest_batch(self, model: InstanceContextModel,
-                      values: list[ContextValue]) -> dict:
+                      values: list[ContextValue], derived: dict) -> dict:
         """Apply values plus propagation to quiescence.
 
         Returns pre-batch vs post-quiescence pairs for every category whose
         current value changed identity.  Propagation is keyed on identity so
         the derived state always mirrors whatever conflict resolution made
-        current, regardless of arrival order.
+        current, regardless of arrival order.  ``derived`` lives for one
+        message and is shared by every model the message reaches: a node
+        other than an aggregate derives once per distinct set of input
+        values, each model then holds the same derived values, and a fault
+        is still written once per model.
         """
         changed: dict[str, tuple[ContextValue | None, ContextValue]] = {}
         for value in values:
             self._apply_value(model, value, changed)
-        for node in self.propagation:
+        for position, node in enumerate(self.propagation):
             if changed.keys().isdisjoint(node.inputs):
                 continue
-            for derived in self._derive(model, node):
-                self._apply_value(model, derived, changed)
+            for value in self._derive(model, position, node, derived):
+                self._apply_value(model, value, changed)
         return changed
 
     def _apply_value(self, model: InstanceContextModel, value: ContextValue,
@@ -667,8 +673,8 @@ class ContextEngine:
         else:
             changed[category] = (old, current)
 
-    def _derive(self, model: InstanceContextModel,
-                node: DerivationAgent) -> list[ContextValue]:
+    def _derive(self, model: InstanceContextModel, position: int,
+                node: DerivationAgent, derived: dict) -> list[ContextValue]:
         g = model.intersection
         inputs = []
         for cat in node.inputs:
@@ -676,6 +682,27 @@ class ContextEngine:
             if current is None:
                 return []
             inputs.append(current)
+        # an entry holds its inputs, so no id in a key is reused while
+        # ``derived`` lives; an aggregate also reads the model's history
+        shared = node.kind != "aggregate"
+        key = (position, *map(id, inputs))
+        entry = derived.get(key) if shared else None
+        if entry is None:
+            entry = (inputs, *self._compute(node, inputs, g))
+            if shared:
+                derived[key] = entry
+        _, values, err = entry
+        if err is not None:
+            self.sim.trace(self.POOL, "engine_error", {
+                "error": type(err).__name__, "detail": str(err),
+                "model": model.model_id,
+                "relation": node.node_id,
+            })
+        return values
+
+    @staticmethod
+    def _compute(node: DerivationAgent, inputs: list[ContextValue], g):
+        """The node's derived values and no fault, or no values and the fault."""
         try:
             derived = DERIVE[node.kind](node, inputs, g)
             # the trace writes each payload as text, and the interpreter
@@ -687,12 +714,7 @@ class ContextEngine:
                         and abs(payload) >= 10 ** limit):
                     raise OverflowError(f"derived integer exceeds {limit} decimal digits")
         except ArithmeticError as err:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": type(err).__name__, "detail": str(err),
-                "model": model.model_id,
-                "relation": node.node_id,
-            })
-            return []
+            return [], err
         # the newest input stamps the derived values, one derived stream per
         # cause stream: when conflict resolution flips the current cause
         # between sources, the derived side mirrors it instead of fighting
@@ -704,7 +726,7 @@ class ContextEngine:
             ContextValue(f"{category}@{node.node_id}:{cause.value_id}", category, payload,
                          cause.ts, node.node_id, reliability, causing_ts=causing_ts)
             for category, payload in derived
-        ]
+        ], None
 
     # -- notifications ----------------------------------------------------------
 

@@ -516,6 +516,89 @@ def test_apply_value_keeps_the_winner_and_the_changes(n_streams, writes, batch):
             assert changed == ({} if winner == before else {"x": (before, winner)})
 
 
+# --- one propagation per message ---------------------------------------------------
+
+
+def poll(engine, sim, category, payload, ts, model=None):
+    """One PollResponse from the certified source: a refresh reaches every
+    model that holds the category, an administered fetch only ``model``."""
+    sim.tick = max(sim.tick, ts)
+    message = {"source": "certified", "purpose": "refresh", "values": [
+        {"category_id": category, "payload": payload, "ts": ts, "reliability": 0.9},
+    ]}
+    if model is not None:
+        message.update(purpose="administer", model=model.model_id)
+    engine.handle_poll_response(message)
+
+
+def test_one_refresh_derives_once_for_every_model():
+    calls = []
+
+    def double(x):
+        calls.append(x)
+        return 2 * x
+
+    agent = DerivationAgent("double", "expr", ("x",), ("y",), {"apply": double})
+    sim = FakeSim()
+    engine = make_engine(sim, agents=[agent])
+    first, second = register_active(engine, "p1"), register_active(engine, "p2")
+    poll(engine, sim, "x", 5, 1)
+    assert calls == [5]
+    assert first.intersection.values["y"] is second.intersection.values["y"]
+    assert first.intersection.values["y"].payload == 10
+
+
+def test_shared_fault_is_written_once_per_model():
+    relation = CauseEffectRelation(
+        "inverse", "x", "y", {"type": "expr", "expr": "100 / x"},
+    )
+    sim = FakeSim()
+    engine = make_engine(sim, relations=[relation])
+    models = [register_active(engine, "p1"), register_active(engine, "p2")]
+    poll(engine, sim, "x", 4, 1)
+    start = len(sim.trace_log)
+    poll(engine, sim, "x", 0, 2)
+    written = [(r.kind, r.payload["model"], r.payload.get("category"))
+               for r in list(sim.trace_log)[start:]]
+    assert written == [
+        ("value_updated", "ctx.p1", "x"), ("engine_error", "ctx.p1", None),
+        ("value_updated", "ctx.p2", "x"), ("engine_error", "ctx.p2", None),
+    ]
+    for model in models:
+        assert model.intersection.values["x"].payload == 0
+        assert model.intersection.values["y"].payload == 25
+
+
+def test_compose_shares_nothing_when_a_later_input_differs():
+    compose = DerivationAgent("pair", "compose", ("x", "w"), ("z",), {})
+    sim = FakeSim()
+    engine = make_engine(sim, agents=[compose],
+                         categories=("root", "x", "w", "z"))
+    engine.catalog["z"] = CatalogEntry(
+        ContextCategory("z", "z", "record"), parent="root")
+    models = [register_active(engine, "p1"), register_active(engine, "p2")]
+    for model, label in zip(models, ("calm", "gale")):
+        model.intersection.categories["z"] = engine.catalog["z"].category
+        poll(engine, sim, "w", label, 1, model=model)
+    poll(engine, sim, "x", 5, 2)
+    assert [m.intersection.values["z"].payload for m in models] == [
+        {"x": 5, "w": "calm"}, {"x": 5, "w": "gale"},
+    ]
+
+
+def test_aggregate_reads_each_models_own_history():
+    agent = DerivationAgent("avg", "aggregate", ("x",), ("y",),
+                            {"window": 3, "reducer": "mean"})
+    sim = FakeSim()
+    engine = make_engine(sim, agents=[agent])
+    first, second = register_active(engine, "p1"), register_active(engine, "p2")
+    poll(engine, sim, "x", 3, 1, model=first)
+    poll(engine, sim, "x", 30, 1, model=second)
+    poll(engine, sim, "x", 9, 2)
+    assert first.intersection.values["y"].payload == 6
+    assert second.intersection.values["y"].payload == pytest.approx(19.5)
+
+
 # --- read path -------------------------------------------------------------------
 
 
