@@ -10,6 +10,7 @@ trace-only: simulated tasks have no real side effects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import AuthFailed
 
@@ -64,8 +65,15 @@ class ProcessModel:
     execution_time_constraint: int | None = None
     context_master: str | None = None
 
+    # ``nodes`` is never changed after construction, so one walk serves
+    # parse, validation and build
+    @cached_property
+    def every_node(self) -> list:
+        return walk_nodes(self.nodes)
+
+    @cached_property
     def gates(self) -> dict[str, GateNode]:
-        return {node.gate_id: node for node in walk_nodes(self.nodes)
+        return {node.gate_id: node for node in self.every_node
                 if isinstance(node, GateNode)}
 
 

@@ -44,7 +44,6 @@ from .process_engine import (
     StartNode,
     SubprocessNode,
     TaskNode,
-    walk_nodes,
 )
 from .rule_dsl import (
     OPERATORS,
@@ -554,12 +553,11 @@ def _build_nodes(raw_nodes):
 
 
 def _parse_process_models(doc, scenario, bad):
-    walked = {}  # model id -> every node of the model
     for entry in doc["process_models"]:
         model_id, nodes = entry["model_id"], _build_nodes(entry["nodes"])
-        walked[model_id] = every = walk_nodes(nodes)
         model = ProcessModel(model_id, nodes, entry["compensation_refs"],
                              entry["execution_time_constraint"], entry["context_master"])
+        every = model.every_node
         if not nodes or not isinstance(nodes[0], StartNode):
             bad("model-no-start", model_id, "first node must be start")
         if sum(1 for n in every if isinstance(n, StartNode)) != 1:
@@ -589,7 +587,7 @@ def _parse_process_models(doc, scenario, bad):
                 bad("model-unknown-compensation", model.model_id,
                     f"{ref!r} points at unknown model {target!r}")
         enters[model.model_id] = targets = []
-        for node in walked[model.model_id]:
+        for node in model.every_node:
             if not isinstance(node, SubprocessNode):
                 continue
             if node.model_id in scenario.process_models:
@@ -699,7 +697,7 @@ def _gates_and_tasks(models, model_id):
     nodes run inline, under the instance's own model."""
     gates, tasks, entered = set(), set(), [model_id]
     for current in entered:
-        for node in walk_nodes(models[current].nodes):
+        for node in models[current].every_node:
             if isinstance(node, GateNode):
                 gates.add(node.gate_id)
             elif isinstance(node, TaskNode):
@@ -713,7 +711,7 @@ def _gates_and_tasks(models, model_id):
 def _bind_rules(scenario, bad):
     """Action targets must exist in the process model a rule attaches to."""
     for model in scenario.process_models.values():
-        gates = model.gates()
+        gates = model.gates
         for gate in gates.values():
             for rule_id in gate.rule_ids:
                 rule = scenario.rules.get(rule_id)
@@ -775,7 +773,7 @@ def build_simulation(scenario: Scenario, seed: int | None = None,
     gate_rules = {}
     gate_defaults = {}
     for model in scenario.process_models.values():
-        for gate in model.gates().values():
+        for gate in model.gates.values():
             key = (model.model_id, gate.gate_id)
             gate_rules[key] = [scenario.rules[rid] for rid in gate.rule_ids
                                if rid in scenario.rules]

@@ -413,6 +413,21 @@ def test_mirror_may_name_a_gate_and_task_its_subprocess_runs(tmp_path, capsys):
     assert main(["validate", write_scenario(tmp_path, data)]) == 0, capsys.readouterr().out
 
 
+def test_parse_and_build_walk_each_model_once(monkeypatch):
+    from ctxflow import process_engine
+    from ctxflow.scenario import build_simulation
+
+    walked = []
+    walk = process_engine.walk_nodes
+    monkeypatch.setattr(process_engine, "walk_nodes",
+                        lambda nodes: walked.append(nodes) or walk(nodes))
+    scenario, violations = parse_scenario(logistics_scenario_data())
+    assert violations == []
+    build_simulation(scenario)
+    assert sorted(map(id, walked)) == sorted(
+        id(model.nodes) for model in scenario.process_models.values())
+
+
 @pytest.mark.parametrize("field, value", [("reliability", 1.5), ("interval", 0), ("cost", -1)])
 def test_source_value_out_of_range_is_a_violation(tmp_path, capsys, field, value):
     data = logistics_scenario_data()
