@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxflow import context_engine
 from ctxflow.context_engine import (
     CatalogEntry,
     CauseEffectRelation,
@@ -17,7 +19,12 @@ from ctxflow.context_engine import (
     topological_order,
 )
 from ctxflow.errors import DuplicateRegistration, KindMismatch, UnknownMaster
-from ctxflow.model import ContextCategory, ContextIntersection, MasterContextModel
+from ctxflow.model import (
+    ContextCategory,
+    ContextIntersection,
+    MasterContextModel,
+    relevant_subgraph,
+)
 from ctxflow.sources import SourceDescriptor
 from ctxflow.trace import canonical_json
 
@@ -759,6 +766,121 @@ def test_unsourced_category_reported_missing():
     snapshots = [p for (_, _, k, p) in sim.sent if k == "ContextSnapshot"]
     assert snapshots[-1]["missing"] == ["nope"]
     assert model.intersection.to_payload() == before
+
+
+def request(engine, sim, model, categories, correlation):
+    """One ContextRequest; returns the snapshot it got, if answered at once."""
+    start = len(sim.sent)
+    engine.handle_context_request({
+        "model": model.model_id, "categories": list(categories),
+        "correlation": correlation,
+    })
+    replies = [p for (_, _, k, p) in sim.sent[start:] if k == "ContextSnapshot"]
+    return replies[-1] if replies else None
+
+
+def add_station(engine):
+    """A third catalog level, region -> temp, that a push of temp extends into."""
+    engine.catalog.update({
+        "region": CatalogEntry(ContextCategory("region", "region"), parent="root",
+                               requires_value=False),
+        "temp": CatalogEntry(ContextCategory("temp", "temp", "numeric"), parent="region"),
+    })
+    engine.sources["station"] = SourceDescriptor(
+        "station", "push", 0.9, provided_categories=("temp",))
+
+
+def test_repeated_read_works_out_the_closure_once(monkeypatch):
+    calls = []
+
+    def counted(g, categories):
+        calls.append(list(categories))
+        return relevant_subgraph(g, categories)
+
+    monkeypatch.setattr(context_engine, "relevant_subgraph", counted)
+    sim = FakeSim()
+    engine = make_engine(sim)
+    model = register_active(engine)
+    push(engine, sim, "x", 4, 2)
+    first = request(engine, sim, model, ["x"], "q1")
+    push(engine, sim, "x", 9, 3)
+    second = request(engine, sim, model, ["x"], "q2")
+    assert calls == [["x"]]
+    assert second["graph"]["levels"] is first["graph"]["levels"]
+    assert second["graph"]["edges"] is first["graph"]["edges"]
+    assert [s["graph"]["values"]["x"]["payload"] for s in (first, second)] == [4, 9]
+
+
+def test_read_after_an_extension_sees_the_new_graph():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    add_station(engine)
+    model = register_active(engine)
+    push(engine, sim, "x", 4, 2)
+    first = request(engine, sim, model, ["x"], "q1")
+    assert first["graph"]["levels"] == [["root"], ["x"]]
+    push(engine, sim, "temp", 20, 3, source="station")  # extends by region, temp
+    assert sim.records("model_extended")
+    second = request(engine, sim, model, ["x"], "q2")
+    assert second["graph"] == relevant_subgraph(model.intersection, ["x"]).to_payload()
+    assert second["graph"]["levels"] == [["root"], ["x"], []]
+    assert second["graph"]["step"] == 1
+    third = request(engine, sim, model, ["x", "temp"], "q3")
+    assert third["graph"]["levels"] == [["root"], ["region", "x"], ["temp"]]
+    assert third["graph"]["edges"] == [["region", "temp"], ["root", "region"], ["root", "x"]]
+    assert third["graph"]["values"]["temp"]["payload"] == 20
+
+
+def test_closed_model_leaves_no_read_memo():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    model = register_active(engine)
+    push(engine, sim, "x", 4, 2)
+    request(engine, sim, model, ["x"], "q1")
+    assert model.model_id in engine.reads
+    engine.shutdown_model("p1")
+    assert model.model_id not in engine.reads
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_snapshot_matches_the_uncached_subgraph(seed):
+    rng = random.Random(seed)
+    sim = FakeSim()
+    engine = make_engine(sim)
+    add_station(engine)
+    engine.staleness = (4, 0.5) if seed % 2 else None
+    models = [register_active(engine, "p1"), register_active(engine, "p2")]
+    pushed = {"x": 0, "w": "calm", "temp": 0}
+    for step in range(60):
+        ts = step + 1
+        op = rng.random()
+        if op < 0.3:
+            category = rng.choice(sorted(pushed))
+            payload = ts if category != "w" else rng.choice(["calm", "gale"])
+            push(engine, sim, category, payload, ts,
+                 source="station" if category == "temp" else "certified")
+            continue
+        model = rng.choice(models)
+        if op < 0.4 and "z" not in model.intersection.categories:
+            # administered: extend by z, then answer the fetch
+            assert request(engine, sim, model, ["z"], f"c{step}") is None
+            sim.tick = ts
+            poll(engine, sim, "z", ts, ts, model=model)
+            reply = sim.sent[-1][3]
+            categories = ["z"]
+        else:
+            # a few requests over and over, so most reads repeat one
+            categories = rng.choice([["x"], ["y", "x"], ["w", "x", "root"],
+                                     sorted(model.intersection.categories)])
+            reply = request(engine, sim, model, categories, f"c{step}")
+        assert reply["correlation"] == f"c{step}"
+        expected = relevant_subgraph(model.intersection, categories).to_payload()
+        assert reply["graph"] == expected
+        assert reply["freshness"] == {
+            c: engine.staleness is None or apply_staleness(
+                model.intersection.values[c], sim.now, *engine.staleness).fresh
+            for c in expected["values"]
+        }
 
 
 # --- shutdown -----------------------------------------------------------------------
