@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import operator
 import sys
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -358,9 +359,9 @@ class ContextEngine:
         self.registrations: dict[str, Registration] = {}
         # (model_id, category) -> requests waiting on an administered fetch
         self.pending_fetches: dict[tuple[str, str], list[PendingRequest]] = {}
-        # model_id -> (graph, requested categories -> (sorted closure,
-        # levels payload, edges payload)); see _snapshot_payload
-        self.reads: dict[str, tuple] = {}
+        # model graph (held weakly) -> requested categories -> (closure,
+        # levels payload, edges payload); see _snapshot_payload
+        self.reads: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # -- registration / initialization ---------------------------------------
 
@@ -559,20 +560,17 @@ class ContextEngine:
         ]
         purpose = payload.get("purpose", "refresh")
         if purpose == "refresh":
-            targets = []
-            for model in self.instances.values():
+            derived: dict = {}
+            for model in list(self.instances.values()):
                 relevant = [v for v in values if v.category_id in model.intersection.categories]
                 if relevant:
-                    targets.append((model, relevant))
-            derived = {} if len(targets) > 1 else None
-            for model, relevant in targets:
-                changed = self._ingest_batch(model, relevant, derived)
-                self._notify(model, changed)
+                    changed = self._ingest_batch(model, relevant, derived)
+                    self._notify(model, changed)
             return
         model = self.instances.get(payload.get("model", ""))
         if model is None:
             return  # model shut down while the poll was in flight
-        changed = self._ingest_batch(model, values, None)
+        changed = self._ingest_batch(model, values, {})
         self._notify(model, changed)
         if purpose == "init":
             reg = self.registrations.get(payload.get("instance", ""))
@@ -614,7 +612,7 @@ class ContextEngine:
                        self.sim.now + descriptor.poll_interval)
 
     def _ingest_batch(self, model: InstanceContextModel,
-                      values: list[ContextValue], derived: dict | None) -> dict:
+                      values: list[ContextValue], derived: dict) -> dict:
         """Apply values plus propagation to quiescence.
 
         Returns pre-batch vs post-quiescence pairs for every category whose
@@ -624,8 +622,7 @@ class ContextEngine:
         message and is shared by every model the message reaches: a node
         other than an aggregate derives once per distinct set of input
         values, each model then holds the same derived values, and a fault
-        is still written once per model.  A poll response that reaches one
-        model passes ``None``, and every node derives directly.
+        is still written once per model.
         """
         changed: dict[str, tuple[ContextValue | None, ContextValue]] = {}
         for value in values:
@@ -681,7 +678,7 @@ class ContextEngine:
             changed[category] = (old, current)
 
     def _derive(self, model: InstanceContextModel, position: int,
-                node: DerivationAgent, derived: dict | None) -> list[ContextValue]:
+                node: DerivationAgent, derived: dict) -> list[ContextValue]:
         g = model.intersection
         inputs = []
         for cat in node.inputs:
@@ -689,17 +686,16 @@ class ContextEngine:
             if current is None:
                 return []
             inputs.append(current)
-        if derived is None or node.kind == "aggregate":
-            # an aggregate also reads the model's history
-            values, err = self._compute(node, inputs, g)
-        else:
-            # an entry holds its inputs, so no id in a key is reused while
-            # ``derived`` lives
-            key = (position, *map(id, inputs))
-            entry = derived.get(key)
-            if entry is None:
-                entry = derived[key] = (inputs, *self._compute(node, inputs, g))
-            _, values, err = entry
+        # an entry holds its inputs, so no id in a key is reused while
+        # ``derived`` lives; an aggregate also reads the model's history
+        shared = node.kind != "aggregate"
+        key = (position, *map(id, inputs))
+        entry = derived.get(key) if shared else None
+        if entry is None:
+            entry = (inputs, *self._compute(node, inputs, g))
+            if shared:
+                derived[key] = entry
+        _, values, err = entry
         if err is not None:
             self.sim.trace(self.POOL, "engine_error", {
                 "error": type(err).__name__, "detail": str(err),
@@ -901,36 +897,38 @@ class ContextEngine:
         """The current values of the requested categories and their ancestors.
 
         The closure and its ``levels`` and ``edges`` payload depend only on
-        the graph, so ``self.reads`` keeps them per model and request.  The
-        memo is used only while ``model.intersection`` is its graph: an
-        extension replaces the graph, and the next read drops the model's
-        whole memo.  Snapshots of one graph share those lists.
+        the graph, so ``self.reads`` keeps them per model graph and request,
+        and a memo is used only while ``model.intersection`` is its graph:
+        an extension replaces the graph, and a replaced or closed model's
+        graph takes its memo with it.  Snapshots of one graph share those
+        lists.
         """
         g = model.intersection
-        graph, shapes = self.reads.get(model.model_id, (None, None))
-        if graph is not g:
-            shapes = {}
-            self.reads[model.model_id] = (g, shapes)
+        shapes = self.reads.get(g)
+        if shapes is None:
+            shapes = self.reads[g] = {}
         key = tuple(categories)
         shape = shapes.get(key)
         if shape is None:
             sub = relevant_subgraph(g, categories)
-            payload = sub.to_payload()
-            shape = shapes[key] = (sorted(sub.categories), payload["levels"], payload["edges"])
-        closure, levels, edges = shape
-        values, freshness = {}, {}
-        for category in closure:
-            value = g.values.get(category)
-            if value is not None:
-                values[category] = value.to_payload()
-                freshness[category] = self.staleness is None or apply_staleness(
-                    value, self.sim.now, *self.staleness).fresh
-        return {
-            "model": model.model_id,
-            "graph": {"levels": levels, "edges": edges, "values": values, "step": g.step},
-            "freshness": freshness,
-            "now": self.sim.now,
-        }
+            graph = sub.to_payload()
+            shapes[key] = (sub.categories, graph["levels"], graph["edges"])
+        else:
+            closure, levels, edges = shape
+            if not isinstance(closure, list):
+                # sorted on the first repeat, as most requests never repeat
+                closure = sorted(closure)
+                shapes[key] = (closure, levels, edges)
+            values = {c: g.values[c].to_payload() for c in closure if c in g.values}
+            graph = {"levels": levels, "edges": edges, "values": values, "step": g.step}
+        now = self.sim.now
+        if self.staleness is None:
+            freshness = dict.fromkeys(graph["values"], True)
+        else:
+            max_age, decay = self.staleness
+            freshness = {c: apply_staleness(g.values[c], now, max_age, decay).fresh
+                         for c in graph["values"]}
+        return {"model": model.model_id, "graph": graph, "freshness": freshness, "now": now}
 
     # -- shutdown ------------------------------------------------------------------
 
@@ -945,7 +943,6 @@ class ContextEngine:
             model.bound_instances.remove(instance_id)
         if not model.bound_instances:
             del self.instances[model.model_id]
-            self.reads.pop(model.model_id, None)
             # requests waiting on the model's fetches are never answered
             for key in [k for k in self.pending_fetches if k[0] == model.model_id]:
                 del self.pending_fetches[key]

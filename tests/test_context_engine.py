@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -837,9 +838,11 @@ def test_closed_model_leaves_no_read_memo():
     model = register_active(engine)
     push(engine, sim, "x", 4, 2)
     request(engine, sim, model, ["x"], "q1")
-    assert model.model_id in engine.reads
+    assert model.intersection in engine.reads
     engine.shutdown_model("p1")
-    assert model.model_id not in engine.reads
+    del model
+    gc.collect()
+    assert len(engine.reads) == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
