@@ -1,6 +1,6 @@
 """Command-line surface: validate, run, replay.
 
-Exit codes: 0 ok, 2 validation violations, 3 parse error, 4 truncated run.
+Exit codes: 0 ok, 1 traces differ, 2 violations, 3 unreadable input, 4 truncated run.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import sys
 
 from .errors import ScenarioParseError
 from .scenario import build_simulation, load_scenario_data, parse_scenario
+from .trace import replay_verify
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 2
@@ -17,16 +18,16 @@ EXIT_PARSE_ERROR = 3
 EXIT_TRUNCATED = 4
 
 
+def _parse_printing_violations(path):
+    scenario, violations = parse_scenario(load_scenario_data(path))
+    for violation in violations:
+        print(f"{violation.code}: {violation.subject}: {violation.detail}")
+    return scenario, violations
+
+
 def cmd_validate(args) -> int:
-    try:
-        data = load_scenario_data(args.scenario)
-    except ScenarioParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    _, violations = parse_scenario(data)
+    _, violations = _parse_printing_violations(args.scenario)
     if violations:
-        for violation in violations:
-            print(f"{violation.code}: {violation.subject}: {violation.detail}")
         print(f"{len(violations)} violation(s)")
         return EXIT_VIOLATIONS
     print("ok")
@@ -34,15 +35,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        data = load_scenario_data(args.scenario)
-    except ScenarioParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    scenario, violations = parse_scenario(data)
+    scenario, violations = _parse_printing_violations(args.scenario)
     if violations:
-        for violation in violations:
-            print(f"{violation.code}: {violation.subject}: {violation.detail}")
         return EXIT_VIOLATIONS
     assembly = build_simulation(scenario, seed=args.seed, max_steps=args.max_steps)
     trace = assembly.simulation.run()
@@ -62,9 +56,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from .trace import replay_verify
-
-    ok, detail = replay_verify(args.trace_a, args.trace_b)
+    try:
+        ok, detail = replay_verify(args.trace_a, args.trace_b)
+    except OSError as err:
+        print(f"cannot read trace: {err}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     print(detail)
     return EXIT_OK if ok else 1
 
@@ -93,7 +89,11 @@ def main(argv=None) -> int:
     replay.set_defaults(func=cmd_replay)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioParseError as err:  # the scenario file is not JSON
+        print(f"parse error: {err}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
 
 
 if __name__ == "__main__":

@@ -359,9 +359,11 @@ class ContextEngine:
         self.registrations: dict[str, Registration] = {}
         # (model_id, category) -> requests waiting on an administered fetch
         self.pending_fetches: dict[tuple[str, str], list[PendingRequest]] = {}
-        # model graph (held weakly) -> requested categories -> (closure,
-        # levels payload, edges payload); see _snapshot_payload
+        # model graph (held weakly) -> requested categories -> (sorted
+        # closure, levels payload, edges payload); see _snapshot_payload
         self.reads: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # per propagation node: (inputs, values, fault) of its last derivation
+        self.derived: list[tuple | None] = [None] * len(self.propagation)
 
     # -- registration / initialization ---------------------------------------
 
@@ -496,11 +498,9 @@ class ContextEngine:
 
     def _finish_initialization(self, reg: Registration, model: InstanceContextModel):
         reg.active = True
-        snapshot = self._snapshot_payload(model, model.intersection.category_ids())
-        snapshot.update({
-            "instance": reg.instance_id, "phase": "init", "status": "ok",
-        })
-        self.sim.send(self.POOL, "rules", "ContextSnapshot", snapshot)
+        self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
+            model, model.intersection.category_ids(),
+            instance=reg.instance_id, phase="init"))
 
     def _best_source_for(self, category: str) -> str | None:
         best = None
@@ -537,12 +537,10 @@ class ContextEngine:
             reliability=descriptor.reliability,
             cost=descriptor.cost_per_value,
         )
-        derived: dict = {}
         for model in list(self.instances.values()):
             if (category in model.intersection.categories
                     or category in self._administer_extension(model, [category])):
-                changed = self._ingest_batch(model, [value], derived)
-                self._notify(model, changed)
+                self._ingest(model, [value])
 
     def handle_poll_response(self, payload: dict):
         source_id = payload["source"]
@@ -560,18 +558,15 @@ class ContextEngine:
         ]
         purpose = payload.get("purpose", "refresh")
         if purpose == "refresh":
-            derived: dict = {}
             for model in list(self.instances.values()):
                 relevant = [v for v in values if v.category_id in model.intersection.categories]
                 if relevant:
-                    changed = self._ingest_batch(model, relevant, derived)
-                    self._notify(model, changed)
+                    self._ingest(model, relevant)
             return
         model = self.instances.get(payload.get("model", ""))
         if model is None:
             return  # model shut down while the poll was in flight
-        changed = self._ingest_batch(model, values, {})
-        self._notify(model, changed)
+        self._ingest(model, values)
         if purpose == "init":
             reg = self.registrations.get(payload.get("instance", ""))
             if reg is not None:
@@ -595,13 +590,12 @@ class ContextEngine:
         descriptor = self.sources.get(source_id)
         if descriptor is None or descriptor.mode != "poll":
             return
-        wanted: list[str] = []
-        live_categories = set()
-        for model in self.instances.values():
-            live_categories.update(model.intersection.categories)
+        wanted = []
         for category in descriptor.provided_categories:
-            if category in live_categories:
-                wanted.append(category)
+            for model in self.instances.values():
+                if category in model.intersection.categories:
+                    wanted.append(category)
+                    break
         if wanted:
             self.sim.send(self.POOL, "external", "PollRequest", {
                 "source": source_id,
@@ -611,18 +605,13 @@ class ContextEngine:
         self.sim.timer(self.POOL, {"kind": "poll", "source": source_id},
                        self.sim.now + descriptor.poll_interval)
 
-    def _ingest_batch(self, model: InstanceContextModel,
-                      values: list[ContextValue], derived: dict) -> dict:
-        """Apply values plus propagation to quiescence.
+    def _ingest(self, model: InstanceContextModel, values: list[ContextValue]):
+        """Apply values, propagate to quiescence and notify the rules engine.
 
-        Returns pre-batch vs post-quiescence pairs for every category whose
-        current value changed identity.  Propagation is keyed on identity so
-        the derived state always mirrors whatever conflict resolution made
-        current, regardless of arrival order.  ``derived`` lives for one
-        message and is shared by every model the message reaches: a node
-        other than an aggregate derives once per distinct set of input
-        values, each model then holds the same derived values, and a fault
-        is still written once per model.
+        The rules engine hears of every category whose current value changed
+        identity, as a pre-batch vs post-quiescence pair.  Propagation is
+        keyed on identity so the derived state always mirrors whatever
+        conflict resolution made current, regardless of arrival order.
         """
         changed: dict[str, tuple[ContextValue | None, ContextValue]] = {}
         for value in values:
@@ -630,9 +619,9 @@ class ContextEngine:
         for position, node in enumerate(self.propagation):
             if changed.keys().isdisjoint(node.inputs):
                 continue
-            for value in self._derive(model, position, node, derived):
+            for value in self._derive(model, position, node):
                 self._apply_value(model, value, changed)
-        return changed
+        self._notify(model, changed)
 
     def _apply_value(self, model: InstanceContextModel, value: ContextValue,
                      changed: dict):
@@ -678,7 +667,7 @@ class ContextEngine:
             changed[category] = (old, current)
 
     def _derive(self, model: InstanceContextModel, position: int,
-                node: DerivationAgent, derived: dict) -> list[ContextValue]:
+                node: DerivationAgent) -> list[ContextValue]:
         g = model.intersection
         inputs = []
         for cat in node.inputs:
@@ -686,16 +675,15 @@ class ContextEngine:
             if current is None:
                 return []
             inputs.append(current)
-        # an entry holds its inputs, so no id in a key is reused while
-        # ``derived`` lives; an aggregate also reads the model's history
-        shared = node.kind != "aggregate"
-        key = (position, *map(id, inputs))
-        entry = derived.get(key) if shared else None
-        if entry is None:
-            entry = (inputs, *self._compute(node, inputs, g))
-            if shared:
-                derived[key] = entry
-        _, values, err = entry
+        # a node other than an aggregate (which also reads the model's history)
+        # reuses its last derivation while its inputs are the very same values,
+        # not equal ones (1 == True == 1.0), so every model they reach shares
+        # its values; a fault is still written once per model
+        last = self.derived[position]
+        if (node.kind == "aggregate" or last is None
+                or any(map(operator.is_not, last[0], inputs))):
+            last = self.derived[position] = (inputs, *self._compute(node, inputs, g))
+        _, values, err = last
         if err is not None:
             self.sim.trace(self.POOL, "engine_error", {
                 "error": type(err).__name__, "detail": str(err),
@@ -882,26 +870,22 @@ class ContextEngine:
         available = [c for c in pending.requested
                      if c in model.intersection.categories
                      and c not in pending.unavailable]
-        snapshot = self._snapshot_payload(model, available)
-        snapshot.update({
-            "correlation": pending.correlation,
-            "instance": pending.instance_id,
-            "phase": "reply",
-            "status": "ok",
-            "missing": sorted(set(pending.unavailable)),
-        })
-        self.sim.send(self.POOL, "rules", "ContextSnapshot", snapshot)
+        self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
+            model, available, correlation=pending.correlation,
+            instance=pending.instance_id, phase="reply",
+            missing=sorted(set(pending.unavailable))))
 
-    def _snapshot_payload(self, model: InstanceContextModel,
-                          categories: list[str]) -> dict:
-        """The current values of the requested categories and their ancestors.
+    def _snapshot_payload(self, model: InstanceContextModel, categories: list[str],
+                          **fields) -> dict:
+        """An ``ok`` snapshot, with ``fields``, of the current values of the
+        requested categories and their ancestors.
 
-        The closure and its ``levels`` and ``edges`` payload depend only on
-        the graph, so ``self.reads`` keeps them per model graph and request,
-        and a memo is used only while ``model.intersection`` is its graph:
-        an extension replaces the graph, and a replaced or closed model's
-        graph takes its memo with it.  Snapshots of one graph share those
-        lists.
+        The sorted closure and its ``levels`` and ``edges`` payload depend
+        only on the graph, so ``self.reads`` keeps them per model graph and
+        request, and a memo is used only while ``model.intersection`` is its
+        graph: an extension replaces the graph, and a replaced or closed
+        model's graph takes its memo with it.  Snapshots of one graph share
+        those lists; every snapshot walks the closure for its values.
         """
         g = model.intersection
         shapes = self.reads.get(g)
@@ -912,23 +896,19 @@ class ContextEngine:
         if shape is None:
             sub = relevant_subgraph(g, categories)
             graph = sub.to_payload()
-            shapes[key] = (sub.categories, graph["levels"], graph["edges"])
-        else:
-            closure, levels, edges = shape
-            if not isinstance(closure, list):
-                # sorted on the first repeat, as most requests never repeat
-                closure = sorted(closure)
-                shapes[key] = (closure, levels, edges)
-            values = {c: g.values[c].to_payload() for c in closure if c in g.values}
-            graph = {"levels": levels, "edges": edges, "values": values, "step": g.step}
+            shape = shapes[key] = (sorted(sub.categories), graph["levels"], graph["edges"])
+        closure, levels, edges = shape
+        values = {c: g.values[c].to_payload() for c in closure if c in g.values}
+        graph = {"levels": levels, "edges": edges, "values": values, "step": g.step}
         now = self.sim.now
         if self.staleness is None:
-            freshness = dict.fromkeys(graph["values"], True)
+            freshness = dict.fromkeys(values, True)
         else:
             max_age, decay = self.staleness
             freshness = {c: apply_staleness(g.values[c], now, max_age, decay).fresh
-                         for c in graph["values"]}
-        return {"model": model.model_id, "graph": graph, "freshness": freshness, "now": now}
+                         for c in values}
+        return {"model": model.model_id, "graph": graph, "freshness": freshness,
+                "now": now, "status": "ok", **fields}
 
     # -- shutdown ------------------------------------------------------------------
 

@@ -26,10 +26,13 @@ from ctxflow.model import (
     MasterContextModel,
     relevant_subgraph,
 )
+from ctxflow.scenario import build_simulation, parse_scenario
 from ctxflow.sources import SourceDescriptor
 from ctxflow.trace import canonical_json
 
 from .conftest import FakeSim, value
+from .scenario_gen import random_scenario
+from .test_trace_digests import SCENARIOS as PINNED_SCENARIOS
 
 
 # --- resolve_conflict ----------------------------------------------------------
@@ -605,6 +608,79 @@ def test_aggregate_reads_each_models_own_history():
     poll(engine, sim, "x", 9, 2)
     assert first.intersection.values["y"].payload == 6
     assert second.intersection.values["y"].payload == pytest.approx(19.5)
+
+
+def test_equal_but_distinct_inputs_derive_apart():
+    """The memo matches inputs by identity: ``1 == 1.0``, so the two polled
+    values compare equal, yet each translates by its own repr."""
+    agent = DerivationAgent("name", "translate", ("x",), ("w",),
+                            {"map": {"1": "int", "1.0": "float"}, "default": None})
+    sim = FakeSim()
+    engine = make_engine(sim, agents=[agent])
+    first, second = register_active(engine, "p1"), register_active(engine, "p2")
+    poll(engine, sim, "x", 1, 1, model=first)
+    poll(engine, sim, "x", 1.0, 1, model=second)
+    assert first.intersection.values["x"] == second.intersection.values["x"]
+    assert [m.intersection.values["w"].payload for m in (first, second)] == ["int", "float"]
+
+
+def reference_derive(self, model, position, node):
+    """``ContextEngine._derive`` without its memo: always computes."""
+    g = model.intersection
+    inputs = [g.values.get(cat) for cat in node.inputs]
+    if any(v is None for v in inputs):
+        return []
+    values, err = ContextEngine._compute(node, inputs, g)
+    if err is not None:
+        self.sim.trace(self.POOL, "engine_error", {
+            "error": type(err).__name__, "detail": str(err),
+            "model": model.model_id,
+            "relation": node.node_id,
+        })
+    return values
+
+
+def trace_and_computes(data):
+    scenario, violations = parse_scenario(data)
+    assert not violations, violations[:3]
+    computes = 0
+    compute = ContextEngine._compute
+
+    def counted(*args):
+        nonlocal computes
+        computes += 1
+        return compute(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ContextEngine, "_compute", staticmethod(counted))
+        text = build_simulation(scenario).simulation.run().to_text()
+    return text, computes
+
+
+def computes_with_and_without_memo(data):
+    """``_compute`` calls with the engine's ``_derive`` and with the
+    reference, whose trace must be byte-identical."""
+    text, computes = trace_and_computes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ContextEngine, "_derive", reference_derive)
+        reference_text, reference_computes = trace_and_computes(data)
+    assert text == reference_text
+    return computes, reference_computes
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENARIOS))
+def test_derivation_memo_matches_reference_on_pinned_scenarios(name):
+    computes, reference_computes = computes_with_and_without_memo(PINNED_SCENARIOS[name]())
+    assert computes <= reference_computes
+
+
+@pytest.mark.parametrize("jitter", (0, 2))
+@pytest.mark.parametrize("seed", range(40))
+def test_derivation_memo_matches_reference_on_random_scenarios(seed, jitter):
+    # four instances share each refresh poll, so the memo always hits
+    computes, reference_computes = computes_with_and_without_memo(
+        random_scenario(random.Random(seed), jitter=jitter, n_instances=4))
+    assert computes < reference_computes
 
 
 # --- read path -------------------------------------------------------------------

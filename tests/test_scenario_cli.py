@@ -48,6 +48,24 @@ def test_malformed_file_is_parse_error(tmp_path):
     assert main(["validate", str(path)]) == 3
 
 
+def test_validate_and_run_report_a_bad_file_alike(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    data = logistics_scenario_data()
+    data["process_models"][0]["nodes"][2]["rules"].append("No Such Rule")
+    invalid = write_scenario(tmp_path, data)
+    for command in ("validate", "run"):
+        assert main([command, str(broken)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"parse error: cannot read scenario {broken}: ")
+        assert err.count("\n") == 1
+        assert main([command, invalid]) == 2
+        out, err = capsys.readouterr()
+        listed = ("gate-unknown-rule: spare_part_delivery:shipping: "
+                  "rule 'No Such Rule' not declared\n")
+        assert err == "" and out == listed + ("1 violation(s)\n" if command == "validate" else "")
+
+
 def test_unknown_rule_on_gate_reported(tmp_path, capsys):
     data = logistics_scenario_data()
     data["process_models"][0]["nodes"][2]["rules"].append("No Such Rule")
@@ -642,6 +660,16 @@ def test_replay_detail_names_divergence_and_length_mismatch(tmp_path, capsys):
     assert replay_verify(short, base) == mismatch
     assert main(["replay", short, base]) == 1
     assert capsys.readouterr().out == mismatch[1] + "\n"
+
+
+def test_replay_of_an_unreadable_trace_is_a_read_error(tmp_path, capsys):
+    trace = write_trace(tmp_path / "base.trace", [1])
+    for missing in (str(tmp_path / "missing.trace"), str(tmp_path)):
+        for pair in ([missing, trace], [trace, missing]):
+            assert main(["replay", *pair]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("cannot read trace: ")
+            assert err.count("\n") == 1
 
 
 # --- trace canonical form -------------------------------------------------------------
