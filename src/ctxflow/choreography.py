@@ -9,6 +9,7 @@ engine never talk directly: only the rules engine bridges them.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -30,6 +31,11 @@ CHANNELS = {
 }
 
 DEFAULT_MAX_STEPS = 100_000
+
+# the young-generation collection threshold while a run lasts: a run keeps
+# every trace record alive and makes no cyclic garbage, so the collector's
+# full passes over those records would find nothing
+YOUNG_GC_THRESHOLD = 10_000
 
 
 @dataclass
@@ -100,32 +106,51 @@ class Simulation:
         self.trace_log.emit(self.now, pool, kind, payload)
 
     def run(self) -> Trace:
-        steps = 0
-        while self._queue:
-            if self._messages_in_flight == 0 and self.is_quiescent():
-                break  # only idle timers remain; the run is over
-            steps += 1
-            if steps > self.max_steps:
-                self.truncated = True
-                self.trace("context", "run_truncated", {"max_steps": self.max_steps})
-                break
-            tick, seq, pool, kind, payload, sender, sent = heapq.heappop(self._queue)
-            if tick < self.now:
-                raise AssertionError(f"clock moved backwards: {self.now} -> {tick}")
-            self.now = tick
-            if kind is not None:
-                self._messages_in_flight -= 1
-                self.trace(sender, kind, {
-                    "to": pool,
-                    "msg_seq": seq,
-                    "sent": sent,
-                    "data": payload,
-                })
-                handler = self.handlers.get(pool)
-                if handler is not None:
-                    handler(kind, payload)
-            else:
-                handler = self.timer_handlers.get(pool)
-                if handler is not None:
-                    handler(payload)
-        return self.trace_log
+        """Deliver queued entries in (tick, seq) order until the run is over;
+        returns the trace.
+
+        While it runs, the interpreter's young-generation collection
+        threshold is raised to at least ``YOUNG_GC_THRESHOLD`` (unless the
+        host set it to 0, turning automatic collection off), and the saved
+        thresholds are restored when it returns or raises.  The thresholds
+        are process-wide, so two simulations must not run at once in
+        threads of one process.  Collecting less often is safe because a
+        run leaves no cyclic garbage, which
+        ``tests/test_trace_digests.py::test_run_leaves_no_cyclic_garbage``
+        checks on every pinned scenario.
+        """
+        thresholds = gc.get_threshold()
+        if thresholds[0]:
+            gc.set_threshold(max(thresholds[0], YOUNG_GC_THRESHOLD), *thresholds[1:])
+        try:
+            steps = 0
+            while self._queue:
+                if self._messages_in_flight == 0 and self.is_quiescent():
+                    break  # only idle timers remain; the run is over
+                steps += 1
+                if steps > self.max_steps:
+                    self.truncated = True
+                    self.trace("context", "run_truncated", {"max_steps": self.max_steps})
+                    break
+                tick, seq, pool, kind, payload, sender, sent = heapq.heappop(self._queue)
+                if tick < self.now:
+                    raise AssertionError(f"clock moved backwards: {self.now} -> {tick}")
+                self.now = tick
+                if kind is not None:
+                    self._messages_in_flight -= 1
+                    self.trace(sender, kind, {
+                        "to": pool,
+                        "msg_seq": seq,
+                        "sent": sent,
+                        "data": payload,
+                    })
+                    handler = self.handlers.get(pool)
+                    if handler is not None:
+                        handler(kind, payload)
+                else:
+                    handler = self.timer_handlers.get(pool)
+                    if handler is not None:
+                        handler(payload)
+            return self.trace_log
+        finally:
+            gc.set_threshold(*thresholds)

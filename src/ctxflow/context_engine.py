@@ -706,7 +706,9 @@ class ContextEngine:
                         and abs(payload) >= 10 ** limit):
                     raise OverflowError(f"derived integer exceeds {limit} decimal digits")
         except ArithmeticError as err:
-            return [], err
+            # the traceback holds this frame, its inputs and the graph in a
+            # cycle; ``self.derived`` keeps the fault, so drop it
+            return [], err.with_traceback(None)
         # the newest input stamps the derived values, one derived stream per
         # cause stream: when conflict resolution flips the current cause
         # between sources, the derived side mirrors it instead of fighting
@@ -885,7 +887,8 @@ class ContextEngine:
         request, and a memo is used only while ``model.intersection`` is its
         graph: an extension replaces the graph, and a replaced or closed
         model's graph takes its memo with it.  Snapshots of one graph share
-        those lists; every snapshot walks the closure for its values.
+        those lists.  A miss replies with the values of the subgraph payload
+        it builds; a hit walks the closure for them.
         """
         g = model.intersection
         shapes = self.reads.get(g)
@@ -896,9 +899,11 @@ class ContextEngine:
         if shape is None:
             sub = relevant_subgraph(g, categories)
             graph = sub.to_payload()
-            shape = shapes[key] = (sorted(sub.categories), graph["levels"], graph["edges"])
-        closure, levels, edges = shape
-        values = {c: g.values[c].to_payload() for c in closure if c in g.values}
+            levels, edges, values = graph["levels"], graph["edges"], graph["values"]
+            shapes[key] = (sorted(sub.categories), levels, edges)
+        else:
+            closure, levels, edges = shape
+            values = {c: g.values[c].to_payload() for c in closure if c in g.values}
         graph = {"levels": levels, "edges": edges, "values": values, "step": g.step}
         now = self.sim.now
         if self.staleness is None:

@@ -1,8 +1,9 @@
+import gc
 import random
 
 import pytest
 
-from ctxflow.choreography import CHANNELS, LatencyConfig, Simulation
+from ctxflow.choreography import CHANNELS, YOUNG_GC_THRESHOLD, LatencyConfig, Simulation
 from ctxflow.context_engine import ContextEngine
 from ctxflow.errors import ForbiddenRoute
 from ctxflow.process_engine import ProcessEngine
@@ -121,6 +122,58 @@ def test_max_steps_truncates_and_marks_trace():
     trace = assembly.simulation.run()
     assert assembly.simulation.truncated
     assert trace.find("run_truncated")
+
+
+@pytest.fixture
+def host_gc_thresholds():
+    """Restores the collector thresholds a test sets as the host's."""
+    saved = gc.get_threshold()
+    yield
+    gc.set_threshold(*saved)
+
+
+def run_complete():
+    build_simulation(parse_scenario(logistics_scenario_data())[0]).simulation.run()
+
+
+def run_truncated():
+    sim = build_simulation(parse_scenario(logistics_scenario_data())[0], max_steps=5).simulation
+    sim.run()
+    assert sim.truncated
+
+
+def run_raising():
+    def handler(kind, payload):
+        raise RuntimeError("handler failed")
+
+    sim = Simulation()
+    sim.register_pool("rules", handler)
+    sim.send("process", "rules", "RuleEvalRequest", {})
+    with pytest.raises(RuntimeError, match="handler failed"):
+        sim.run()
+
+
+@pytest.mark.parametrize("run", [run_complete, run_truncated, run_raising])
+def test_run_restores_the_collector_thresholds(host_gc_thresholds, run):
+    gc.set_threshold(700, 9, 8)
+    run()
+    assert gc.get_threshold() == (700, 9, 8)
+
+
+@pytest.mark.parametrize("host, during", [
+    (700, YOUNG_GC_THRESHOLD),
+    (0, 0),  # automatic collection off stays off
+    (YOUNG_GC_THRESHOLD * 2, YOUNG_GC_THRESHOLD * 2),
+])
+def test_run_raises_the_young_threshold_while_it_runs(host_gc_thresholds, host, during):
+    gc.set_threshold(host, 9, 8)
+    sim = Simulation()
+    seen = []
+    sim.register_pool("rules", lambda kind, payload: seen.append(gc.get_threshold()))
+    sim.send("process", "rules", "RuleEvalRequest", {})
+    sim.run()
+    assert seen == [(during, 9, 8)]
+    assert gc.get_threshold() == (host, 9, 8)
 
 
 # --- trace-level properties -------------------------------------------------------

@@ -5,6 +5,7 @@ A change that alters trace bytes on purpose re-pins ``trace_digests.json``
 by hand, from the digests this test prints.
 """
 
+import gc
 import hashlib
 import json
 import random
@@ -141,3 +142,19 @@ def test_no_record_changes_after_it_is_emitted(name):
 
     sim.trace_log.emit = emit_and_keep_line
     assert list(sim.run().lines()) == emitted
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_leaves_no_cyclic_garbage(name):
+    # Simulation.run collects its young generation less often on this
+    # premise: everything a run drops is freed by reference counting
+    scenario, violations = parse_scenario(SCENARIOS[name]())
+    assert not violations, violations[:3]
+    sim = build_simulation(scenario).simulation
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
