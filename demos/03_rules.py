@@ -7,7 +7,7 @@ gate) and re-evaluations (a context change arrived later).
 
 from ctxflow import parse_rule, pretty_print
 from ctxflow.rule_dsl import evaluate_condition
-from ctxflow.rules_engine import evaluate_gate
+from ctxflow.rules_engine import evaluate_gate, gate_plan
 
 sla_text = """RULE Delivery SLA
 WHEN executionTimeConstraint < estimatedDeliveryTime
@@ -33,13 +33,14 @@ calm = {
 }
 print("\ncalm weather, SLA condition holds:",
       evaluate_condition(sla.condition, calm, now=5))
-outcome = evaluate_gate("shipping", "p1", [sla, ground], calm, 5, "plane")
+shipping = gate_plan("shipping", [sla, ground], "plane")
+outcome = evaluate_gate(shipping, calm, 5)
 print("gate picks:", outcome.action, "| fired:", outcome.fired_rule)
 
 stormy = dict(calm)
 stormy["estimatedDeliveryTime"] = (96, 30)
 stormy["estimatedSLAFine"] = (28000, 30)
-outcome = evaluate_gate("shipping", "p1", [sla, ground], stormy, 31, "plane")
+outcome = evaluate_gate(shipping, stormy, 31)
 print("after the storm:", outcome.action, "| fired:", outcome.fired_rule)
 
 # freshness guards: a stale estimate cannot steer the decision

@@ -788,7 +788,8 @@ class ContextEngine:
                 pending.unavailable.append(category)
                 continue
             extendable.append(category)
-        self._administer_extension(model, extendable)
+        if extendable:
+            self._administer_extension(model, extendable)
         g = model.intersection
         for category in requested:
             if category not in g.categories:

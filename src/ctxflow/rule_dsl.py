@@ -1,5 +1,8 @@
 """WHEN/THEN rule language: parser, AST, evaluator, printer.
 
+A condition is compiled once, on its first evaluation, into a closure that
+is kept on its node; later evaluations only call the closure.
+
 Grammar (newlines inside the condition are plain whitespace; the rule
 name runs from RULE to the end of its line or to the WHEN keyword):
 
@@ -45,29 +48,37 @@ class Str:
 
 
 @dataclass(frozen=True)
-class Comparison:
+class Condition:
+    """A condition node.  ``compiled`` is the closure ``evaluate_condition``
+    builds for it on first use; it takes no part in equality or repr."""
+
+    compiled: object = field(default=None, init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class Comparison(Condition):
     left: object
     op: str
     right: object
 
 
 @dataclass(frozen=True)
-class And:
+class And(Condition):
     terms: tuple
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(Condition):
     terms: tuple
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(Condition):
     term: object
 
 
 @dataclass(frozen=True)
-class Fresh:
+class Fresh(Condition):
     category: str
     max_age: int
 
@@ -470,41 +481,107 @@ def _print_action(action) -> str:
 
 # --- evaluation --------------------------------------------------------------
 
+# comparison operator -> the operator with its sides swapped
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+# literal kind -> the payload types that meet it without a kind check; any
+# other type (bool, an int subclass) takes the checked path
+_PLAIN_TYPES = {"numeric": (int, float), "text": (str,)}
+
 
 def evaluate_condition(condition, env: dict, now: int) -> bool:
     """Evaluate against ``env`` mapping category -> (payload, ts).
 
     ``fresh(c, n)`` holds when the value for ``c`` is at most ``n`` ticks
     old at ``now``.  Unknown references raise MissingContext; comparisons
-    between incompatible runtime kinds raise RuleTypeError.
+    between incompatible runtime kinds raise RuleTypeError.  The condition
+    is compiled on its first evaluation and the closure kept on its node.
     """
-    if isinstance(condition, Or):
-        return any(evaluate_condition(t, env, now) for t in condition.terms)
-    if isinstance(condition, And):
-        return all(evaluate_condition(t, env, now) for t in condition.terms)
-    if isinstance(condition, Not):
-        return not evaluate_condition(condition.term, env, now)
-    if isinstance(condition, Fresh):
-        if condition.category not in env:
-            raise MissingContext(f"no value for {condition.category!r}")
-        _, ts = env[condition.category]
-        return now - ts <= condition.max_age
-    return _compare(condition, env)
+    compiled = condition.compiled
+    if compiled is None:
+        compiled = _compile(condition)
+    return compiled(env, now)
 
 
-def _compare(node: Comparison, env: dict) -> bool:
-    left = _resolve(node.left, env)
-    right = _resolve(node.right, env)
-    if not comparable(value_kind(left), node.op, value_kind(right)):
-        raise RuleTypeError(f"cannot compare {type(left).__name__} with "
-                            f"{type(right).__name__} under {node.op!r}")
-    return OPERATORS[node.op](left, right)
+def _compile(node):
+    """Compile ``node`` to a closure ``(env, now) -> bool`` and keep it on the node.
+
+    ``OR`` and ``AND`` stop at the first term that decides them, left to right.
+    """
+    if isinstance(node, (Or, And)):
+        terms = tuple(term.compiled or _compile(term) for term in node.terms)
+        if isinstance(node, Or):
+            def compiled(env, now):
+                for term in terms:
+                    if term(env, now):
+                        return True
+                return False
+        else:
+            def compiled(env, now):
+                for term in terms:
+                    if not term(env, now):
+                        return False
+                return True
+    elif isinstance(node, Not):
+        term = node.term.compiled or _compile(node.term)
+
+        def compiled(env, now):
+            return not term(env, now)
+    elif isinstance(node, Fresh):
+        category, max_age = node.category, node.max_age
+
+        def compiled(env, now):
+            if category not in env:
+                raise MissingContext(f"no value for {category!r}")
+            _, ts = env[category]
+            return now - ts <= max_age
+    else:
+        compiled = _compile_comparison(node)
+    object.__setattr__(node, "compiled", compiled)
+    return compiled
 
 
-def _resolve(operand, env: dict):
+def _compile_comparison(node: Comparison):
+    op, apply = node.op, OPERATORS[node.op]
+    left, right = _operand(node.left), _operand(node.right)
+
+    def checked(env, now):
+        a, b = left(env), right(env)
+        if not comparable(value_kind(a), op, value_kind(b)):
+            raise RuleTypeError(f"cannot compare {type(a).__name__} with "
+                                f"{type(b).__name__} under {op!r}")
+        return apply(a, b)
+
+    if isinstance(node.left, Ref) == isinstance(node.right, Ref):
+        return checked
+    # one category against one literal: a payload of a plain type that the
+    # literal's kind always meets under ``op`` is compared at once
+    ref, literal = (node.left, node.right) if isinstance(node.left, Ref) else (node.right, node.left)
+    kind = value_kind(literal.value)
+    if not comparable(kind, op, kind):
+        return checked
+    name, value, plain = ref.name, literal.value, _PLAIN_TYPES[kind]
+    fast = apply if ref is node.left else OPERATORS[_MIRRORED[op]]
+
+    def ref_literal(env, now):
+        try:
+            payload = env[name][0]
+        except KeyError:
+            raise MissingContext(f"no value for {name!r}") from None
+        if type(payload) in plain:
+            return fast(payload, value)
+        return checked(env, now)
+    return ref_literal
+
+
+def _operand(operand):
+    """A function from ``env`` to the operand's value."""
     if isinstance(operand, Ref):
-        if operand.name not in env:
-            raise MissingContext(f"no value for {operand.name!r}")
-        payload, _ = env[operand.name]
+        name = operand.name
+
+        def payload(env):
+            if name not in env:
+                raise MissingContext(f"no value for {name!r}")
+            return env[name][0]
         return payload
-    return operand.value
+    value = operand.value
+    return lambda env: value

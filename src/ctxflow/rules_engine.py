@@ -1,10 +1,11 @@
 """Rules engine: gate evaluation, stored decisions, re-evaluation.
 
 Rules attach to gates per process model and run first-match in declared
-order.  Every gate evaluation stores an evaluation record keyed by
-(instance, gate); a context change re-evaluates exactly the records
-whose relevant context intersects the changed categories.  Break,
-rollback and compensation requests originate here and only here.
+order; each (process model, gate) is planned once, on its first
+evaluation (``GatePlan``).  Every gate evaluation stores an evaluation
+record keyed by (instance, gate); a context change re-evaluates exactly
+the records whose relevant context intersects the changed categories.
+Break, rollback and compensation requests originate here and only here.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Binding:
 @dataclass
 class PendingEval:
     instance_id: str
-    gate_id: str
+    plan: GatePlan
     evaluation: str
 
 
@@ -49,8 +50,32 @@ class GateOutcome:
     skipped: list = field(default_factory=list)
 
 
-def evaluate_gate(gate_id: str, instance_id: str, rules: list[Rule],
-                  env: dict, now: int, default_variant: str | None) -> GateOutcome:
+@dataclass(frozen=True)
+class GatePlan:
+    """What evaluating one (process model, gate) reads, worked out once.
+
+    ``categories`` is the sorted union of the rules' references: the list
+    every ContextRequest for the gate sends (shared, so nothing may mutate
+    it) and the order ``used`` is built in.  ``rules`` pairs each rule, in
+    declared order, with its freshness bounds sorted by category.
+    """
+
+    gate_id: str
+    rules: tuple[tuple[Rule, tuple[tuple[str, int], ...]], ...]
+    default: str | None
+    categories: list[str]
+
+
+def gate_plan(gate_id: str, rules: list[Rule], default: str | None) -> GatePlan:
+    categories: set[str] = set()
+    checks = []
+    for rule in rules:
+        categories.update(rule.referenced_categories)
+        checks.append((rule, tuple(sorted(rule.required_freshness.items()))))
+    return GatePlan(gate_id, tuple(checks), default, sorted(categories))
+
+
+def evaluate_gate(plan: GatePlan, env: dict, now: int) -> GateOutcome:
     """First-match evaluation of a gate's rules against a context snapshot.
 
     ``env`` maps category -> (payload, ts).  A rule whose freshness bound
@@ -58,46 +83,46 @@ def evaluate_gate(gate_id: str, instance_id: str, rules: list[Rule],
     actions); a rule whose references are missing from the snapshot is
     skipped the same way, and the skip is reported in the outcome.
     """
-    used: dict[str, int] = {}
-    for rule in rules:
-        for category in rule.referenced_categories:
-            if category in env:
-                used[category] = env[category][1]
+    used = {category: env[category][1] for category in plan.categories if category in env}
+    complete = len(used) == len(plan.categories)
     skipped = []
-    for rule in rules:
+    for rule, freshness in plan.rules:
         stale = None
-        for category, max_age in sorted(rule.required_freshness.items()):
+        for category, max_age in freshness:
             if category in env and now - env[category][1] > max_age:
                 stale = category
                 break
         if stale is not None:
             skipped.append({"rule": rule.rule_id, "reason": "stale", "category": stale})
             continue
-        missing = [c for c in rule.referenced_categories if c not in env]
-        if missing:
-            skipped.append({"rule": rule.rule_id, "reason": "missing",
-                            "category": missing[0]})
-            continue
+        if not complete:
+            missing = [c for c in rule.referenced_categories if c not in env]
+            if missing:
+                skipped.append({"rule": rule.rule_id, "reason": "missing",
+                                "category": missing[0]})
+                continue
         if evaluate_condition(rule.condition, env, now):
             return GateOutcome(rule.rule_id, rule.action, used, skipped)
-    if default_variant is None:
+    gate_id = plan.gate_id
+    if plan.default is None:
         if skipped and all(s["reason"] == "stale" for s in skipped):
             raise StaleContext(
                 f"every rule of gate {gate_id!r} was skipped on stale context"
             )
         raise MissingContext(f"gate {gate_id!r} has no default variant and no rule fired")
-    return GateOutcome(None, SelectVariant(gate_id, default_variant), used, skipped)
+    return GateOutcome(None, SelectVariant(gate_id, plan.default), used, skipped)
 
 
 class RulesEngine:
     POOL = "rules"
 
-    def __init__(self, sim, gate_rules: dict, gate_defaults: dict,
-                 model_masters: dict, model_thresholds: dict):
-        """``gate_rules``/``gate_defaults`` are keyed by (process_model, gate)."""
+    def __init__(self, sim, gates: dict, model_masters: dict, model_thresholds: dict):
+        """``gates`` maps (process_model, gate) to the gate's (rules, default
+        variant).  ``plans`` holds a gate's ``GatePlan`` from its first use,
+        so that building the engine costs no more than the table."""
         self.sim = sim
-        self.gate_rules = gate_rules
-        self.gate_defaults = gate_defaults
+        self.gates = gates
+        self.plans: dict[tuple[str, str], GatePlan] = {}
         self.model_masters = model_masters
         self.model_thresholds = model_thresholds
         self.bindings: dict[str, Binding] = {}
@@ -172,23 +197,21 @@ class RulesEngine:
             return
         self._request_evaluation(binding, gate, "native")
 
-    def _gate_refs(self, binding: Binding, gate: str) -> list[str]:
-        refs: set = set()
-        for rule in self.gate_rules.get((binding.process_model_id, gate), []):
-            refs.update(rule.referenced_categories)
-        return sorted(refs)
-
     def _request_evaluation(self, binding: Binding, gate: str, evaluation: str):
-        refs = self._gate_refs(binding, gate)
-        if not refs:
-            self._evaluate(binding, gate, evaluation, env={})
+        key = (binding.process_model_id, gate)
+        plan = self.plans.get(key)
+        if plan is None:
+            rules, default = self.gates.get(key, ((), None))
+            plan = self.plans[key] = gate_plan(gate, rules, default)
+        if not plan.categories:
+            self._evaluate(binding, plan, evaluation, env={})
             return
         correlation = self._next_correlation()
-        self.pending[correlation] = PendingEval(binding.instance_id, gate, evaluation)
+        self.pending[correlation] = PendingEval(binding.instance_id, plan, evaluation)
         self.sim.send(self.POOL, "context", "ContextRequest", {
             "model": binding.context_model_id,
             "instance": binding.instance_id,
-            "categories": refs,
+            "categories": plan.categories,
             "correlation": correlation,
         })
 
@@ -213,7 +236,7 @@ class RulesEngine:
         # unbind drops an instance's pending evaluations: the binding is live
         binding = self.bindings[pending.instance_id]
         env = _env_from_snapshot(payload)
-        self._evaluate(binding, pending.gate_id, pending.evaluation, env)
+        self._evaluate(binding, pending.plan, pending.evaluation, env)
 
     def _handle_init_snapshot(self, payload: dict):
         instance = payload["instance"]
@@ -237,14 +260,10 @@ class RulesEngine:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def _evaluate(self, binding: Binding, gate: str, evaluation: str, env: dict):
-        key = (binding.process_model_id, gate)
-        rules = self.gate_rules.get(key, [])
-        default = self.gate_defaults.get(key)
+    def _evaluate(self, binding: Binding, plan: GatePlan, evaluation: str, env: dict):
+        gate = plan.gate_id
         try:
-            outcome = evaluate_gate(
-                gate, binding.instance_id, rules, env, self.sim.now, default,
-            )
+            outcome = evaluate_gate(plan, env, self.sim.now)
         except (MissingContext, StaleContext) as err:
             self.sim.trace(self.POOL, "engine_error", {
                 "error": type(err).__name__, "detail": str(err),
@@ -255,7 +274,7 @@ class RulesEngine:
             self.sim.trace(self.POOL, "rule_skipped", {
                 "instance": binding.instance_id, "gate": gate, **skip,
             })
-        decision, messages = self._decide(outcome, gate, evaluation, default)
+        decision, messages = self._decide(outcome, gate, evaluation, plan.default)
         self.records.setdefault(binding.instance_id, {})[gate] = EvaluationRecord(
             gate_id=gate, used_context=outcome.used_context)
         self.sim.trace(self.POOL, "gate_evaluated", {
@@ -264,7 +283,7 @@ class RulesEngine:
             "evaluation": evaluation,
             "fired_rule": outcome.fired_rule,
             "decision": decision,
-            "used": {c: env[c][1] for c in sorted(outcome.used_context)},
+            "used": outcome.used_context,  # built in sorted order
         })
         for kind, fields in messages:
             self.sim.send(self.POOL, "process", kind, {
@@ -351,7 +370,5 @@ class RulesEngine:
 
 
 def _env_from_snapshot(payload: dict) -> dict:
-    env = {}
-    for category, value in payload.get("graph", {}).get("values", {}).items():
-        env[category] = (value["payload"], value["ts"])
-    return env
+    return {category: (value["payload"], value["ts"])
+            for category, value in payload.get("graph", {}).get("values", {}).items()}

@@ -543,6 +543,9 @@ def _parse_rules(doc, scenario, bad):
             bad("rule-duplicate", rule.rule_id, "duplicate rule id")
             continue
         _known(scenario, bad, "rule-unknown-category", rule.rule_id, rule.referenced_categories)
+        if rule.required_freshness:  # a bound on an uncatalogued category would never apply
+            _known(scenario, bad, "rule-unknown-category", rule.rule_id,
+                   [c for c in rule.required_freshness if c not in rule.referenced_categories])
         for problem in mistyped(rule.condition, kinds.get):
             bad("rule-kind-mismatch", rule.rule_id, problem)
         scenario.rules[rule.rule_id] = rule
@@ -770,18 +773,16 @@ def build_simulation(scenario: Scenario, seed: int | None = None,
         max_config_steps=scenario.max_config_steps,
         staleness=scenario.staleness,
     )
-    gate_rules = {}
-    gate_defaults = {}
-    for model in scenario.process_models.values():
-        for gate in model.gates.values():
-            key = (model.model_id, gate.gate_id)
-            gate_rules[key] = [scenario.rules[rid] for rid in gate.rule_ids
-                               if rid in scenario.rules]
-            gate_defaults[key] = gate.default_variant
+    gates = {
+        (model.model_id, gate.gate_id): (
+            [scenario.rules[rid] for rid in gate.rule_ids if rid in scenario.rules],
+            gate.default_variant)
+        for model in scenario.process_models.values()
+        for gate in model.gates.values()
+    }
     rules = RulesEngine(
         sim,
-        gate_rules=gate_rules,
-        gate_defaults=gate_defaults,
+        gates=gates,
         model_masters={
             m.model_id: m.context_master or "" for m in scenario.process_models.values()
         },

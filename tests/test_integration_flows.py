@@ -6,7 +6,7 @@ import pytest
 
 from ctxflow.errors import StaleContext
 from ctxflow.rule_dsl import parse_rule
-from ctxflow.rules_engine import evaluate_gate
+from ctxflow.rules_engine import evaluate_gate, gate_plan
 from ctxflow.scenario import build_simulation, parse_scenario
 from ctxflow.trace import canonical_json
 
@@ -200,6 +200,14 @@ def test_required_freshness_flows_from_scenario():
     assert decided["decision"]["variant"] == "plane"
 
 
+def test_freshness_bound_on_an_uncatalogued_category_is_a_violation():
+    data = logistics_scenario_data()
+    data["rules"][1] = {"text": data["rules"][1], "required_freshness": {"nosuch": 3}}
+    _, violations = parse_scenario(data)
+    assert [(v.code, v.subject, v.detail) for v in violations] == [
+        ("rule-unknown-category", "Ground Preferred", "'nosuch' not in catalog")]
+
+
 def test_all_rules_stale_without_default_is_an_error():
     rule = parse_rule("RULE R WHEN x < 5 THEN selectVariant(g, a) END")
     stale_rule = rule.__class__(
@@ -208,8 +216,7 @@ def test_all_rules_stale_without_default_is_an_error():
         required_freshness={"x": 1},
     )
     with pytest.raises(StaleContext):
-        evaluate_gate("g", "p", [stale_rule], {"x": (3, 0)}, now=10,
-                      default_variant=None)
+        evaluate_gate(gate_plan("g", [stale_rule], None), {"x": (3, 0)}, now=10)
 
 
 # --- predefined categories (first-level constraint) --------------------------------------------

@@ -1,9 +1,13 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxflow.errors import MissingContext, RuleSyntaxError, RuleTypeError
 from ctxflow.rule_dsl import (
+    OPERATORS,
     And,
     BreakRollback,
     Comparison,
@@ -16,9 +20,11 @@ from ctxflow.rule_dsl import (
     SelectVariant,
     StartCompensation,
     Str,
+    comparable,
     evaluate_condition,
     parse_rule,
     pretty_print,
+    value_kind,
 )
 
 DELIVERY_SLA = """RULE Delivery SLA
@@ -252,3 +258,136 @@ def test_two_hundred_generated_rules_roundtrip():
         )
         reparsed = parse_rule(pretty_print(rule), rule_id=rule.rule_id)
         assert reparsed == rule, pretty_print(rule)
+
+
+# --- compiled evaluation against the recursive interpreter ---------------------
+
+
+def reference_condition(condition, env: dict, now: int) -> bool:
+    """The recursive interpreter conditions were evaluated with before they
+    were compiled; kept here as the oracle for the compiled closures."""
+    if isinstance(condition, Or):
+        return any(reference_condition(t, env, now) for t in condition.terms)
+    if isinstance(condition, And):
+        return all(reference_condition(t, env, now) for t in condition.terms)
+    if isinstance(condition, Not):
+        return not reference_condition(condition.term, env, now)
+    if isinstance(condition, Fresh):
+        if condition.category not in env:
+            raise MissingContext(f"no value for {condition.category!r}")
+        _, ts = env[condition.category]
+        return now - ts <= condition.max_age
+    left = _reference_resolve(condition.left, env)
+    right = _reference_resolve(condition.right, env)
+    if not comparable(value_kind(left), condition.op, value_kind(right)):
+        raise RuleTypeError(f"cannot compare {type(left).__name__} with "
+                            f"{type(right).__name__} under {condition.op!r}")
+    return OPERATORS[condition.op](left, right)
+
+
+def _reference_resolve(operand, env: dict):
+    if isinstance(operand, Ref):
+        if operand.name not in env:
+            raise MissingContext(f"no value for {operand.name!r}")
+        payload, _ = env[operand.name]
+        return payload
+    return operand.value
+
+
+def outcome_of(evaluate, *args):
+    """What a call gives: ("value", result) or ("raised", class, text)."""
+    try:
+        return "value", evaluate(*args)
+    except (MissingContext, RuleTypeError) as err:
+        return "raised", type(err), str(err)
+
+
+NAMES = ("a", "b", "c")
+# payloads and literals are drawn mostly from small pools, so that equal
+# values, where ``<`` and ``<=`` part, come up often
+NUMBERS = st.sampled_from([0, 1, 2, 1.0, 2.5, -1])
+TEXTS = st.sampled_from(["1", "a", "b", ""])
+PAYLOADS = st.one_of(
+    NUMBERS, TEXTS, st.sampled_from([True, False, {}, [], None, math.inf, math.nan]),
+    st.integers(-5, 40), st.floats(allow_nan=True, width=32), st.text(max_size=2),
+)
+ENVS = st.dictionaries(st.sampled_from(NAMES), st.tuples(PAYLOADS, st.integers(0, 20)))
+OPS = st.sampled_from(sorted(OPERATORS))
+REFS = st.builds(Ref, st.sampled_from(NAMES))
+LITERALS = st.one_of(
+    st.builds(Num, st.one_of(NUMBERS, st.just(True), st.floats(allow_nan=True, width=32))),
+    st.builds(Str, st.one_of(TEXTS, st.text(max_size=2))),
+)
+ATOMS = st.one_of(
+    st.builds(Comparison, REFS, OPS, LITERALS),
+    st.builds(Comparison, LITERALS, OPS, REFS),
+    st.builds(Comparison, REFS, OPS, REFS),
+    st.builds(Comparison, LITERALS, OPS, LITERALS),
+    st.builds(Fresh, st.sampled_from(NAMES), st.integers(0, 10)),
+)
+CONDITIONS = st.recursive(ATOMS, lambda inner: st.one_of(
+    st.builds(Not, inner),
+    st.builds(And, st.lists(inner, min_size=2, max_size=3).map(tuple)),
+    st.builds(Or, st.lists(inner, min_size=2, max_size=3).map(tuple)),
+), max_leaves=8)
+
+
+def same(got, expected) -> bool:
+    """Equal outcomes, and a result of the same type (``True`` is not ``1``)."""
+    return got == expected and type(got[1]) is type(expected[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(condition=CONDITIONS, envs=st.lists(ENVS, min_size=1, max_size=3),
+       now=st.integers(0, 25))
+def test_compiled_condition_agrees_with_the_interpreter(condition, envs, now):
+    # the first evaluation compiles; later ones reuse the closure on the node
+    for env in envs:
+        expected = outcome_of(reference_condition, condition, env, now)
+        assert same(outcome_of(evaluate_condition, condition, env, now), expected), \
+            (condition, env)
+
+
+SAMPLE_VALUES = [0, 1, 2, -1, 1.0, 2.5, math.inf, math.nan, True, False,
+                 "1", "a", "", {}, [], None]
+
+
+def test_every_single_comparison_agrees_with_the_interpreter():
+    # each operator, each side a category or a literal, over every pair of values
+    for op in OPERATORS:
+        for x in SAMPLE_VALUES:
+            for y in SAMPLE_VALUES:
+                env = {"a": (x, 0), "b": (y, 0)}
+                literal = Str(y) if isinstance(y, str) else Num(y)
+                for condition in (Comparison(Ref("a"), op, literal),
+                                  Comparison(literal, op, Ref("a")),
+                                  Comparison(Ref("a"), op, Ref("b")),
+                                  Comparison(Ref("a"), op, Ref("c"))):
+                    expected = outcome_of(reference_condition, condition, env, 0)
+                    assert same(outcome_of(evaluate_condition, condition, env, 0), expected), \
+                        (condition, env)
+
+
+@pytest.mark.parametrize("payload, error", [
+    (True, "cannot compare bool with int under '<'"),
+    ({}, "cannot compare dict with int under '<'"),
+    ("1", "cannot compare str with int under '<'"),
+    (None, "cannot compare NoneType with int under '<'"),
+])
+def test_compiled_comparison_raises_the_interpreters_type_error(payload, error):
+    cond = parse_rule("RULE t WHEN eta < 5 THEN continue END").condition
+    assert evaluate_condition(cond, {"eta": (1.0, 0)}, now=0) is True  # compiles
+    with pytest.raises(RuleTypeError) as err:
+        evaluate_condition(cond, {"eta": (payload, 0)}, now=0)
+    assert str(err.value) == error
+
+
+def test_compiled_closure_is_kept_out_of_equality_and_repr():
+    rule = parse_rule(DELIVERY_SLA)
+    before = repr(rule.condition)
+    env = {c: (1, 0) for c in rule.referenced_categories}
+    evaluate_condition(rule.condition, env, now=0)
+    assert rule.condition.compiled is not None
+    assert repr(rule.condition) == before
+    assert rule.condition == parse_rule(DELIVERY_SLA).condition
+    assert hash(rule.condition) == hash(parse_rule(DELIVERY_SLA).condition)

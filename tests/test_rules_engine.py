@@ -1,9 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctxflow.rule_dsl import Rule, SelectVariant, StartCompensation, parse_rule
-from ctxflow.rules_engine import RulesEngine, evaluate_gate
+from ctxflow.errors import MissingContext, RuleTypeError, StaleContext
+from ctxflow.rule_dsl import (
+    BreakRollback,
+    Continue,
+    Rule,
+    SelectVariant,
+    StartCompensation,
+    parse_rule,
+    referenced_categories,
+)
+from ctxflow.rules_engine import RulesEngine, evaluate_gate, gate_plan
 
 from .conftest import FakeSim
+from .test_rule_dsl import CONDITIONS, ENVS, NAMES, reference_condition
 
 DELIVERY_SLA = (
     "RULE Delivery SLA\n"
@@ -31,27 +43,27 @@ def env(**values):
 
 def test_economical_ground_option_chosen():
     outcome = evaluate_gate(
-        "shipping", "p1", rules_for_shipping(),
+        gate_plan("shipping", rules_for_shipping(), "plane"),
         env(executionTimeConstraint=72, estimatedDeliveryTime=40,
             maxSLAFineAmount=25000, estimatedSLAFine=0),
-        now=5, default_variant="plane",
+        now=5,
     )
     assert outcome.fired_rule == "Ground Preferred"
     assert outcome.action == SelectVariant("shipping", "truck")
 
 
 def test_gate_without_rules_takes_default():
-    outcome = evaluate_gate("shipping", "p1", [], {}, 0, "plane")
+    outcome = evaluate_gate(gate_plan("shipping", [], "plane"), {}, 0)
     assert outcome.fired_rule is None
     assert outcome.action == SelectVariant("shipping", "plane")
 
 
 def test_delivery_sla_fires_on_violated_constraint():
     outcome = evaluate_gate(
-        "shipping", "p1", rules_for_shipping(),
+        gate_plan("shipping", rules_for_shipping(), "plane"),
         env(executionTimeConstraint=48, estimatedDeliveryTime=72,
             maxSLAFineAmount=10000, estimatedSLAFine=25000),
-        now=5, default_variant="plane",
+        now=5,
     )
     assert outcome.fired_rule == "Delivery SLA"
     assert outcome.action == StartCompensation("process.compensation.deliveryVariant")
@@ -60,9 +72,9 @@ def test_delivery_sla_fires_on_violated_constraint():
 def test_first_match_wins_in_declared_order():
     always_a = parse_rule("RULE A WHEN 1 < 2 THEN selectVariant(g, v1) END")
     always_b = parse_rule("RULE B WHEN 1 < 2 THEN selectVariant(g, v2) END")
-    outcome = evaluate_gate("g", "p", [always_a, always_b], {}, 0, "v9")
+    outcome = evaluate_gate(gate_plan("g", [always_a, always_b], "v9"), {}, 0)
     assert outcome.fired_rule == "A"
-    reversed_outcome = evaluate_gate("g", "p", [always_b, always_a], {}, 0, "v9")
+    reversed_outcome = evaluate_gate(gate_plan("g", [always_b, always_a], "v9"), {}, 0)
     assert reversed_outcome.fired_rule == "B"
 
 
@@ -70,8 +82,8 @@ def test_same_snapshot_same_decision():
     snapshot = env(executionTimeConstraint=72, estimatedDeliveryTime=40,
                    maxSLAFineAmount=25000, estimatedSLAFine=0)
     results = {
-        evaluate_gate("shipping", "p1", rules_for_shipping(), dict(snapshot),
-                      5, "plane").fired_rule
+        evaluate_gate(gate_plan("shipping", rules_for_shipping(), "plane"),
+                      dict(snapshot), 5).fired_rule
         for _ in range(20)
     }
     assert results == {"Ground Preferred"}
@@ -88,7 +100,7 @@ def test_stale_context_skips_rule():
         "estimatedDeliveryTime": (40, 0),  # 10 ticks old
         "executionTimeConstraint": (72, 8),
     }
-    outcome = evaluate_gate("shipping", "p1", [stale_rule], snapshot, 10, "plane")
+    outcome = evaluate_gate(gate_plan("shipping", [stale_rule], "plane"), snapshot, 10)
     assert outcome.fired_rule is None
     assert outcome.action == SelectVariant("shipping", "plane")
     assert outcome.skipped == [{
@@ -99,11 +111,78 @@ def test_stale_context_skips_rule():
 
 def test_missing_reference_skips_rule():
     outcome = evaluate_gate(
-        "shipping", "p1", [parse_rule(GROUND)],
-        env(executionTimeConstraint=72), now=0, default_variant="plane",
+        gate_plan("shipping", [parse_rule(GROUND)], "plane"),
+        env(executionTimeConstraint=72), now=0,
     )
     assert outcome.skipped[0]["reason"] == "missing"
     assert outcome.action == SelectVariant("shipping", "plane")
+
+
+def reference_gate(gate_id, rules, env, now, default_variant):
+    """Gate evaluation as it was before gates were planned: the oracle."""
+    used = {}
+    for rule in rules:
+        for category in rule.referenced_categories:
+            if category in env:
+                used[category] = env[category][1]
+    skipped = []
+    for rule in rules:
+        stale = None
+        for category, max_age in sorted(rule.required_freshness.items()):
+            if category in env and now - env[category][1] > max_age:
+                stale = category
+                break
+        if stale is not None:
+            skipped.append({"rule": rule.rule_id, "reason": "stale", "category": stale})
+            continue
+        missing = [c for c in rule.referenced_categories if c not in env]
+        if missing:
+            skipped.append({"rule": rule.rule_id, "reason": "missing",
+                            "category": missing[0]})
+            continue
+        if reference_condition(rule.condition, env, now):
+            return rule.rule_id, rule.action, used, skipped
+    if default_variant is None:
+        if skipped and all(s["reason"] == "stale" for s in skipped):
+            raise StaleContext(f"every rule of gate {gate_id!r} was skipped on stale context")
+        raise MissingContext(f"gate {gate_id!r} has no default variant and no rule fired")
+    return None, SelectVariant(gate_id, default_variant), used, skipped
+
+
+def gate_result(evaluate, *args):
+    try:
+        return "value", evaluate(*args)
+    except (MissingContext, StaleContext, RuleTypeError) as err:
+        return "raised", type(err), str(err)
+
+
+RULE_LISTS = st.lists(st.tuples(
+    CONDITIONS,
+    st.sampled_from([Continue(), SelectVariant("g", "v1"), BreakRollback(None),
+                     StartCompensation("redo")]),
+    st.dictionaries(st.sampled_from(NAMES + ("d",)), st.integers(0, 10), max_size=2),
+), max_size=3).map(lambda drawn: [
+    Rule(f"r{i}", f"r{i}", condition, action, referenced_categories(condition), freshness)
+    for i, (condition, action, freshness) in enumerate(drawn)
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=RULE_LISTS, default=st.sampled_from([None, "v0"]), env=ENVS,
+       now=st.integers(0, 25))
+def test_planned_gate_agrees_with_the_reference(rules, default, env, now):
+    plan = gate_plan("g", rules, default)
+    assert plan.categories == sorted({c for r in rules for c in r.referenced_categories})
+    expected = gate_result(reference_gate, "g", rules, env, now, default)
+    got = gate_result(evaluate_gate, plan, env, now)
+    if expected[0] == "raised":
+        assert got == expected
+        return
+    outcome = got[1]
+    fired, action, used, skipped = expected[1]
+    assert (outcome.fired_rule, outcome.action, outcome.skipped) == (fired, action, skipped)
+    assert outcome.used_context == used
+    assert list(outcome.used_context) == sorted(used)
 
 
 # --- engine message flows ------------------------------------------------------------
@@ -113,9 +192,7 @@ def make_engine(sim):
     shipping_rules = rules_for_shipping()
     engine = RulesEngine(
         sim,
-        gate_rules={("m", "shipping"): shipping_rules,
-                    ("m", "packaging"): []},
-        gate_defaults={("m", "shipping"): "plane", ("m", "packaging"): "eco"},
+        gates={("m", "shipping"): (shipping_rules, "plane"), ("m", "packaging"): ([], "eco")},
         model_masters={"m": "master-1"},
         model_thresholds={"m": [{"category_id": "weather", "kind": "any-change",
                                  "theta": None, "min_reliability": 0.0}]},
@@ -285,9 +362,9 @@ def test_re_evaluation_yielding_same_variant_is_silent():
 def test_two_records_sharing_category_both_re_evaluated():
     sim = FakeSim()
     engine = make_engine(sim)
-    engine.gate_rules[("m", "packaging")] = [parse_rule(
+    engine.gates[("m", "packaging")] = ([parse_rule(
         "RULE Pack WHEN estimatedDeliveryTime < 50 THEN selectVariant(packaging, eco) END"
-    )]
+    )], "eco")
     bind(engine, sim)
     evaluate_once(engine, sim)
     engine.handle_rule_eval_request({"instance": "p1", "gate": "packaging"})
@@ -416,9 +493,8 @@ def test_each_decision_sends_exact_messages(action, default, evaluation, recorde
     sim = FakeSim()
     engine = RulesEngine(
         sim,
-        gate_rules={("m", "shipping"): [parse_rule(
-            f"RULE R WHEN estimatedDeliveryTime > 0 THEN {action} END")]},
-        gate_defaults={} if default is None else {("m", "shipping"): default},
+        gates={("m", "shipping"): ([parse_rule(
+            f"RULE R WHEN estimatedDeliveryTime > 0 THEN {action} END")], default)},
         model_masters={"m": "master-1"},
         model_thresholds={},
     )
