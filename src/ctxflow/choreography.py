@@ -60,6 +60,8 @@ class Simulation:
         self.channels = {
             pair: (kinds, latency.channels.get("->".join(pair), latency.default))
             for pair, kinds in CHANNELS.items()}
+        # (sender, receiver) -> tick of the channel's last delivery, under jitter
+        self.last_delivery: dict[tuple[str, str], int] = {}
         self.max_steps = max_steps
         self.trace_log = Trace()
         self.handlers = {}   # pool -> handle_message(kind, payload)
@@ -87,13 +89,19 @@ class Simulation:
 
     def send(self, sender: str, receiver: str, kind: str, payload: dict):
         latency = self.route(sender, receiver, kind)
+        now = self.now
         if self.jitter > 0:
-            latency += self.rng.randint(0, self.jitter)
+            # jitter must not reorder a channel: a message goes no earlier
+            # than the last one sent on it (same tick: seq keeps send order)
+            channel = (sender, receiver)
+            at = max(now + max(1, latency + self.rng.randint(0, self.jitter)),
+                     self.last_delivery.get(channel, 0))
+            self.last_delivery[channel] = at
+        else:
+            at = now + max(1, latency)
         seq = self._next_seq
         self._next_seq += 1
-        now = self.now
-        heapq.heappush(self._queue, (now + max(1, latency), seq, receiver, kind, payload,
-                                     sender, now))
+        heapq.heappush(self._queue, (at, seq, receiver, kind, payload, sender, now))
         self._messages_in_flight += 1
 
     def timer(self, pool: str, payload: dict, at_tick: int):

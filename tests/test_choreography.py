@@ -85,6 +85,22 @@ def test_same_channel_same_tick_fifo():
     assert [p["n"] for (_, p) in recorder.deliveries] == [1, 2, 3]
 
 
+def test_jitter_keeps_each_channel_fifo():
+    sim = Simulation(seed=3, latency=LatencyConfig(jitter=4))
+    rules, context = Recorder(), Recorder()
+    sim.register_pool("rules", lambda kind, payload: rules(kind, (payload, sim.now)))
+    sim.register_pool("context", lambda kind, payload: context(kind, (payload, sim.now)))
+    for n in range(30):
+        sim.send("process", "rules", "RuleEvalRequest", {"n": n})
+        sim.send("external", "context", "SourceEvent", {"n": n})
+    sim.run()
+    for recorder in (rules, context):
+        assert [p["n"] for (_, (p, _)) in recorder.deliveries] == list(range(30))
+    # the channels drew their delays independently: jitter took effect
+    assert ([now for (_, (_, now)) in rules.deliveries]
+            != [now for (_, (_, now)) in context.deliveries])
+
+
 def test_latency_defaults_to_one_tick():
     sim = Simulation()
     seen = []

@@ -17,6 +17,7 @@ from ctxflow.trace import Trace, TraceRecord, _LineWriter, canonical_json, repla
 
 from .conftest import logistics_scenario_data
 from .scenario_gen import random_scenario
+from .trace_oracle import check
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -547,6 +548,7 @@ def test_clean_document_runs_without_raising(data):
     assume(not parse_scenario(data)[1])
     assembly, completed = run_scenario_data(data, max_steps=20000)
     assert completed or assembly.simulation.truncated
+    assert check(json.loads(line) for line in assembly.simulation.trace_log.lines()) == []
 
 
 def test_agent_arithmetic_fault_becomes_engine_error(tmp_path):

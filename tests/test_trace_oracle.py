@@ -1,0 +1,157 @@
+"""The trace oracle on the pinned corpus, and on traces corrupted by hand.
+
+Each corruption breaks one invariant of ``trace_oracle`` and must be
+reported under that invariant's name, and under no other.
+"""
+
+import copy
+import json
+
+import pytest
+
+from ctxflow.scenario import build_simulation, parse_scenario
+
+from .conftest import logistics_scenario_data
+from .test_trace_digests import SCENARIOS
+from .trace_oracle import check
+
+
+def trace_records(data) -> list[dict]:
+    scenario, violations = parse_scenario(data)
+    assert not violations, violations[:3]
+    return [json.loads(line) for line in build_simulation(scenario).simulation.run().lines()]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_oracle_passes_on_pinned_scenario(name):
+    assert check(trace_records(SCENARIOS[name]())) == []
+
+
+LOGISTICS = trace_records(logistics_scenario_data())
+
+
+def invariants(records) -> set[str]:
+    return {violation.split(":", 1)[0] for violation in check(records)}
+
+
+def logistics():
+    return copy.deepcopy(LOGISTICS)
+
+
+def renumbered(records):
+    for seq, record in enumerate(records):
+        record["seq"] = seq
+    return records
+
+
+def first(records, kind, **fields):
+    return next(i for i, r in enumerate(records) if r["kind"] == kind
+                and all(r["payload"].get(k) == v for k, v in fields.items()))
+
+
+def test_logistics_holds_every_invariant():
+    assert check(LOGISTICS) == []
+
+
+def test_seq_gap_is_caught():
+    records = logistics()
+    del records[40]
+    assert invariants(records) == {"seq"}
+
+
+def test_falling_tick_is_caught():
+    records = logistics()
+    closed = first(records, "model_closed")
+    records[closed]["tick"] = records[closed - 1]["tick"] - 1
+    assert invariants(records) == {"seq"}
+
+
+def test_message_on_a_channel_that_does_not_carry_it_is_caught():
+    records = logistics()
+    records[first(records, "ContextSnapshot")]["payload"]["to"] = "process"
+    assert invariants(records) == {"channel"}
+
+
+def test_message_delivered_at_its_send_tick_is_caught():
+    records = logistics()
+    message = records[first(records, "ContextRequest")]
+    message["payload"]["sent"] = message["tick"]
+    assert invariants(records) == {"latency"}
+
+
+def test_overtaking_message_is_caught():
+    records = logistics()
+    polls = [r for r in records if r["kind"] == "PollRequest"]
+    polls[0]["payload"]["msg_seq"], polls[1]["payload"]["msg_seq"] = (
+        polls[1]["payload"]["msg_seq"], polls[0]["payload"]["msg_seq"])
+    assert invariants(records) == {"fifo"}
+
+
+def test_instance_without_terminal_status_is_caught():
+    records = logistics()
+    del records[first(records, "instance_status", instance="p1.comp1", status="Completed")]
+    assert invariants(renumbered(records)) == {"terminal"}
+
+
+def test_instance_ending_twice_is_caught():
+    records = logistics()
+    end = first(records, "instance_status", instance="p1", status="Cancelled")
+    records.insert(end + 1, copy.deepcopy(records[end]))
+    assert invariants(renumbered(records)) == {"terminal"}
+
+
+def test_truncated_run_may_leave_an_instance_unfinished():
+    records = logistics()
+    end = first(records, "instance_status", instance="p1.comp1", status="Completed")
+    records[end] = {**records[end], "kind": "run_truncated", "payload": {"max_steps": 1}}
+    assert check(records) == []
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("Decision", {"gate": "shipping", "evaluation": "native"}),
+    ("StartCompensation", {}),
+    ("BreakRollback", {}),
+])
+def test_gate_message_without_its_evaluation_is_caught(kind, fields):
+    records = logistics()
+    message = next(r["payload"] for r in records if r["kind"] == kind
+                   and r["payload"]["data"].get("evaluation") != "init")
+    data = message["data"]
+    evaluated = first(records, "gate_evaluated", instance=data["instance"],
+                      fired_rule=data["fired_rule"], **fields)
+    assert records[evaluated]["tick"] == message["sent"]
+    del records[evaluated]
+    assert invariants(renumbered(records)) == {"decision"}
+
+
+def test_record_naming_a_closed_model_is_caught():
+    records = logistics()
+    closed = first(records, "model_closed", model="ctx.p1")
+    update = copy.deepcopy(records[first(records, "value_updated", model="ctx.p1")])
+    update["tick"] = records[closed]["tick"]
+    records.insert(closed + 1, update)
+    assert invariants(renumbered(records)) == {"model"}
+
+
+def test_model_losing_a_category_is_caught():
+    records = logistics()
+    end = records[first(records, "model_closed", model="ctx.p1")]["payload"]["end"]
+    end["levels"][-1].remove("packagingMethod")
+    assert invariants(records) == {"model"}
+
+
+def test_extension_by_a_held_category_is_caught():
+    records = logistics()
+    extended = records[first(records, "model_extended", model="ctx.p1")]
+    extended["payload"]["added"].append({"category": "weather", "level": 2})
+    assert invariants(records) == {"model"}
+
+
+def test_stream_going_back_in_time_is_caught():
+    records = logistics()
+    updates = [r["payload"]["value"] for r in records if r["kind"] == "value_updated"
+               and r["payload"]["model"] == "ctx.p1"
+               and r["payload"]["value"]["value_id"] == "weather@weatherService"]
+    assert len(updates) >= 2 and updates[0]["ts"] < updates[1]["ts"]
+    updates[1]["ts"] = updates[0]["ts"] - 1
+    assert invariants(records) == {"stream"}
