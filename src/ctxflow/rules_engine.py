@@ -54,9 +54,11 @@ class GateOutcome:
 class GatePlan:
     """What evaluating one (process model, gate) reads, worked out once.
 
-    ``categories`` is the sorted union of the rules' references: the list
-    every ContextRequest for the gate sends (shared, so nothing may mutate
-    it) and the order ``used`` is built in.  ``rules`` pairs each rule, in
+    ``categories`` is the sorted union of the rules' references and the
+    categories their freshness bounds name, so that a bound is checked
+    whether or not its rule references the category: the list every
+    ContextRequest for the gate sends (shared, so nothing may mutate it)
+    and the order ``used`` is built in.  ``rules`` pairs each rule, in
     declared order, with its freshness bounds sorted by category.
     """
 
@@ -70,7 +72,7 @@ def gate_plan(gate_id: str, rules: list[Rule], default: str | None) -> GatePlan:
     categories: set[str] = set()
     checks = []
     for rule in rules:
-        categories.update(rule.referenced_categories)
+        categories.update(rule.referenced_categories, rule.required_freshness)
         checks.append((rule, tuple(sorted(rule.required_freshness.items()))))
     return GatePlan(gate_id, tuple(checks), default, sorted(categories))
 

@@ -200,6 +200,29 @@ def test_required_freshness_flows_from_scenario():
     assert decided["decision"]["variant"] == "plane"
 
 
+def ground_preferred_skips(data, bound):
+    data["rules"][1] = {"text": data["rules"][1], "required_freshness": bound}
+    _, trace = run(data)
+    return [r.payload for r in trace.find("rule_skipped")
+            if r.payload["rule"] == "Ground Preferred"]
+
+
+def test_freshness_bound_on_an_unreferenced_category_applies():
+    # Ground Preferred reads no weather, yet its gate requests weather for
+    # the bound: the value is always at least a hop old, so the bound trips
+    skips = ground_preferred_skips(logistics_scenario_data(), {"weather": 0})
+    assert skips and skips[0]["reason"] == "stale" and skips[0]["category"] == "weather"
+
+
+def test_freshness_bound_on_an_ancestor_of_a_referenced_category_applies():
+    # estimatedDeliveryTime moves under weather, so the bound names an
+    # ancestor of a category the rule references, not the category itself
+    data = logistics_scenario_data()
+    next(c for c in data["catalog"] if c["id"] == "estimatedDeliveryTime")["parent"] = "weather"
+    skips = ground_preferred_skips(data, {"weather": 0})
+    assert skips and skips[0]["reason"] == "stale" and skips[0]["category"] == "weather"
+
+
 def test_freshness_bound_on_an_uncatalogued_category_is_a_violation():
     data = logistics_scenario_data()
     data["rules"][1] = {"text": data["rules"][1], "required_freshness": {"nosuch": 3}}

@@ -119,10 +119,13 @@ def test_missing_reference_skips_rule():
 
 
 def reference_gate(gate_id, rules, env, now, default_variant):
-    """Gate evaluation as it was before gates were planned: the oracle."""
+    """Gate evaluation as it was before gates were planned: the oracle.
+
+    ``used`` holds what the gate requests: each rule's references and the
+    categories its freshness bounds name."""
     used = {}
     for rule in rules:
-        for category in rule.referenced_categories:
+        for category in (*rule.referenced_categories, *rule.required_freshness):
             if category in env:
                 used[category] = env[category][1]
     skipped = []
@@ -172,7 +175,8 @@ RULE_LISTS = st.lists(st.tuples(
        now=st.integers(0, 25))
 def test_planned_gate_agrees_with_the_reference(rules, default, env, now):
     plan = gate_plan("g", rules, default)
-    assert plan.categories == sorted({c for r in rules for c in r.referenced_categories})
+    assert plan.categories == sorted(
+        {c for r in rules for c in (*r.referenced_categories, *r.required_freshness)})
     expected = gate_result(reference_gate, "g", rules, env, now, default)
     got = gate_result(evaluate_gate, plan, env, now)
     if expected[0] == "raised":
