@@ -65,16 +65,10 @@ class ProcessModel:
     execution_time_constraint: int | None = None
     context_master: str | None = None
 
-    # ``nodes`` is never changed after construction, so one walk serves
-    # parse, validation and build
+    # ``nodes`` is never changed after construction, so it is walked once
     @cached_property
     def every_node(self) -> list:
         return walk_nodes(self.nodes)
-
-    @cached_property
-    def gates(self) -> dict[str, GateNode]:
-        return {node.gate_id: node for node in self.every_node
-                if isinstance(node, GateNode)}
 
 
 def walk_nodes(nodes) -> list:
@@ -132,14 +126,15 @@ class ProcessEngine:
         self.sim = sim
         self.models = models
         self.deny_principals = set(deny_principals)
-        # (model_id, "decision:<gate>" | "task:<name>") -> [MirrorSpec], emitted
-        # when the gate's decision lands or when the task completes
+        # (model_id, "decision:<gate>" | "task:<name>") -> [(source id, MirrorSpec)],
+        # emitted through the declaring source when the gate's decision lands
+        # or when the task completes
         self.mirrors: dict[tuple[str, str], list] = {}
-        self.mirror_emit = mirror_emit or (lambda category, payload: None)
+        self.mirror_emit = mirror_emit or (lambda source, category, payload: None)
         self.instances: dict[str, ProcessInstance] = {}
         self.pending_starts = 0
 
-    def register_mirrors(self, mirrors):
+    def register_mirrors(self, source_id: str, mirrors):
         for spec in mirrors:
             if spec.trigger == "decision":
                 trigger = f"decision:{spec.gate_id}"
@@ -147,13 +142,13 @@ class ProcessEngine:
                 trigger = spec.trigger
             else:
                 raise ValueError(f"unknown mirror trigger {spec.trigger!r}")
-            self.mirrors.setdefault((spec.model_id, trigger), []).append(spec)
+            self.mirrors.setdefault((spec.model_id, trigger), []).append((source_id, spec))
 
     def _mirror(self, instance: ProcessInstance, trigger: str):
-        for spec in self.mirrors.get((instance.model_id, trigger), ()):
+        for source_id, spec in self.mirrors.get((instance.model_id, trigger), ()):
             variant = instance.selected_variants.get(spec.gate_id)
             if variant is not None:
-                self.mirror_emit(spec.category_id, variant)
+                self.mirror_emit(source_id, spec.category_id, variant)
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -87,6 +87,10 @@ class Scenario:
     thresholds: dict[str, list[dict]] = field(default_factory=dict)
     # {"id", "model", "principal", "start_tick", "share_with"} per instance
     instances: list[dict] = field(default_factory=list)
+    # model id -> the gates (by id) and task names an instance of it runs,
+    # those of the sub-processes it runs inline included
+    runs: dict[str, tuple[dict[str, GateNode], set[str]]] = field(
+        default_factory=dict, init=False)
 
 
 def load_scenario_data(path) -> dict:
@@ -556,6 +560,7 @@ def _build_nodes(raw_nodes):
 
 
 def _parse_process_models(doc, scenario, bad):
+    models, own = scenario.process_models, {}  # model id -> (gates, tasks, inlined models)
     for entry in doc["process_models"]:
         model_id, nodes = entry["model_id"], _build_nodes(entry["nodes"])
         model = ProcessModel(model_id, nodes, entry["compensation_refs"],
@@ -567,9 +572,13 @@ def _parse_process_models(doc, scenario, bad):
             bad("model-start-count", model_id, "exactly one start node required")
         if not any(isinstance(n, EndNode) for n in nodes):
             bad("model-no-end", model_id, "top-level sequence must contain end")
-        gates = {}
+        own[model_id] = gates, tasks, inlined = {}, set(), []
         for node in every:
-            if isinstance(node, GateNode):
+            if isinstance(node, TaskNode):
+                tasks.add(node.name)
+            elif isinstance(node, SubprocessNode):
+                inlined.append(node.model_id)
+            elif isinstance(node, GateNode):
                 if node.gate_id in gates:
                     bad("model-duplicate-gate", model_id,
                         f"gate {node.gate_id!r} defined twice")
@@ -578,37 +587,39 @@ def _parse_process_models(doc, scenario, bad):
                     bad("model-bad-default", model_id,
                         f"gate {node.gate_id!r} default {node.default_variant!r} "
                         "is not a variant")
+                for rule_id in node.rule_ids:
+                    if rule_id not in scenario.rules:
+                        bad("gate-unknown-rule", f"{model_id}:{node.gate_id}",
+                            f"rule {rule_id!r} not declared")
         if model.context_master and model.context_master not in scenario.masters:
             bad("model-unknown-master", model_id,
                 f"context master {model.context_master!r} not declared")
-        scenario.process_models[model_id] = model
-    # second pass: cross-model references
-    enters = {}  # model id -> declared models its subprocess nodes run inline
-    for model in scenario.process_models.values():
+        models[model_id] = model
+    # a subprocess runs inline, under the instance's own model: an instance
+    # runs its model's nodes and those of every model they reach
+    for model_id, model in models.items():
         for ref, target in model.compensation_refs.items():
-            if target not in scenario.process_models:
-                bad("model-unknown-compensation", model.model_id,
+            if target not in models:
+                bad("model-unknown-compensation", model_id,
                     f"{ref!r} points at unknown model {target!r}")
-        enters[model.model_id] = targets = []
-        for node in model.every_node:
-            if not isinstance(node, SubprocessNode):
-                continue
-            if node.model_id in scenario.process_models:
-                targets.append(node.model_id)
-            else:
-                bad("model-unknown-subprocess", model.model_id,
-                    f"subprocess {node.model_id!r} not declared")
-    # a subprocess runs inline, so a chain back to its own model never ends
-    for model_id in enters:
-        seen, frontier = set(), list(enters[model_id])
-        while frontier and model_id not in seen:
-            target = frontier.pop()
-            if target not in seen:
-                seen.add(target)
-                frontier.extend(enters[target])
-        if model_id in seen:
+        for target in own[model_id][2]:
+            if target not in models:
+                bad("model-unknown-subprocess", model_id, f"subprocess {target!r} not declared")
+        gates, tasks, entered = {}, set(), [model_id]
+        for current in entered:
+            current_gates, current_tasks, inlined = own[current]
+            for gate_id, gate in current_gates.items():
+                if gates.setdefault(gate_id, gate) is not gate:
+                    bad("model-duplicate-gate", model_id,
+                        f"gate {gate_id!r} of inlined model {current!r} defined twice")
+            tasks |= current_tasks
+            entered += [target for target in dict.fromkeys(inlined)
+                        if target in models and target not in entered]
+        if any(model_id in own[current][2] for current in entered):
+            # a chain back to its own model never ends
             bad("model-subprocess-cycle", model_id,
                 "a chain of subprocess nodes returns to this model")
+        scenario.runs[model_id] = gates, tasks
 
 
 def _parse_thresholds(doc, scenario, bad):
@@ -673,14 +684,11 @@ def _check_instances(doc, scenario, bad):
 def _check_mirrors(doc, scenario, bad):
     """A mirror names a declared model, a gate and task its instances run, and a
     category its source provides; any other mirror would never fire."""
-    models, runs = scenario.process_models, {}  # model id -> (gate ids, task names)
     for source in scenario.sources.values():
         for spec in source.mirrors:
             missing = []
-            if spec.model_id in models:
-                if spec.model_id not in runs:
-                    runs[spec.model_id] = _gates_and_tasks(models, spec.model_id)
-                gates, tasks = runs[spec.model_id]
+            if spec.model_id in scenario.runs:
+                gates, tasks = scenario.runs[spec.model_id]
                 if spec.gate_id not in gates:
                     missing.append(f"gate {spec.gate_id!r}")
                 task = spec.trigger.removeprefix("task:")
@@ -695,53 +703,31 @@ def _check_mirrors(doc, scenario, bad):
                     f"mirror of {spec.model_id!r}: no {what}")
 
 
-def _gates_and_tasks(models, model_id):
-    """The gate ids and task names an instance of ``model_id`` runs: subprocess
-    nodes run inline, under the instance's own model."""
-    gates, tasks, entered = set(), set(), [model_id]
-    for current in entered:
-        for node in models[current].every_node:
-            if isinstance(node, GateNode):
-                gates.add(node.gate_id)
-            elif isinstance(node, TaskNode):
-                tasks.add(node.name)
-            elif (isinstance(node, SubprocessNode) and node.model_id in models
-                  and node.model_id not in entered):
-                entered.append(node.model_id)
-    return gates, tasks
-
-
 def _bind_rules(scenario, bad):
-    """Action targets must exist in the process model a rule attaches to."""
-    for model in scenario.process_models.values():
-        gates = model.gates
+    """Action targets must exist in each process model that runs the rule's gate."""
+    for model_id, (gates, _) in scenario.runs.items():
+        refs = scenario.process_models[model_id].compensation_refs
         for gate in gates.values():
-            for rule_id in gate.rule_ids:
-                rule = scenario.rules.get(rule_id)
-                if rule is None:
-                    bad("gate-unknown-rule", f"{model.model_id}:{gate.gate_id}",
-                        f"rule {rule_id!r} not declared")
-                    continue
-                action = rule.action
+            for rule in filter(None, map(scenario.rules.get, gate.rule_ids)):
+                action, rule_id = rule.action, rule.rule_id
                 if isinstance(action, SelectVariant):
                     target = gates.get(action.gate_id)
                     if target is None:
                         bad("UnknownActionTarget", rule_id,
-                            f"gate {action.gate_id!r} not in model {model.model_id!r}")
+                            f"gate {action.gate_id!r} not in model {model_id!r}")
                     elif action.variant_id not in target.variants:
                         bad("UnknownActionTarget", rule_id,
                             f"variant {action.variant_id!r} not in gate "
-                            f"{action.gate_id!r} of model {model.model_id!r}")
+                            f"{action.gate_id!r} of model {model_id!r}")
                 elif isinstance(action, BreakRollback):
                     if action.target not in (None, "start") and action.target not in gates:
                         bad("UnknownActionTarget", rule_id,
-                            f"rollback target {action.target!r} not in model "
-                            f"{model.model_id!r}")
+                            f"rollback target {action.target!r} not in model {model_id!r}")
                 elif isinstance(action, StartCompensation):
-                    if action.process_ref not in model.compensation_refs:
+                    if action.process_ref not in refs:
                         bad("UnknownActionTarget", rule_id,
                             f"compensation ref {action.process_ref!r} not declared "
-                            f"in model {model.model_id!r}")
+                            f"in model {model_id!r}")
 
 
 @dataclass
@@ -772,16 +758,12 @@ def build_simulation(scenario: Scenario, seed: int | None = None,
         poll_budget=scenario.poll_budget,
         max_config_steps=scenario.max_config_steps,
     )
-    gates = {
-        (model.model_id, gate.gate_id): (
-            [scenario.rules[rid] for rid in gate.rule_ids if rid in scenario.rules],
-            gate.default_variant)
-        for model in scenario.process_models.values()
-        for gate in model.gates.values()
-    }
     rules = RulesEngine(
         sim,
-        gates=gates,
+        gates={(model_id, gate_id): (
+            [scenario.rules[rid] for rid in gate.rule_ids if rid in scenario.rules],
+            gate.default_variant)
+            for model_id, (gates, _) in scenario.runs.items() for gate_id, gate in gates.items()},
         model_masters={
             m.model_id: m.context_master or "" for m in scenario.process_models.values()
         },
@@ -794,7 +776,7 @@ def build_simulation(scenario: Scenario, seed: int | None = None,
         mirror_emit=externals.emit_mirror,
     )
     for source in scenario.sources.values():
-        process.register_mirrors(source.mirrors)
+        process.register_mirrors(source.source_id, source.mirrors)
     sim.register_pool("process", process.handle_message, process.handle_timer)
     sim.register_pool("rules", rules.handle_message)
     sim.register_pool("context", context.handle_message, context.handle_timer)

@@ -172,15 +172,13 @@ class ExternalSystems:
                 reply[key] = payload[key]
         self.sim.send(self.POOL, "context", "PollResponse", reply)
 
-    def emit_mirror(self, category_id: str, payload):
-        """The BPM system acting as an external context source."""
-        for source in self.sources.values():
-            if category_id in source.descriptor.provided_categories and source.mirrors:
-                self.mirror_state[source.source_id][category_id] = payload
-                self.sim.send(self.POOL, "context", "SourceEvent", {
-                    "source_id": source.source_id,
-                    "category_id": category_id,
-                    "payload": payload,
-                    "ts": self.sim.now,
-                })
-                return
+    def emit_mirror(self, source_id: str, category_id: str, payload):
+        """The BPM system acting as an external context source: ``source_id``
+        is the source that declares the mirror."""
+        self.mirror_state[source_id][category_id] = payload
+        self.sim.send(self.POOL, "context", "SourceEvent", {
+            "source_id": source_id,
+            "category_id": category_id,
+            "payload": payload,
+            "ts": self.sim.now,
+        })

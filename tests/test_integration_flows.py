@@ -280,3 +280,79 @@ def test_predefined_categories_must_sit_in_first_level():
     data["masters"][0]["predefined"] = ["geospatial", "weather"]
     _, violations = parse_scenario(data)
     assert any(v.code == "predefined-outside-first-level" for v in violations)
+
+
+# --- inlined sub-processes ------------------------------------------------------------------
+
+
+def gate_decisions(trace):
+    return [(r.tick, r.payload["instance"], r.payload["gate"], r.payload["decision"])
+            for r in trace.find("gate_evaluated")]
+
+
+def outcomes(assembly):
+    return {i.instance_id: i.status for i in assembly.process.instances.values()}
+
+
+def test_inlined_gates_decide_as_in_their_own_model():
+    data = logistics_scenario_data()
+    delivery = data["process_models"][0]
+    data["process_models"].append({
+        "model_id": "wrapper", "context_master": delivery["context_master"],
+        "compensation_refs": delivery["compensation_refs"],
+        "nodes": [{"type": "start"}, {"type": "subprocess", "model": "spare_part_delivery"},
+                  {"type": "end"}]})
+    data["thresholds"]["wrapper"] = data["thresholds"]["spare_part_delivery"]
+    bpm = data["sources"][3]
+    bpm["mirrors"] += [dict(mirror, model="wrapper") for mirror in bpm["mirrors"]
+                       if mirror["model"] == "spare_part_delivery"]
+    data["instances"][0]["model"] = "wrapper"
+    wrapped, wrapped_trace = run(data)
+    direct, direct_trace = run(logistics_scenario_data())
+    assert gate_decisions(wrapped_trace) == gate_decisions(direct_trace)
+    assert outcomes(wrapped) == outcomes(direct) == {"p1": "Cancelled", "p1.comp1": "Completed"}
+
+
+def handover_scenario():
+    """``main`` runs ``handover`` inline; its gate has a default and no rules."""
+    return {
+        "catalog": [{"id": "stage", "requires_value": False}],
+        "masters": [{"model_id": "m", "categories": ["stage"]}],
+        "process_models": [
+            {"model_id": "main", "context_master": "m",
+             "nodes": [{"type": "start"}, {"type": "subprocess", "model": "handover"},
+                       {"type": "end"}]},
+            {"model_id": "handover", "nodes": [
+                {"type": "start"},
+                {"type": "gate", "id": "signoff", "default": "quick",
+                 "variants": {"quick": [{"type": "task", "name": "sign", "duration": 1}]}},
+                {"type": "end"}]},
+        ],
+        "instances": [{"id": "i1", "model": "main", "principal": "clerk"}],
+    }
+
+
+def test_inlined_gate_takes_its_default():
+    assembly, trace = run(handover_scenario())
+    assert [(gate, decision["variant"]) for _, _, gate, decision in gate_decisions(trace)] == [
+        ("signoff", "quick")]
+    assert outcomes(assembly) == {"i1": "Completed"}
+
+
+# --- mirrors ------------------------------------------------------------------------------
+
+
+def test_mirror_goes_out_through_the_source_that_declares_it():
+    data = logistics_scenario_data()
+    bpm = data["sources"][3]
+    packaging = [m for m in bpm["mirrors"] if m["category"] == "packagingMethod"]
+    bpm["mirrors"] = [m for m in bpm["mirrors"] if m not in packaging]
+    # a less reliable source that also provides both categories, declared first
+    data["sources"].insert(0, {
+        "id": "wms", "mode": "push", "reliability": 0.3,
+        "provides": ["shippingMethod", "packagingMethod"], "mirrors": packaging})
+    _, trace = run(data)
+    mirrored = {(event["category_id"], event["source_id"])
+                for event in (r.payload["data"] for r in trace.find("SourceEvent"))
+                if event["category_id"] != "weather"}
+    assert mirrored == {("shippingMethod", "bpm"), ("packagingMethod", "wms")}

@@ -393,8 +393,9 @@ def test_zero_duration_task_completes_in_its_tick():
     mirrored = []
     engine = ProcessEngine(
         sim, {"m": model},
-        mirror_emit=lambda category, payload: mirrored.append((sim.now, category, payload)))
-    engine.register_mirrors([MirrorSpec("m", "g", "shippingMethod", "task:stamp")])
+        mirror_emit=lambda source, category, payload: mirrored.append(
+            (sim.now, source, category, payload)))
+    engine.register_mirrors("bpm", [MirrorSpec("m", "g", "shippingMethod", "task:stamp")])
     instance = started(engine, sim)
     engine.handle_message("Decision", {
         "instance": "p1", "gate": "g", "evaluation": "native",
@@ -404,7 +405,7 @@ def test_zero_duration_task_completes_in_its_tick():
     stamp = [(r.tick, r.kind) for r in sim.trace_log.records
              if r.payload.get("task") == "stamp"]
     assert stamp == [(1, "task_started"), (1, "task_completed")]
-    assert mirrored == [(1, "shippingMethod", "fast")]
+    assert mirrored == [(1, "bpm", "shippingMethod", "fast")]
     assert instance.current_task == "deliver"
     engine.handle_message("BreakRollback", {"instance": "p1", "target": "g",
                                             "disposition": "resume"})
@@ -416,4 +417,4 @@ def test_zero_duration_task_completes_in_its_tick():
 def test_unknown_mirror_trigger_is_rejected():
     engine = make_engine(FakeSim())
     with pytest.raises(ValueError, match="unknown mirror trigger"):
-        engine.register_mirrors([MirrorSpec("m", "g", "shippingMethod", "decision:g")])
+        engine.register_mirrors("bpm", [MirrorSpec("m", "g", "shippingMethod", "decision:g")])

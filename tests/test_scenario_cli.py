@@ -302,6 +302,13 @@ def change_mirror(**fields):
     return change
 
 
+def delivery_inlines_its_compensation(data):
+    """Both models define shipping and packaging, and one instance would run both."""
+    data["process_models"][0]["nodes"].insert(
+        -1, {"type": "subprocess", "model": "spare_part_delivery_comp"})
+    return data
+
+
 def short_timeline_entry(data):
     data["sources"][0]["timeline"] = [[30, "weather"]]
     return data
@@ -345,6 +352,8 @@ MALFORMED = {
     "subprocess-loop-of-two": (with_subprocess("spare_part_delivery",
                                                "spare_part_delivery_comp"),
                                "model-subprocess-cycle"),
+    "gate-in-a-model-and-its-subprocess": (delivery_inlines_its_compensation,
+                                           "model-duplicate-gate"),
     "latency-of-no-channel": (set_section("latency", {"channels": {"process->context": 5}}),
                               "latency-invalid"),
     "rule-literal-too-long": (change_rule("< estimatedDeliveryTime", "< " + "9" * 5000),
@@ -427,8 +436,19 @@ def test_mirror_may_name_a_gate_and_task_its_subprocess_runs(tmp_path, capsys):
     data = logistics_scenario_data()
     data["process_models"].append({"model_id": "wrapper", "nodes": [
         {"type": "start"}, {"type": "subprocess", "model": "spare_part_delivery"},
-        {"type": "end"}]})
+        {"type": "end"}],
+        # Delivery SLA, on the inlined shipping gate, starts this compensation
+        "compensation_refs": {"process.compensation.deliveryVariant": "spare_part_delivery_comp"}})
     change_mirror(model="wrapper")(data)  # shipping at load_truck, both in the subprocess
+    assert main(["validate", write_scenario(tmp_path, data)]) == 0, capsys.readouterr().out
+
+
+def test_a_model_inlined_twice_defines_no_gate_twice(tmp_path, capsys):
+    data = logistics_scenario_data()
+    inline = {"type": "subprocess", "model": "spare_part_delivery"}
+    data["process_models"].append({
+        "model_id": "twice", "nodes": [{"type": "start"}, inline, inline, {"type": "end"}],
+        "compensation_refs": {"process.compensation.deliveryVariant": "spare_part_delivery_comp"}})
     assert main(["validate", write_scenario(tmp_path, data)]) == 0, capsys.readouterr().out
 
 

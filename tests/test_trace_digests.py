@@ -86,6 +86,69 @@ def propagation_scenario():
 
 REDUCER_NAMES = ("min", "max", "mean", "count", "last")
 
+
+def engine_paths_scenario():
+    """Engine paths the other pinned scenarios never run.
+
+    ``main`` runs a zero-duration task and then ``handover`` inline, whose
+    gates carry the rules: one skipped on a stale value, one skipped on a
+    category no source provides (``admin_no_source``), and one reading a
+    category that extends the model at request time and is fetched from a
+    push source's schedule.  A second instance's principal is denied, and a
+    third waits on a category its source never answers until
+    ``init_timeout``.  No source is polled on a timer, so a run that leaves
+    an instance hanging ends with it not terminal.
+    """
+    def task(name, duration=1):
+        return {"type": "task", "name": name, "duration": duration}
+    return {
+        "seed": 3,
+        "limits": {"poll_budget": 2},
+        "auth": {"deny": ["mallory"]},
+        "catalog": [
+            {"id": "root", "requires_value": False},
+            *({"id": cat, "parent": "root"} for cat in ("stage", "dock", "seal", "ghost")),
+        ],
+        "masters": [{"model_id": "desk", "categories": ["root", "stage"]},
+                    {"model_id": "attic", "categories": ["root", "ghost"]}],
+        "sources": [
+            {"id": "clerk", "provides": ["stage"], "poll": {"stage": [[0, "open"]]}},
+            {"id": "yard", "provides": ["dock"], "poll": {"dock": [[0, "north"]]}},
+            {"id": "flaky", "reliability": 0.5, "provides": ["ghost"]},
+        ],
+        "rules": [
+            {"text": 'RULE Fresh Stage\nWHEN stage == "open"\n'
+                     "THEN selectVariant(signoff, careful)\nEND",
+             "required_freshness": {"stage": 0}},
+            'RULE Sealed\nWHEN seal == "yes"\nTHEN selectVariant(signoff, careful)\nEND',
+            'RULE Docked\nWHEN dock == "north"\nTHEN selectVariant(route, north)\nEND',
+        ],
+        "process_models": [
+            {"model_id": "main", "context_master": "desk", "nodes": [
+                {"type": "start"}, task("stamp", 0),
+                {"type": "subprocess", "model": "handover"}, task("file"),
+                {"type": "end"}]},
+            {"model_id": "handover", "nodes": [
+                {"type": "start"},
+                {"type": "gate", "id": "signoff", "default": "quick",
+                 "rules": ["Fresh Stage", "Sealed"],
+                 "variants": {"quick": [task("sign")],
+                              "careful": [task("check", 2)]}},
+                {"type": "gate", "id": "route", "default": "south", "rules": ["Docked"],
+                 "variants": {"north": [task("haul")],
+                              "south": [task("haul", 3)]}},
+                {"type": "end"}]},
+            {"model_id": "attic_run", "context_master": "attic", "nodes": [
+                {"type": "start"}, task("climb"), {"type": "end"}]},
+        ],
+        "instances": [
+            {"id": "i1", "model": "main", "principal": "dispatcher"},
+            {"id": "i2", "model": "main", "principal": "mallory", "start_tick": 1},
+            {"id": "i3", "model": "attic_run", "principal": "dispatcher", "start_tick": 2},
+        ],
+    }
+
+
 SCENARIOS = {
     "logistics": logistics_scenario_data,
     "propagation": propagation_scenario,
@@ -99,6 +162,7 @@ SCENARIOS = {
         for jitter in (0, 2)
     },
     "ladder-n100": lambda: ladder_rung(100),
+    "engine-paths": engine_paths_scenario,
 }
 
 
@@ -123,7 +187,7 @@ def test_trace_digest(name):
 
 # records share payload dicts: a context value's dict rides in every record,
 # notification and snapshot that carries it
-SHARED_PAYLOADS = ["logistics", "shared", "shared-thunderstorm",
+SHARED_PAYLOADS = ["logistics", "shared", "shared-thunderstorm", "engine-paths",
                    *(f"random-s{seed}-j0" for seed in range(10))]
 
 
