@@ -1,6 +1,6 @@
 """Command-line surface: validate, run, replay.
 
-Exit codes: 0 ok, 1 traces differ, 2 violations, 3 unreadable input, 4 truncated run.
+Exit codes: 0 ok, 1 traces differ, 2 violations, 3 a file unreadable or unwritable, 4 truncated.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .trace import replay_verify
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 2
-EXIT_PARSE_ERROR = 3
+EXIT_FILE_ERROR = 3
 EXIT_TRUNCATED = 4
 
 
@@ -41,7 +41,11 @@ def cmd_run(args) -> int:
     assembly = build_simulation(scenario, seed=args.seed, max_steps=args.max_steps)
     trace = assembly.simulation.run()
     if args.trace_out:
-        trace.write(args.trace_out)
+        try:
+            trace.write(args.trace_out)
+        except OSError as err:
+            print(f"cannot write trace: {err}", file=sys.stderr)
+            return EXIT_FILE_ERROR
     else:
         sys.stdout.writelines(trace.lines())
     terminal = {
@@ -60,7 +64,7 @@ def cmd_replay(args) -> int:
         ok, detail = replay_verify(args.trace_a, args.trace_b)
     except OSError as err:
         print(f"cannot read trace: {err}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        return EXIT_FILE_ERROR
     print(detail)
     return EXIT_OK if ok else 1
 
@@ -93,7 +97,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScenarioParseError as err:  # the scenario file is not JSON
         print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        return EXIT_FILE_ERROR
 
 
 if __name__ == "__main__":

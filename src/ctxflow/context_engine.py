@@ -22,7 +22,6 @@ from .errors import (
     StepBudgetExceeded,
     UnknownMaster,
     UnknownModel,
-    UnknownRegistration,
     UnknownSharedModel,
 )
 from .model import (
@@ -883,10 +882,10 @@ class ContextEngine:
     # -- shutdown ------------------------------------------------------------------
 
     def shutdown_model(self, instance_id: str):
+        # a ShutdownModel follows its instance's Register on one FIFO channel: an
+        # instance without a registration failed to register, reported already
         reg = self.registrations.pop(instance_id, None)
-        if reg is None:
-            raise UnknownRegistration(f"no registration for instance {instance_id!r}")
-        model = self.instances.get(reg.model_id)
+        model = None if reg is None else self.instances.get(reg.model_id)
         if model is None:
             return
         if instance_id in model.bound_instances:
@@ -903,12 +902,7 @@ class ContextEngine:
             })
 
     def handle_shutdown_model(self, payload: dict):
-        try:
-            self.shutdown_model(payload["instance"])
-        except UnknownRegistration as err:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": "UnknownRegistration", "detail": str(err),
-            })
+        self.shutdown_model(payload["instance"])
 
     # -- dispatch --------------------------------------------------------------------
 

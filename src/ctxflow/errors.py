@@ -65,10 +65,6 @@ class UnknownModel(CtxflowError):
     pass
 
 
-class UnknownRegistration(CtxflowError):
-    pass
-
-
 # --- rules -----------------------------------------------------------------
 
 class RuleSyntaxError(CtxflowError):

@@ -316,7 +316,8 @@ def extend(g: ContextIntersection, additions: Additions,
 def update_value(g: ContextIntersection, v: ContextValue) -> ContextIntersection:
     """Replace the current value of ``v``'s category, in place.
 
-    The previous current value moves to the category's bounded history.
+    The previous current value moves to the category's history, which keeps
+    the last ``history_limit`` of them (none at 0).
     A write on an existing stream with ts not strictly greater than the
     stream's raises StaleWrite and leaves the graph untouched.
     """
@@ -336,10 +337,9 @@ def update_value(g: ContextIntersection, v: ContextValue) -> ContextIntersection
             f"rejecting ts {v.ts}"
         )
     streams[v.value_id] = v
-    previous = g.values.get(v.category_id)
-    if previous is not None:
+    if g.history_limit > 0 and v.category_id in g.values:
         bucket = g.history.setdefault(v.category_id, [])
-        bucket.append(previous)
+        bucket.append(g.values[v.category_id])
         if len(bucket) > g.history_limit:
             del bucket[: len(bucket) - g.history_limit]
     g.values[v.category_id] = v

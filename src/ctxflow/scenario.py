@@ -29,7 +29,6 @@ from .context_engine import (
 )
 from .errors import RuleSyntaxError, RuleTypeError, ScenarioParseError
 from .model import (
-    DEFAULT_HISTORY_LIMIT,
     VALUE_KINDS,
     ContextCategory,
     ContextIntersection,
@@ -73,7 +72,6 @@ class Scenario:
     max_steps: int = DEFAULT_MAX_STEPS
     poll_budget: int = DEFAULT_POLL_BUDGET
     max_config_steps: int | None = None
-    history_limit: int = DEFAULT_HISTORY_LIMIT
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     staleness: tuple[int, float] | None = None
     deny_principals: list[str] = field(default_factory=list)
@@ -117,8 +115,7 @@ def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
         del channels[key]
     scenario = Scenario(
         seed=doc["seed"], max_steps=limits["max_steps"], poll_budget=limits["poll_budget"],
-        max_config_steps=limits["max_config_steps"], history_limit=limits["history"],
-        latency=LatencyConfig(**doc["latency"]),
+        max_config_steps=limits["max_config_steps"], latency=LatencyConfig(**doc["latency"]),
         staleness=staleness and (staleness["max_age"], staleness["decay"]),
         deny_principals=doc["auth"]["deny"], instances=doc["instances"],
     )
@@ -138,7 +135,7 @@ def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
 # against it and hands the section parsers typed values with every default
 # filled in.  An unfit value is reported and replaced by its default, or
 # dropped from its list or object; a record then still lacking a field is
-# dropped.  A violation names the field (``limits.history``), object entry
+# dropped.  A violation names the field (``limits.poll_budget``), object entry
 # (``latency.channels[a->b]``) or list record (``catalog[3]``) at fault; a
 # list or object of the wrong type, or a bad plain element of a list, is
 # reported on the record holding it.
@@ -335,7 +332,7 @@ SCENARIO = _Record({
     "seed": (INT, 0, "seed-invalid"),
     "limits": (_Record({
         "max_steps": (COUNT, DEFAULT_MAX_STEPS), "poll_budget": (COUNT, DEFAULT_POLL_BUDGET),
-        "history": (COUNT, DEFAULT_HISTORY_LIMIT), "max_config_steps": (COUNT, None),
+        "max_config_steps": (COUNT, None),
     }), {}, "limits-invalid"),
     "latency": (_Record({
         "default": (COUNT, 1), "jitter": (COUNT, 0), "channels": (_Many(COUNT, keyed=True), {}),
@@ -439,9 +436,12 @@ def _parse_catalog(doc, scenario, bad):
 
 
 def _parse_masters(doc, scenario, bad):
+    # a model keeps the values before the current one that the deepest aggregate reads
+    history = max((entry["spec"]["window"] - 1 for entry in doc["agents"]
+                   if entry["kind"] == "aggregate"), default=0)
     for entry in doc["masters"]:
         model_id, categories = entry["model_id"], entry["categories"]
-        graph = ContextIntersection(history_limit=scenario.history_limit)
+        graph = ContextIntersection(history_limit=history)
         ok = _known(scenario, bad, "master-unknown-category", model_id, categories)
         for cat_id in categories:
             parent = scenario.catalog[cat_id].parent if cat_id in scenario.catalog else None
@@ -672,6 +672,10 @@ def _check_instances(doc, scenario, bad):
         for start in instances:
             if start["model"] not in models:
                 bad("instance-unknown-model", start["id"], f"no process model {start['model']!r}")
+    # compensation children and inlined sub-processes run under another model's context
+    for model_id in dict.fromkeys(map(itemgetter("model"), instances)):
+        if model_id in models and not models[model_id].context_master:
+            bad("model-no-master", model_id, "instances start it, yet it names no context_master")
     for start in [start for start in instances if start["share_with"] is not None]:
         target = starts.get(start["share_with"])
         if target is None:

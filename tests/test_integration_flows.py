@@ -176,6 +176,51 @@ def test_compensation_context_equals_parent_at_spawn():
     assert spawn.payload["instance"] == "p1.comp1"
 
 
+# --- aggregate windows ----------------------------------------------------------------------
+
+
+def test_aggregate_reduces_its_whole_window():
+    """A model keeps as many past values as the deepest aggregate reads."""
+    data = logistics_scenario_data()
+    data["catalog"] += [{"id": "level", "kind": "numeric", "parent": "processObject"},
+                        {"id": "levelCount", "kind": "numeric", "parent": "processObject"}]
+    data["masters"][0]["categories"] += ["level", "levelCount"]
+    data["sources"].append({"id": "sensor", "provides": ["level"],
+                            "timeline": [[5 + i, "level", i] for i in range(15)]})
+    data["agents"] = [{"id": "levelCounter", "kind": "aggregate", "inputs": ["level"],
+                       "output": "levelCount", "spec": {"window": 12, "reducer": "count"}}]
+    _, trace = run(data)
+    counts = [r.payload["value"]["payload"]
+              for r in trace.find("value_updated", model="ctx.p1", category="levelCount")]
+    assert counts == [*range(1, 13), 12, 12, 12]
+
+
+def test_a_document_without_aggregates_keeps_no_history():
+    scenario, violations = parse_scenario(logistics_scenario_data())
+    assert not violations, violations[:3]
+    assembly = build_simulation(scenario, max_steps=60)
+    assembly.simulation.run()
+    assert assembly.simulation.now == 35
+    graph = assembly.context.instances["ctx.p1"].intersection
+    assert graph.values and graph.history == {}
+
+
+# --- a process model without a context master -------------------------------------------------
+
+
+def test_an_unregistered_instance_shuts_down_quietly():
+    """Run without validation, the failed registration is the only error the
+    context pool writes: its ShutdownModel follows it and writes nothing."""
+    data = logistics_scenario_data()
+    del data["process_models"][0]["context_master"]
+    scenario, _ = parse_scenario(data)  # model-no-master
+    assembly = build_simulation(scenario)
+    trace = assembly.simulation.run()
+    assert [r.payload["error"] for r in trace.find("engine_error")] == ["UnknownMaster"]
+    assert trace.find("ShutdownModel", to="context")
+    assert outcomes(assembly) == {"p1": "Cancelled"}
+
+
 # --- freshness metadata ---------------------------------------------------------------------
 
 

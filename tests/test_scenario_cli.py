@@ -159,11 +159,6 @@ def with_limit(key, value):
     return {"limits": limits}
 
 
-def test_limits_history_string_is_a_violation(tmp_path, capsys):
-    assert_violation(tmp_path, capsys, with_limit("history", "5"),
-                     "limits-invalid", "limits.history")
-
-
 def test_limits_poll_budget_string_is_a_violation(tmp_path, capsys):
     assert_violation(tmp_path, capsys, with_limit("poll_budget", "3"),
                      "limits-invalid", "limits.poll_budget")
@@ -180,11 +175,11 @@ def test_limits_max_config_steps_string_is_a_violation(tmp_path, capsys):
 
 
 def test_limits_bool_or_negative_is_a_violation(tmp_path, capsys):
-    for key in ("max_steps", "poll_budget", "history", "max_config_steps"):
+    for key in ("max_steps", "poll_budget", "max_config_steps"):
         for value in (True, -1, 2.0):
             assert_violation(tmp_path, capsys, with_limit(key, value),
                              "limits-invalid", f"limits.{key}")
-    for key in ("max_steps", "poll_budget", "history"):
+    for key in ("max_steps", "poll_budget"):
         assert_violation(tmp_path, capsys, with_limit(key, None),
                          "limits-invalid", f"limits.{key}")
 
@@ -228,7 +223,7 @@ def test_auth_deny_must_list_strings(tmp_path, capsys):
 
 def test_well_formed_limits_staleness_and_auth_validate_and_run(tmp_path):
     data = logistics_scenario_data()
-    data["limits"].update({"max_config_steps": None, "history": 0})
+    data["limits"].update({"max_config_steps": None})
     data["staleness"] = {"max_age": 1, "decay": 1}
     data["auth"] = {"deny": ["mallory"]}
     assert main(["validate", write_scenario(tmp_path, data)]) == 0
@@ -418,6 +413,8 @@ CROSS_CHECKS = {
     "UnknownActionTarget": change_rule("selectVariant(shipping, truck)", "rollback(nowhere)"),
     "master-missing-parent": edited(lambda data: data["masters"][0]["categories"].remove(
         "geospatial")),
+    "model-no-master": edited(lambda data: model(data, "spare_part_delivery").pop(
+        "context_master")),
 }
 
 
@@ -430,6 +427,23 @@ def test_malformed_document_is_a_violation(tmp_path, capsys, change, code):
     assert code in [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     with pytest.raises(ScenarioParseError):
         run_scenario_data(data)
+
+
+def test_only_a_model_that_instances_start_needs_a_master(tmp_path, capsys):
+    """A compensation target runs under its parent's context model and an inlined
+    sub-process under the instance's; a started model is reported once."""
+    data = logistics_scenario_data()
+    for entry in data["process_models"]:
+        del entry["context_master"]
+    data["process_models"].append({"model_id": "handover", "nodes": [
+        {"type": "start"}, {"type": "task", "name": "sign"}, {"type": "end"}]})
+    model(data, "spare_part_delivery")["nodes"].insert(-1, {"type": "subprocess",
+                                                            "model": "handover"})
+    declare_instance("p2")(data)
+    assert main(["validate", write_scenario(tmp_path, data)]) == 2
+    assert capsys.readouterr().out.splitlines()[:-1] == [
+        "model-no-master: spare_part_delivery: instances start it, yet it names no "
+        "context_master"]
 
 
 def test_mirror_may_name_a_gate_and_task_its_subprocess_runs(tmp_path, capsys):
@@ -618,6 +632,14 @@ def test_run_truncated_exits_four(tmp_path):
     path = write_scenario(tmp_path, logistics_scenario_data())
     out = tmp_path / "run.trace"
     assert main(["run", path, "--trace-out", str(out), "--max-steps", "3"]) == 4
+
+
+def test_run_into_a_missing_directory_exits_three(tmp_path, capsys):
+    path = write_scenario(tmp_path, logistics_scenario_data())
+    out = tmp_path / "missing" / "run.trace"
+    assert main(["run", path, "--trace-out", str(out)]) == 3
+    assert "cannot write trace: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_override_is_noop_without_randomness(tmp_path):
