@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 traces differ, 2 violations, 3 a file unreadable or unwritab
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .errors import ScenarioParseError
@@ -38,16 +39,17 @@ def cmd_run(args) -> int:
     scenario, violations = _parse_printing_violations(args.scenario)
     if violations:
         return EXIT_VIOLATIONS
-    assembly = build_simulation(scenario, seed=args.seed, max_steps=args.max_steps)
-    trace = assembly.simulation.run()
-    if args.trace_out:
-        try:
-            trace.write(args.trace_out)
-        except OSError as err:
-            print(f"cannot write trace: {err}", file=sys.stderr)
-            return EXIT_FILE_ERROR
-    else:
-        sys.stdout.writelines(trace.lines())
+    try:
+        # opened before the run, so that an unwritable path fails at once
+        out = (open(args.trace_out, "w", encoding="utf-8") if args.trace_out
+               else contextlib.nullcontext(sys.stdout))
+        with out as handle:
+            assembly = build_simulation(scenario, seed=args.seed, max_steps=args.max_steps)
+            trace = assembly.simulation.run()
+            handle.writelines(trace.lines())
+    except OSError as err:
+        print(f"cannot write trace: {err}", file=sys.stderr)
+        return EXIT_FILE_ERROR
     terminal = {
         i.instance_id: i.status for i in assembly.process.instances.values()
     }

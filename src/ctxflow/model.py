@@ -88,9 +88,18 @@ class ContextValue:
             raise ValueError("causing_ts must not exceed ts")
 
     def to_payload(self) -> dict:
-        """The value as a trace payload, built once and shared by every record,
-        notification and snapshot that carries the value: never mutate it."""
+        """The whole value as a trace payload, built once and shared by every
+        ``value_updated`` record and serialized graph that carries the value:
+        never mutate it.  Snapshot replies and notifications carry
+        :attr:`reading` instead."""
         return self._payload
+
+    @cached_property
+    def reading(self) -> dict:
+        """What the rules pool reads of the value, ``{"payload", "ts"}``: built
+        once and shared by every snapshot reply and notification that carries
+        the value, so never mutate it."""
+        return {"payload": self.payload, "ts": self.ts}
 
     @cached_property
     def _payload(self) -> dict:

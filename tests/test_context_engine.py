@@ -275,6 +275,18 @@ def test_push_updates_value_and_notifies():
     assert notes[1]["changes"][0]["category"] == "w"
 
 
+def test_notification_carries_each_change_as_read():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    model = register_active(engine, thresholds={
+        "w": NotificationThreshold("w", "any-change"),
+    })
+    push(engine, sim, "w", "clear", 2)
+    [note] = [p for (_, _, k, p) in sim.sent if k == "ContextNotification"]
+    assert note == {"model": model.model_id, "instance": "p1", "step": 0,
+                    "changes": [{"category": "w", "value": {"payload": "clear", "ts": 2}}]}
+
+
 def test_identical_push_is_swallowed():
     sim = FakeSim()
     engine = make_engine(sim)
@@ -697,11 +709,10 @@ def test_context_request_returns_the_requested_values():
     })
     snapshots = [p for (_, _, k, p) in sim.sent if k == "ContextSnapshot"]
     assert snapshots[-1]["correlation"] == "q1"
-    # the values of the requested categories and the step: no ancestor
-    # (root), no structure, no freshness flags
-    assert snapshots[-1]["graph"] == {
-        "values": {"x": model.intersection.values["x"].to_payload()}, "step": 0}
-    assert snapshots[-1]["graph"]["values"]["x"]["payload"] == 4
+    # the values of the requested categories, each as the rules pool reads
+    # it (payload and ts), and the step: no ancestor (root), no structure,
+    # no freshness flags
+    assert snapshots[-1]["graph"] == {"values": {"x": {"payload": 4, "ts": 2}}, "step": 0}
     assert "freshness" not in snapshots[-1]
 
 
@@ -890,6 +901,23 @@ def test_read_works_out_no_closure(monkeypatch):
     assert [s["graph"]["values"]["x"]["payload"] for s in (first, second)] == [4, 9]
 
 
+def test_replies_and_notifications_share_one_reading_of_a_value():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    model = register_active(engine, thresholds={
+        "x": NotificationThreshold("x", "any-change"),
+    })
+    push(engine, sim, "x", 4, 2)
+    first = request(engine, sim, model, ["x"], "q1")
+    second = request(engine, sim, model, ["x", "y"], "q2")
+    [note] = [p for (_, _, k, p) in sim.sent if k == "ContextNotification"]
+    reading = model.intersection.values["x"].reading
+    assert reading == {"payload": 4, "ts": 2}
+    assert first["graph"]["values"]["x"] is reading
+    assert second["graph"]["values"]["x"] is reading
+    assert note["changes"][0]["value"] is reading
+
+
 def test_read_after_an_extension_sees_the_new_graph():
     sim = FakeSim()
     engine = make_engine(sim)
@@ -954,10 +982,12 @@ def test_every_snapshot_matches_the_uncached_subgraph(seed):
             reply = request(engine, sim, model, categories, f"c{step}")
         assert reply["correlation"] == f"c{step}"
         g = model.intersection
-        current = {c: g.values[c].to_payload() for c in categories if c in g.values}
+        current = {c: {"payload": g.values[c].payload, "ts": g.values[c].ts}
+                   for c in categories if c in g.values}
         assert reply["graph"] == {"values": current, "step": g.step}
         subgraph = relevant_subgraph(g, categories).to_payload()
-        assert current == {c: v for c, v in subgraph["values"].items() if c in categories}
+        assert current == {c: {"payload": v["payload"], "ts": v["ts"]}
+                           for c, v in subgraph["values"].items() if c in categories}
         assert reply["now"] == sim.now and "freshness" not in reply
 
 

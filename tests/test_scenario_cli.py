@@ -642,6 +642,17 @@ def test_run_into_a_missing_directory_exits_three(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unwritable_trace_path_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("ctxflow.cli.build_simulation", no_run)
+    path = write_scenario(tmp_path, logistics_scenario_data())
+    out = tmp_path / "missing" / "run.trace"
+    assert main(["run", path, "--trace-out", str(out)]) == 3
+    assert "cannot write trace: " in capsys.readouterr().err
+
+
 def test_seed_override_is_noop_without_randomness(tmp_path):
     path = write_scenario(tmp_path, logistics_scenario_data())
     out_a = tmp_path / "a.trace"

@@ -155,3 +155,18 @@ def test_stream_going_back_in_time_is_caught():
     assert len(updates) >= 2 and updates[0]["ts"] < updates[1]["ts"]
     updates[1]["ts"] = updates[0]["ts"] - 1
     assert invariants(records) == {"stream"}
+
+
+def test_evaluation_using_other_values_than_its_reply_is_caught():
+    records = logistics()
+    used = records[first(records, "gate_evaluated", gate="packaging")]["payload"]["used"]
+    used["minPackaging"] -= 1
+    assert invariants(records) == {"used"}
+
+
+def test_evaluation_without_its_reply_is_caught():
+    records = logistics()
+    evaluated = first(records, "gate_evaluated", gate="packaging")
+    assert records[evaluated - 1]["kind"] == "ContextSnapshot"
+    del records[evaluated - 1]
+    assert invariants(renumbered(records)) == {"used"}

@@ -19,6 +19,11 @@ invariant it breaks:
   status, unless the run was truncated (then at most one);
 - ``decision``: a ``Decision``, ``BreakRollback`` or ``StartCompensation``
   follows a ``gate_evaluated`` of its instance (and gate) at its send tick;
+- ``used``: a ``gate_evaluated`` is written while its instance's reply
+  ``ContextSnapshot`` is handled, so the last message delivered before it
+  is that reply, and its ``used`` maps exactly the reply's value
+  categories to their ``ts`` (after a ``seq`` gap the last message is
+  unknown, and the check waits for the next one);
 - ``model``: a context model's categories only grow, its records name
   only categories it holds, and after ``model_closed`` no context record
   names it;
@@ -56,6 +61,7 @@ def check(records) -> list[str]:
     live: dict[str, set[str]] = {}  # context model -> its categories
     closed: set[str] = set()
     streams: dict[tuple[str, str], dict] = {}  # (model, stream) -> last reported value
+    delivered = ("", {})  # (kind, data) of the last message delivered; None: unknown
 
     for record in records:
         kind, payload, pool = record["kind"], record["payload"], record["pool"]
@@ -63,6 +69,7 @@ def check(records) -> list[str]:
         where = f"seq {seq} ({kind})"
         if seq != last_seq + 1:
             violations.append(f"seq: {where} follows seq {last_seq}")
+            delivered = None
         if last_tick is not None and tick < last_tick:
             violations.append(f"seq: {where} at tick {tick} after tick {last_tick}")
         last_seq, last_tick = seq, tick
@@ -80,6 +87,7 @@ def check(records) -> list[str]:
                                   f"{pool} -> {payload['to']}")
             else:
                 last_msg_seq[channel] = payload["msg_seq"]
+            delivered = (kind, payload["data"])
             if kind in GATE_MESSAGES:
                 _check_gate_message(kind, payload, where, evaluated_gates,
                                     evaluated_rules, violations)
@@ -99,6 +107,8 @@ def check(records) -> list[str]:
         elif kind == "gate_evaluated":
             evaluated_gates.add((payload["instance"], payload["gate"], tick))
             evaluated_rules.add((payload["instance"], payload["fired_rule"], tick))
+            if delivered is not None:
+                _check_used(payload, where, delivered, violations)
         if pool == "context":
             _check_model_record(kind, payload, where, live, closed, streams, violations)
 
@@ -122,6 +132,20 @@ def _check_gate_message(kind, payload, where, evaluated_gates, evaluated_rules,
     if not found:
         violations.append(f"decision: {where} for {instance!r} follows no "
                           f"gate_evaluated at its send tick {sent}")
+
+
+def _check_used(payload, where, delivered, violations):
+    instance = payload["instance"]
+    kind, data = delivered
+    if (kind != "ContextSnapshot" or data.get("phase") != "reply"
+            or data.get("instance") != instance):
+        violations.append(f"used: {where} for {instance!r} does not follow a reply "
+                          "ContextSnapshot of its instance")
+        return
+    read = {c: value["ts"] for c, value in data.get("graph", {}).get("values", {}).items()}
+    if payload["used"] != read:
+        violations.append(f"used: {where} for {instance!r} used {payload['used']}, "
+                          f"not the {read} of its reply")
 
 
 def _check_model_record(kind, payload, where, live, closed, streams, violations):
