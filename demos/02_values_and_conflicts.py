@@ -1,8 +1,8 @@
-"""Timestamped values: stale writes, source conflicts, decay, thresholds.
+"""Timestamped values: stale writes, source conflicts, thresholds.
 
 Every value carries a logical timestamp, a source and a reliability.
 Streams are monotone in time; across sources a certified provider beats
-a fresher but unverified one; old information depreciates.
+a fresher but unverified one.
 """
 
 from ctxflow import (
@@ -10,7 +10,6 @@ from ctxflow import (
     ContextIntersection,
     ContextValue,
     NotificationThreshold,
-    apply_staleness,
     check_threshold,
     resolve_conflict,
     update_value,
@@ -43,11 +42,6 @@ certified = reading("clear", 10, "weatherService", 0.9)
 social = reading("apocalyptic hail", 12, "socialFeed", 0.4)
 winner = resolve_conflict([social, certified])
 print("conflict winner:", winner.payload, "from", winner.source_id)
-
-# information decays: after the window it keeps its payload but loses trust
-old = reading("clear", 0, "weatherService", 0.8)
-result = apply_staleness(old, now=100, max_age=5, decay=0.5)
-print(f"stale={not result.fresh}, effective reliability={result.effective_reliability}")
 
 # thresholds keep notification noise down
 eta_threshold = NotificationThreshold("eta", "numeric-delta", theta=4)

@@ -11,7 +11,6 @@ from .context_engine import (
     ContextEngine,
     DerivationAgent,
     NotificationThreshold,
-    apply_staleness,
     check_threshold,
     resolve_conflict,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Scenario",
     "Trace",
     "TraceRecord",
-    "apply_staleness",
     "build_simulation",
     "check_threshold",
     "extend",

@@ -99,27 +99,6 @@ def check_threshold(old: ContextValue | None, new: ContextValue,
     return new.payload != old.payload
 
 
-@dataclass(frozen=True)
-class StalenessResult:
-    fresh: bool
-    effective_reliability: float
-
-
-def apply_staleness(v: ContextValue, now: int, max_age: int,
-                    decay: float) -> StalenessResult:
-    """Depreciate information older than ``max_age`` ticks.
-
-    Never mutates the value; a stale value keeps its payload but carries
-    ``reliability * decay``.
-    """
-    if max_age < 1:
-        raise ValueError("max_age must be at least one tick")
-    if not 0.0 < decay <= 1.0:
-        raise ValueError("decay must lie in (0, 1]")
-    fresh = now - v.ts <= max_age
-    return StalenessResult(fresh, v.reliability if fresh else v.reliability * decay)
-
-
 # --- propagation nodes ---------------------------------------------------------
 
 _EXPR_OPS = {

@@ -32,7 +32,7 @@ class LevelViolation(CtxflowError):
 
 
 class StepBudgetExceeded(CtxflowError):
-    """Extension would push the configuration path past its step budget."""
+    """Extension would push the step counter past its budget of configuration steps."""
 
 
 class UnknownCategory(CtxflowError):

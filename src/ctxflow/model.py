@@ -9,9 +9,9 @@ timestamped values attached.  The structural rules enforced here:
 * run-time change is extension-only: a later configuration step is always
   a supergraph of the earlier one.
 
-Instance models evolve along a configuration path, a list of per-step
-snapshots whose first entry is the start configuration; master models
-are immutable templates.
+An instance model's intersection grows one configuration step per
+extension, from a copy of its start configuration; master models are
+immutable templates.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ class ContextIntersection:
 
     Levels are 1-based in the public API to match the usual V_1..V_k
     notation; internally they are list slots.  The owner serializes all
-    mutation; readers work on snapshots produced by :func:`relevant_subgraph`
-    or :meth:`clone`.
+    mutation; other pools read only the payloads it sends, and
+    :meth:`clone` and :func:`relevant_subgraph` give independent copies.
     """
 
     def __init__(self, history_limit: int = DEFAULT_HISTORY_LIMIT):
@@ -212,16 +212,6 @@ class ContextIntersection:
         other.step = self.step
         return other
 
-    def structural_snapshot(self) -> "ContextIntersection":
-        """Copy of structure and current values, without history/streams."""
-        other = ContextIntersection(history_limit=self.history_limit)
-        other.levels = [list(level) for level in self.levels]
-        other.edges = list(self.edges)
-        other.categories = dict(self.categories)
-        other.values = dict(self.values)
-        other.step = self.step
-        return other
-
     # -- serialization -------------------------------------------------------
 
     def to_payload(self) -> dict:
@@ -235,11 +225,10 @@ class ContextIntersection:
 
 @dataclass
 class Additions:
-    """Extension delta: new categories with target levels, edges, values."""
+    """Extension delta: new categories with target levels, and edges."""
 
     categories: list[tuple[ContextCategory, int]] = field(default_factory=list)
     edges: list[tuple[str, str]] = field(default_factory=list)
-    values: list[ContextValue] = field(default_factory=list)
 
 
 def validate_intersection(g: ContextIntersection) -> ValidationReport:
@@ -314,8 +303,6 @@ def extend(g: ContextIntersection, additions: Additions,
         result.add_category(category, level)
     for from_cat, to_cat in additions.edges:
         result.add_edge(from_cat, to_cat)
-    for value in additions.values:
-        update_value(result, value)
     report = validate_intersection(result)
     if not report.ok:
         raise LevelViolation(f"extension breaks structure: {report.violations[0].detail}")
@@ -430,21 +417,18 @@ class MasterContextModel:
 class InstanceContextModel:
     """Live, extensible copy of a master bound to one or more instances.
 
-    ``path`` holds one structural snapshot per configuration step;
-    ``path[0]`` is the start configuration and each later entry contains
-    the one before it.  ``max_steps`` bounds the step counter when set.
+    Each extension replaces ``intersection`` with a supergraph one step
+    on.  ``max_steps`` bounds the step counter when set.
     """
 
     model_id: str
     master_id: str
     intersection: ContextIntersection
     bound_instances: list[str]
-    path: list[ContextIntersection]
     max_steps: int | None = None
 
     def apply_extension(self, additions: Additions) -> list[tuple[str, int]]:
         self.intersection = extend(self.intersection, additions, k=self.max_steps)
-        self.path.append(self.intersection.structural_snapshot())
         return [(cat.category_id, level) for cat, level in additions.categories]
 
 
@@ -453,8 +437,7 @@ def instantiate_from_master(master: MasterContextModel, instance_ids,
                             k: int | None = None) -> InstanceContextModel:
     """Deep-copy the master into a fresh instance model at step 0.
 
-    Mutating the returned model never touches the master.  A snapshot of
-    the copy starts the model's configuration path.
+    Mutating the returned model never touches the master.
     """
     ids = _binding(instance_ids)
     report = master.validate()
@@ -487,8 +470,7 @@ def _binding(instance_ids) -> list[str]:
 
 def _start_model(model_id: str, master_id: str, seed: ContextIntersection,
                  ids: list[str], k: int | None) -> InstanceContextModel:
-    """Instance model at step 0 on a copy of ``seed``; a snapshot of the copy
-    is the start configuration, ``path[0]``."""
+    """Instance model at step 0 on a copy of ``seed``, its start configuration."""
     graph = seed.clone()
     graph.step = 0
     return InstanceContextModel(
@@ -496,6 +478,5 @@ def _start_model(model_id: str, master_id: str, seed: ContextIntersection,
         master_id=master_id,
         intersection=graph,
         bound_instances=ids,
-        path=[graph.structural_snapshot()],
         max_steps=k,
     )

@@ -73,7 +73,6 @@ class Scenario:
     poll_budget: int = DEFAULT_POLL_BUDGET
     max_config_steps: int | None = None
     latency: LatencyConfig = field(default_factory=LatencyConfig)
-    staleness: tuple[int, float] | None = None
     deny_principals: list[str] = field(default_factory=list)
     catalog: dict[str, CatalogEntry] = field(default_factory=dict)
     masters: dict[str, MasterContextModel] = field(default_factory=dict)
@@ -95,35 +94,39 @@ def load_scenario_data(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise ScenarioParseError(f"cannot read scenario {path}: {err}") from err
 
 
 def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
-    """Build a typed scenario from any JSON value, collecting every violation."""
+    """Build a typed scenario from any JSON value, collecting every violation.
+
+    A document nested too deeply to walk is one violation on ``scenario``."""
     violations: list[Violation] = []
 
     def bad(code, subject, detail):
         violations.append(Violation(code, subject, detail))
 
-    doc = SCENARIO.walk(data, "", "", "scenario-invalid", bad)
-    if doc is _BAD:
-        return Scenario(), violations
-    limits, staleness, channels = doc["limits"], doc["staleness"], doc["latency"]["channels"]
-    for key in [key for key in channels if tuple(key.split("->")) not in CHANNELS]:
-        bad("latency-invalid", f"latency.channels[{key}]", "names none of the six channels")
-        del channels[key]
-    scenario = Scenario(
-        seed=doc["seed"], max_steps=limits["max_steps"], poll_budget=limits["poll_budget"],
-        max_config_steps=limits["max_config_steps"], latency=LatencyConfig(**doc["latency"]),
-        staleness=staleness and (staleness["max_age"], staleness["decay"]),
-        deny_principals=doc["auth"]["deny"], instances=doc["instances"],
-    )
-    for parse in (_parse_catalog, _parse_masters, _parse_sources, _parse_propagation,
-                  _parse_rules, _parse_process_models, _parse_thresholds, _check_instances,
-                  _check_mirrors):
-        parse(doc, scenario, bad)
-    _bind_rules(scenario, bad)
+    try:
+        doc = SCENARIO.walk(data, "", "", "scenario-invalid", bad)
+        if doc is _BAD:
+            return Scenario(), violations
+        limits, channels = doc["limits"], doc["latency"]["channels"]
+        for key in [key for key in channels if tuple(key.split("->")) not in CHANNELS]:
+            bad("latency-invalid", f"latency.channels[{key}]", "names none of the six channels")
+            del channels[key]
+        scenario = Scenario(
+            seed=doc["seed"], max_steps=limits["max_steps"], poll_budget=limits["poll_budget"],
+            max_config_steps=limits["max_config_steps"], latency=LatencyConfig(**doc["latency"]),
+            deny_principals=doc["auth"]["deny"], instances=doc["instances"],
+        )
+        for parse in (_parse_catalog, _parse_masters, _parse_sources, _parse_propagation,
+                      _parse_rules, _parse_process_models, _parse_thresholds, _check_instances,
+                      _check_mirrors):
+            parse(doc, scenario, bad)
+        _bind_rules(scenario, bad)
+    except RecursionError:
+        return Scenario(), [Violation("scenario-invalid", "scenario", "nested too deeply")]
     return scenario, violations
 
 
@@ -337,10 +340,6 @@ SCENARIO = _Record({
     "latency": (_Record({
         "default": (COUNT, 1), "jitter": (COUNT, 0), "channels": (_Many(COUNT, keyed=True), {}),
     }), {}, "latency-invalid"),
-    "staleness": (_Record({
-        "max_age": (POSITIVE, REQUIRED),
-        "decay": (_Leaf((int, float), "a number in (0, 1]", lambda v: 0 < v <= 1), REQUIRED),
-    }), None, "staleness-invalid"),
     "auth": (_Record({"deny": (NAMES, [])}), {}, "auth-invalid"),
     "catalog": (_Many(_Record({
         "id": (_Leaf((str,), "a non-empty string", len), REQUIRED, "catalog-missing-id"),

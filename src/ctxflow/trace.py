@@ -190,13 +190,14 @@ def replay_verify(path_a, path_b) -> tuple[bool, str]:
                 return False, f"length mismatch; first extra record has seq {seq}"
             line_a, line_b = line_a.rstrip(b"\r\n"), line_b.rstrip(b"\r\n")
             if line_a != line_b:
-                seq = _seq_of(line_a) or _seq_of(line_b) or i
+                seq = _seq_of(line_a, _seq_of(line_b, i))
                 return False, f"divergence at seq {seq}: {line_a[:120]!r} != {line_b[:120]!r}"
     return True, "identical"
 
 
-def _seq_of(line: bytes):
+def _seq_of(line: bytes, missing=None):
+    """The ``seq`` of a record line, ``missing`` for a line that holds none."""
     try:
         return json.loads(line.decode("utf-8"))["seq"]
-    except (ValueError, KeyError):
-        return None
+    except (ValueError, KeyError, TypeError, RecursionError):
+        return missing

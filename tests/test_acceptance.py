@@ -163,15 +163,17 @@ def test_criterion_2_extension_only_invariant():
     for _ in range(1000):
         master, counter = random_master(rng)
         model = instantiate_from_master(master, ["p"])
+        snapshots = [model.intersection.clone()]
         for _ in range(rng.randint(2, 6)):
             model.apply_extension(random_additions(rng, model.intersection, counter))
+            snapshots.append(model.intersection.clone())
             category = rng.choice(model.intersection.category_ids())
             try:
                 update_value(model.intersection, value(
                     category, rng.randint(0, 99), rng.randint(0, 50)))
             except StaleWrite:
                 pass
-        for earlier, later in zip(model.path, model.path[1:]):
+        for earlier, later in zip(snapshots, snapshots[1:]):
             if not containment_oracle(earlier, later):
                 failures += 1
     elapsed = time.perf_counter() - started

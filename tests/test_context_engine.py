@@ -14,7 +14,6 @@ from ctxflow.context_engine import (
     ContextEngine,
     DerivationAgent,
     NotificationThreshold,
-    apply_staleness,
     check_threshold,
     compile_arithmetic,
     resolve_conflict,
@@ -145,30 +144,6 @@ def test_threshold_brute_force_agreement(rng):
         new = value("c", rng.randint(0, 20), rng.randint(6, 9),
                     reliability=rng.choice([0.4, 0.95]))
         assert check_threshold(old, new, t) == brute(old, new, t)
-
-
-# --- apply_staleness ------------------------------------------------------------------
-
-
-def test_value_within_window_is_fresh():
-    result = apply_staleness(value("w", "x", 10), now=12, max_age=5, decay=0.5)
-    assert result.fresh is True
-    assert result.effective_reliability == 0.9
-
-
-def test_old_value_depreciates():
-    v = value("w", "x", 0, reliability=0.8)
-    result = apply_staleness(v, now=100, max_age=5, decay=0.5)
-    assert result.fresh is False
-    assert result.effective_reliability == pytest.approx(0.4)
-    assert v.reliability == 0.8  # untouched
-
-
-def test_identity_decay_keeps_reliability():
-    result = apply_staleness(value("w", "x", 0, reliability=0.7),
-                             now=100, max_age=5, decay=1.0)
-    assert result.fresh is False
-    assert result.effective_reliability == pytest.approx(0.7)
 
 
 # --- engine fixtures ---------------------------------------------------------------
@@ -467,19 +442,6 @@ def test_split_agent_fans_out_record_fields():
     push(engine, sim, "w", {"load": 7, "speed": 3}, 2)
     assert model.intersection.values["x"].payload == 7
     assert model.intersection.values["y"].payload == 3
-
-
-def test_extension_can_carry_initial_values(master):
-    from ctxflow.model import Additions, extend
-
-    adds = Additions(
-        categories=[(ContextCategory("eta", "eta", "numeric"), 2)],
-        edges=[("processObject", "eta")],
-        values=[value("eta", 40, 3)],
-    )
-    g = extend(master.intersection, adds)
-    assert g.values["eta"].payload == 40
-    assert g.step == master.intersection.step + 1
 
 
 def test_topological_order_rejects_cycles():

@@ -136,8 +136,6 @@ def test_instance_starts_as_master_copy(master):
     assert inst.intersection.step == 0
     assert is_subgraph(inst.intersection, master.intersection)
     assert is_subgraph(master.intersection, inst.intersection)
-    assert len(inst.path) == 1
-    assert inst.path[0].to_payload() == inst.intersection.to_payload()
 
 
 def test_two_instantiations_are_distinct(master):
@@ -210,9 +208,11 @@ def test_random_extension_sequences_stay_subgraphs(rng):
     for _ in range(50):
         master, counter = random_master(rng)
         inst = instantiate_from_master(master, ["p"])
+        snapshots = [inst.intersection.clone()]
         for _ in range(10):
             inst.apply_extension(random_additions(rng, inst.intersection, counter))
-        for earlier, later in zip(inst.path, inst.path[1:]):
+            snapshots.append(inst.intersection.clone())
+        for earlier, later in zip(snapshots, snapshots[1:]):
             assert containment_oracle(earlier, later)
             assert is_subgraph(earlier, later)
             assert validate_intersection(later).ok
@@ -396,9 +396,10 @@ def test_relevant_subgraph_unknown_category(master):
 
 def test_close_records_end_configuration(master):
     inst = instantiate_from_master(master, ["p1"])
+    start = inst.intersection.clone()
     inst.apply_extension(methods_extension())
-    assert [g.step for g in inst.path] == [0, 1]
-    assert is_subgraph(inst.path[0], inst.intersection)
+    assert [start.step, inst.intersection.step] == [0, 1]
+    assert is_subgraph(start, inst.intersection)
 
 
 def test_history_is_bounded(master):

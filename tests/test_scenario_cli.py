@@ -17,6 +17,7 @@ from ctxflow.trace import Trace, TraceRecord, _LineWriter, canonical_json, repla
 
 from .conftest import logistics_scenario_data
 from .scenario_gen import random_scenario
+from .test_trace_digests import PINNED, trace_digest
 from .trace_oracle import check
 
 
@@ -47,6 +48,35 @@ def test_malformed_file_is_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["validate", str(path)]) == 3
+
+
+def test_json_nested_too_deeply_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"parse error: cannot read scenario {path}: ")
+
+
+def nested_gates(depth):
+    """Logistics with a chain of ``depth`` gates, each the one variant of the last."""
+    branch = [{"type": "task", "name": "t", "duration": 1}]
+    for i in range(depth):
+        branch = [{"type": "gate", "id": f"g{i}", "default": "a", "variants": {"a": branch}}]
+    data = logistics_scenario_data()
+    data["process_models"][0]["nodes"].insert(-1, branch[0])
+    return data
+
+
+def test_documents_nested_too_deeply_are_one_violation(tmp_path, capsys):
+    rule = logistics_scenario_data()["rules"][0]
+    deep_rule = logistics_scenario_data()
+    deep_rule["rules"][0] = rule.replace("WHEN ", "WHEN " + "(" * 5000).replace(
+        "\n    AND", ")" * 5000 + "\n    AND")
+    for data in (nested_gates(250), deep_rule):
+        assert main(["validate", write_scenario(tmp_path, data)]) == 2
+        assert capsys.readouterr().out == (
+            "scenario-invalid: scenario: nested too deeply\n1 violation(s)\n")
+    assert main(["validate", write_scenario(tmp_path, nested_gates(100))]) == 0
 
 
 def test_validate_and_run_report_a_bad_file_alike(tmp_path, capsys):
@@ -188,30 +218,6 @@ def test_limits_that_is_not_an_object_is_a_violation(tmp_path, capsys):
     assert_violation(tmp_path, capsys, {"limits": []}, "limits-invalid", "limits")
 
 
-def test_staleness_max_age_string_is_a_violation(tmp_path, capsys):
-    assert_violation(tmp_path, capsys, {"staleness": {"max_age": "5", "decay": 0.5}},
-                     "staleness-invalid", "staleness.max_age")
-
-
-def test_staleness_zero_decay_is_a_violation(tmp_path, capsys):
-    assert_violation(tmp_path, capsys, {"staleness": {"max_age": 5, "decay": 0}},
-                     "staleness-invalid", "staleness.decay")
-
-
-def test_staleness_zero_max_age_is_a_violation(tmp_path, capsys):
-    assert_violation(tmp_path, capsys, {"staleness": {"max_age": 0, "decay": 0.5}},
-                     "staleness-invalid", "staleness.max_age")
-
-
-def test_empty_staleness_is_a_violation(tmp_path, capsys):
-    assert_violation(tmp_path, capsys, {"staleness": {}},
-                     "staleness-invalid", "staleness.max_age")
-
-
-def test_staleness_that_is_not_an_object_is_a_violation(tmp_path, capsys):
-    assert_violation(tmp_path, capsys, {"staleness": 3}, "staleness-invalid", "staleness")
-
-
 def test_auth_that_is_not_an_object_is_a_violation(tmp_path, capsys):
     assert_violation(tmp_path, capsys, {"auth": []}, "auth-invalid", "auth")
 
@@ -221,14 +227,21 @@ def test_auth_deny_must_list_strings(tmp_path, capsys):
         assert_violation(tmp_path, capsys, {"auth": {"deny": deny}}, "auth-invalid", "auth")
 
 
-def test_well_formed_limits_staleness_and_auth_validate_and_run(tmp_path):
+def test_well_formed_limits_and_auth_validate_and_run(tmp_path):
     data = logistics_scenario_data()
     data["limits"].update({"max_config_steps": None})
-    data["staleness"] = {"max_age": 1, "decay": 1}
     data["auth"] = {"deny": ["mallory"]}
     assert main(["validate", write_scenario(tmp_path, data)]) == 0
     _, completed = run_scenario_data(data)
     assert completed
+
+
+def test_staleness_key_is_ignored(tmp_path):
+    for staleness in ({}, {"max_age": 0, "decay": 0}, {"max_age": 1, "decay": 1}):
+        data = logistics_scenario_data()
+        data["staleness"] = staleness
+        assert main(["validate", write_scenario(tmp_path, data)]) == 0
+        assert trace_digest(data) == PINNED["logistics"]
 
 
 # --- any JSON document gets a verdict -----------------------------------------------
@@ -715,6 +728,20 @@ def test_replay_detail_names_divergence_and_length_mismatch(tmp_path, capsys):
     assert replay_verify(short, base) == mismatch
     assert main(["replay", short, base]) == 1
     assert capsys.readouterr().out == mismatch[1] + "\n"
+
+
+def test_replay_of_lines_that_hold_no_record_is_a_divergence(tmp_path, capsys):
+    a, b = tmp_path / "a.trace", tmp_path / "b.trace"
+    a.write_text("[1]\n")
+    b.write_text("[2]\n")
+    assert main(["replay", str(a), str(b)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "divergence at seq 0: b'[1]' != b'[2]'\n" and err == ""
+    # a record's seq is named even when it is 0
+    a.write_text('{}\n{"seq": 0, "v": 1}\n')
+    b.write_text('{}\n{"seq": 0, "v": 2}\n')
+    assert main(["replay", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.startswith("divergence at seq 0: ")
 
 
 def test_replay_of_an_unreadable_trace_is_a_read_error(tmp_path, capsys):
