@@ -329,6 +329,12 @@ class ContextEngine:
         self.catalog = catalog
         self.masters = masters
         self.sources = sources
+        # category -> the source polled for it: the most reliable that
+        # provides it, then the lowest id
+        self.best_source: dict[str, str] = {}
+        for source in sorted(sources.values(), key=lambda s: (-s.reliability, s.source_id)):
+            for category in source.provided_categories:
+                self.best_source.setdefault(category, source.source_id)
         self.propagation = topological_order([*relations, *agents])
         self.poll_budget = poll_budget
         self.max_config_steps = max_config_steps
@@ -369,7 +375,7 @@ class ContextEngine:
                 if master_id not in self.masters:
                     raise UnknownMaster(f"no master model {master_id!r}")
                 model = instantiate_from_master(self.masters[master_id], [instance_id],
-                                                model_id, k=self.max_config_steps)
+                                                model_id)
                 origin = {"master": master_id}
             self.instances[model_id] = model
             self.sim.trace(self.POOL, "model_instantiated", {
@@ -453,7 +459,7 @@ class ContextEngine:
         reg.init_rounds += 1
         by_source: dict[str, list[str]] = {}
         for cat in missing:
-            source = self._best_source_for(cat)
+            source = self.best_source.get(cat)
             if source is not None:
                 by_source.setdefault(source, []).append(cat)
         for source_id, cats in by_source.items():
@@ -475,16 +481,6 @@ class ContextEngine:
         # the whole graph: the instance's start configuration
         self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
             model, model.intersection.to_payload(), instance=reg.instance_id, phase="init"))
-
-    def _best_source_for(self, category: str) -> str | None:
-        best = None
-        for source in self.sources.values():
-            if category not in source.provided_categories:
-                continue
-            key = (-source.reliability, source.source_id)
-            if best is None or key < best[0]:
-                best = (key, source.source_id)
-        return best[1] if best else None
 
     # -- ingestion -------------------------------------------------------------
 
@@ -752,7 +748,7 @@ class ContextEngine:
             if category not in self.catalog:
                 pending.unavailable.append(category)
                 continue
-            if self._best_source_for(category) is None:
+            if category not in self.best_source:
                 self.sim.trace(self.POOL, "admin_no_source", {
                     "model": model_id, "category": category,
                 })
@@ -796,7 +792,7 @@ class ContextEngine:
         if not additions.categories:
             return []
         try:
-            added = model.apply_extension(additions)
+            added = model.apply_extension(additions, k=self.max_config_steps)
         except (StepBudgetExceeded, LevelViolation, DeletionRejected) as err:
             self.sim.trace(self.POOL, "extension_rejected", {
                 "model": model.model_id,
@@ -820,7 +816,7 @@ class ContextEngine:
             self.pending_fetches[key].append(pending)
             return
         self.pending_fetches[key] = [pending]
-        source = self._best_source_for(category)
+        source = self.best_source[category]
         self.sim.send(self.POOL, "external", "PollRequest", {
             "source": source,
             "categories": [category],

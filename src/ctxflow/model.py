@@ -394,7 +394,7 @@ class MasterContextModel:
 
     def validate(self) -> ValidationReport:
         report = validate_intersection(self.intersection)
-        level_one = set(self.levels_one())
+        level_one = set(self.intersection.levels[0]) if self.intersection.levels else set()
         for cat in self.predefined_categories:
             if cat not in level_one:
                 report.add(
@@ -402,9 +402,6 @@ class MasterContextModel:
                     "predefined categories must sit in the first level",
                 )
         return report
-
-    def levels_one(self) -> list[str]:
-        return list(self.intersection.levels[0]) if self.intersection.levels else []
 
     def to_payload(self) -> dict:
         payload = self.intersection.to_payload()
@@ -418,23 +415,22 @@ class InstanceContextModel:
     """Live, extensible copy of a master bound to one or more instances.
 
     Each extension replaces ``intersection`` with a supergraph one step
-    on.  ``max_steps`` bounds the step counter when set.
+    on; ``k`` bounds the step counter when given.
     """
 
     model_id: str
     master_id: str
     intersection: ContextIntersection
     bound_instances: list[str]
-    max_steps: int | None = None
 
-    def apply_extension(self, additions: Additions) -> list[tuple[str, int]]:
-        self.intersection = extend(self.intersection, additions, k=self.max_steps)
+    def apply_extension(self, additions: Additions,
+                        k: int | None = None) -> list[tuple[str, int]]:
+        self.intersection = extend(self.intersection, additions, k=k)
         return [(cat.category_id, level) for cat, level in additions.categories]
 
 
 def instantiate_from_master(master: MasterContextModel, instance_ids,
-                            model_id: str | None = None,
-                            k: int | None = None) -> InstanceContextModel:
+                            model_id: str | None = None) -> InstanceContextModel:
     """Deep-copy the master into a fresh instance model at step 0.
 
     Mutating the returned model never touches the master.
@@ -446,7 +442,7 @@ def instantiate_from_master(master: MasterContextModel, instance_ids,
         raise InvalidMaster(f"master {master.model_id!r}: {first.code} on {first.subject}")
     if model_id is None:
         model_id = f"{master.model_id}.instance.{ids[0]}"
-    return _start_model(model_id, master.model_id, master.intersection, ids, k)
+    return _start_model(model_id, master.model_id, master.intersection, ids)
 
 
 def clone_instance_model(origin: InstanceContextModel, instance_ids,
@@ -458,7 +454,7 @@ def clone_instance_model(origin: InstanceContextModel, instance_ids,
     included, and the child evolves independently from step 0.
     """
     return _start_model(model_id, origin.master_id, origin.intersection,
-                        _binding(instance_ids), origin.max_steps)
+                        _binding(instance_ids))
 
 
 def _binding(instance_ids) -> list[str]:
@@ -469,7 +465,7 @@ def _binding(instance_ids) -> list[str]:
 
 
 def _start_model(model_id: str, master_id: str, seed: ContextIntersection,
-                 ids: list[str], k: int | None) -> InstanceContextModel:
+                 ids: list[str]) -> InstanceContextModel:
     """Instance model at step 0 on a copy of ``seed``, its start configuration."""
     graph = seed.clone()
     graph.step = 0
@@ -478,5 +474,4 @@ def _start_model(model_id: str, master_id: str, seed: ContextIntersection,
         master_id=master_id,
         intersection=graph,
         bound_instances=ids,
-        max_steps=k,
     )

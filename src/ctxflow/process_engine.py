@@ -97,7 +97,6 @@ class Checkpoint:
     gate_id: str
     cursor: list  # list of (nodes, index) pairs, nodes by reference
     exec_len: int
-    variant: str
 
 
 @dataclass
@@ -110,11 +109,8 @@ class ProcessInstance:
     checkpoints: list = field(default_factory=list)
     executed: list = field(default_factory=list)  # {"task", "started", "finished"}
     selected_variants: dict = field(default_factory=dict)
-    pending_gate: str | None = None
-    current_task: str | None = None
-    parent: str | None = None
     started_tick: int = 0
-    epoch: int = 0  # bumped on rollback; stale task timers are discarded
+    epoch: int = 0  # bumped on rollback and at the end; stale task timers are discarded
     comp_children: int = 0
 
 
@@ -184,7 +180,6 @@ class ProcessEngine:
             instance_id=instance_id,
             model_id=model_id,
             principal=principal,
-            parent=parent,
             started_tick=self.sim.now,
         )
         instance.cursor = [Frame(self.models[model_id].nodes, 0)]
@@ -223,8 +218,6 @@ class ProcessEngine:
     def complete_or_cancel(self, instance: ProcessInstance, outcome: str):
         model = self.models[instance.model_id]
         self._set_status(instance, outcome)
-        instance.pending_gate = None
-        instance.current_task = None
         instance.epoch += 1
         kind = "ProcessCompleted" if outcome == "Completed" else "ProcessCancelled"
         payload = {
@@ -259,7 +252,6 @@ class ProcessEngine:
                 return
             elif isinstance(node, TaskNode):
                 # step never runs while a task is open
-                instance.current_task = node.name
                 instance.executed.append({
                     "task": node.name,
                     "started": self.sim.now,
@@ -280,7 +272,6 @@ class ProcessEngine:
                     return
                 self._finish_task(instance)
             elif isinstance(node, GateNode):
-                instance.pending_gate = node.gate_id
                 self._set_status(instance, "AwaitingDecision")
                 self.sim.send(self.POOL, "rules", "RuleEvalRequest", {
                     "instance": instance.instance_id,
@@ -304,7 +295,6 @@ class ProcessEngine:
         # timer or as a zero-duration pass, and a rollback truncates the list
         entry = instance.executed[-1]
         entry["finished"] = self.sim.now
-        instance.current_task = None
         self.sim.trace(self.POOL, "task_completed", {
             "instance": instance.instance_id, "task": entry["task"],
         })
@@ -322,7 +312,10 @@ class ProcessEngine:
         instance = self.instances.get(payload["instance"])
         if instance is None or instance.status != "Running":
             return
-        if payload["epoch"] != instance.epoch or instance.current_task != payload["task"]:
+        # a timer of the current epoch names the open task: a task ends before
+        # its timer only by a rollback or by the instance ending, and both
+        # bump the epoch
+        if payload["epoch"] != instance.epoch:
             return  # task was rolled back while the timer was in flight
         self._finish_task(instance)
         self.step(instance)
@@ -351,16 +344,18 @@ class ProcessEngine:
     def _apply_select_variant(self, instance: ProcessInstance, action: dict):
         gate_id = action["gate"]
         variant_id = action["variant"]
-        if instance.status != "AwaitingDecision" or instance.pending_gate != gate_id:
+        # while a decision is awaited, the cursor rests on the pending gate
+        node = None
+        if instance.status == "AwaitingDecision":
+            frame = instance.cursor[-1]
+            node = frame.nodes[frame.index]
+        if node is None or node.gate_id != gate_id:
             self.sim.trace(self.POOL, "unexpected_decision", {
                 "instance": instance.instance_id,
                 "gate": gate_id,
-                "pending": instance.pending_gate,
+                "pending": node.gate_id if node else None,
             })
             return
-        frame = instance.cursor[-1]
-        node = frame.nodes[frame.index]
-        assert isinstance(node, GateNode) and node.gate_id == gate_id
         if variant_id not in node.variants:
             self.sim.trace(self.POOL, "unexpected_decision", {
                 "instance": instance.instance_id,
@@ -372,10 +367,8 @@ class ProcessEngine:
             gate_id=gate_id,
             cursor=[(f.nodes, f.index, f.subprocess) for f in instance.cursor],
             exec_len=len(instance.executed),
-            variant=variant_id,
         ))
         instance.selected_variants[gate_id] = variant_id
-        instance.pending_gate = None
         self.sim.trace(self.POOL, "checkpoint", {
             "instance": instance.instance_id,
             "gate": gate_id,
@@ -413,8 +406,6 @@ class ProcessEngine:
         # execution halts; tasks performed after the target are undone in
         # reverse order (trace-only: simulated tasks have no side effects)
         instance.epoch += 1
-        instance.current_task = None
-        instance.pending_gate = None
         for entry in reversed(instance.executed[exec_len:]):
             self.sim.trace(self.POOL, "task_undone", {
                 "instance": instance.instance_id,

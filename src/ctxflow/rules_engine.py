@@ -1,10 +1,10 @@
 """Rules engine: gate evaluation, stored decisions, re-evaluation.
 
 Rules attach to gates per process model and run first-match in declared
-order; each (process model, gate) is planned once, on its first
-evaluation (``GatePlan``).  Every gate evaluation stores an evaluation
-record keyed by (instance, gate); a context change re-evaluates exactly
-the records whose relevant context intersects the changed categories.
+order; each (process model, gate) is planned once, when the engine is
+built (``GatePlan``).  Every gate evaluation stores, on the instance's
+binding, the context it used; a context change re-evaluates exactly the
+gates whose used context intersects the changed categories.
 Break, rollback and compensation requests originate here and only here.
 """
 
@@ -23,16 +23,12 @@ from .rule_dsl import (
 
 
 @dataclass
-class EvaluationRecord:
-    gate_id: str
-    used_context: dict[str, int]  # category -> ts of the value used
-
-
-@dataclass
 class Binding:
     instance_id: str
     process_model_id: str
     context_model_id: str | None = None
+    # gate -> category -> ts of the value its latest evaluation used
+    used: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -120,16 +116,13 @@ class RulesEngine:
 
     def __init__(self, sim, gates: dict, model_masters: dict, model_thresholds: dict):
         """``gates`` maps (process_model, gate) to the gate's (rules, default
-        variant).  ``plans`` holds a gate's ``GatePlan`` from its first use,
-        so that building the engine costs no more than the table."""
+        variant): every gate an instance of a process model may reach."""
         self.sim = sim
-        self.gates = gates
-        self.plans: dict[tuple[str, str], GatePlan] = {}
+        self.plans = {key: gate_plan(key[1], rules, default)
+                      for key, (rules, default) in gates.items()}
         self.model_masters = model_masters
         self.model_thresholds = model_thresholds
         self.bindings: dict[str, Binding] = {}
-        # instance -> gate -> latest evaluation record
-        self.records: dict[str, dict[str, EvaluationRecord]] = {}
         self.pending: dict[str, PendingEval] = {}
         self._correlation = 0
 
@@ -174,7 +167,6 @@ class RulesEngine:
 
     def unbind(self, instance_id: str):
         self.bindings.pop(instance_id, None)
-        self.records.pop(instance_id, None)
         for correlation in [c for c, p in self.pending.items()
                             if p.instance_id == instance_id]:
             del self.pending[correlation]
@@ -200,11 +192,7 @@ class RulesEngine:
         self._request_evaluation(binding, gate, "native")
 
     def _request_evaluation(self, binding: Binding, gate: str, evaluation: str):
-        key = (binding.process_model_id, gate)
-        plan = self.plans.get(key)
-        if plan is None:
-            rules, default = self.gates.get(key, ((), None))
-            plan = self.plans[key] = gate_plan(gate, rules, default)
+        plan = self.plans[(binding.process_model_id, gate)]
         if not plan.categories:
             self._evaluate(binding, plan, evaluation, env={})
             return
@@ -277,8 +265,7 @@ class RulesEngine:
                 "instance": binding.instance_id, "gate": gate, **skip,
             })
         decision, messages = self._decide(outcome, gate, evaluation, plan.default)
-        self.records.setdefault(binding.instance_id, {})[gate] = EvaluationRecord(
-            gate_id=gate, used_context=outcome.used_context)
+        binding.used[gate] = outcome.used_context
         self.sim.trace(self.POOL, "gate_evaluated", {
             "instance": binding.instance_id,
             "gate": gate,
@@ -343,17 +330,14 @@ class RulesEngine:
             })
             return
         changed = {change["category"] for change in payload.get("changes", [])}
-        hits = [
-            record for record in self.records.get(instance, {}).values()
-            if not changed.isdisjoint(record.used_context)
-        ]
+        hits = [gate for gate, used in binding.used.items() if not changed.isdisjoint(used)]
         self.sim.trace(self.POOL, "re_evaluation_triggered", {
             "instance": instance,
             "changed": sorted(changed),
-            "gates": [record.gate_id for record in hits],
+            "gates": hits,
         })
-        for record in hits:
-            self._request_evaluation(binding, record.gate_id, "re_evaluation")
+        for gate in hits:
+            self._request_evaluation(binding, gate, "re_evaluation")
 
     # -- dispatch ---------------------------------------------------------------------
 

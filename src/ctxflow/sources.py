@@ -9,7 +9,7 @@ process engine feeds those in deterministically through ``emit_mirror``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 
 SOURCE_MODES = ("push", "poll")
@@ -61,20 +61,20 @@ class MirrorSpec:
 @dataclass
 class ScriptedSource:
     descriptor: SourceDescriptor
-    timeline: list[TimelineEntry] = field(default_factory=list)
+    timeline: InitVar[list[TimelineEntry]] = ()
     # category -> [(tick, payload), ...] sorted by tick; value at t is the
     # last entry with tick <= t
     poll_table: dict[str, list[tuple[int, object]]] = field(default_factory=dict)
     mirrors: list[MirrorSpec] = field(default_factory=list)
-    due: dict[int, list[TimelineEntry]] = field(init=False, repr=False)  # tick -> entries
+    due: dict[int, list[TimelineEntry]] = field(init=False)  # tick -> timeline entries
 
-    def __post_init__(self):
-        ticks = [entry.tick for entry in self.timeline]
+    def __post_init__(self, timeline):
+        ticks = [entry.tick for entry in timeline]
         if ticks != sorted(ticks):
             raise ValueError("timeline ticks must be non-decreasing")
         provided = set(self.descriptor.provided_categories)
         self.due = {}
-        for entry in self.timeline:
+        for entry in timeline:
             if entry.category_id not in provided:
                 raise ValueError(
                     f"timeline entry for {entry.category_id!r} outside the "

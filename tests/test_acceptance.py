@@ -327,7 +327,6 @@ def test_criterion_5_threshold_gating():
                                        theta=rng.choice([1, 3, 6])),
         }
         model_id = engine.register_instance("p", "acc", thresholds)
-        engine.relations = []
         engine.propagation = []
         engine.registrations["p"].active = True
         events = []

@@ -171,7 +171,8 @@ def mini_master(catalog, categories=("root", "x", "y", "w")):
     return MasterContextModel("mini", g, ["root"])
 
 
-def make_engine(sim, relations=(), agents=(), categories=("root", "x", "y", "w")):
+def make_engine(sim, relations=(), agents=(), categories=("root", "x", "y", "w"),
+                more_sources=()):
     catalog = mini_catalog()
     sources = {
         "certified": SourceDescriptor("certified", "push", 0.9,
@@ -179,6 +180,7 @@ def make_engine(sim, relations=(), agents=(), categories=("root", "x", "y", "w")
         "social": SourceDescriptor("social", "push", 0.4,
                                    provided_categories=("w",)),
     }
+    sources.update((source.source_id, source) for source in more_sources)
     return ContextEngine(
         sim, catalog, {"mini": mini_master(catalog, categories)}, sources,
         relations=relations, agents=agents,
@@ -770,15 +772,14 @@ def test_closing_model_drops_its_in_flight_fetches():
 
 def test_shared_missing_parent_is_added_once():
     sim = FakeSim()
-    engine = make_engine(sim)
+    engine = make_engine(sim, more_sources=[SourceDescriptor(
+        "station", "push", 0.9, provided_categories=("temp", "wind"))])
     engine.catalog.update({
         "region": CatalogEntry(ContextCategory("region", "region"), parent="root",
                                requires_value=False),
         "temp": CatalogEntry(ContextCategory("temp", "temp", "numeric"), parent="region"),
         "wind": CatalogEntry(ContextCategory("wind", "wind", "numeric"), parent="region"),
     })
-    engine.sources["station"] = SourceDescriptor(
-        "station", "push", 0.9, provided_categories=("temp", "wind"))
     model = register_active(engine)
     engine.handle_context_request({
         "model": model.model_id, "categories": ["temp", "wind"], "correlation": "q1",
@@ -792,6 +793,35 @@ def test_shared_missing_parent_is_added_once():
     assert sorted(model.intersection.edges) == sorted(
         [("root", c) for c in ("x", "y", "w", "region")]
         + [("region", "temp"), ("region", "wind")])
+
+
+def test_poll_goes_to_the_most_reliable_source_then_the_lowest_id():
+    sim = FakeSim()
+    catalog = mini_catalog()
+    catalog["v"] = CatalogEntry(ContextCategory("v", "v", "numeric"), parent="root")
+    # declared first but least reliable; the other two tie on reliability
+    sources = [
+        SourceDescriptor("c-first", "poll", 0.2, provided_categories=("x", "y", "z")),
+        SourceDescriptor("b-station", "poll", 0.8, provided_categories=("x", "y", "z")),
+        SourceDescriptor("a-station", "poll", 0.8, provided_categories=("y", "z")),
+    ]
+    engine = ContextEngine(sim, catalog, {"mini": mini_master(catalog)},
+                           {source.source_id: source for source in sources})
+    engine.handle_register({"instance": "p1", "master": "mini"})
+    # w has no source: the init round polls for x and y only
+    assert [(p["purpose"], p["source"], p["categories"])
+            for (_, _, k, p) in sim.sent if k == "PollRequest"] == [
+        ("init", "b-station", ["x"]), ("init", "a-station", ["y"])]
+    engine.registrations["p1"].active = True
+    sim.sent.clear()
+    engine.handle_context_request({
+        "model": "ctx.p1", "categories": ["z", "v"], "correlation": "q1",
+    })
+    assert [(p["purpose"], p["source"], p["categories"])
+            for (_, _, k, p) in sim.sent if k == "PollRequest"] == [
+        ("administer", "a-station", ["z"])]
+    assert [r.payload for r in sim.records("admin_no_source")] == [
+        {"model": "ctx.p1", "category": "v"}]
 
 
 def test_repeated_request_same_tick_identical_snapshot():

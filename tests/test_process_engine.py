@@ -61,6 +61,20 @@ def drive_timers(engine, sim, until_tick):
         engine.handle_timer(payload)
 
 
+def open_task(instance):
+    """The task whose timer the instance waits on: the last executed, unfinished."""
+    entry = instance.executed[-1]
+    assert entry["finished"] is None
+    return entry["task"]
+
+
+def awaited_gate(instance):
+    """The gate whose decision the instance waits on: the one its cursor rests on."""
+    assert instance.status == "AwaitingDecision"
+    frame = instance.cursor[-1]
+    return frame.nodes[frame.index].gate_id
+
+
 def started(engine, sim, instance="p1"):
     engine.start_instance(instance, "m", "dispatcher-7")
     engine.handle_message("Decision", {"instance": instance, "evaluation": "init",
@@ -106,10 +120,9 @@ def test_task_consumes_duration_then_gate_requested():
     sim = FakeSim()
     engine = make_engine(sim)
     instance = started(engine, sim)
-    assert instance.current_task == "prepare"
+    assert open_task(instance) == "prepare"
     drive_timers(engine, sim, until_tick=2)
-    assert instance.status == "AwaitingDecision"
-    assert instance.pending_gate == "g"
+    assert awaited_gate(instance) == "g"
     requests = [p for (_, _, k, p) in sim.sent if k == "RuleEvalRequest"]
     assert requests == [{"instance": "p1", "gate": "g"}]
 
@@ -140,8 +153,9 @@ def test_decision_applies_checkpoint_and_branch():
         "action": {"type": "select_variant", "gate": "g", "variant": "slow"},
     })
     assert [c.gate_id for c in instance.checkpoints] == ["g"]
-    assert instance.checkpoints[0].variant == "slow"
-    assert instance.current_task == "haul"
+    assert instance.selected_variants == {"g": "slow"}
+    assert sim.records("checkpoint")[-1].payload["variant"] == "slow"
+    assert open_task(instance) == "haul"
 
 
 def test_unexpected_decision_traced_not_applied():
@@ -152,20 +166,35 @@ def test_unexpected_decision_traced_not_applied():
         "instance": "p1", "evaluation": "native",
         "action": {"type": "select_variant", "gate": "g", "variant": "slow"},
     })
-    assert sim.records("unexpected_decision")
+    assert [r.payload for r in sim.records("unexpected_decision")] == [
+        {"instance": "p1", "gate": "g", "pending": None}]
     assert instance.checkpoints == []
+
+
+def test_decision_for_another_gate_names_the_awaited_one():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    instance = started(engine, sim)
+    drive_timers(engine, sim, 2)
+    engine.handle_message("Decision", {
+        "instance": "p1", "evaluation": "native",
+        "action": {"type": "select_variant", "gate": "h", "variant": "slow"},
+    })
+    assert [r.payload for r in sim.records("unexpected_decision")] == [
+        {"instance": "p1", "gate": "h", "pending": "g"}]
+    assert awaited_gate(instance) == "g"
 
 
 def test_continue_decision_changes_nothing():
     sim = FakeSim()
     engine = make_engine(sim)
     instance = started(engine, sim)
-    before = (instance.status, instance.current_task)
+    before = (instance.status, open_task(instance))
     engine.handle_message("Decision", {
         "instance": "p1", "evaluation": "re_evaluation",
         "action": {"type": "continue"},
     })
-    assert (instance.status, instance.current_task) == before
+    assert (instance.status, open_task(instance)) == before
 
 
 def test_subprocess_runs_inline():
@@ -210,9 +239,8 @@ def test_rollback_to_start_recalls_everything():
     statuses = [r.payload["status"] for r in sim.records("instance_status")]
     assert statuses[-2:] == ["RolledBack", "Running"]
     # execution restarted from the top; only the fresh attempt is on record
-    assert instance.current_task == "prepare"
     assert [e["task"] for e in instance.executed] == ["prepare"]
-    assert instance.executed[0]["finished"] is None
+    assert open_task(instance) == "prepare"
 
 
 def test_rollback_to_recent_gate_undoes_suffix_only():
@@ -227,8 +255,7 @@ def test_rollback_to_recent_gate_undoes_suffix_only():
     assert [c.gate_id for c in instance.checkpoints] == ["g"]
     assert [e["task"] for e in instance.executed] == ["prepare"]
     # the gate is re-reached and re-evaluated natively
-    assert instance.status == "AwaitingDecision"
-    assert instance.pending_gate == "g"
+    assert awaited_gate(instance) == "g"
 
 
 def test_rollback_keeps_checkpoint_prefix():
@@ -263,7 +290,7 @@ def test_stale_task_timer_after_rollback_is_discarded():
                                             "disposition": "resume"})
     for _, payload, _ in stale:
         engine.handle_timer(payload)
-    assert instance.current_task == "prepare"  # haul completion was ignored
+    assert open_task(instance) == "prepare"  # haul completion was ignored
 
 
 def test_cancel_disposition_ends_instance():
@@ -286,7 +313,7 @@ def test_compensation_spawns_child_with_context_copy():
     sim.sent.clear()
     engine.handle_message("StartCompensation", {"instance": "p1", "process_ref": "redo"})
     child = engine.instances["p1.comp1"]
-    assert child.parent == "p1"
+    assert sim.records("instance_created")[-1].payload["parent"] == "p1"
     assert child.model_id == "m2"
     assert parent.status == "Running"
     registers = [p for (_, _, k, p) in sim.sent if k == "Register"]
@@ -309,13 +336,15 @@ def test_compensation_of_compensation_chains():
                                        "action": {"type": "continue"}})
     engine.handle_message("StartCompensation", {"instance": "p1.comp1",
                                                 "process_ref": "again"})
-    grandchild = engine.instances["p1.comp1.comp1"]
-    assert grandchild.parent == "p1.comp1"
+    assert "p1.comp1.comp1" in engine.instances
+    parents = {r.payload["instance"]: r.payload.get("parent")
+               for r in sim.records("instance_created")}
+    assert parents["p1.comp1.comp1"] == "p1.comp1"
     chain = 0
-    cursor = grandchild
-    while cursor.parent is not None:
+    cursor = "p1.comp1.comp1"
+    while parents[cursor] is not None:
         chain += 1
-        cursor = engine.instances[cursor.parent]
+        cursor = parents[cursor]
     assert chain == 2
 
 
@@ -337,8 +366,15 @@ def test_cancel_while_awaiting_discards_pending_gate():
     drive_timers(engine, sim, 2)
     assert instance.status == "AwaitingDecision"
     engine.complete_or_cancel(instance, "Cancelled")
-    assert instance.pending_gate is None
     assert instance.status == "Cancelled"
+    # the gate is no longer awaited: a decision for it finds nothing pending
+    engine.handle_decision(instance, {
+        "evaluation": "native",
+        "action": {"type": "select_variant", "gate": "g", "variant": "slow"},
+    })
+    assert [r.payload for r in sim.records("unexpected_decision")] == [
+        {"instance": "p1", "gate": "g", "pending": None}]
+    assert instance.checkpoints == []
 
 
 def test_late_decision_after_terminal_dropped():
@@ -406,7 +442,7 @@ def test_zero_duration_task_completes_in_its_tick():
              if r.payload.get("task") == "stamp"]
     assert stamp == [(1, "task_started"), (1, "task_completed")]
     assert mirrored == [(1, "bpm", "shippingMethod", "fast")]
-    assert instance.current_task == "deliver"
+    assert open_task(instance) == "deliver"
     engine.handle_message("BreakRollback", {"instance": "p1", "target": "g",
                                             "disposition": "resume"})
     undone = [(r.payload["task"], r.payload["completed"])

@@ -266,8 +266,7 @@ def test_native_evaluation_round_trip():
         "type": "select_variant", "gate": "shipping", "variant": "truck",
     }
     assert sim.records("gate_evaluated")[-1].payload["evaluation"] == "native"
-    record = engine.records["p1"]["shipping"]
-    assert set(record.used_context) == {
+    assert set(engine.bindings["p1"].used["shipping"]) == {
         "estimatedDeliveryTime", "estimatedSLAFine",
         "executionTimeConstraint", "maxSLAFineAmount",
     }
@@ -365,10 +364,15 @@ def test_re_evaluation_yielding_same_variant_is_silent():
 
 def test_two_records_sharing_category_both_re_evaluated():
     sim = FakeSim()
-    engine = make_engine(sim)
-    engine.gates[("m", "packaging")] = ([parse_rule(
-        "RULE Pack WHEN estimatedDeliveryTime < 50 THEN selectVariant(packaging, eco) END"
-    )], "eco")
+    engine = RulesEngine(
+        sim,
+        gates={("m", "shipping"): (rules_for_shipping(), "plane"),
+               ("m", "packaging"): ([parse_rule(
+                   "RULE Pack WHEN estimatedDeliveryTime < 50 "
+                   "THEN selectVariant(packaging, eco) END")], "eco")},
+        model_masters={"m": "master-1"},
+        model_thresholds={},
+    )
     bind(engine, sim)
     evaluate_once(engine, sim)
     engine.handle_rule_eval_request({"instance": "p1", "gate": "packaging"})
@@ -397,7 +401,7 @@ def test_unbound_notification_dropped_with_record():
     engine.handle_process_terminal({"instance": "p1"})
     shutdowns = [k for (_, _, k, _) in sim.sent if k == "ShutdownModel"]
     assert shutdowns
-    assert engine.records == {}
+    assert engine.bindings == {}
     sim.sent.clear()
     engine.handle_context_notification({
         "model": "ctx.p1", "instance": "p1",
@@ -421,11 +425,10 @@ def test_used_context_restricted_to_declared_references():
         geospatial="zone-7",  # ancestor delivered with the subgraph
     )
     engine.handle_context_snapshot(payload)
-    record = engine.records["p1"]["shipping"]
     declared = set()
     for rule in rules_for_shipping():
         declared.update(rule.referenced_categories)
-    assert set(record.used_context) <= declared
+    assert set(engine.bindings["p1"].used["shipping"]) <= declared
 
 
 # --- what each decision sends -----------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from ctxflow.scenario import build_simulation, parse_scenario
 
 from .conftest import logistics_scenario_data
+from .test_integration_flows import handover_scenario
 from .test_trace_digests import SCENARIOS
 from .trace_oracle import check
 
@@ -51,6 +52,14 @@ def first(records, kind, **fields):
 
 def test_logistics_holds_every_invariant():
     assert check(LOGISTICS) == []
+
+
+def test_gate_without_rules_is_evaluated_on_its_request():
+    records = trace_records(handover_scenario())
+    evaluated = first(records, "gate_evaluated", gate="signoff")
+    assert records[evaluated]["payload"]["used"] == {}
+    assert records[evaluated - 1]["kind"] == "RuleEvalRequest"
+    assert check(records) == []
 
 
 def test_seq_gap_is_caught():

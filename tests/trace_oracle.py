@@ -22,8 +22,10 @@ invariant it breaks:
 - ``used``: a ``gate_evaluated`` is written while its instance's reply
   ``ContextSnapshot`` is handled, so the last message delivered before it
   is that reply, and its ``used`` maps exactly the reply's value
-  categories to their ``ts`` (after a ``seq`` gap the last message is
-  unknown, and the check waits for the next one);
+  categories to their ``ts``; a gate whose rules read no category is
+  evaluated, with ``used`` empty, while its own ``RuleEvalRequest`` is
+  handled (after a ``seq`` gap the last message is unknown, and the check
+  waits for the next one);
 - ``model``: a context model's categories only grow, its records name
   only categories it holds, and after ``model_closed`` no context record
   names it;
@@ -137,6 +139,9 @@ def _check_gate_message(kind, payload, where, evaluated_gates, evaluated_rules,
 def _check_used(payload, where, delivered, violations):
     instance = payload["instance"]
     kind, data = delivered
+    if (kind == "RuleEvalRequest" and payload["used"] == {}
+            and data.get("instance") == instance and data.get("gate") == payload["gate"]):
+        return  # a gate that reads no context asks for none
     if (kind != "ContextSnapshot" or data.get("phase") != "reply"
             or data.get("instance") != instance):
         violations.append(f"used: {where} for {instance!r} does not follow a reply "
