@@ -46,7 +46,7 @@ def cmd_run(args) -> int:
         with out as handle:
             assembly = build_simulation(scenario, seed=args.seed, max_steps=args.max_steps)
             trace = assembly.simulation.run()
-            handle.writelines(trace.lines())
+            trace.write_to(handle)
     except OSError as err:
         print(f"cannot write trace: {err}", file=sys.stderr)
         return EXIT_FILE_ERROR

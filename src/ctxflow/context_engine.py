@@ -713,7 +713,7 @@ class ContextEngine:
                 except KindMismatch:
                     transgressed = False
                 if transgressed:
-                    changes.append({"category": category, "value": new.reading})
+                    changes.append({"category": category, "value": new.to_reading()})
             if changes:
                 self.sim.send(self.POOL, "rules", "ContextNotification", {
                     "model": model.model_id,
@@ -838,7 +838,7 @@ class ContextEngine:
             return
         model = self.instances[pending.model_id]
         g = model.intersection
-        values = {c: g.values[c].reading for c in pending.requested
+        values = {c: g.values[c].to_reading() for c in pending.requested
                   if c in g.values and c not in pending.unavailable}
         self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
             model, {"values": values, "step": g.step}, correlation=pending.correlation,

@@ -17,7 +17,6 @@ immutable templates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import (
     DeletionRejected,
@@ -87,34 +86,41 @@ class ContextValue:
         if self.causing_ts is not None and self.causing_ts > self.ts:
             raise ValueError("causing_ts must not exceed ts")
 
+    # Filled on first use by to_payload() and to_reading(), in the instance's
+    # own dict; until then these class defaults answer.  (A descriptor or a
+    # __getattr__ would run Python code on reads, or stop the interpreter
+    # from specializing every attribute read of the class.)
+    _payload = None
+    _reading = None
+
     def to_payload(self) -> dict:
         """The whole value as a trace payload, built once and shared by every
         ``value_updated`` record and serialized graph that carries the value:
         never mutate it.  Snapshot replies and notifications carry
-        :attr:`reading` instead."""
-        return self._payload
+        :meth:`to_reading` instead."""
+        payload = self._payload
+        if payload is None:
+            payload = self.__dict__["_payload"] = {
+                "value_id": self.value_id,
+                "category_id": self.category_id,
+                "payload": self.payload,
+                "ts": self.ts,
+                "source_id": self.source_id,
+                "reliability": self.reliability,
+                "cost": self.cost,
+            }
+            if self.causing_ts is not None:
+                payload["causing_ts"] = self.causing_ts
+        return payload
 
-    @cached_property
-    def reading(self) -> dict:
+    def to_reading(self) -> dict:
         """What the rules pool reads of the value, ``{"payload", "ts"}``: built
         once and shared by every snapshot reply and notification that carries
         the value, so never mutate it."""
-        return {"payload": self.payload, "ts": self.ts}
-
-    @cached_property
-    def _payload(self) -> dict:
-        out = {
-            "value_id": self.value_id,
-            "category_id": self.category_id,
-            "payload": self.payload,
-            "ts": self.ts,
-            "source_id": self.source_id,
-            "reliability": self.reliability,
-            "cost": self.cost,
-        }
-        if self.causing_ts is not None:
-            out["causing_ts"] = self.causing_ts
-        return out
+        reading = self._reading
+        if reading is None:
+            reading = self.__dict__["_reading"] = {"payload": self.payload, "ts": self.ts}
+        return reading
 
 
 @dataclass(frozen=True)

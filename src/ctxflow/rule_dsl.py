@@ -195,11 +195,24 @@ def _tokenize(text: str, start: int) -> list[_Token]:
 # --- parser ------------------------------------------------------------------
 
 
+# Parentheses and NOTs a condition may nest.  Parsing, compiling and
+# evaluating a condition recurse once or more per level, so a bound far
+# below the interpreter's recursion limit makes whether a rule is nested
+# too deeply a property of the rule, not of the caller's stack.
+MAX_CONDITION_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, tokens: list[_Token]):
         self.text = text
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # parentheses and NOTs open at the current token
+
+    def enter(self):
+        self.depth += 1
+        if self.depth > MAX_CONDITION_NESTING:
+            raise RecursionError("rule condition nested too deeply")
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -249,10 +262,15 @@ class _Parser:
         token = self.peek()
         if self.at_word("NOT"):
             self.next()
-            return Not(self.parse_atom())
+            self.enter()
+            term = self.parse_atom()
+            self.depth -= 1
+            return Not(term)
         if token.kind == "punct" and token.text == "(":
             self.next()
+            self.enter()
             inner = self.parse_cond()
+            self.depth -= 1
             self.expect_punct(")")
             return inner
         if self.at_word("fresh"):

@@ -98,10 +98,47 @@ def load_scenario_data(path) -> dict:
         raise ScenarioParseError(f"cannot read scenario {path}: {err}") from err
 
 
+# How deep, in arrays and objects, a document's process models may reach.
+# They are the one section whose shape nests without end: a gate inside a
+# gate's variant is three levels deeper, so this admits about 100 nested
+# gates, which the walk reads in about 430 frames.  That is far enough
+# below the interpreter's recursion limit that the verdict does not depend
+# on the caller's stack.  Rule conditions have their own bound
+# (``rule_dsl.MAX_CONDITION_NESTING``); other values are never walked
+# recursively.
+MAX_NESTING = 320
+_CONTAINERS = (dict, list)
+
+
+def _nests_deeper(data, bound: int) -> bool:
+    """Whether ``data`` nests arrays and objects more than ``bound`` deep."""
+    level, todo = 0, [data] if type(data) in _CONTAINERS else []
+    while todo:
+        level += 1
+        if level > bound:
+            return True
+        todo = [value for container in todo
+                for value in (container.values() if type(container) is dict else container)
+                if type(value) in _CONTAINERS]
+    return False
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a violation's detail, unless ``value`` nests deeper
+    than ``MAX_NESTING``: printing it could then meet the recursion limit."""
+    return "a value nested too deeply" if _nests_deeper(value, MAX_NESTING) else repr(value)
+
+
 def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
     """Build a typed scenario from any JSON value, collecting every violation.
 
-    A document nested too deeply to walk is one violation on ``scenario``."""
+    A document whose process models reach deeper than ``MAX_NESTING``, or
+    with a rule condition nested deeper than ``MAX_CONDITION_NESTING``, is
+    one violation on ``scenario``."""
+    too_deep = [Violation("scenario-invalid", "scenario", "nested too deeply")]
+    # process_models sits one level below the document
+    if type(data) is dict and _nests_deeper(data.get("process_models"), MAX_NESTING - 1):
+        return Scenario(), too_deep
     violations: list[Violation] = []
 
     def bad(code, subject, detail):
@@ -125,8 +162,8 @@ def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
                       _check_mirrors):
             parse(doc, scenario, bad)
         _bind_rules(scenario, bad)
-    except RecursionError:
-        return Scenario(), [Violation("scenario-invalid", "scenario", "nested too deeply")]
+    except RecursionError:  # a rule nested too deeply; or, as a safety net, a deep caller
+        return Scenario(), too_deep
     return scenario, violations
 
 
@@ -165,7 +202,7 @@ class _Leaf:
     def walk(self, value, path, owner, code, bad):
         if type(value) in self.types and (self.extra is None or self.extra(value)):
             return value
-        bad(code, _name(path), f"{value!r} is not {self.what}")
+        bad(code, _name(path), f"{_shown(value)} is not {self.what}")
         return _BAD
 
 
@@ -182,7 +219,8 @@ class _Many:
             return {} if keyed else []
         if type(value) is not (dict if keyed else list):
             where = f"{_name(path)}: " if path != owner else ""
-            bad(code, _name(owner), f"{where}{value!r} is not {'an object' if keyed else 'a list'}")
+            bad(code, _name(owner),
+                f"{where}{_shown(value)} is not {'an object' if keyed else 'a list'}")
             return _BAD
         values = value.values() if keyed else value
         if type(item) is _Leaf and set(map(type, values)) <= item.types and (
@@ -232,7 +270,7 @@ class _Record:
     def walk(self, value, path, owner, code, bad):
         if type(value) is not dict:
             if self.text is None or type(value) is not str:
-                bad(code, _name(path) or "scenario", f"{value!r} is not an object")
+                bad(code, _name(path) or "scenario", f"{_shown(value)} is not an object")
                 return _BAD
             value = {self.text: value}
         out, get, ok = {}, value.get, True

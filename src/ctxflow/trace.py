@@ -35,6 +35,9 @@ _PROBE = 64
 # alive while its trace is written, so what the memo keeps adds to the
 # peak memory of the write, and sharing is between nearby records anyway.
 _MEMO_BOUND = 64
+# Lines written to a file in one call: each call costs about as much as
+# building a short line, and a block this long is a few tens of kilobytes.
+_BLOCK = 256
 
 
 def canonical_json(obj) -> str:
@@ -42,47 +45,85 @@ def canonical_json(obj) -> str:
     return "".join(_encode(obj, 0))
 
 
+class _Layout:
+    """What a kind's lines share: the text around the payload, and the
+    payload keys in the order the encoder sorts them, each with its
+    ``"key":`` text (``,"key":`` after the first)."""
+
+    __slots__ = ("head", "pool", "tail", "fields", "since_reuse")
+
+    def __init__(self, kind: str):
+        self.head = f'{{"kind":{_escape(kind)},"payload":'
+        self.pool = self.tail = None
+        self.fields: tuple[tuple[str, str], ...] | None = None  # None: not laid out
+        self.since_reuse = _PROBE  # lines since one of the kind's lines reused a text
+
+    def lay_out(self, payload: dict):
+        """Lay the kind out from this payload's keys, sorted as the encoder
+        sorts them; None, and no layout, if a key is not a string."""
+        if not all(key.__class__ is str for key in payload):
+            return None
+        self.fields = tuple((key, f'{"," if i else ""}{_escape(key)}:')
+                            for i, key in enumerate(sorted(payload)))
+        return self.fields
+
+
 class _LineWriter:
     """Writes records as lines for one pass over a trace.
 
     The line is joined by hand in the fixed layout
-    ``{"kind":K,"payload":P,"pool":O,"seq":N,"tick":T}``.  The payload is
-    walked key by key so that a dict value shared by several records (the
-    context engine shares each value's payload between the models it is
-    written to) is encoded once and its text reused; a kind whose records
-    share nothing is encoded whole (``_PROBE``).  The memo is keyed
-    by identity and each entry holds its dict, so an id is not reused
+    ``{"kind":K,"payload":P,"pool":O,"seq":N,"tick":T}`` from a
+    :class:`_Layout` learned per kind.  The payload is walked key by key,
+    in the key order the kind's layout holds while a payload has as many
+    keys and every laid-out key, so that a dict value shared by several
+    records (the context engine shares each value's payload between the
+    models it is written to) is encoded once and its text reused; a kind
+    whose records share nothing is encoded whole (``_PROBE``).  The memo is
+    keyed by identity and each entry holds its dict, so an id is not reused
     while its entry exists.  Records do not change once emitted, so the
     reused text is the text the dict would encode to again.
     """
 
-    __slots__ = ("_memo", "_since_reuse")
+    __slots__ = ("_memo", "_layouts")
 
     def __init__(self):
         self._memo: dict[int, tuple[dict, str]] = {}
-        self._since_reuse: dict[str, int] = {}  # kind -> lines since a value was reused
+        self._layouts: dict[str, _Layout] = {}
 
     def line(self, record: "TraceRecord") -> str:
         kind, payload = record.kind, record.payload
-        lines = self._since_reuse.get(kind, _PROBE)
+        layout = self._layouts.get(kind)
+        if layout is None:
+            layout = self._layouts[kind] = _Layout(kind)
+        if record.pool != layout.pool:
+            layout.pool = record.pool
+            layout.tail = f',"pool":{_escape(record.pool)},"seq":'
+        lines = layout.since_reuse
         if payload.__class__ is dict and (lines < _PROBE or lines % _PROBE < 2):
-            text = self._walk(payload, kind, lines)
+            text = self._walk(payload, layout)
         else:
-            self._since_reuse[kind] = lines + 1
+            layout.since_reuse = lines + 1
             text = canonical_json(payload)
-        return (f'{{"kind":{_escape(kind)},"payload":{text},'
-                f'"pool":{_escape(record.pool)},"seq":{record.seq},"tick":{record.tick}}}')
+        return f'{layout.head}{text}{layout.tail}{record.seq},"tick":{record.tick}}}'
 
-    def _walk(self, payload: dict, kind: str, lines: int) -> str:
+    def _walk(self, payload: dict, layout: _Layout) -> str:
+        fields = layout.fields
+        if fields is None or len(payload) != len(fields):
+            fields = layout.lay_out(payload)
+            if fields is None:  # a key that is not a string: the encoder decides
+                return canonical_json(payload)
         memo = self._memo
         reused = False
         parts = []
+        append = parts.append
         try:
-            # the order the C encoder sorts in: (key, value) pairs
-            for key, value in sorted(payload.items()):
+            for key, prefix in fields:
+                value = payload[key]
                 cls = value.__class__
                 if cls is str:
-                    text = _escape(value)
+                    append(prefix + _escape(value))
+                elif cls is int:  # an exact int formats as int.__repr__ does
+                    append(f"{prefix}{value}")
                 elif cls is dict:
                     entry = memo.get(id(value))
                     if entry is None:
@@ -93,13 +134,14 @@ class _LineWriter:
                     else:
                         text = entry[1]
                         reused = True
+                    append(prefix + text)
                 else:
-                    text = canonical_json(value)
-                parts.append(f"{_escape(key)}:{text}")
-        except TypeError:  # a key that is not a string: the encoder decides
-            return canonical_json(payload)
-        self._since_reuse[kind] = 0 if reused else lines + 1
-        return "{" + ",".join(parts) + "}"
+                    append(prefix + canonical_json(value))
+        except KeyError:  # as many keys, but not the laid-out ones
+            layout.fields = None
+            return self._walk(payload, layout)
+        layout.since_reuse = 0 if reused else layout.since_reuse + 1
+        return "{" + "".join(parts) + "}"
 
 
 @dataclass(slots=True)
@@ -150,12 +192,24 @@ class Trace:
         for record in self.records:
             yield line(record) + "\n"
 
+    def _blocks(self):
+        """The trace text in blocks of ``_BLOCK`` lines, each line with its newline."""
+        line = _LineWriter().line
+        records = self.records
+        for start in range(0, len(records), _BLOCK):
+            yield "\n".join(map(line, records[start:start + _BLOCK])) + "\n"
+
     def to_text(self) -> str:
-        return "".join(self.lines())
+        return "".join(self._blocks())
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(self.lines())
+            self.write_to(handle)
+
+    def write_to(self, handle):
+        """Write the trace to an open text file, one block at a time."""
+        for block in self._blocks():
+            handle.write(block)
 
     @classmethod
     def read(cls, path) -> "Trace":

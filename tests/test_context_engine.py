@@ -903,7 +903,7 @@ def test_replies_and_notifications_share_one_reading_of_a_value():
     first = request(engine, sim, model, ["x"], "q1")
     second = request(engine, sim, model, ["x", "y"], "q2")
     [note] = [p for (_, _, k, p) in sim.sent if k == "ContextNotification"]
-    reading = model.intersection.values["x"].reading
+    reading = model.intersection.values["x"].to_reading()
     assert reading == {"payload": 4, "ts": 2}
     assert first["graph"]["values"]["x"] is reading
     assert second["graph"]["values"]["x"] is reading

@@ -1,4 +1,6 @@
 import copy
+import enum
+import functools
 import json
 import os
 import random
@@ -12,8 +14,12 @@ from hypothesis import strategies as st
 
 from ctxflow.cli import main
 from ctxflow.errors import ScenarioParseError
-from ctxflow.scenario import parse_scenario, run_scenario_data
-from ctxflow.trace import Trace, TraceRecord, _LineWriter, canonical_json, replay_verify
+from ctxflow.model import Violation
+from ctxflow.rule_dsl import MAX_CONDITION_NESTING
+from ctxflow.scenario import MAX_NESTING, parse_scenario, run_scenario_data
+from ctxflow.trace import (
+    _BLOCK, Trace, TraceRecord, _LineWriter, canonical_json, replay_verify,
+)
 
 from .conftest import logistics_scenario_data
 from .scenario_gen import random_scenario
@@ -77,6 +83,53 @@ def test_documents_nested_too_deeply_are_one_violation(tmp_path, capsys):
         assert capsys.readouterr().out == (
             "scenario-invalid: scenario: nested too deeply\n1 violation(s)\n")
     assert main(["validate", write_scenario(tmp_path, nested_gates(100))]) == 0
+
+
+def call_at_depth(frames, fn):
+    """``fn()`` called with ``frames`` more frames on the stack."""
+    return fn() if frames == 0 else call_at_depth(frames - 1, fn)
+
+
+def nested_parentheses(depth):
+    """Logistics with its first rule's condition inside ``depth`` parentheses."""
+    data = logistics_scenario_data()
+    data["rules"][0] = data["rules"][0].replace("WHEN ", "WHEN " + "(" * depth).replace(
+        "\n    AND", ")" * depth + "\n    AND")
+    return data
+
+
+def gates_nesting(levels):
+    """Nested gates whose document nests ``levels`` arrays and objects deep."""
+    gates, extra = divmod(levels - 5, 3)  # five levels down to the outer gate, three per gate
+    data = nested_gates(gates)
+    node = data["process_models"][0]["nodes"][-2]
+    while node["type"] == "gate":
+        node = node["variants"]["a"][0]
+    if extra:  # an unknown key: ignored, but nested
+        node["note"] = functools.reduce(lambda inner, _: [inner], range(extra - 1), [])
+    return data
+
+
+@pytest.mark.parametrize("document, bound", [
+    (gates_nesting, MAX_NESTING), (nested_parentheses, MAX_CONDITION_NESTING)])
+def test_nesting_verdict_depends_only_on_the_document(document, bound):
+    too_deep = [Violation("scenario-invalid", "scenario", "nested too deeply")]
+    for depth, verdict in ((bound, []), (bound + 1, too_deep)):
+        data = document(depth)
+        for frames in (0, 300):
+            assert call_at_depth(frames, lambda: parse_scenario(data)[1]) == verdict, (
+                depth, frames)
+
+
+def test_a_deep_value_reported_as_unfit_gets_one_verdict():
+    # a timeline entry with a negative tick, whose value nests 800 deep
+    data = logistics_scenario_data()
+    data["sources"][0]["timeline"].append(
+        [-1, "weather", functools.reduce(lambda inner, _: [inner], range(800), "x")])
+    verdicts = [call_at_depth(frames, lambda: parse_scenario(data)[1]) for frames in (0, 300)]
+    assert verdicts[0] == verdicts[1] == [Violation(
+        "source-invalid", "sources[0]",
+        "a value nested too deeply is not [a non-negative integer, a string, a JSON value]")]
 
 
 def test_validate_and_run_report_a_bad_file_alike(tmp_path, capsys):
@@ -814,32 +867,88 @@ other_keys = (st.dictionaries(st.integers(), json_values, min_size=1, max_size=3
                                 min_size=1, max_size=1))
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2 ** 70
+
+
+# Top-level values the writer must not take for plain ints: a bool, and an
+# int subclass, next to plain ints on both sides of 2**64.
+int_like = st.sampled_from([True, False, 7, 2 ** 64 + 1, -(2 ** 70), Level.LOW, Level.HIGH])
+
+
 @st.composite
 def traces_sharing_values(draw):
     """Records whose top-level values include dicts shared between records, some
-    reused right away and some after more fresh dicts than the writer's memo holds."""
+    reused right away and some after more fresh dicts than the writer's memo holds.
+    A kind's records change their key set, at equal size too, and from string
+    keys to int keys, after the writer has laid the kind out."""
     shared = draw(st.lists(st.dictionaries(st.text(max_size=2), json_values, max_size=3),
                            min_size=1, max_size=4))
-    value = (json_values | st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=3)
+    value = (json_values | int_like
+             | st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=3)
              | st.integers(0, len(shared) - 1).map(shared.__getitem__))
+    few_keys = (st.dictionaries(st.sampled_from("abc"), value, min_size=2, max_size=2)
+                | st.dictionaries(st.integers(0, 2), value, min_size=2, max_size=2))
     trace = Trace()
     for tick in range(draw(st.integers(1, 6))):
         for i in range(draw(st.sampled_from([0, 1, 70]))):
             fresh = {"i": i}  # one new dict per filler, reused within it
             trace.emit(tick, "context", "filler", {"fresh": fresh, "same": fresh})
-        payload = draw(st.dictionaries(st.text(max_size=4), value, max_size=4) | other_keys)
+        payload = draw(st.dictionaries(st.text(max_size=4), value, max_size=4)
+                       | few_keys | other_keys)
         trace.emit(tick, draw(st.sampled_from(["context", "r\u00e9gles"])),
                    draw(st.sampled_from(["value_updated", "k\u00efnd"])), payload)
     return trace
 
 
+def expected_lines(trace) -> list[str]:
+    return [oracle_json({"kind": r.kind, "payload": r.payload, "pool": r.pool,
+                         "seq": r.seq, "tick": r.tick}) + "\n" for r in trace]
+
+
 @settings(deadline=None)
 @given(trace=traces_sharing_values())
 def test_trace_writer_matches_json_dumps_when_records_share_values(trace):
-    expected = [oracle_json({"kind": r.kind, "payload": r.payload, "pool": r.pool,
-                             "seq": r.seq, "tick": r.tick}) + "\n" for r in trace]
+    expected = expected_lines(trace)
     assert list(trace.lines()) == expected
     assert [record.to_line() + "\n" for record in trace] == expected
+
+
+SHARED = {"x": [1, "\u00e9"]}
+# Payloads of one kind, in order; the dict SHARED keeps the kind walked, so
+# every payload after the first meets the layout the writer learned before it.
+LAYOUT_CHANGES = {
+    "equal size, other keys": [{"a": SHARED, "b": 1}, {"a": SHARED, "c": 2},
+                               {"b": SHARED, "c": "t"}],
+    "more and fewer keys": [{"a": SHARED, "b": 1}, {"a": SHARED, "b": 1, "c": 2},
+                            {"a": SHARED}, {}, {"a": SHARED, "b": 1}],
+    "string keys, then int keys": [{"a": SHARED, "b": 1}, {1: SHARED, 2: 1},
+                                   {"a": SHARED, "b": 1}, {1: SHARED, 0: 2, 2: 3}],
+    "int-like values": [{"n": 1, "s": SHARED}, {"n": True, "s": SHARED},
+                        {"n": 2 ** 64 + 1, "s": SHARED}, {"n": Level.HIGH, "s": SHARED},
+                        {"m": False, "n": Level.LOW, "o": 7, "s": SHARED},
+                        {"n": -(2 ** 70), "s": SHARED}],
+}
+
+
+@pytest.mark.parametrize("payloads", LAYOUT_CHANGES.values(), ids=LAYOUT_CHANGES)
+def test_trace_writer_lays_a_kind_out_again(payloads):
+    trace = Trace()
+    for payload in payloads:
+        trace.emit(0, "context", "value_updated", payload)
+    assert list(trace.lines()) == expected_lines(trace)
+
+
+def test_trace_file_of_many_blocks_is_its_text(tmp_path):
+    trace = Trace()
+    for seq in range(3 * _BLOCK + 5):
+        for payload in LAYOUT_CHANGES.values():
+            trace.emit(seq, "context", "value_updated", payload[seq % len(payload)])
+    path = tmp_path / "run.trace"
+    trace.write(path)
+    assert path.read_bytes() == trace.to_text().encode("ascii")
+    assert trace.to_text() == "".join(expected_lines(trace))
 
 
 def test_trace_writer_memo_stays_bounded():
