@@ -65,7 +65,7 @@ def fresh_engine():
     }
     engine = ContextEngine(ShellSim(), catalog,
                            {"m": MasterContextModel("m", g, ["root"])},
-                           sources, relations=relations)
+                           sources, propagation=relations)
     model_id = engine.register_instance("p", "m", {})
     return engine, engine.instances[model_id]
 

@@ -22,7 +22,6 @@ from .errors import (
     StepBudgetExceeded,
     UnknownMaster,
     UnknownModel,
-    UnknownSharedModel,
 )
 from .model import (
     Additions,
@@ -322,7 +321,7 @@ class ContextEngine:
     def __init__(self, sim, catalog: dict[str, CatalogEntry],
                  masters: dict[str, MasterContextModel],
                  sources: dict[str, SourceDescriptor],
-                 relations=(), agents=(),
+                 propagation=(),
                  poll_budget: int = DEFAULT_POLL_BUDGET,
                  max_config_steps: int | None = None):
         self.sim = sim
@@ -335,7 +334,7 @@ class ContextEngine:
         for source in sorted(sources.values(), key=lambda s: (-s.reliability, s.source_id)):
             for category in source.provided_categories:
                 self.best_source.setdefault(category, source.source_id)
-        self.propagation = topological_order([*relations, *agents])
+        self.propagation = topological_order(propagation)
         self.poll_budget = poll_budget
         self.max_config_steps = max_config_steps
         self.instances: dict[str, InstanceContextModel] = {}
@@ -353,10 +352,11 @@ class ContextEngine:
                           copy_from: str | None = None) -> str:
         if instance_id in self.registrations:
             raise DuplicateRegistration(f"instance {instance_id!r} already registered")
-        if share_with is not None:
-            if share_with not in self.instances:
-                raise UnknownSharedModel(f"no live instance model {share_with!r}")
-            model = self.instances[share_with]
+        # ``share_with`` and ``copy_from`` name instances; a share target without
+        # a live registration is reported, and the sharer gets a model of its own
+        target = None if share_with is None else self.registrations.get(share_with)
+        if target is not None and not target.failed:
+            model = self.instances[target.model_id]
             model.bound_instances.append(instance_id)
             self.sim.trace(self.POOL, "model_shared", {
                 "model": model.model_id,
@@ -364,13 +364,20 @@ class ContextEngine:
                 "bound": sorted(model.bound_instances),
             })
         else:
+            if share_with is not None:
+                self.sim.trace(self.POOL, "engine_error", {
+                    "error": "UnknownSharedModel",
+                    "instance": instance_id,
+                    "share_with": share_with,
+                })
             model_id = f"ctx.{instance_id}"
             if copy_from is not None:
-                if copy_from not in self.instances:
-                    raise UnknownModel(f"no live instance model {copy_from!r} to copy")
-                model = clone_instance_model(self.instances[copy_from], [instance_id],
+                source = self.registrations.get(copy_from)
+                if source is None:
+                    raise UnknownModel(f"no registered instance {copy_from!r} to copy")
+                model = clone_instance_model(self.instances[source.model_id], [instance_id],
                                              model_id)
-                origin = {"master": model.master_id, "copy_of": copy_from}
+                origin = {"master": model.master_id, "copy_of": source.model_id}
             else:
                 if master_id not in self.masters:
                     raise UnknownMaster(f"no master model {master_id!r}")
@@ -407,11 +414,10 @@ class ContextEngine:
                 instance,
                 payload.get("master", ""),
                 thresholds,
-                share_with=payload.get("share_with"),
-                copy_from=payload.get("copy_from"),
+                share_with=payload.get("share_with_instance"),
+                copy_from=payload.get("copy_from_instance"),
             )
-        except (DuplicateRegistration, UnknownMaster, UnknownSharedModel,
-                UnknownModel) as err:
+        except (DuplicateRegistration, UnknownMaster, UnknownModel) as err:
             self.sim.trace(self.POOL, "engine_error", {
                 "error": type(err).__name__, "detail": str(err), "instance": instance,
             })

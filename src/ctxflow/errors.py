@@ -53,10 +53,6 @@ class UnknownMaster(CtxflowError):
     pass
 
 
-class UnknownSharedModel(CtxflowError):
-    pass
-
-
 class DuplicateRegistration(CtxflowError):
     pass
 

@@ -10,7 +10,6 @@ trace-only: simulated tasks have no real side effects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import AuthFailed
 
@@ -64,11 +63,6 @@ class ProcessModel:
     compensation_refs: dict[str, str] = field(default_factory=dict)
     execution_time_constraint: int | None = None
     context_master: str | None = None
-
-    # ``nodes`` is never changed after construction, so it is walked once
-    @cached_property
-    def every_node(self) -> list:
-        return walk_nodes(self.nodes)
 
 
 def walk_nodes(nodes) -> list:
@@ -158,8 +152,7 @@ class ProcessEngine:
 
     def start_instance(self, instance_id: str, model_id: str, principal: str,
                        share_with: str | None = None,
-                       copy_from_instance: str | None = None,
-                       parent: str | None = None):
+                       copy_from_instance: str | None = None):
         if model_id not in self.models:
             self.sim.trace(self.POOL, "engine_error", {
                 "error": "UnknownModel", "detail": model_id, "instance": instance_id,
@@ -190,8 +183,8 @@ class ProcessEngine:
             "principal": principal,
             "tick": self.sim.now,
         }
-        if parent is not None:
-            payload["parent"] = parent
+        if copy_from_instance is not None:
+            payload["parent"] = copy_from_instance
         self.sim.trace(self.POOL, "instance_created", payload)
         register = {
             "instance": instance_id,
@@ -449,7 +442,6 @@ class ProcessEngine:
         self.start_instance(
             child_id, comp_model_id, parent.principal,
             copy_from_instance=parent.instance_id,
-            parent=parent.instance_id,
         )
         self._set_status(parent, prior)
 

@@ -147,22 +147,10 @@ class RulesEngine:
             "master": self.model_masters.get(model_id, ""),
             "thresholds": self.model_thresholds.get(model_id, []),
         }
-        share_instance = payload.get("share_with_instance")
-        if share_instance is not None:
-            share_binding = self.bindings.get(share_instance)
-            if share_binding is None or share_binding.context_model_id is None:
-                self.sim.trace(self.POOL, "engine_error", {
-                    "error": "UnknownSharedModel",
-                    "instance": instance,
-                    "share_with": share_instance,
-                })
-            else:
-                register["share_with"] = share_binding.context_model_id
-        copy_instance = payload.get("copy_from_instance")
-        if copy_instance is not None:
-            copy_binding = self.bindings.get(copy_instance)
-            if copy_binding is not None and copy_binding.context_model_id is not None:
-                register["copy_from"] = copy_binding.context_model_id
+        # the context pool resolves which model these instances hold
+        for key in ("share_with_instance", "copy_from_instance"):
+            if key in payload:
+                register[key] = payload[key]
         self.sim.send(self.POOL, "context", "Register", register)
 
     def unbind(self, instance_id: str):

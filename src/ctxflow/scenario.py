@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
+from . import process_engine
 from .choreography import CHANNELS, DEFAULT_MAX_STEPS, LatencyConfig, Simulation
 from .context_engine import (
     DEFAULT_POLL_BUDGET,
@@ -76,8 +77,8 @@ class Scenario:
     deny_principals: list[str] = field(default_factory=list)
     catalog: dict[str, CatalogEntry] = field(default_factory=dict)
     masters: dict[str, MasterContextModel] = field(default_factory=dict)
-    relations: list[DerivationAgent] = field(default_factory=list)
-    agents: list[DerivationAgent] = field(default_factory=list)
+    # the relations, then the agents, in declaration order
+    propagation: list[DerivationAgent] = field(default_factory=list)
     sources: dict[str, ScriptedSource] = field(default_factory=dict)
     process_models: dict[str, ProcessModel] = field(default_factory=dict)
     rules: dict[str, Rule] = field(default_factory=dict)
@@ -544,8 +545,7 @@ def _parse_propagation(doc, scenario, bad):
             outputs = [] if entry["output"] is None else [entry["output"]]
         agents.append((entry["id"], entry["kind"], tuple(entry["inputs"]), tuple(outputs),
                        entry["spec"]))
-    for section, entries, nodes in (("relation", relations, scenario.relations),
-                                    ("agent", agents, scenario.agents)):
+    for section, entries in (("relation", relations), ("agent", agents)):
         for node_id, kind, inputs, outputs, spec in entries:
             _known(scenario, bad, f"{section}-unknown-category", node_id, inputs + outputs)
             try:
@@ -562,9 +562,9 @@ def _parse_propagation(doc, scenario, bad):
             if reads and input_kind is not None and not reads(input_kind, spec):
                 bad(f"{section}-kind-mismatch", node_id,
                     f"a {kind} node cannot read the {input_kind} input {inputs[0]!r}")
-            nodes.append(node)
+            scenario.propagation.append(node)
     try:
-        topological_order(scenario.relations + scenario.agents)
+        topological_order(scenario.propagation)
     except ValueError as err:
         bad("propagation-cycle", "cause_effects/agents", str(err))
 
@@ -602,7 +602,7 @@ def _parse_process_models(doc, scenario, bad):
         model_id, nodes = entry["model_id"], _build_nodes(entry["nodes"])
         model = ProcessModel(model_id, nodes, entry["compensation_refs"],
                              entry["execution_time_constraint"], entry["context_master"])
-        every = model.every_node
+        every = process_engine.walk_nodes(nodes)
         if not nodes or not isinstance(nodes[0], StartNode):
             bad("model-no-start", model_id, "first node must be start")
         if sum(1 for n in every if isinstance(n, StartNode)) != 1:
@@ -794,8 +794,7 @@ def build_simulation(scenario: Scenario, seed: int | None = None,
         catalog=scenario.catalog,
         masters=scenario.masters,
         sources={s.source_id: s.descriptor for s in scenario.sources.values()},
-        relations=scenario.relations,
-        agents=scenario.agents,
+        propagation=scenario.propagation,
         poll_budget=scenario.poll_budget,
         max_config_steps=scenario.max_config_steps,
     )

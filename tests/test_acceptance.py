@@ -236,7 +236,7 @@ def acceptance_engine(sim):
         "alpha": SourceDescriptor("alpha", "push", 0.9, provided_categories=("x",)),
         "beta": SourceDescriptor("beta", "push", 0.6, provided_categories=("x",)),
     }
-    return ContextEngine(sim, catalog, {"acc": master}, sources, relations=relations)
+    return ContextEngine(sim, catalog, {"acc": master}, sources, propagation=relations)
 
 
 def test_criterion_4_propagation_order_independence():

@@ -183,7 +183,7 @@ def make_engine(sim, relations=(), agents=(), categories=("root", "x", "y", "w")
     sources.update((source.source_id, source) for source in more_sources)
     return ContextEngine(
         sim, catalog, {"mini": mini_master(catalog, categories)}, sources,
-        relations=relations, agents=agents,
+        propagation=[*relations, *agents],
     )
 
 
@@ -216,7 +216,7 @@ def test_shared_registration_binds_one_model():
     sim = FakeSim()
     engine = make_engine(sim)
     model = register_active(engine, "p1")
-    engine.register_instance("p2", "mini", {}, share_with=model.model_id)
+    engine.register_instance("p2", "mini", {}, share_with="p1")
     assert model.bound_instances == ["p1", "p2"]
     assert len(engine.instances) == 1
 
@@ -1001,7 +1001,7 @@ def test_sharing_instance_keeps_model_alive():
     sim = FakeSim()
     engine = make_engine(sim)
     model = register_active(engine, "p1")
-    engine.register_instance("p2", "mini", {}, share_with=model.model_id)
+    engine.register_instance("p2", "mini", {}, share_with="p1")
     engine.shutdown_model("p1")
     assert model.model_id in engine.instances
     assert model.bound_instances == ["p2"]

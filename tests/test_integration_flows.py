@@ -1,6 +1,7 @@
 """Cross-engine flows that only show up in full simulation runs."""
 
 import copy
+import json
 
 import pytest
 
@@ -11,6 +12,7 @@ from ctxflow.scenario import build_simulation, parse_scenario
 from ctxflow.trace import canonical_json
 
 from .conftest import logistics_scenario_data
+from .trace_oracle import check
 
 
 def run(data):
@@ -109,13 +111,13 @@ def test_unperturbed_run_completes_within_constraint():
 # --- shared instance models -----------------------------------------------------------
 
 
-def shared_scenario():
+def shared_scenario(t2_start=8):
     data = calm_weather(copy.deepcopy(logistics_scenario_data()))
     data["instances"] = [
         {"id": "t1", "model": "spare_part_delivery", "principal": "op",
          "start_tick": 0},
         {"id": "t2", "model": "spare_part_delivery", "principal": "op",
-         "start_tick": 8, "share_with": "t1"},
+         "start_tick": t2_start, "share_with": "t1"},
     ]
     return data
 
@@ -148,6 +150,46 @@ def test_shared_model_notifies_every_bound_instance():
     shared_closures = [r for r in trace.find("model_closed")
                        if r.payload["model"] == "ctx.t1"]
     assert len(shared_closures) == 1
+
+
+def oracle_violations(trace):
+    return check(json.loads(line) for line in trace.lines())
+
+
+@pytest.mark.parametrize("t2_start", range(1, 8))
+def test_sharer_binds_while_its_target_initializes(t2_start):
+    # t1 is listening from tick 5 on; a sharer whose Register arrives while
+    # t1 still initializes binds to the model t1 is registered on all the same
+    assembly, trace = run(shared_scenario(t2_start))
+    assert [r.payload["bound"] for r in trace.find("model_shared")] == [["t1", "t2"]]
+    assert not trace.find("model_instantiated", instance="t2")
+    assert not trace.find("engine_error")
+    statuses = {i.instance_id: i.status for i in assembly.process.instances.values()}
+    assert statuses == {"t1": "Completed", "t2": "Completed"}
+    assert oracle_violations(trace) == []
+
+
+def denied_target(data):
+    data["auth"] = {"deny": ["mallory"]}
+    data["instances"][0]["principal"] = "mallory"
+    return data
+
+
+def ended_target(data):
+    data["instances"][1]["start_tick"] = 90  # t1 completes at tick 59
+    return data
+
+
+@pytest.mark.parametrize("unbound", [denied_target, ended_target])
+def test_sharer_of_an_unregistered_target_gets_a_model_of_its_own(unbound):
+    assembly, trace = run(unbound(shared_scenario()))
+    errors = trace.find("engine_error")
+    assert [(r.pool, r.payload) for r in errors] == [("context", {
+        "error": "UnknownSharedModel", "instance": "t2", "share_with": "t1"})]
+    [own] = trace.find("model_instantiated", instance="t2")
+    assert own.payload["model"] == "ctx.t2"
+    assert assembly.process.instances["t2"].status == "Completed"
+    assert oracle_violations(trace) == []
 
 
 def test_shared_model_survives_first_shutdown():

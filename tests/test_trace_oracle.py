@@ -12,7 +12,7 @@ import pytest
 from ctxflow.scenario import build_simulation, parse_scenario
 
 from .conftest import logistics_scenario_data
-from .test_integration_flows import handover_scenario
+from .test_integration_flows import handover_scenario, shared_scenario
 from .test_trace_digests import SCENARIOS
 from .trace_oracle import check
 
@@ -179,3 +179,28 @@ def test_evaluation_without_its_reply_is_caught():
     assert records[evaluated - 1]["kind"] == "ContextSnapshot"
     del records[evaluated - 1]
     assert invariants(renumbered(records)) == {"used"}
+
+
+def test_sharer_bound_to_another_model_is_caught():
+    records = trace_records(shared_scenario())
+    records[first(records, "model_shared", instance="t2")]["payload"]["model"] = "ctx.t9"
+    assert invariants(records) == {"binding"}
+
+
+def test_copy_of_another_model_is_caught():
+    records = logistics()
+    records[first(records, "model_instantiated", instance="p1.comp1")]["payload"][
+        "copy_of"] = "ctx.p9"
+    assert invariants(records) == {"binding"}
+
+
+def test_sharer_given_a_model_of_its_own_while_its_target_initializes_is_caught():
+    # t2 gets a model of its own although t1, still initializing, is
+    # registered when t2's Register reaches the context pool
+    records = trace_records(shared_scenario(1))
+    shared = first(records, "model_shared", instance="t2")
+    own = copy.deepcopy(records[first(records, "model_instantiated", instance="t1")])
+    own["payload"].update(model="ctx.t2", instance="t2")
+    own["seq"], own["tick"] = records[shared]["seq"], records[shared]["tick"]
+    records[shared] = own
+    assert invariants(records) == {"binding"}

@@ -31,7 +31,17 @@ invariant it breaks:
   names it;
 - ``stream``: within a (model, stream), the timestamps of the values
   ``value_updated`` reports strictly rise; a record that repeats the
-  stream's current value repeats it whole.
+  stream's current value repeats it whole;
+- ``binding``: an instance whose process -> rules ``Register`` names
+  ``share_with_instance: X`` is bound, when the context pool takes its
+  ``Register``, by a ``model_shared`` of the model X is bound to; if X is
+  then bound to no model (never bound, or its ``ShutdownModel`` already
+  delivered) or had an ``init_timeout``, an ``engine_error``
+  ``UnknownSharedModel`` names the instance and a ``model_instantiated``
+  of its own follows.  One whose ``Register`` names
+  ``copy_from_instance: X`` gets a ``model_instantiated`` whose
+  ``copy_of`` is X's model, and one that names neither gets one without
+  ``copy_of``.
 """
 
 from __future__ import annotations
@@ -64,6 +74,10 @@ def check(records) -> list[str]:
     closed: set[str] = set()
     streams: dict[tuple[str, str], dict] = {}  # (model, stream) -> last reported value
     delivered = ("", {})  # (kind, data) of the last message delivered; None: unknown
+    requested: dict[str, dict] = {}  # instance -> its process -> rules Register
+    bound: dict[str, str] = {}  # registered instance -> its context model
+    failed: set[str] = set()  # instances whose initialization timed out
+    expecting: dict[str, list] = {}  # instance -> the (kind, fields) binding records due
 
     for record in records:
         kind, payload, pool = record["kind"], record["payload"], record["pool"]
@@ -90,6 +104,14 @@ def check(records) -> list[str]:
             else:
                 last_msg_seq[channel] = payload["msg_seq"]
             delivered = (kind, payload["data"])
+            if kind == "Register" and pool == "process":
+                requested[payload["data"]["instance"]] = payload["data"]
+            elif kind == "Register":
+                instance = payload["data"]["instance"]
+                expecting[instance] = _binding_records(
+                    requested.pop(instance, {}), bound, failed)
+            elif kind == "ShutdownModel":
+                bound.pop(payload["data"]["instance"], None)
             if kind in GATE_MESSAGES:
                 _check_gate_message(kind, payload, where, evaluated_gates,
                                     evaluated_rules, violations)
@@ -113,6 +135,7 @@ def check(records) -> list[str]:
                 _check_used(payload, where, delivered, violations)
         if pool == "context":
             _check_model_record(kind, payload, where, live, closed, streams, violations)
+            _check_binding(kind, payload, where, bound, failed, expecting, violations)
 
     for instance, count in terminals.items():
         if count > 1 or (count == 0 and not truncated):
@@ -189,3 +212,35 @@ def _check_model_record(kind, payload, where, live, closed, streams, violations)
                 violations.append(f"stream: {where} reports {value['value_id']!r} of "
                                   f"{model!r} at ts {value['ts']} after ts {last['ts']}")
             streams[key] = value
+
+
+def _binding_records(request, bound, failed) -> list:
+    """The (kind, fields) records that bind a ``Register``'s instance, in order."""
+    share, copy = request.get("share_with_instance"), request.get("copy_from_instance")
+    if share is not None and share in bound and share not in failed:
+        return [("model_shared", {"model": bound[share]})]
+    own = ("model_instantiated", {"copy_of": None if copy is None else bound.get(copy)})
+    if share is None:
+        return [own]
+    return [("engine_error", {"error": "UnknownSharedModel", "share_with": share}), own]
+
+
+def _check_binding(kind, payload, where, bound, failed, expecting, violations):
+    instance = payload.get("instance")
+    if kind == "init_timeout":
+        failed.add(instance)
+    if kind not in ("model_shared", "model_instantiated", "engine_error"):
+        return
+    if kind != "engine_error":
+        bound[instance] = payload["model"]
+    due = expecting.get(instance)
+    if not due:
+        return
+    want, fields = due.pop(0)
+    if kind == want and all(payload.get(k) == v for k, v in fields.items()):
+        return
+    due.clear()
+    # another engine_error refused the registration, and reports it
+    if kind != "engine_error" or payload["error"] == "UnknownSharedModel":
+        violations.append(f"binding: {where} for {instance!r} is not the {want} "
+                          f"{fields} its Register asks for")
