@@ -442,25 +442,33 @@ class ContextEngine:
         if reg is None or reg.active or reg.failed:
             return
         model = self.instances[reg.model_id]
+        # the model's registrations still initializing, in binding order: the
+        # first polls, and the others end their initialization with it
+        waiting = [self.registrations[i] for i in model.bound_instances
+                   if not (self.registrations[i].active or self.registrations[i].failed)]
+        if waiting[0] is not reg:
+            return
         missing = self._unvalued_requirements(model)
         if not missing:
-            self._finish_initialization(reg, model)
+            for each in waiting:
+                self._finish_initialization(each, model)
             return
         if reg.init_outstanding:
             return  # waiting on poll responses
         if reg.init_rounds >= self.poll_budget:
-            reg.failed = True
-            self.sim.trace(self.POOL, "init_timeout", {
-                "instance": instance_id,
-                "model": model.model_id,
-                "rounds": reg.init_rounds,
-                "unvalued": sorted(missing),
-            })
-            self.sim.send(self.POOL, "rules", "ContextSnapshot", {
-                "instance": instance_id, "model": model.model_id,
-                "phase": "init", "status": "timeout",
-                "unvalued": sorted(missing),
-            })
+            for each in waiting:
+                each.failed = True
+                self.sim.trace(self.POOL, "init_timeout", {
+                    "instance": each.instance_id,
+                    "model": model.model_id,
+                    "rounds": reg.init_rounds,
+                    "unvalued": sorted(missing),
+                })
+                self.sim.send(self.POOL, "rules", "ContextSnapshot", {
+                    "instance": each.instance_id, "model": model.model_id,
+                    "phase": "init", "status": "timeout",
+                    "unvalued": sorted(missing),
+                })
             return
         reg.init_rounds += 1
         by_source: dict[str, list[str]] = {}

@@ -169,6 +169,36 @@ def test_sharer_binds_while_its_target_initializes(t2_start):
     assert oracle_violations(trace) == []
 
 
+def init_polls(trace):
+    return [r.payload["data"]["instance"] for r in trace
+            if r.kind == "PollRequest" and r.payload["data"].get("purpose") == "init"]
+
+
+@pytest.mark.parametrize("t2_start", [1, 2])
+def test_sharer_waits_for_its_targets_init_polls(t2_start):
+    # t1's init polls are in flight when t2 registers: t2 polls nothing again
+    assembly, trace = run(shared_scenario(t2_start))
+    assert init_polls(trace) == ["t1", "t1", "t1"]
+    assert outcomes(assembly) == {"t1": "Completed", "t2": "Completed"}
+    assert oracle_violations(trace) == []
+
+
+def test_sharer_times_out_with_its_target():
+    from .test_trace_digests import engine_paths_scenario
+    data = engine_paths_scenario()
+    data["instances"].append({"id": "i4", "model": "attic_run", "principal": "dispatcher",
+                              "start_tick": 3, "share_with": "i3"})
+    assembly, trace = run(data)
+    assert "i4" not in init_polls(trace)
+    [i3_timeout] = trace.find("init_timeout", instance="i3")
+    [i4_timeout] = trace.find("init_timeout", instance="i4")
+    assert i4_timeout.tick == i3_timeout.tick
+    assert i4_timeout.payload["model"] == "ctx.i3"
+    assert not assembly.simulation.truncated
+    assert outcomes(assembly)["i4"] == "Cancelled"
+    assert oracle_violations(trace) == []
+
+
 def denied_target(data):
     data["auth"] = {"deny": ["mallory"]}
     data["instances"][0]["principal"] = "mallory"
