@@ -187,6 +187,19 @@ def test_sharer_bound_to_another_model_is_caught():
     assert invariants(records) == {"binding"}
 
 
+@pytest.mark.parametrize("kind, fields", [
+    ("ContextSnapshot", {"phase": "reply"}),
+    ("ContextNotification", {}),
+])
+def test_reply_naming_another_model_is_caught(kind, fields):
+    records = logistics()
+    message = next(r["payload"]["data"] for r in records if r["kind"] == kind
+                   and all(r["payload"]["data"].get(k) == v for k, v in fields.items()))
+    assert message["model"] == f"ctx.{message['instance']}"
+    message["model"] = "ctx.p9"
+    assert invariants(records) == {"binding"}
+
+
 def test_copy_of_another_model_is_caught():
     records = logistics()
     records[first(records, "model_instantiated", instance="p1.comp1")]["payload"][

@@ -41,7 +41,9 @@ invariant it breaks:
   of its own follows.  One whose ``Register`` names
   ``copy_from_instance: X`` gets a ``model_instantiated`` whose
   ``copy_of`` is X's model, and one that names neither gets one without
-  ``copy_of``.
+  ``copy_of``.  A ``ContextSnapshot`` or ``ContextNotification`` that names
+  a ``model``, delivered while its ``instance`` is bound (its
+  ``ShutdownModel`` not yet delivered), names that instance's model.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ def check(records) -> list[str]:
                     requested.pop(instance, {}), bound, failed)
             elif kind == "ShutdownModel":
                 bound.pop(payload["data"]["instance"], None)
+            elif kind in ("ContextSnapshot", "ContextNotification"):
+                _check_bound_model(payload["data"], where, bound, violations)
             if kind in GATE_MESSAGES:
                 _check_gate_message(kind, payload, where, evaluated_gates,
                                     evaluated_rules, violations)
@@ -223,6 +227,13 @@ def _binding_records(request, bound, failed) -> list:
     if share is None:
         return [own]
     return [("engine_error", {"error": "UnknownSharedModel", "share_with": share}), own]
+
+
+def _check_bound_model(data, where, bound, violations):
+    instance, model = data.get("instance"), data.get("model")
+    if model is not None and instance in bound and model != bound[instance]:
+        violations.append(f"binding: {where} for {instance!r} names {model!r}, "
+                          f"not its model {bound[instance]!r}")
 
 
 def _check_binding(kind, payload, where, bound, failed, expecting, violations):
