@@ -323,11 +323,17 @@ class ContextEngine:
                  sources: dict[str, SourceDescriptor],
                  propagation=(),
                  poll_budget: int = DEFAULT_POLL_BUDGET,
-                 max_config_steps: int | None = None):
+                 max_config_steps: int | None = None,
+                 model_masters: dict[str, str] | None = None,
+                 model_thresholds: dict[str, dict[str, NotificationThreshold]] | None = None):
         self.sim = sim
         self.catalog = catalog
         self.masters = masters
         self.sources = sources
+        # what a Register registers with, by its process model: the master's
+        # id, and the thresholds by category
+        self.model_masters = model_masters or {}
+        self.model_thresholds = model_thresholds or {}
         # category -> the source polled for it: the most reliable that
         # provides it, then the lowest id
         self.best_source: dict[str, str] = {}
@@ -394,26 +400,18 @@ class ContextEngine:
         self.registrations[instance_id] = Registration(
             instance_id=instance_id,
             model_id=model.model_id,
-            thresholds=dict(thresholds),
+            thresholds=thresholds,
         )
         return model.model_id
 
     def handle_register(self, payload: dict):
         instance = payload["instance"]
-        thresholds = {
-            t["category_id"]: NotificationThreshold(
-                category_id=t["category_id"],
-                kind=t["kind"],
-                theta=t.get("theta"),
-                min_reliability=t.get("min_reliability", 0.0),
-            )
-            for t in payload.get("thresholds", [])
-        }
+        process_model = payload["process_model"]
         try:
             self.register_instance(
                 instance,
-                payload.get("master", ""),
-                thresholds,
+                self.model_masters.get(process_model, ""),
+                self.model_thresholds.get(process_model, {}),
                 share_with=payload.get("share_with_instance"),
                 copy_from=payload.get("copy_from_instance"),
             )
@@ -444,8 +442,8 @@ class ContextEngine:
         model = self.instances[reg.model_id]
         # the model's registrations still initializing, in binding order: the
         # first polls, and the others end their initialization with it
-        waiting = [self.registrations[i] for i in model.bound_instances
-                   if not (self.registrations[i].active or self.registrations[i].failed)]
+        bound = [self.registrations[i] for i in model.bound_instances]
+        waiting = [each for each in bound if not (each.active or each.failed)]
         if waiting[0] is not reg:
             return
         missing = self._unvalued_requirements(model)
@@ -739,20 +737,22 @@ class ContextEngine:
     # -- read path / administration ----------------------------------------------
 
     def handle_context_request(self, payload: dict):
-        model_id = payload["model"]
+        instance = payload["instance"]
         correlation = payload["correlation"]
-        model = self.instances.get(model_id)
-        if model is None:
+        reg = self.registrations.get(instance)
+        if reg is None:
             self.sim.send(self.POOL, "rules", "ContextSnapshot", {
                 "correlation": correlation, "status": "error",
-                "detail": "UnknownModel", "model": model_id,
+                "detail": "UnknownInstance", "instance": instance,
             })
             return
+        model_id = reg.model_id
+        model = self.instances[model_id]
         requested = list(payload["categories"])
         pending = PendingRequest(
             correlation=correlation,
             model_id=model_id,
-            instance_id=payload.get("instance", ""),
+            instance_id=instance,
             requested=requested,
         )
         extendable = []

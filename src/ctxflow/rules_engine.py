@@ -26,7 +26,6 @@ from .rule_dsl import (
 class Binding:
     instance_id: str
     process_model_id: str
-    context_model_id: str | None = None
     # gate -> category -> ts of the value its latest evaluation used
     used: dict[str, dict[str, int]] = field(default_factory=dict)
 
@@ -114,14 +113,12 @@ def evaluate_gate(plan: GatePlan, env: dict, now: int) -> GateOutcome:
 class RulesEngine:
     POOL = "rules"
 
-    def __init__(self, sim, gates: dict, model_masters: dict, model_thresholds: dict):
+    def __init__(self, sim, gates: dict):
         """``gates`` maps (process_model, gate) to the gate's (rules, default
         variant): every gate an instance of a process model may reach."""
         self.sim = sim
         self.plans = {key: gate_plan(key[1], rules, default)
                       for key, (rules, default) in gates.items()}
-        self.model_masters = model_masters
-        self.model_thresholds = model_thresholds
         self.bindings: dict[str, Binding] = {}
         self.pending: dict[str, PendingEval] = {}
         self._correlation = 0
@@ -142,16 +139,9 @@ class RulesEngine:
         self.sim.trace(self.POOL, "bound", {
             "instance": instance, "process_model": model_id,
         })
-        register = {
-            "instance": instance,
-            "master": self.model_masters.get(model_id, ""),
-            "thresholds": self.model_thresholds.get(model_id, []),
-        }
-        # the context pool resolves which model these instances hold
-        for key in ("share_with_instance", "copy_from_instance"):
-            if key in payload:
-                register[key] = payload[key]
-        self.sim.send(self.POOL, "context", "Register", register)
+        # the context pool registers the instance by its process model and
+        # resolves the instances it shares or copies
+        self.sim.send(self.POOL, "context", "Register", payload)
 
     def unbind(self, instance_id: str):
         self.bindings.pop(instance_id, None)
@@ -187,7 +177,6 @@ class RulesEngine:
         correlation = self._next_correlation()
         self.pending[correlation] = PendingEval(binding.instance_id, plan, evaluation)
         self.sim.send(self.POOL, "context", "ContextRequest", {
-            "model": binding.context_model_id,
             "instance": binding.instance_id,
             "categories": plan.categories,
             "correlation": correlation,
@@ -225,7 +214,6 @@ class RulesEngine:
             })
             return
         if payload.get("status") == "ok":
-            binding.context_model_id = payload["model"]
             self.sim.trace(self.POOL, "listening", {
                 "instance": instance, "context_model": payload["model"],
             })

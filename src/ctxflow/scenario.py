@@ -82,7 +82,8 @@ class Scenario:
     sources: dict[str, ScriptedSource] = field(default_factory=dict)
     process_models: dict[str, ProcessModel] = field(default_factory=dict)
     rules: dict[str, Rule] = field(default_factory=dict)
-    thresholds: dict[str, list[dict]] = field(default_factory=dict)
+    # process model -> category -> its threshold, held by the context pool
+    thresholds: dict[str, dict[str, NotificationThreshold]] = field(default_factory=dict)
     # {"id", "model", "principal", "start_tick", "share_with"} per instance
     instances: list[dict] = field(default_factory=list)
     # model id -> the gates (by id) and task names an instance of it runs,
@@ -663,7 +664,7 @@ def _parse_thresholds(doc, scenario, bad):
     for model_id, entries in doc["thresholds"].items():
         if model_id not in scenario.process_models:
             bad("threshold-unknown-model", model_id, "no such process model")
-        parsed = []
+        parsed = scenario.thresholds[model_id] = {}
         for entry in entries:
             category, kind = entry["category"], entry["kind"]
             if category not in scenario.catalog:
@@ -674,13 +675,10 @@ def _parse_thresholds(doc, scenario, bad):
                     "numeric-delta threshold on a non-numeric category")
                 continue
             try:
-                NotificationThreshold(category, kind, entry["theta"], entry["min_reliability"])
+                parsed[category] = NotificationThreshold(category, kind, entry["theta"],
+                                                         entry["min_reliability"])
             except ValueError as err:
                 bad("threshold-invalid", category, str(err))
-                continue
-            parsed.append({"category_id": category, "kind": kind, "theta": entry["theta"],
-                           "min_reliability": entry["min_reliability"]})
-        scenario.thresholds[model_id] = parsed
 
 
 # the id a compensation child gets: its parent's id, ".comp", its number from 1
@@ -797,6 +795,10 @@ def build_simulation(scenario: Scenario, seed: int | None = None,
         propagation=scenario.propagation,
         poll_budget=scenario.poll_budget,
         max_config_steps=scenario.max_config_steps,
+        model_masters={
+            m.model_id: m.context_master or "" for m in scenario.process_models.values()
+        },
+        model_thresholds=scenario.thresholds,
     )
     rules = RulesEngine(
         sim,
@@ -804,10 +806,6 @@ def build_simulation(scenario: Scenario, seed: int | None = None,
             [scenario.rules[rid] for rid in gate.rule_ids if rid in scenario.rules],
             gate.default_variant)
             for model_id, (gates, _) in scenario.runs.items() for gate_id, gate in gates.items()},
-        model_masters={
-            m.model_id: m.context_master or "" for m in scenario.process_models.values()
-        },
-        model_thresholds=scenario.thresholds,
     )
     process = ProcessEngine(
         sim,

@@ -172,7 +172,7 @@ def mini_master(catalog, categories=("root", "x", "y", "w")):
 
 
 def make_engine(sim, relations=(), agents=(), categories=("root", "x", "y", "w"),
-                more_sources=()):
+                more_sources=(), **tables):
     catalog = mini_catalog()
     sources = {
         "certified": SourceDescriptor("certified", "push", 0.9,
@@ -183,7 +183,7 @@ def make_engine(sim, relations=(), agents=(), categories=("root", "x", "y", "w")
     sources.update((source.source_id, source) for source in more_sources)
     return ContextEngine(
         sim, catalog, {"mini": mini_master(catalog, categories)}, sources,
-        propagation=[*relations, *agents],
+        propagation=[*relations, *agents], **tables,
     )
 
 
@@ -233,6 +233,24 @@ def test_unknown_master_rejected():
     engine = make_engine(FakeSim())
     with pytest.raises(UnknownMaster):
         engine.register_instance("p1", "nope", {})
+
+
+def test_register_takes_its_process_models_master_and_thresholds():
+    sim = FakeSim()
+    x_threshold = NotificationThreshold("x", "numeric-delta", theta=2)
+    engine = make_engine(sim, model_masters={"flow": "mini"},
+                         model_thresholds={"flow": {"x": x_threshold}})
+    engine.handle_register({"instance": "p1", "process_model": "flow", "principal": "op"})
+    [created] = sim.records("model_instantiated")
+    assert (created.payload["model"], created.payload["master"]) == ("ctx.p1", "mini")
+    assert engine.registrations["p1"].thresholds == {"x": x_threshold}
+    engine.registrations["p1"].active = True
+    sim.sent.clear()
+    for payload, ts in ((4, 2), (6, 3), (9, 4)):  # first value, within theta, past it
+        push(engine, sim, "x", payload, ts)
+    notes = [p for (_, _, k, p) in sim.sent if k == "ContextNotification"]
+    assert [note["changes"][0]["value"] for note in notes] == [
+        {"payload": 4, "ts": 2}, {"payload": 9, "ts": 4}]
 
 
 # --- ingestion and notifications ------------------------------------------------------
@@ -669,7 +687,7 @@ def test_context_request_returns_the_requested_values():
     model = register_active(engine)
     push(engine, sim, "x", 4, 2)
     engine.handle_context_request({
-        "model": model.model_id, "categories": ["x"], "correlation": "q1",
+        "instance": "p1", "categories": ["x"], "correlation": "q1",
     })
     snapshots = [p for (_, _, k, p) in sim.sent if k == "ContextSnapshot"]
     assert snapshots[-1]["correlation"] == "q1"
@@ -685,7 +703,7 @@ def test_context_request_administers_missing_category():
     engine = make_engine(sim)
     model = register_active(engine)  # model lacks z; certified provides it
     engine.handle_context_request({
-        "model": model.model_id, "categories": ["z"], "correlation": "q1",
+        "instance": "p1", "categories": ["z"], "correlation": "q1",
     })
     assert "z" in model.intersection.categories
     assert sim.records("model_extended")
@@ -707,7 +725,7 @@ def test_concurrent_requests_extend_once():
     model = register_active(engine)
     for correlation in ("q1", "q2"):
         engine.handle_context_request({
-            "model": model.model_id, "categories": ["z"],
+            "instance": "p1", "categories": ["z"],
             "correlation": correlation,
         })
     assert len(sim.records("model_extended")) == 1
@@ -730,7 +748,7 @@ def test_category_listed_twice_is_fetched_and_answered_once():
     engine = make_engine(sim)
     model = register_active(engine)
     engine.handle_context_request({
-        "model": model.model_id, "categories": ["z", "z"], "correlation": "q1",
+        "instance": "p1", "categories": ["z", "z"], "correlation": "q1",
     })
     [extended] = sim.records("model_extended")
     assert extended.payload["added"] == [{"category": "z", "level": 2}]
@@ -753,7 +771,7 @@ def test_closing_model_drops_its_in_flight_fetches():
     engine = make_engine(sim)
     model = register_active(engine)
     engine.handle_context_request({
-        "model": model.model_id, "categories": ["z"], "correlation": "q1",
+        "instance": "p1", "categories": ["z"], "correlation": "q1",
     })
     assert list(engine.pending_fetches) == [(model.model_id, "z")]
     engine.shutdown_model("p1")
@@ -782,7 +800,7 @@ def test_shared_missing_parent_is_added_once():
     })
     model = register_active(engine)
     engine.handle_context_request({
-        "model": model.model_id, "categories": ["temp", "wind"], "correlation": "q1",
+        "instance": "p1", "categories": ["temp", "wind"], "correlation": "q1",
     })
     [extended] = sim.records("model_extended")
     assert extended.payload["added"] == [
@@ -806,8 +824,9 @@ def test_poll_goes_to_the_most_reliable_source_then_the_lowest_id():
         SourceDescriptor("a-station", "poll", 0.8, provided_categories=("y", "z")),
     ]
     engine = ContextEngine(sim, catalog, {"mini": mini_master(catalog)},
-                           {source.source_id: source for source in sources})
-    engine.handle_register({"instance": "p1", "master": "mini"})
+                           {source.source_id: source for source in sources},
+                           model_masters={"flow": "mini"})
+    engine.handle_register({"instance": "p1", "process_model": "flow", "principal": "op"})
     # w has no source: the init round polls for x and y only
     assert [(p["purpose"], p["source"], p["categories"])
             for (_, _, k, p) in sim.sent if k == "PollRequest"] == [
@@ -815,13 +834,29 @@ def test_poll_goes_to_the_most_reliable_source_then_the_lowest_id():
     engine.registrations["p1"].active = True
     sim.sent.clear()
     engine.handle_context_request({
-        "model": "ctx.p1", "categories": ["z", "v"], "correlation": "q1",
+        "instance": "p1", "categories": ["z", "v"], "correlation": "q1",
     })
     assert [(p["purpose"], p["source"], p["categories"])
             for (_, _, k, p) in sim.sent if k == "PollRequest"] == [
         ("administer", "a-station", ["z"])]
     assert [r.payload for r in sim.records("admin_no_source")] == [
         {"model": "ctx.p1", "category": "v"}]
+
+
+def test_request_of_an_unregistered_instance_gets_an_error():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    register_active(engine, "p1")
+    engine.shutdown_model("p1")
+    sim.sent.clear()
+    for instance in ("p1", "p9"):  # shut down, never registered
+        engine.handle_context_request({
+            "instance": instance, "categories": ["x"], "correlation": f"q-{instance}",
+        })
+    assert [(k, p) for (_, _, k, p) in sim.sent] == [
+        ("ContextSnapshot", {"correlation": f"q-{instance}", "status": "error",
+                             "detail": "UnknownInstance", "instance": instance})
+        for instance in ("p1", "p9")]
 
 
 def test_repeated_request_same_tick_identical_snapshot():
@@ -831,7 +866,7 @@ def test_repeated_request_same_tick_identical_snapshot():
     push(engine, sim, "x", 4, 2)
     for correlation in ("q1", "q2"):
         engine.handle_context_request({
-            "model": model.model_id, "categories": ["x"],
+            "instance": "p1", "categories": ["x"],
             "correlation": correlation,
         })
     snapshots = [p for (_, _, k, p) in sim.sent if k == "ContextSnapshot"]
@@ -845,7 +880,7 @@ def test_unsourced_category_reported_missing():
     model = register_active(engine)
     before = model.intersection.to_payload()
     engine.handle_context_request({
-        "model": model.model_id, "categories": ["nope"], "correlation": "q1",
+        "instance": "p1", "categories": ["nope"], "correlation": "q1",
     })
     snapshots = [p for (_, _, k, p) in sim.sent if k == "ContextSnapshot"]
     assert snapshots[-1]["missing"] == ["nope"]
@@ -856,7 +891,7 @@ def request(engine, sim, model, categories, correlation):
     """One ContextRequest; returns the snapshot it got, if answered at once."""
     start = len(sim.sent)
     engine.handle_context_request({
-        "model": model.model_id, "categories": list(categories),
+        "instance": model.bound_instances[0], "categories": list(categories),
         "correlation": correlation,
     })
     replies = [p for (_, _, k, p) in sim.sent[start:] if k == "ContextSnapshot"]
@@ -1016,7 +1051,7 @@ def test_master_survives_lifecycles_byte_identical():
         model = register_active(engine, instance)
         push(engine, sim, "x", i, 2 * i + 1)
         engine.handle_context_request({
-            "model": model.model_id, "categories": ["z"],
+            "instance": instance, "categories": ["z"],
             "correlation": f"c{i}",
         })
         engine.shutdown_model(instance)

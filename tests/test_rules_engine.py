@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxflow.context_engine import ContextEngine
 from ctxflow.errors import MissingContext, RuleTypeError, StaleContext
 from ctxflow.rule_dsl import (
     BreakRollback,
@@ -197,9 +198,6 @@ def make_engine(sim):
     engine = RulesEngine(
         sim,
         gates={("m", "shipping"): (shipping_rules, "plane"), ("m", "packaging"): ([], "eco")},
-        model_masters={"m": "master-1"},
-        model_thresholds={"m": [{"category_id": "weather", "kind": "any-change",
-                                 "theta": None, "min_reliability": 0.0}]},
     )
     return engine
 
@@ -225,15 +223,14 @@ def snapshot_payload(correlation, **values):
     }
 
 
-def test_register_relays_thresholds_to_context():
+def test_register_is_forwarded_as_is():
     sim = FakeSim()
     engine = make_engine(sim)
-    engine.handle_register({"instance": "p1", "process_model": "m",
-                            "principal": "tester"})
-    registers = [p for (_, to, k, p) in sim.sent
-                 if k == "Register" and to == "context"]
-    assert registers[0]["master"] == "master-1"
-    assert registers[0]["thresholds"][0]["category_id"] == "weather"
+    register = {"instance": "p2", "process_model": "m", "principal": "tester",
+                "share_with_instance": "p1"}
+    engine.handle_register(register)
+    assert [(to, k, p) for (_, to, k, p) in sim.sent] == [("context", "Register", register)]
+    assert sim.sent[0][3] is register
 
 
 def test_double_bind_is_recorded_noop():
@@ -252,10 +249,10 @@ def test_native_evaluation_round_trip():
     bind(engine, sim)
     engine.handle_rule_eval_request({"instance": "p1", "gate": "shipping"})
     requests = [p for (_, _, k, p) in sim.sent if k == "ContextRequest"]
-    assert requests[0]["categories"] == [
+    assert requests[0] == {"instance": "p1", "categories": [
         "estimatedDeliveryTime", "estimatedSLAFine",
         "executionTimeConstraint", "maxSLAFineAmount",
-    ]
+    ], "correlation": "q1"}
     engine.handle_context_snapshot(snapshot_payload(
         requests[0]["correlation"],
         executionTimeConstraint=72, estimatedDeliveryTime=40,
@@ -370,8 +367,6 @@ def test_two_records_sharing_category_both_re_evaluated():
                ("m", "packaging"): ([parse_rule(
                    "RULE Pack WHEN estimatedDeliveryTime < 50 "
                    "THEN selectVariant(packaging, eco) END")], "eco")},
-        model_masters={"m": "master-1"},
-        model_thresholds={},
     )
     bind(engine, sim)
     evaluate_once(engine, sim)
@@ -502,8 +497,6 @@ def test_each_decision_sends_exact_messages(action, default, evaluation, recorde
         sim,
         gates={("m", "shipping"): ([parse_rule(
             f"RULE R WHEN estimatedDeliveryTime > 0 THEN {action} END")], default)},
-        model_masters={"m": "master-1"},
-        model_thresholds={},
     )
     bind(engine, sim)
     engine.handle_rule_eval_request({"instance": "p1", "gate": "shipping"})
@@ -520,6 +513,25 @@ def test_each_decision_sends_exact_messages(action, default, evaluation, recorde
     assert all(sender == "rules" and receiver == "process"
                for (sender, receiver, _, _) in sent)
     assert [(kind, payload) for (_, _, kind, payload) in sent] == expected
+
+
+def test_request_of_an_instance_the_context_pool_lacks_is_dropped():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    bind(engine, sim)  # its Register never reached the context pool
+    context = ContextEngine(FakeSim(), catalog={}, masters={}, sources={})
+    engine.handle_rule_eval_request({"instance": "p1", "gate": "shipping"})
+    [(_, _, _, request)] = sim.sent
+    context.handle_context_request(request)
+    [(_, _, _, reply)] = context.sim.sent
+    assert reply == {"correlation": "q1", "status": "error",
+                     "detail": "UnknownInstance", "instance": "p1"}
+    sim.sent.clear()
+    engine.handle_context_snapshot(reply)
+    assert sim.sent == [] and engine.pending == {}
+    assert [r.payload for r in sim.records("snapshot_dropped")] == [
+        {"correlation": "q1", "reason": "UnknownInstance"}]
+    assert sim.records("gate_evaluated") == []
 
 
 def test_terminal_instance_drops_its_evaluation_in_flight():
