@@ -65,9 +65,10 @@ def fresh_engine():
     }
     engine = ContextEngine(ShellSim(), catalog,
                            {"m": MasterContextModel("m", g, ["root"])},
-                           sources, propagation=relations)
-    model_id = engine.register_instance("p", "m", {})
-    return engine, engine.instances[model_id]
+                           sources, propagation=relations, model_masters={"delivery": "m"})
+    # the Register a run's rules pool forwards for an instance of "delivery"
+    engine.handle_register({"instance": "p", "process_model": "delivery", "principal": "op"})
+    return engine, engine.instances[engine.registrations["p"].model_id]
 
 
 engine, model = fresh_engine()

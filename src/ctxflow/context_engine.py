@@ -15,13 +15,10 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DeletionRejected,
-    DuplicateRegistration,
     KindMismatch,
     LevelViolation,
     StaleWrite,
     StepBudgetExceeded,
-    UnknownMaster,
-    UnknownModel,
 )
 from .model import (
     Additions,
@@ -352,79 +349,74 @@ class ContextEngine:
 
     # -- registration / initialization ---------------------------------------
 
-    def register_instance(self, instance_id: str, master_id: str,
-                          thresholds: dict[str, NotificationThreshold],
-                          share_with: str | None = None,
-                          copy_from: str | None = None) -> str:
-        if instance_id in self.registrations:
-            raise DuplicateRegistration(f"instance {instance_id!r} already registered")
-        # ``share_with`` and ``copy_from`` name instances; a share target without
-        # a live registration is reported, and the sharer gets a model of its own
+    def handle_register(self, payload: dict):
+        """Register an instance with its process model's master and thresholds."""
+        instance = payload["instance"]
+        if instance in self.registrations:
+            self._refuse(instance, "DuplicateRegistration",
+                         f"instance {instance!r} already registered")
+            return
+        process_model = payload["process_model"]
+        # the two names are instances; a share target without a live
+        # registration is reported, and the sharer gets a model of its own
+        share_with = payload.get("share_with_instance")
+        copy_from = payload.get("copy_from_instance")
         target = None if share_with is None else self.registrations.get(share_with)
         if target is not None and not target.failed:
             model = self.instances[target.model_id]
-            model.bound_instances.append(instance_id)
+            model.bound_instances.append(instance)
             self.sim.trace(self.POOL, "model_shared", {
                 "model": model.model_id,
-                "instance": instance_id,
+                "instance": instance,
                 "bound": sorted(model.bound_instances),
             })
         else:
             if share_with is not None:
                 self.sim.trace(self.POOL, "engine_error", {
                     "error": "UnknownSharedModel",
-                    "instance": instance_id,
+                    "instance": instance,
                     "share_with": share_with,
                 })
-            model_id = f"ctx.{instance_id}"
+            model_id = f"ctx.{instance}"
             if copy_from is not None:
                 source = self.registrations.get(copy_from)
                 if source is None:
-                    raise UnknownModel(f"no registered instance {copy_from!r} to copy")
-                model = clone_instance_model(self.instances[source.model_id], [instance_id],
+                    self._refuse(instance, "UnknownModel",
+                                 f"no registered instance {copy_from!r} to copy")
+                    return
+                model = clone_instance_model(self.instances[source.model_id], [instance],
                                              model_id)
                 origin = {"master": model.master_id, "copy_of": source.model_id}
             else:
+                master_id = self.model_masters.get(process_model, "")
                 if master_id not in self.masters:
-                    raise UnknownMaster(f"no master model {master_id!r}")
-                model = instantiate_from_master(self.masters[master_id], [instance_id],
+                    self._refuse(instance, "UnknownMaster", f"no master model {master_id!r}")
+                    return
+                model = instantiate_from_master(self.masters[master_id], [instance],
                                                 model_id)
                 origin = {"master": master_id}
             self.instances[model_id] = model
             self.sim.trace(self.POOL, "model_instantiated", {
                 "model": model_id,
                 **origin,
-                "instance": instance_id,
+                "instance": instance,
                 "categories": sorted(model.intersection.category_ids()),
             })
-        self.registrations[instance_id] = Registration(
-            instance_id=instance_id,
+        self.registrations[instance] = Registration(
+            instance_id=instance,
             model_id=model.model_id,
-            thresholds=thresholds,
+            thresholds=self.model_thresholds.get(process_model, {}),
         )
-        return model.model_id
-
-    def handle_register(self, payload: dict):
-        instance = payload["instance"]
-        process_model = payload["process_model"]
-        try:
-            self.register_instance(
-                instance,
-                self.model_masters.get(process_model, ""),
-                self.model_thresholds.get(process_model, {}),
-                share_with=payload.get("share_with_instance"),
-                copy_from=payload.get("copy_from_instance"),
-            )
-        except (DuplicateRegistration, UnknownMaster, UnknownModel) as err:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": type(err).__name__, "detail": str(err), "instance": instance,
-            })
-            self.sim.send(self.POOL, "rules", "ContextSnapshot", {
-                "instance": instance, "phase": "init", "status": "error",
-                "detail": type(err).__name__,
-            })
-            return
         self._continue_initialization(instance)
+
+    def _refuse(self, instance: str, error: str, detail: str):
+        """Report a registration refused with ``error``: the instance gets no model."""
+        self.sim.trace(self.POOL, "engine_error", {
+            "error": error, "detail": detail, "instance": instance,
+        })
+        self.sim.send(self.POOL, "rules", "ContextSnapshot", {
+            "instance": instance, "phase": "init", "status": "error", "detail": error,
+        })
 
     def _unvalued_requirements(self, model: InstanceContextModel) -> list[str]:
         out = []
@@ -568,10 +560,15 @@ class ContextEngine:
         elif kind == "poll":
             self._scheduled_poll(payload["source"])
 
+    def schedule_polls(self):
+        """Set each poll source's first refresh poll, at its poll interval."""
+        for source_id, descriptor in self.sources.items():
+            if descriptor.mode == "poll":
+                self.sim.timer(self.POOL, {"kind": "poll", "source": source_id},
+                               descriptor.poll_interval)
+
     def _scheduled_poll(self, source_id: str):
-        descriptor = self.sources.get(source_id)
-        if descriptor is None or descriptor.mode != "poll":
-            return
+        descriptor = self.sources[source_id]  # a poll source: schedule_polls set the timer
         wanted = []
         for category in descriptor.provided_categories:
             for model in self.instances.values():
@@ -867,9 +864,10 @@ class ContextEngine:
 
     # -- shutdown ------------------------------------------------------------------
 
-    def shutdown_model(self, instance_id: str):
+    def handle_shutdown_model(self, payload: dict):
         # a ShutdownModel follows its instance's Register on one FIFO channel: an
         # instance without a registration failed to register, reported already
+        instance_id = payload["instance"]
         reg = self.registrations.pop(instance_id, None)
         model = None if reg is None else self.instances.get(reg.model_id)
         if model is None:
@@ -886,9 +884,6 @@ class ContextEngine:
                 "end_step": model.intersection.step,
                 "end": model.intersection.to_payload(),
             })
-
-    def handle_shutdown_model(self, payload: dict):
-        self.shutdown_model(payload["instance"])
 
     # -- dispatch --------------------------------------------------------------------
 

@@ -47,20 +47,6 @@ class StaleWrite(CtxflowError):
     """Update carries a timestamp not newer than the stored value's."""
 
 
-# --- context engine --------------------------------------------------------
-
-class UnknownMaster(CtxflowError):
-    pass
-
-
-class DuplicateRegistration(CtxflowError):
-    pass
-
-
-class UnknownModel(CtxflowError):
-    pass
-
-
 # --- rules -----------------------------------------------------------------
 
 class RuleSyntaxError(CtxflowError):
@@ -82,12 +68,6 @@ class MissingContext(CtxflowError):
 
 class StaleContext(CtxflowError):
     """A required-freshness bound was violated for every applicable rule."""
-
-
-# --- process engine --------------------------------------------------------
-
-class AuthFailed(CtxflowError):
-    pass
 
 
 # --- choreography / harness ------------------------------------------------

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import AuthFailed
-
 # status machine; terminal states have no exits
 _TRANSITIONS = {
     "Initializing": {"Running", "Cancelled"},
@@ -142,13 +140,17 @@ class ProcessEngine:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def authenticate(self, principal: str) -> str:
-        """Default policy: any non-empty principal; scenario may deny names."""
-        if not principal:
-            raise AuthFailed("empty principal")
-        if principal in self.deny_principals:
-            raise AuthFailed(f"principal {principal!r} denied by policy")
-        return principal
+    def schedule_starts(self, instances: list[dict]):
+        """Set each scenario instance's start timer, at its ``start_tick``."""
+        self.pending_starts += len(instances)
+        for start in instances:
+            self.sim.timer(self.POOL, {
+                "kind": "start_instance",
+                "instance": start["id"],
+                "model": start["model"],
+                "principal": start["principal"],
+                "share_with": start["share_with"],
+            }, start["start_tick"])
 
     def start_instance(self, instance_id: str, model_id: str, principal: str,
                        share_with: str | None = None,
@@ -158,12 +160,12 @@ class ProcessEngine:
                 "error": "UnknownModel", "detail": model_id, "instance": instance_id,
             })
             return
-        try:
-            self.authenticate(principal)
-        except AuthFailed as err:
+        # the policy: any non-empty principal the scenario does not deny
+        if not principal or principal in self.deny_principals:
             self.sim.trace(self.POOL, "auth", {
-                "instance": instance_id, "principal": principal,
-                "ok": False, "detail": str(err),
+                "instance": instance_id, "principal": principal, "ok": False,
+                "detail": (f"principal {principal!r} denied by policy" if principal
+                           else "empty principal"),
             })
             return
         self.sim.trace(self.POOL, "auth", {

@@ -371,7 +371,8 @@ def _quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-_HEAD = re.compile(r"\s*RULE[ \t]+")
+# any whitespace ends the keyword; a newline also ends the (then empty) name
+_HEAD = re.compile(r"\s*RULE(?=\s)[ \t]*")
 _NAME_STOP = re.compile(r"\bWHEN\b|\n")
 
 

@@ -143,18 +143,14 @@ class RulesEngine:
         # resolves the instances it shares or copies
         self.sim.send(self.POOL, "context", "Register", payload)
 
-    def unbind(self, instance_id: str):
-        self.bindings.pop(instance_id, None)
-        for correlation in [c for c, p in self.pending.items()
-                            if p.instance_id == instance_id]:
-            del self.pending[correlation]
-        self.sim.trace(self.POOL, "unbound", {"instance": instance_id})
-
     def handle_process_terminal(self, payload: dict):
         instance = payload["instance"]
-        if instance in self.bindings:
-            self.unbind(instance)
-            self.sim.send(self.POOL, "context", "ShutdownModel", {"instance": instance})
+        if self.bindings.pop(instance, None) is None:
+            return
+        for correlation in [c for c, p in self.pending.items() if p.instance_id == instance]:
+            del self.pending[correlation]
+        self.sim.trace(self.POOL, "unbound", {"instance": instance})
+        self.sim.send(self.POOL, "context", "ShutdownModel", {"instance": instance})
 
     # -- evaluation request path ----------------------------------------------------
 
@@ -200,7 +196,7 @@ class RulesEngine:
                 "reason": payload.get("detail", payload.get("status", "error")),
             })
             return
-        # unbind drops an instance's pending evaluations: the binding is live
+        # an instance's end drops its pending evaluations: the binding is live
         binding = self.bindings[pending.instance_id]
         env = _env_from_snapshot(payload)
         self._evaluate(binding, pending.plan, pending.evaluation, env)

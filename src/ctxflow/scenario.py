@@ -511,6 +511,20 @@ def _parse_sources(doc, scenario, bad):
     for entry in doc["sources"]:
         source_id, provides = entry["id"], tuple(entry["provides"])
         _known(scenario, bad, "source-unknown-category", source_id, provides)
+        # a payload its category cannot hold would be refused at each ingest
+        scripted = [(category, payload) for _, category, payload in entry["timeline"]]
+        scripted += [(category, payload) for category, schedule in entry["poll"].items()
+                     for _, payload in schedule]
+        for category, payload in scripted:
+            held = scenario.catalog.get(category)
+            if held is not None and not held.category.accepts(payload):
+                bad("source-kind-mismatch", source_id, f"{_shown(payload)} does not fit "
+                    f"the {held.category.value_kind} category {category!r}")
+        for mirror in entry["mirrors"]:  # a mirror's payload is a variant id
+            kind = _kind(scenario, mirror["category"])
+            if kind not in (None, "text", "enum"):
+                bad("source-kind-mismatch", source_id, f"mirror of {mirror['model']!r}: a "
+                    f"variant id does not fit the {kind} category {mirror['category']!r}")
         try:
             scenario.sources[source_id] = ScriptedSource(
                 descriptor=SourceDescriptor(source_id, entry["mode"], entry["reliability"],
@@ -820,19 +834,8 @@ def build_simulation(scenario: Scenario, seed: int | None = None,
     sim.register_pool("context", context.handle_message, context.handle_timer)
     sim.register_pool("external", externals.handle_message, externals.handle_timer)
     externals.schedule_timeline()
-    for source in scenario.sources.values():
-        if source.descriptor.mode == "poll":
-            sim.timer("context", {"kind": "poll", "source": source.source_id},
-                      source.descriptor.poll_interval)
-    process.pending_starts += len(scenario.instances)
-    for start in scenario.instances:
-        sim.timer("process", {
-            "kind": "start_instance",
-            "instance": start["id"],
-            "model": start["model"],
-            "principal": start["principal"],
-            "share_with": start["share_with"],
-        }, start["start_tick"])
+    context.schedule_polls()
+    process.schedule_starts(scenario.instances)
     sim.is_quiescent = process.all_terminal
     return Assembly(sim, process, rules, context, externals, scenario)
 

@@ -215,7 +215,7 @@ def test_criterion_3_determinism(tmp_path):
 # --- criterion 4: propagation order-independence ---------------------------------------------
 
 
-def acceptance_engine(sim):
+def acceptance_engine(sim, thresholds=None):
     catalog = {
         "root": CatalogEntry(ContextCategory("root", "root"), requires_value=False),
         "x": CatalogEntry(ContextCategory("x", "x", "numeric"), parent="root"),
@@ -236,7 +236,15 @@ def acceptance_engine(sim):
         "alpha": SourceDescriptor("alpha", "push", 0.9, provided_categories=("x",)),
         "beta": SourceDescriptor("beta", "push", 0.6, provided_categories=("x",)),
     }
-    return ContextEngine(sim, catalog, {"acc": master}, sources, propagation=relations)
+    return ContextEngine(sim, catalog, {"acc": master}, sources, propagation=relations,
+                         model_masters={"flow": "acc"},
+                         model_thresholds={"flow": thresholds or {}})
+
+
+def register(engine, instance):
+    """Register ``instance`` of process model "flow" as a run does; returns its model."""
+    engine.handle_register({"instance": instance, "process_model": "flow", "principal": "op"})
+    return engine.instances[engine.registrations[instance].model_id]
 
 
 def test_criterion_4_propagation_order_independence():
@@ -254,8 +262,7 @@ def test_criterion_4_propagation_order_independence():
         for order in itertools.permutations(events):
             sim = FakeSim(now=50)
             engine = acceptance_engine(sim)
-            model_id = engine.register_instance("p", "acc", {})
-            model = engine.instances[model_id]
+            model = register(engine, "p")
             for event in order:
                 engine.handle_source_event(dict(event))
             # the observable context state: structure plus current values
@@ -321,12 +328,12 @@ def test_criterion_5_threshold_gating():
     stream_agree = True
     for trial in range(10):
         sim = FakeSim(now=0)
-        engine = acceptance_engine(sim)
         thresholds = {
             "x": NotificationThreshold("x", "numeric-delta",
                                        theta=rng.choice([1, 3, 6])),
         }
-        model_id = engine.register_instance("p", "acc", thresholds)
+        engine = acceptance_engine(sim, thresholds)
+        register(engine, "p")
         engine.propagation = []
         engine.registrations["p"].active = True
         events = []

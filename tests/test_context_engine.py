@@ -19,7 +19,7 @@ from ctxflow.context_engine import (
     resolve_conflict,
     topological_order,
 )
-from ctxflow.errors import DuplicateRegistration, KindMismatch, UnknownMaster
+from ctxflow.errors import KindMismatch
 from ctxflow.model import (
     ContextCategory,
     ContextIntersection,
@@ -181,16 +181,26 @@ def make_engine(sim, relations=(), agents=(), categories=("root", "x", "y", "w")
                                    provided_categories=("w",)),
     }
     sources.update((source.source_id, source) for source in more_sources)
+    tables.setdefault("model_masters", {"flow": "mini"})
     return ContextEngine(
         sim, catalog, {"mini": mini_master(catalog, categories)}, sources,
         propagation=[*relations, *agents], **tables,
     )
 
 
-def register_active(engine, instance="p1", thresholds=None):
-    model_id = engine.register_instance(instance, "mini", thresholds or {})
+def register(engine, instance, **fields):
+    """Hand the context pool the Register the rules pool forwards for an
+    instance of process model "flow"."""
+    engine.handle_register({"instance": instance, "process_model": "flow",
+                            "principal": "op", **fields})
+
+
+def register_active(engine, instance="p1"):
+    """Register ``instance`` and mark it initialized; drops its init polls."""
+    register(engine, instance)
     engine.registrations[instance].active = True
-    return engine.instances[model_id]
+    engine.sim.sent.clear()
+    return engine.instances[engine.registrations[instance].model_id]
 
 
 def push(engine, sim, category, payload, ts, source="certified"):
@@ -216,31 +226,51 @@ def test_shared_registration_binds_one_model():
     sim = FakeSim()
     engine = make_engine(sim)
     model = register_active(engine, "p1")
-    engine.register_instance("p2", "mini", {}, share_with="p1")
+    register(engine, "p2", share_with_instance="p1")
     assert model.bound_instances == ["p1", "p2"]
     assert len(engine.instances) == 1
+
+
+def assert_refused(sim, error, detail, instance="p1"):
+    """A refused registration writes its engine_error and sends only the error
+    init snapshot."""
+    assert [r.payload for r in sim.records("engine_error")] == [
+        {"error": error, "detail": detail, "instance": instance}]
+    assert sim.sent == [("context", "rules", "ContextSnapshot", {
+        "instance": instance, "phase": "init", "status": "error", "detail": error})]
 
 
 def test_duplicate_registration_rejected():
     sim = FakeSim()
     engine = make_engine(sim)
-    register_active(engine, "p1")
-    with pytest.raises(DuplicateRegistration):
-        engine.register_instance("p1", "mini", {})
+    model = register_active(engine, "p1")
+    register(engine, "p1")
+    assert_refused(sim, "DuplicateRegistration", "instance 'p1' already registered")
+    assert engine.instances == {model.model_id: model}
 
 
 def test_unknown_master_rejected():
-    engine = make_engine(FakeSim())
-    with pytest.raises(UnknownMaster):
-        engine.register_instance("p1", "nope", {})
+    sim = FakeSim()
+    engine = make_engine(sim, model_masters={"flow": "nope"})
+    register(engine, "p1")
+    assert_refused(sim, "UnknownMaster", "no master model 'nope'")
+    assert engine.registrations == {} and engine.instances == {}
+
+
+def test_copy_of_an_unregistered_instance_rejected():
+    sim = FakeSim()
+    engine = make_engine(sim)
+    register(engine, "p1.comp1", copy_from_instance="p1")
+    assert_refused(sim, "UnknownModel", "no registered instance 'p1' to copy",
+                   instance="p1.comp1")
+    assert engine.registrations == {} and engine.instances == {}
 
 
 def test_register_takes_its_process_models_master_and_thresholds():
     sim = FakeSim()
     x_threshold = NotificationThreshold("x", "numeric-delta", theta=2)
-    engine = make_engine(sim, model_masters={"flow": "mini"},
-                         model_thresholds={"flow": {"x": x_threshold}})
-    engine.handle_register({"instance": "p1", "process_model": "flow", "principal": "op"})
+    engine = make_engine(sim, model_thresholds={"flow": {"x": x_threshold}})
+    register(engine, "p1")
     [created] = sim.records("model_instantiated")
     assert (created.payload["model"], created.payload["master"]) == ("ctx.p1", "mini")
     assert engine.registrations["p1"].thresholds == {"x": x_threshold}
@@ -258,10 +288,10 @@ def test_register_takes_its_process_models_master_and_thresholds():
 
 def test_push_updates_value_and_notifies():
     sim = FakeSim()
-    engine = make_engine(sim)
-    model = register_active(engine, thresholds={
+    engine = make_engine(sim, model_thresholds={"flow": {
         "w": NotificationThreshold("w", "any-change"),
-    })
+    }})
+    model = register_active(engine)
     push(engine, sim, "w", "clear", 2)
     push(engine, sim, "w", "thunderstorm, road washed out", 8)
     assert model.intersection.values["w"].payload == "thunderstorm, road washed out"
@@ -272,10 +302,10 @@ def test_push_updates_value_and_notifies():
 
 def test_notification_carries_each_change_as_read():
     sim = FakeSim()
-    engine = make_engine(sim)
-    model = register_active(engine, thresholds={
+    engine = make_engine(sim, model_thresholds={"flow": {
         "w": NotificationThreshold("w", "any-change"),
-    })
+    }})
+    model = register_active(engine)
     push(engine, sim, "w", "clear", 2)
     [note] = [p for (_, _, k, p) in sim.sent if k == "ContextNotification"]
     assert note == {"model": model.model_id, "instance": "p1", "step": 0,
@@ -284,10 +314,10 @@ def test_notification_carries_each_change_as_read():
 
 def test_identical_push_is_swallowed():
     sim = FakeSim()
-    engine = make_engine(sim)
-    model = register_active(engine, thresholds={
+    engine = make_engine(sim, model_thresholds={"flow": {
         "w": NotificationThreshold("w", "any-change"),
-    })
+    }})
+    model = register_active(engine)
     push(engine, sim, "w", "clear", 2)
     sent_before = len(sim.sent)
     push(engine, sim, "w", "clear", 2)  # same ts, same payload
@@ -401,10 +431,8 @@ def test_compose_and_split_agents():
     # z is numeric in the catalog; replace with a record category for compose
     engine.catalog["z"] = CatalogEntry(
         ContextCategory("z", "z", "record"), parent="root")
-    model = engine.register_instance("p1", "mini", {})
-    model = engine.instances[model]
+    model = register_active(engine)
     model.intersection.categories["z"] = engine.catalog["z"].category
-    engine.registrations["p1"].active = True
     push(engine, sim, "x", 5, 1)
     push(engine, sim, "w", "hi", 2)
     assert model.intersection.values["z"].payload == {"x": 5, "w": "hi"}
@@ -455,10 +483,8 @@ def test_split_agent_fans_out_record_fields():
     engine = make_engine(sim, agents=[split])
     engine.catalog["w"] = CatalogEntry(
         ContextCategory("w", "w", "record"), parent="root")
-    model_id = engine.register_instance("p1", "mini", {})
-    model = engine.instances[model_id]
+    model = register_active(engine)
     model.intersection.categories["w"] = engine.catalog["w"].category
-    engine.registrations["p1"].active = True
     push(engine, sim, "w", {"load": 7, "speed": 3}, 2)
     assert model.intersection.values["x"].payload == 7
     assert model.intersection.values["y"].payload == 3
@@ -774,7 +800,7 @@ def test_closing_model_drops_its_in_flight_fetches():
         "instance": "p1", "categories": ["z"], "correlation": "q1",
     })
     assert list(engine.pending_fetches) == [(model.model_id, "z")]
-    engine.shutdown_model("p1")
+    engine.handle_shutdown_model({"instance": "p1"})
     assert sim.records("model_closed")
     assert engine.pending_fetches == {}
     sim.sent.clear()
@@ -847,7 +873,7 @@ def test_request_of_an_unregistered_instance_gets_an_error():
     sim = FakeSim()
     engine = make_engine(sim)
     register_active(engine, "p1")
-    engine.shutdown_model("p1")
+    engine.handle_shutdown_model({"instance": "p1"})
     sim.sent.clear()
     for instance in ("p1", "p9"):  # shut down, never registered
         engine.handle_context_request({
@@ -930,10 +956,10 @@ def test_read_works_out_no_closure(monkeypatch):
 
 def test_replies_and_notifications_share_one_reading_of_a_value():
     sim = FakeSim()
-    engine = make_engine(sim)
-    model = register_active(engine, thresholds={
+    engine = make_engine(sim, model_thresholds={"flow": {
         "x": NotificationThreshold("x", "any-change"),
-    })
+    }})
+    model = register_active(engine)
     push(engine, sim, "x", 4, 2)
     first = request(engine, sim, model, ["x"], "q1")
     second = request(engine, sim, model, ["x", "y"], "q2")
@@ -969,7 +995,7 @@ def test_closed_model_graph_is_freed():
     push(engine, sim, "x", 4, 2)
     request(engine, sim, model, ["x"], "q1")
     graph = weakref.ref(model.intersection)
-    engine.shutdown_model("p1")
+    engine.handle_shutdown_model({"instance": "p1"})
     del model
     gc.collect()
     assert graph() is None  # the engine keeps nothing of a closed model
@@ -1025,7 +1051,7 @@ def test_last_shutdown_closes_model_with_end_snapshot():
     sim = FakeSim()
     engine = make_engine(sim)
     model = register_active(engine)
-    engine.shutdown_model("p1")
+    engine.handle_shutdown_model({"instance": "p1"})
     assert model.model_id not in engine.instances
     [closed] = sim.records("model_closed")
     assert closed.payload["end_step"] == 0
@@ -1036,8 +1062,8 @@ def test_sharing_instance_keeps_model_alive():
     sim = FakeSim()
     engine = make_engine(sim)
     model = register_active(engine, "p1")
-    engine.register_instance("p2", "mini", {}, share_with="p1")
-    engine.shutdown_model("p1")
+    register(engine, "p2", share_with_instance="p1")
+    engine.handle_shutdown_model({"instance": "p1"})
     assert model.model_id in engine.instances
     assert model.bound_instances == ["p2"]
 
@@ -1054,5 +1080,5 @@ def test_master_survives_lifecycles_byte_identical():
             "instance": instance, "categories": ["z"],
             "correlation": f"c{i}",
         })
-        engine.shutdown_model(instance)
+        engine.handle_shutdown_model({"instance": instance})
     assert canonical_json(engine.masters["mini"].to_payload()) == before

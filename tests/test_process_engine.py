@@ -1,6 +1,5 @@
 import pytest
 
-from ctxflow.errors import AuthFailed
 from ctxflow.process_engine import (
     EndNode,
     GateNode,
@@ -85,32 +84,43 @@ def started(engine, sim, instance="p1"):
 # --- authentication ---------------------------------------------------------------
 
 
+def start_by_timer(engine, sim, principal, instance="p1"):
+    """Start an instance as a run does: by its start timer."""
+    engine.schedule_starts([{"id": instance, "model": "m", "principal": principal,
+                             "start_tick": 0, "share_with": None}])
+    assert engine.pending_starts == 1
+    drive_timers(engine, sim, until_tick=0)
+    assert engine.pending_starts == 0
+
+
 def test_default_policy_accepts_nonempty_principal():
     sim = FakeSim()
     engine = make_engine(sim)
-    assert engine.authenticate("dispatcher-7") == "dispatcher-7"
-    auth = started(engine, sim)
-    assert sim.records("auth")[0].payload["ok"] is True
-    assert auth.status == "Running"
+    start_by_timer(engine, sim, "dispatcher-7")
+    assert [r.payload for r in sim.records("auth")] == [
+        {"instance": "p1", "principal": "dispatcher-7", "ok": True}]
+    engine.handle_message("Decision", {"instance": "p1", "evaluation": "init",
+                                       "action": {"type": "continue"}})
+    assert engine.instances["p1"].status == "Running"
 
 
 def test_empty_principal_never_starts():
     sim = FakeSim()
     engine = make_engine(sim)
-    with pytest.raises(AuthFailed):
-        engine.authenticate("")
-    engine.start_instance("p1", "m", "")
+    start_by_timer(engine, sim, "")
     assert "p1" not in engine.instances
-    assert sim.records("auth")[0].payload["ok"] is False
+    assert [r.payload for r in sim.records("auth")] == [
+        {"instance": "p1", "principal": "", "ok": False, "detail": "empty principal"}]
 
 
 def test_deny_list_policy():
     sim = FakeSim()
     engine = make_engine(sim, deny=["mallory"])
-    engine.start_instance("p1", "m", "mallory")
+    start_by_timer(engine, sim, "mallory")
     assert "p1" not in engine.instances
-    record = sim.records("auth")[0].payload
-    assert record["ok"] is False and record["principal"] == "mallory"
+    assert [r.payload for r in sim.records("auth")] == [
+        {"instance": "p1", "principal": "mallory", "ok": False,
+         "detail": "principal 'mallory' denied by policy"}]
 
 
 # --- stepping ----------------------------------------------------------------------

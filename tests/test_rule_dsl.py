@@ -97,8 +97,32 @@ def test_syntax_error_carries_position():
 
 
 def test_missing_name_rejected():
-    with pytest.raises(RuleSyntaxError):
+    with pytest.raises(RuleSyntaxError) as err:
         parse_rule("RULE\nWHEN 1 < 2\nTHEN continue\nEND")
+    assert str(err.value) == "rule name is empty (line 1, column 5)"
+    assert (err.value.line, err.value.column) == (1, 5)
+
+
+@pytest.mark.parametrize("condition, action, message, line, column", [
+    ("a < 3 & b", "continue", "unexpected character '&'", 2, 12),
+    (None, "continue", "expected 'WHEN', found 'THEN'", 2, 1),
+    ("(a < 3", "continue", "expected ')', found 'THEN'", 3, 1),
+    ("fresh(a 3)", "continue", "expected ',', found '3'", 2, 14),
+    ("fresh(a, -3)", "continue", "fresh() takes a non-negative integer age", 2, 15),
+    ("a 3", "continue", "expected a comparison operator, found '3'", 2, 8),
+    ("< 3", "continue", "expected an operand, found '<'", 2, 6),
+    ("a < 3", "selectVariant(WHEN, v)", "expected gate id, found 'WHEN'", 3, 20),
+    ("a < 3", "selectVariant(g, END)", "expected variant id, found 'END'", 3, 23),
+    ("a < 3", "rollback(THEN)", "expected rollback target, found 'THEN'", 3, 15),
+    ("a < 3", "frobnicate", "expected an action, found 'frobnicate'", 3, 6),
+], ids=["character", "no-when", "no-paren", "no-comma", "negative-age", "no-operator",
+        "no-operand", "keyword-gate", "keyword-variant", "keyword-target", "unknown-action"])
+def test_syntax_error_names_its_line_and_column(condition, action, message, line, column):
+    when = "" if condition is None else f"WHEN {condition}\n"
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rule(f"RULE x\n{when}THEN {action}\nEND")
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_type_errors_rejected_at_parse():

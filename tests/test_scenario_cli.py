@@ -375,6 +375,18 @@ def short_timeline_entry(data):
     return data
 
 
+def change_source(source_id, edit):
+    def change(data):
+        edit(next(source for source in data["sources"] if source["id"] == source_id))
+        return data
+    return change
+
+
+def mirror_into_a_numeric_category(bpm):
+    bpm["provides"].append("maxSLAFineAmount")
+    bpm["mirrors"][0]["category"] = "maxSLAFineAmount"
+
+
 # each row once raised out of parse_scenario, validated clean and then raised
 # during the run, or validated clean and ran wrong
 MALFORMED = {
@@ -424,6 +436,13 @@ MALFORMED = {
     "mirror-after-no-task": (change_mirror(trigger="task:nosuch"), "mirror-unknown-target"),
     "mirror-of-an-unprovided-category": (change_mirror(category="weather"),
                                          "mirror-unknown-target"),
+    "poll-payload-its-category-cannot-hold": (change_source("erp", lambda erp: erp["poll"].update(
+        maxSLAFineAmount=[[0, "lots"]])), "source-kind-mismatch"),
+    "timeline-payload-its-category-cannot-hold": (change_source(
+        "weatherService", lambda weather: weather.update(timeline=[[30, "weather", 7]])),
+        "source-kind-mismatch"),
+    "mirror-into-a-numeric-category": (change_source("bpm", mirror_into_a_numeric_category),
+                                       "source-kind-mismatch"),
 }
 
 
@@ -660,6 +679,25 @@ def test_agent_arithmetic_fault_becomes_engine_error(tmp_path):
     faults = {(r.payload["error"], r.payload["relation"])
               for r in assembly.simulation.trace_log.find("engine_error")}
     assert faults == {("OverflowError", "probe")}
+
+
+def test_derived_value_its_category_cannot_hold_becomes_engine_error(tmp_path):
+    """A lookup's value is not checked against its effect's kind at parse: the
+    context pool refuses it at ingest, and the effect keeps no such value."""
+    data = logistics_scenario_data()
+    data["cause_effects"][0]["function"]["table"]["clear"] = "forty"
+    assert main(["validate", write_scenario(tmp_path, data)]) == 0
+    assembly, completed = run_scenario_data(data)
+    assert completed
+    trace = assembly.simulation.trace_log
+    faults = [r.payload for r in trace.find("engine_error")]
+    assert faults and all(fault == {
+        "error": "KindMismatch",
+        "detail": "payload 'forty' does not match kind 'numeric' of category "
+                  "'estimatedDeliveryTime'",
+        "model": "ctx.p1",
+    } for fault in faults)
+    assert [r for r in trace.find("value_updated") if r.payload["value"]["payload"] == "forty"] == []
 
 
 @pytest.mark.parametrize("limit", [4300, 0])
