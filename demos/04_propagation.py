@@ -8,12 +8,9 @@ context state is the same.
 
 import itertools
 
-from ctxflow.context_engine import (
-    CatalogEntry,
-    CauseEffectRelation,
-    ContextEngine,
-)
+from ctxflow.context_engine import CatalogEntry, ContextEngine
 from ctxflow.model import ContextCategory, ContextIntersection, MasterContextModel
+from ctxflow.propagation import CauseEffectRelation
 from ctxflow.sources import SourceDescriptor
 from ctxflow.trace import Trace, canonical_json
 

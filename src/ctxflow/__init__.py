@@ -7,9 +7,7 @@ delivered by simulated external systems.
 """
 
 from .context_engine import (
-    CauseEffectRelation,
     ContextEngine,
-    DerivationAgent,
     NotificationThreshold,
     check_threshold,
     resolve_conflict,
@@ -28,6 +26,7 @@ from .model import (
     update_value,
     validate_intersection,
 )
+from .propagation import CauseEffectRelation, DerivationAgent
 from .rule_dsl import Rule, parse_rule, pretty_print
 from .scenario import (
     Scenario,

@@ -1,16 +1,13 @@
 """Context engine: owns the context cloud and feeds the rules engine.
 
 Ingests pushed and polled source events, resolves multi-source conflicts,
-runs derivation agents and cause-and-effect propagation to quiescence,
+applies what propagation derives from them (``propagation.Propagation``),
 and emits threshold-gated change notifications.  One logical writer per
 instance model; everything observable happens in message-arrival order.
 """
 
 from __future__ import annotations
 
-import ast
-import operator
-import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -28,13 +25,12 @@ from .model import (
     MasterContextModel,
     clone_instance_model,
     instantiate_from_master,
-    recent_values,
     # not called here: the benchmark's traced harness (perfbench/probes.py)
     # wraps context_engine.relevant_subgraph by that name
     relevant_subgraph,  # noqa: F401
     update_value,
 )
-from .rule_dsl import OPERATORS
+from .propagation import Propagation
 from .sources import SourceDescriptor
 
 DEFAULT_POLL_BUDGET = 16
@@ -95,176 +91,6 @@ def check_threshold(old: ContextValue | None, new: ContextValue,
     return new.payload != old.payload
 
 
-# --- propagation nodes ---------------------------------------------------------
-
-_EXPR_OPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.USub: operator.neg,
-    ast.UAdd: operator.pos,
-}
-
-
-def compile_arithmetic(expr: str):
-    """Compile a small arithmetic expression over ``x`` (no eval).
-
-    Bad shapes are rejected by walking the syntax tree; the expression is
-    never evaluated here, so ``100 / x`` compiles and only a call at
-    ``x == 0`` raises.
-    """
-
-    def build(node):
-        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
-            op, left, right = _EXPR_OPS[type(node.op)], build(node.left), build(node.right)
-            return lambda x: op(left(x), right(x))
-        if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
-            op, operand = _EXPR_OPS[type(node.op)], build(node.operand)
-            return lambda x: op(operand(x))
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            constant = node.value
-            return lambda x: constant
-        if isinstance(node, ast.Name) and node.id == "x":
-            return lambda x: x
-        raise ValueError(f"disallowed construct in arithmetic expression: {ast.dump(node)}")
-
-    return build(ast.parse(expr, mode="eval").body)
-
-
-REDUCERS = {
-    "min": min,
-    "max": max,
-    "mean": lambda xs: sum(xs) / len(xs),
-    "count": len,
-    "last": lambda xs: xs[-1],
-}
-
-@dataclass(frozen=True)
-class DerivationAgent:
-    """One propagation node: a cause-effect relation or a derivation agent.
-
-    ``kind`` picks the node's function in ``DERIVE``; ``spec`` holds every
-    field that function reads.  The agent kinds read the fields that the
-    scenario shape table (``scenario.SCENARIO``) lists with their defaults.
-    """
-
-    node_id: str
-    kind: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    spec: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in DERIVE:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if not self.inputs or not self.outputs:
-            raise ValueError("a node needs at least one input and one output")
-
-
-def CauseEffectRelation(relation_id: str, cause: str, effect: str,
-                        function: dict) -> DerivationAgent:
-    """f: X -> Y between two categories, as a one-input, one-output node.
-
-    ``function`` is ``{"type": "linear", "a", "b"}``, ``{"type": "lookup",
-    "table", "default"?}`` or ``{"type": "expr", "expr"}``.  A lookup runs
-    as a translate over ``table``; an expr is compiled here, once.
-    """
-    if cause == effect:
-        raise ValueError("cause and effect categories must differ")
-    spec = dict(function)
-    if function["type"] == "lookup":
-        spec.update(map=function["table"], default=function.get("default"))
-    elif function["type"] == "expr":
-        spec["apply"] = compile_arithmetic(function["expr"])
-    return DerivationAgent(relation_id, function["type"], (cause,), (effect,), spec)
-
-
-# Each node kind maps the current values of its inputs (and, for an
-# aggregate, the input's history in graph ``g``) to (category, payload) pairs.
-
-
-def _linear(node, inputs, g):
-    return [(node.outputs[0], node.spec["a"] * inputs[0].payload + node.spec["b"])]
-
-
-def _expr(node, inputs, g):
-    return [(node.outputs[0], node.spec["apply"](inputs[0].payload))]
-
-
-def _translate(node, inputs, g):
-    """Map a payload, a number by its repr; a null result derives nothing."""
-    payload = inputs[0].payload
-    out = node.spec["map"].get(payload if isinstance(payload, str) else repr(payload),
-                               node.spec["default"])
-    return [] if out is None else [(node.outputs[0], out)]
-
-
-def _filter(node, inputs, g):
-    payload = inputs[0].payload
-    if not OPERATORS[node.spec["op"]](payload, node.spec["value"]):
-        return []
-    return [(node.outputs[0], payload)]
-
-
-def _aggregate(node, inputs, g):
-    window = recent_values(g, node.inputs[0], node.spec["window"])
-    return [(node.outputs[0], REDUCERS[node.spec["reducer"]]([v.payload for v in window]))]
-
-
-def _compose(node, inputs, g):
-    return [(node.outputs[0], {v.category_id: v.payload for v in inputs})]
-
-
-def _split(node, inputs, g):
-    """Fan a record payload out to several categories."""
-    record = inputs[0].payload
-    if not isinstance(record, dict):
-        return []
-    return [(category, record[fan_field])
-            for fan_field, category in sorted(node.spec["fan_out"].items())
-            if fan_field in record]
-
-
-DERIVE = {
-    "linear": _linear, "lookup": _translate, "expr": _expr,
-    "filter": _filter, "translate": _translate, "aggregate": _aggregate,
-    "compose": _compose, "split": _split,
-}
-
-_NEWEST = operator.attrgetter("ts", "value_id")
-_RELIABILITY = operator.attrgetter("reliability")
-
-
-def topological_order(nodes):
-    """Order propagation nodes so producers precede consumers; reject cycles.
-
-    Nodes are told apart by position, so two that share an id both run.
-    """
-    produced_by: dict[str, list[int]] = {}
-    for position, node in enumerate(nodes):
-        for cat in node.outputs:
-            produced_by.setdefault(cat, []).append(position)
-    ordered, done, visiting = [], set(), set()
-
-    def visit(position):
-        if position in done:
-            return
-        if position in visiting:
-            raise ValueError("cause-effect/agent graph contains a cycle")
-        visiting.add(position)
-        for cat in nodes[position].inputs:
-            for upstream in produced_by.get(cat, ()):
-                visit(upstream)
-        visiting.discard(position)
-        done.add(position)
-        ordered.append(nodes[position])
-
-    for position in range(len(nodes)):
-        visit(position)
-    return ordered
-
-
 # --- engine state --------------------------------------------------------------
 
 
@@ -318,7 +144,7 @@ class ContextEngine:
     def __init__(self, sim, catalog: dict[str, CatalogEntry],
                  masters: dict[str, MasterContextModel],
                  sources: dict[str, SourceDescriptor],
-                 propagation=(),
+                 propagation=(),  # the nodes, in topological order
                  poll_budget: int = DEFAULT_POLL_BUDGET,
                  max_config_steps: int | None = None,
                  model_masters: dict[str, str] | None = None,
@@ -337,15 +163,13 @@ class ContextEngine:
         for source in sorted(sources.values(), key=lambda s: (-s.reliability, s.source_id)):
             for category in source.provided_categories:
                 self.best_source.setdefault(category, source.source_id)
-        self.propagation = topological_order(propagation)
+        self.propagation = Propagation(propagation)
         self.poll_budget = poll_budget
         self.max_config_steps = max_config_steps
         self.instances: dict[str, InstanceContextModel] = {}
         self.registrations: dict[str, Registration] = {}
         # (model_id, category) -> requests waiting on an administered fetch
         self.pending_fetches: dict[tuple[str, str], list[PendingRequest]] = {}
-        # per propagation node: (inputs, values, fault) of its last derivation
-        self.derived: list[tuple | None] = [None] * len(self.propagation)
 
     # -- registration / initialization ---------------------------------------
 
@@ -394,6 +218,7 @@ class ContextEngine:
                     return
                 model = instantiate_from_master(self.masters[master_id], [instance],
                                                 model_id)
+                model.intersection.history_limit = self.propagation.history
                 origin = {"master": master_id}
             self.instances[model_id] = model
             self.sim.trace(self.POOL, "model_instantiated", {
@@ -595,10 +420,12 @@ class ContextEngine:
         changed: dict[str, tuple[ContextValue | None, ContextValue]] = {}
         for value in values:
             self._apply_value(model, value, changed)
-        for position, node in enumerate(self.propagation):
-            if changed.keys().isdisjoint(node.inputs):
-                continue
-            for value in self._derive(model, position, node):
+        for node, produced, fault in self.propagation.run(model.intersection, changed):
+            if fault is not None:
+                self.sim.trace(self.POOL, "engine_error", {
+                    "error": type(fault).__name__, "detail": str(fault),
+                    "model": model.model_id, "relation": node.node_id})
+            for value in produced:
                 self._apply_value(model, value, changed)
         self._notify(model, changed)
 
@@ -644,62 +471,6 @@ class ContextEngine:
             changed.pop(category, None)  # batch restored the old value
         else:
             changed[category] = (old, current)
-
-    def _derive(self, model: InstanceContextModel, position: int,
-                node: DerivationAgent) -> list[ContextValue]:
-        g = model.intersection
-        inputs = []
-        for cat in node.inputs:
-            current = g.values.get(cat)
-            if current is None:
-                return []
-            inputs.append(current)
-        # a node other than an aggregate (which also reads the model's history)
-        # reuses its last derivation while its inputs are the very same values,
-        # not equal ones (1 == True == 1.0), so every model they reach shares
-        # its values; a fault is still written once per model
-        last = self.derived[position]
-        if (node.kind == "aggregate" or last is None
-                or any(map(operator.is_not, last[0], inputs))):
-            last = self.derived[position] = (inputs, *self._compute(node, inputs, g))
-        _, values, err = last
-        if err is not None:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": type(err).__name__, "detail": str(err),
-                "model": model.model_id,
-                "relation": node.node_id,
-            })
-        return values
-
-    @staticmethod
-    def _compute(node: DerivationAgent, inputs: list[ContextValue], g):
-        """The node's derived values and no fault, or no values and the fault."""
-        try:
-            derived = DERIVE[node.kind](node, inputs, g)
-            # the trace writes each payload as text, and the interpreter
-            # refuses an int of more decimal digits than its limit (0: none);
-            # 10 ** limit has more than 3 * limit bits
-            limit = sys.get_int_max_str_digits()
-            for _, payload in derived:
-                if (limit and isinstance(payload, int) and payload.bit_length() > 3 * limit
-                        and abs(payload) >= 10 ** limit):
-                    raise OverflowError(f"derived integer exceeds {limit} decimal digits")
-        except ArithmeticError as err:
-            # the traceback holds this frame, its inputs and the graph in a
-            # cycle; ``self.derived`` keeps the fault, so drop it
-            return [], err.with_traceback(None)
-        # the newest input stamps the derived values, one derived stream per
-        # cause stream: when conflict resolution flips the current cause
-        # between sources, the derived side mirrors it instead of fighting
-        # the per-stream timestamp monotonicity guard
-        cause = max(inputs, key=_NEWEST)
-        reliability = min(map(_RELIABILITY, inputs))
-        causing_ts = cause.ts if cause.causing_ts is None else cause.causing_ts
-        return [
-            ContextValue(f"{category}@{node.node_id}:{cause.value_id}", category, payload,
-                         cause.ts, node.node_id, reliability, causing_ts=causing_ts)
-            for category, payload in derived
-        ], None
 
     # -- notifications ----------------------------------------------------------
 

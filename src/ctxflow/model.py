@@ -348,14 +348,6 @@ def update_value(g: ContextIntersection, v: ContextValue) -> ContextIntersection
     return g
 
 
-def recent_values(g: ContextIntersection, category_id: str, n: int) -> list[ContextValue]:
-    """Last ``n`` values for a category, oldest first, current included."""
-    past = g.history.get(category_id, [])
-    current = g.values.get(category_id)
-    seq = past + ([current] if current is not None else [])
-    return seq[-n:]
-
-
 def relevant_subgraph(g: ContextIntersection, categories) -> ContextIntersection:
     """Induced subgraph over the requested categories plus their ancestors.
 

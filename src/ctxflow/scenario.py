@@ -14,19 +14,15 @@ import re
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
-from . import process_engine
+from . import process_engine, propagation
 from .choreography import CHANNELS, DEFAULT_MAX_STEPS, LatencyConfig, Simulation
 from .context_engine import (
     DEFAULT_POLL_BUDGET,
-    REDUCERS,
     THRESHOLD_KINDS,
     CatalogEntry,
-    CauseEffectRelation,
     ContextEngine,
-    DerivationAgent,
     NotificationThreshold,
     catalog_chain,
-    topological_order,
 )
 from .errors import RuleSyntaxError, RuleTypeError, ScenarioParseError
 from .model import (
@@ -45,16 +41,15 @@ from .process_engine import (
     SubprocessNode,
     TaskNode,
 )
+from .propagation import REDUCERS, CauseEffectRelation, DerivationAgent
 from .rule_dsl import (
     OPERATORS,
     BreakRollback,
     Rule,
     SelectVariant,
     StartCompensation,
-    comparable,
     mistyped,
     parse_rule,
-    value_kind,
 )
 from .rules_engine import RulesEngine
 from .sources import (
@@ -77,7 +72,7 @@ class Scenario:
     deny_principals: list[str] = field(default_factory=list)
     catalog: dict[str, CatalogEntry] = field(default_factory=dict)
     masters: dict[str, MasterContextModel] = field(default_factory=dict)
-    # the relations, then the agents, in declaration order
+    # the relations and the agents, producers before consumers
     propagation: list[DerivationAgent] = field(default_factory=list)
     sources: dict[str, ScriptedSource] = field(default_factory=dict)
     process_models: dict[str, ProcessModel] = field(default_factory=dict)
@@ -475,12 +470,9 @@ def _parse_catalog(doc, scenario, bad):
 
 
 def _parse_masters(doc, scenario, bad):
-    # a model keeps the values before the current one that the deepest aggregate reads
-    history = max((entry["spec"]["window"] - 1 for entry in doc["agents"]
-                   if entry["kind"] == "aggregate"), default=0)
     for entry in doc["masters"]:
         model_id, categories = entry["model_id"], entry["categories"]
-        graph = ContextIntersection(history_limit=history)
+        graph = ContextIntersection()
         ok = _known(scenario, bad, "master-unknown-category", model_id, categories)
         for cat_id in categories:
             parent = scenario.catalog[cat_id].parent if cat_id in scenario.catalog else None
@@ -538,48 +530,32 @@ def _parse_sources(doc, scenario, bad):
             bad("source-invalid", source_id, str(err))
 
 
-# whether a node of each kind can read a first input of a catalog kind;
-# a kind missing here reads any kind
-_READS = {
-    "linear": lambda kind, spec: kind == "numeric",
-    "expr": lambda kind, spec: kind == "numeric",
-    "filter": lambda kind, spec: comparable(kind, spec["op"], value_kind(spec["value"])),
-    "aggregate": lambda kind, spec: not (spec["reducer"] == "mean" and kind != "numeric"
-                                         or spec["reducer"] in ("min", "max") and kind == "record"),
-}
-
-
 def _parse_propagation(doc, scenario, bad):
     """One node per relation and per agent; the violation codes stay per section."""
-    relations = [(entry["id"], entry["function"]["type"], (entry["cause"],), (entry["effect"],),
-                  entry["function"]) for entry in doc["cause_effects"]]
-    agents = []
+    entries = [("relation", entry["id"], (entry["cause"],), (entry["effect"],), entry)
+               for entry in doc["cause_effects"]]
     for entry in doc["agents"]:
         outputs = entry["outputs"]
         if outputs is None:
             outputs = [] if entry["output"] is None else [entry["output"]]
-        agents.append((entry["id"], entry["kind"], tuple(entry["inputs"]), tuple(outputs),
-                       entry["spec"]))
-    for section, entries in (("relation", relations), ("agent", agents)):
-        for node_id, kind, inputs, outputs, spec in entries:
-            _known(scenario, bad, f"{section}-unknown-category", node_id, inputs + outputs)
-            try:
-                if section == "relation":
-                    node = CauseEffectRelation(node_id, *inputs, *outputs, spec)
-                else:
-                    node = DerivationAgent(node_id, kind, inputs, outputs, spec)
-            except (ValueError, SyntaxError) as err:
-                # a relation fails on a cause that is its effect, else on its expr
-                code = "invalid" if section == "agent" or inputs == outputs else "bad-function"
-                bad(f"{section}-{code}", node_id, str(err))
-                continue
-            reads, input_kind = _READS.get(kind), _kind(scenario, inputs[0])
-            if reads and input_kind is not None and not reads(input_kind, spec):
-                bad(f"{section}-kind-mismatch", node_id,
-                    f"a {kind} node cannot read the {input_kind} input {inputs[0]!r}")
-            scenario.propagation.append(node)
+        entries.append(("agent", entry["id"], tuple(entry["inputs"]), tuple(outputs), entry))
+    for section, node_id, inputs, outputs, entry in entries:
+        _known(scenario, bad, f"{section}-unknown-category", node_id, inputs + outputs)
+        try:
+            if section == "relation":
+                node = CauseEffectRelation(node_id, *inputs, *outputs, entry["function"])
+            else:
+                node = DerivationAgent(node_id, entry["kind"], inputs, outputs, entry["spec"])
+        except (ValueError, SyntaxError) as err:
+            # a relation fails on a cause that is its effect, else on its expr
+            code = "invalid" if section == "agent" or inputs == outputs else "bad-function"
+            bad(f"{section}-{code}", node_id, str(err))
+            continue
+        for problem in propagation.mistyped(node, scenario.catalog):
+            bad(f"{section}-kind-mismatch", node_id, problem)
+        scenario.propagation.append(node)
     try:
-        topological_order(scenario.propagation)
+        scenario.propagation = propagation.topological_order(scenario.propagation)
     except ValueError as err:
         bad("propagation-cycle", "cause_effects/agents", str(err))
 

@@ -12,7 +12,6 @@ import time
 
 from ctxflow.context_engine import (
     CatalogEntry,
-    CauseEffectRelation,
     ContextEngine,
     NotificationThreshold,
 )
@@ -23,6 +22,7 @@ from ctxflow.model import (
     instantiate_from_master,
     update_value,
 )
+from ctxflow.propagation import CauseEffectRelation, Propagation
 from ctxflow.rule_dsl import (
     And,
     Comparison,
@@ -334,7 +334,7 @@ def test_criterion_5_threshold_gating():
         }
         engine = acceptance_engine(sim, thresholds)
         register(engine, "p")
-        engine.propagation = []
+        engine.propagation = Propagation([])
         engine.registrations["p"].active = True
         events = []
         for ts in range(1, rng.randint(6, 14)):

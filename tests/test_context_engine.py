@@ -7,17 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxflow import context_engine
+from ctxflow import context_engine, propagation
 from ctxflow.context_engine import (
     CatalogEntry,
-    CauseEffectRelation,
     ContextEngine,
-    DerivationAgent,
     NotificationThreshold,
     check_threshold,
-    compile_arithmetic,
     resolve_conflict,
-    topological_order,
 )
 from ctxflow.errors import KindMismatch
 from ctxflow.model import (
@@ -25,6 +21,13 @@ from ctxflow.model import (
     ContextIntersection,
     MasterContextModel,
     relevant_subgraph,
+)
+from ctxflow.propagation import (
+    CauseEffectRelation,
+    DerivationAgent,
+    Propagation,
+    compile_arithmetic,
+    topological_order,
 )
 from ctxflow.scenario import build_simulation, parse_scenario
 from ctxflow.sources import SourceDescriptor
@@ -645,45 +648,40 @@ def test_equal_but_distinct_inputs_derive_apart():
     assert [m.intersection.values["w"].payload for m in (first, second)] == ["int", "float"]
 
 
-def reference_derive(self, model, position, node):
-    """``ContextEngine._derive`` without its memo: always computes."""
-    g = model.intersection
-    inputs = [g.values.get(cat) for cat in node.inputs]
-    if any(v is None for v in inputs):
-        return []
-    values, err = ContextEngine._compute(node, inputs, g)
-    if err is not None:
-        self.sim.trace(self.POOL, "engine_error", {
-            "error": type(err).__name__, "detail": str(err),
-            "model": model.model_id,
-            "relation": node.node_id,
-        })
-    return values
+def reference_run(self, g, changed):
+    """``Propagation.run`` without its memo: always derives."""
+    for node in self.nodes:
+        if changed.keys().isdisjoint(node.inputs):
+            continue
+        inputs = [g.values.get(cat) for cat in node.inputs]
+        if any(v is None for v in inputs):
+            continue
+        yield node, *propagation.derive(node, inputs, g)
 
 
 def trace_and_computes(data):
     scenario, violations = parse_scenario(data)
     assert not violations, violations[:3]
     computes = 0
-    compute = ContextEngine._compute
+    derive = propagation.derive
 
     def counted(*args):
         nonlocal computes
         computes += 1
-        return compute(*args)
+        return derive(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ContextEngine, "_compute", staticmethod(counted))
+        patch.setattr(propagation, "derive", counted)
         text = build_simulation(scenario).simulation.run().to_text()
     return text, computes
 
 
 def computes_with_and_without_memo(data):
-    """``_compute`` calls with the engine's ``_derive`` and with the
-    reference, whose trace must be byte-identical."""
+    """``derive`` calls with ``Propagation.run`` and with the reference,
+    whose trace must be byte-identical."""
     text, computes = trace_and_computes(data)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ContextEngine, "_derive", reference_derive)
+        patch.setattr(Propagation, "run", reference_run)
         reference_text, reference_computes = trace_and_computes(data)
     assert text == reference_text
     return computes, reference_computes
