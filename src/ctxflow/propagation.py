@@ -250,12 +250,42 @@ _READS = {
                                          or spec["reducer"] in ("min", "max") and kind == "record"),
 }
 
+# the catalog kind a node of each kind writes, given its first input's kind
+# (None: not catalogued); a lookup or translate writes its table's values,
+# checked one by one, and a split the fields of a record, unknown at parse
+_WRITES = {
+    "linear": lambda kind, spec: "numeric",
+    "expr": lambda kind, spec: "numeric",
+    "filter": lambda kind, spec: kind,
+    "aggregate": lambda kind, spec: "numeric" if spec["reducer"] in ("mean", "count") else kind,
+    "compose": lambda kind, spec: "record",
+}
+
 
 def mistyped(node: DerivationAgent, catalog) -> list[str]:
     """Why ``node`` cannot run on the categories of ``catalog`` (category id ->
     entry holding its ``category``) it names; one not catalogued is not checked."""
-    reads, source = _READS.get(node.kind), catalog.get(node.inputs[0])
-    if reads and source and not reads(source.category.value_kind, node.spec):
-        return [f"a {node.kind} node cannot read the {source.category.value_kind} "
-                f"input {node.inputs[0]!r}"]
-    return []
+    problems = []
+    source, target = catalog.get(node.inputs[0]), catalog.get(node.outputs[0])
+    kind = source and source.category.value_kind
+    reads = _READS.get(node.kind)
+    if reads and kind and not reads(kind, node.spec):
+        problems.append(f"a {node.kind} node cannot read the {kind} input {node.inputs[0]!r}")
+    if target is None:
+        return problems
+    output, into = target.category, f"the {target.category.value_kind} output {node.outputs[0]!r}"
+    if node.kind in ("lookup", "translate"):
+        for key, payload in [*node.spec["map"].items(), (None, node.spec["default"])]:
+            if payload is not None and not output.accepts(payload):
+                what = "its default" if key is None else f"its value for {key!r}"
+                problems.append(f"a {node.kind} node cannot write {what} into {into}")
+    written = node.kind in _WRITES and _WRITES[node.kind](kind, node.spec)
+    if written and not _holds(output.value_kind, written):
+        problems.append(f"a {node.kind} node writes a {written} value into {into}")
+    return problems
+
+
+def _holds(kind: str, written: str) -> bool:
+    """Whether a category of ``kind`` holds the payloads of one of ``written``;
+    text and enum categories both hold strings."""
+    return kind == written or {kind, written} == {"text", "enum"}

@@ -120,6 +120,12 @@ def test_min_reliability_gates():
     assert check_threshold(old, new, t) is False
 
 
+def test_reliability_equal_to_the_bound_notifies():
+    t = delta(1, min_reliability=0.8)
+    assert check_threshold(value("eta", 40, 1), value("eta", 80, 2, reliability=0.8), t) is True
+    assert check_threshold(None, value("eta", 80, 2, reliability=0.8), t) is True
+
+
 def test_numeric_threshold_on_text_payload_rejected():
     with pytest.raises(KindMismatch):
         check_threshold(value("eta", "soon", 1), value("eta", "late", 2), delta(4))
@@ -477,6 +483,23 @@ def test_null_translate_entry_derives_nothing():
     push(engine, sim, "w", "fog", 2)
     assert model.intersection.values["z"].payload == 0
     assert sim.records("engine_error") == []
+
+
+def test_derived_value_its_category_cannot_hold_becomes_engine_error():
+    """Parse rejects such a node; one built in code is refused at ingest."""
+    agent = DerivationAgent("label", "translate", ("w",), ("x",),
+                            {"map": {"clear": "forty"}, "default": None})
+    sim = FakeSim()
+    engine = make_engine(sim, agents=[agent])
+    model = register_active(engine)
+    push(engine, sim, "w", "clear", 1)
+    assert [r.payload for r in sim.records("engine_error")] == [{
+        "error": "KindMismatch",
+        "detail": "payload 'forty' does not match kind 'numeric' of category 'x'",
+        "model": model.model_id,
+    }]
+    assert model.intersection.values["w"].payload == "clear"
+    assert "x" not in model.intersection.values
 
 
 def test_split_agent_fans_out_record_fields():

@@ -321,11 +321,12 @@ def change_relation(function):
     return change
 
 
-def with_agent(kind, spec, reads="estimatedDeliveryTime"):
-    """Add a numeric category and one agent reading ``reads`` into it.
+def with_agent(kind, spec, reads="estimatedDeliveryTime", writes="derived"):
+    """Add a numeric category and one agent reading ``reads`` into ``writes``.
 
     ``reads`` is the ETA, another catalogued category, or ``"record"``,
-    which adds a record category for the agent to read.
+    which adds a record category for the agent to read; ``writes`` is the
+    added numeric category or another catalogued one.
     """
     def change(data):
         data["catalog"].append({"id": "derived", "kind": "numeric", "parent": "processObject"})
@@ -334,7 +335,15 @@ def with_agent(kind, spec, reads="estimatedDeliveryTime"):
             data["catalog"].append({"id": "record", "kind": "record", "parent": "processObject"})
             data["masters"][0]["categories"].append("record")
         data["agents"] = [{"id": "probe", "kind": kind, "inputs": [reads],
-                           "output": "derived", "spec": spec}]
+                           "output": writes, "spec": spec}]
+        return data
+    return change
+
+
+def change_fine_relation(**fields):
+    """etaToFine, a linear relation reading the numeric ETA, with ``fields``."""
+    def change(data):
+        data["cause_effects"][1].update(fields)
         return data
     return change
 
@@ -419,6 +428,27 @@ MALFORMED = {
     "mean-over-text": (with_agent("aggregate", {"reducer": "mean"}, reads="weather"),
                        "agent-kind-mismatch"),
     "min-over-record": (with_agent("aggregate", {"reducer": "min"}, reads="record"),
+                        "agent-kind-mismatch"),
+    "linear-into-text": (change_fine_relation(effect="itemDamage"), "relation-kind-mismatch"),
+    "expr-into-text": (change_fine_relation(effect="itemDamage",
+                                            function={"type": "expr", "expr": "x / 2"}),
+                       "relation-kind-mismatch"),
+    "lookup-default-its-effect-cannot-hold": (change_relation(
+        {"type": "lookup", "table": {"clear": 40}, "default": "late"}), "relation-kind-mismatch"),
+    "translate-value-its-output-cannot-hold": (with_agent(
+        "translate", {"map": {"clear": "forty"}}, reads="weather"), "agent-kind-mismatch"),
+    "translate-default-its-output-cannot-hold": (with_agent(
+        "translate", {"map": {"clear": 40}, "default": "late"}, reads="weather"),
+        "agent-kind-mismatch"),
+    "compose-into-a-number": (with_agent("compose", {}, reads="weather",
+                                         writes="estimatedDeliveryTime"), "agent-kind-mismatch"),
+    "filter-of-text-into-a-number": (with_agent("filter", {"op": "==", "value": "clear"},
+                                                reads="weather"), "agent-kind-mismatch"),
+    "last-of-text-into-a-number": (with_agent("aggregate", {"reducer": "last"}, reads="weather"),
+                                   "agent-kind-mismatch"),
+    "mean-into-text": (with_agent("aggregate", {"reducer": "mean"}, writes="itemDamage"),
+                       "agent-kind-mismatch"),
+    "count-into-text": (with_agent("aggregate", {"reducer": "count"}, writes="itemDamage"),
                         "agent-kind-mismatch"),
     "subprocess-enters-itself": (with_subprocess("spare_part_delivery"),
                                  "model-subprocess-cycle"),
@@ -681,23 +711,15 @@ def test_agent_arithmetic_fault_becomes_engine_error(tmp_path):
     assert faults == {("OverflowError", "probe")}
 
 
-def test_derived_value_its_category_cannot_hold_becomes_engine_error(tmp_path):
-    """A lookup's value is not checked against its effect's kind at parse: the
-    context pool refuses it at ingest, and the effect keeps no such value."""
+def test_lookup_value_its_effect_cannot_hold_is_a_violation(tmp_path):
+    """Each run would write an engine_error for it at ingest (the context
+    engine's tests pin that guard): parse names the relation and the value."""
     data = logistics_scenario_data()
     data["cause_effects"][0]["function"]["table"]["clear"] = "forty"
-    assert main(["validate", write_scenario(tmp_path, data)]) == 0
-    assembly, completed = run_scenario_data(data)
-    assert completed
-    trace = assembly.simulation.trace_log
-    faults = [r.payload for r in trace.find("engine_error")]
-    assert faults and all(fault == {
-        "error": "KindMismatch",
-        "detail": "payload 'forty' does not match kind 'numeric' of category "
-                  "'estimatedDeliveryTime'",
-        "model": "ctx.p1",
-    } for fault in faults)
-    assert [r for r in trace.find("value_updated") if r.payload["value"]["payload"] == "forty"] == []
+    assert parse_scenario(data)[1] == [Violation(
+        "relation-kind-mismatch", "weatherToEta", "a lookup node cannot write its value for "
+        "'clear' into the numeric output 'estimatedDeliveryTime'")]
+    assert main(["validate", write_scenario(tmp_path, data)]) == 2
 
 
 @pytest.mark.parametrize("limit", [4300, 0])
