@@ -192,7 +192,7 @@ class Propagation:
 
     def run(self, g, changed: dict):
         """Yield (node, values, fault) for each node in turn that ``changed`` reaches and
-        whose inputs all hold a value in ``g``; apply each to ``changed`` before the next."""
+        whose inputs all hold a value in ``g``; apply its values to both before the next."""
         for position, node in enumerate(self.nodes):
             if changed.keys().isdisjoint(node.inputs):
                 continue

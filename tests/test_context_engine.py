@@ -498,7 +498,7 @@ def test_derived_value_its_category_cannot_hold_becomes_engine_error():
         "detail": "payload 'forty' does not match kind 'numeric' of category 'x'",
         "model": model.model_id,
     }]
-    assert model.intersection.values["w"].payload == "clear"
+    assert [r.payload["category"] for r in sim.records("value_updated")] == ["w"]
     assert "x" not in model.intersection.values
 
 
