@@ -34,6 +34,32 @@ VALUE_KINDS = ("numeric", "text", "enum", "record")
 
 DEFAULT_HISTORY_LIMIT = 8
 
+# How deep, in arrays and objects, a document may nest where it nests
+# without end.  Its process models are such a section: a gate inside a
+# gate's variant is three levels deeper, so this admits about 100 nested
+# gates, which the scenario walk reads in about 430 frames.  So are the
+# payloads it scripts (source timelines and polls, lookup and translate
+# values), which the trace writer encodes a few levels below its record.
+# Both stay far enough below the interpreter's recursion limit that the
+# verdict does not depend on the caller's stack.  Rule conditions have
+# their own bound (``rule_dsl.MAX_CONDITION_NESTING``); other values are
+# never walked recursively.
+MAX_NESTING = 320
+CONTAINERS = (dict, list)
+
+
+def nests_deeper(data, bound: int) -> bool:
+    """Whether ``data`` nests arrays and objects more than ``bound`` deep."""
+    level, todo = 0, [data] if type(data) in CONTAINERS else []
+    while todo:
+        level += 1
+        if level > bound:
+            return True
+        todo = [value for container in todo
+                for value in (container.values() if type(container) is dict else container)
+                if type(value) in CONTAINERS]
+    return False
+
 
 @dataclass(frozen=True)
 class ContextCategory:

@@ -8,7 +8,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 
-from .model import ContextValue
+from .model import CONTAINERS, MAX_NESTING, ContextValue, nests_deeper
 from .rule_dsl import OPERATORS, comparable, value_kind
 
 _EXPR_OPS = {
@@ -276,8 +276,10 @@ def mistyped(node: DerivationAgent, catalog) -> list[str]:
     output, into = target.category, f"the {target.category.value_kind} output {node.outputs[0]!r}"
     if node.kind in ("lookup", "translate"):
         for key, payload in [*node.spec["map"].items(), (None, node.spec["default"])]:
-            if payload is not None and not output.accepts(payload):
-                what = "its default" if key is None else f"its value for {key!r}"
+            what = "its default" if key is None else f"its value for {key!r}"
+            if type(payload) in CONTAINERS and nests_deeper(payload, MAX_NESTING):
+                problems.append(f"{what} is nested too deeply")
+            elif payload is not None and not output.accepts(payload):
                 problems.append(f"a {node.kind} node cannot write {what} into {into}")
     written = node.kind in _WRITES and _WRITES[node.kind](kind, node.spec)
     if written and not _holds(output.value_kind, written):

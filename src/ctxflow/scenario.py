@@ -26,11 +26,14 @@ from .context_engine import (
 )
 from .errors import RuleSyntaxError, RuleTypeError, ScenarioParseError
 from .model import (
+    CONTAINERS,
+    MAX_NESTING,
     VALUE_KINDS,
     ContextCategory,
     ContextIntersection,
     MasterContextModel,
     Violation,
+    nests_deeper,
 )
 from .process_engine import (
     EndNode,
@@ -95,35 +98,10 @@ def load_scenario_data(path) -> dict:
         raise ScenarioParseError(f"cannot read scenario {path}: {err}") from err
 
 
-# How deep, in arrays and objects, a document's process models may reach.
-# They are the one section whose shape nests without end: a gate inside a
-# gate's variant is three levels deeper, so this admits about 100 nested
-# gates, which the walk reads in about 430 frames.  That is far enough
-# below the interpreter's recursion limit that the verdict does not depend
-# on the caller's stack.  Rule conditions have their own bound
-# (``rule_dsl.MAX_CONDITION_NESTING``); other values are never walked
-# recursively.
-MAX_NESTING = 320
-_CONTAINERS = (dict, list)
-
-
-def _nests_deeper(data, bound: int) -> bool:
-    """Whether ``data`` nests arrays and objects more than ``bound`` deep."""
-    level, todo = 0, [data] if type(data) in _CONTAINERS else []
-    while todo:
-        level += 1
-        if level > bound:
-            return True
-        todo = [value for container in todo
-                for value in (container.values() if type(container) is dict else container)
-                if type(value) in _CONTAINERS]
-    return False
-
-
 def _shown(value) -> str:
     """``repr(value)`` for a violation's detail, unless ``value`` nests deeper
     than ``MAX_NESTING``: printing it could then meet the recursion limit."""
-    return "a value nested too deeply" if _nests_deeper(value, MAX_NESTING) else repr(value)
+    return "a value nested too deeply" if nests_deeper(value, MAX_NESTING) else repr(value)
 
 
 def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
@@ -134,7 +112,7 @@ def parse_scenario(data) -> tuple[Scenario, list[Violation]]:
     one violation on ``scenario``."""
     too_deep = [Violation("scenario-invalid", "scenario", "nested too deeply")]
     # process_models sits one level below the document
-    if type(data) is dict and _nests_deeper(data.get("process_models"), MAX_NESTING - 1):
+    if type(data) is dict and nests_deeper(data.get("process_models"), MAX_NESTING - 1):
         return Scenario(), too_deep
     violations: list[Violation] = []
 
@@ -509,8 +487,10 @@ def _parse_sources(doc, scenario, bad):
                      for _, payload in schedule]
         for category, payload in scripted:
             held = scenario.catalog.get(category)
-            if held is not None and not held.category.accepts(payload):
-                bad("source-kind-mismatch", source_id, f"{_shown(payload)} does not fit "
+            if type(payload) in CONTAINERS and nests_deeper(payload, MAX_NESTING):
+                bad("source-invalid", source_id, "nested too deeply")
+            elif held is not None and not held.category.accepts(payload):
+                bad("source-kind-mismatch", source_id, f"{payload!r} does not fit "
                     f"the {held.category.value_kind} category {category!r}")
         for mirror in entry["mirrors"]:  # a mirror's payload is a variant id
             kind = _kind(scenario, mirror["category"])

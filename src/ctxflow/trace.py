@@ -2,15 +2,19 @@
 
 One record per line, canonical key order, so that two runs of the same
 scenario with the same seed produce byte-identical files and a trace can
-be diffed as a stream.  A line is written in a fixed layout; its bytes
-are those of ``canonical_json`` over the record's five keys.
+be diffed as a stream.  A line is written in a fixed layout, by one
+function per record kind and pool compiled from a source that depends on
+the payload's key count alone; its bytes are those of ``canonical_json``
+over the record's five keys.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import json.encoder
+from collections.abc import Callable
 from dataclasses import dataclass
 
 # Built once: json.dumps builds a new encoder on every call.  No circular
@@ -25,16 +29,14 @@ else:
 
 _escape = json.encoder.encode_basestring_ascii
 
-# Walking a payload key by key costs more than encoding it whole, and pays
-# only where a value's text is reused.  So a kind's payloads are walked for
-# this many lines after one of its lines reused a text; otherwise they are
-# encoded whole, except two neighbouring lines in every this many, which are
-# walked to find sharing.
-_PROBE = 64
 # The memo is cleared when it holds this many values.  Every record is
 # alive while its trace is written, so what the memo keeps adds to the
 # peak memory of the write, and sharing is between nearby records anyway.
 _MEMO_BOUND = 64
+# A payload with more keys than this is encoded whole: a line function's
+# source grows with its key count, and compiling one for thousands of keys
+# would take seconds.  Every payload the engines write has fewer than ten.
+_MAX_FIELDS = 32
 # Lines written to a file in one call: each call costs about as much as
 # building a short line, and a block this long is a few tens of kilobytes.
 _BLOCK = 256
@@ -45,103 +47,106 @@ def canonical_json(obj) -> str:
     return "".join(_encode(obj, 0))
 
 
-class _Layout:
-    """What a kind's lines share: the text around the payload, and the
-    payload keys in the order the encoder sorts them, each with its
-    ``"key":`` text (``,"key":`` after the first)."""
+def _line_source(count: int) -> str:
+    """The source of ``make``, which returns the line function of one
+    (kind, pool) whose payloads have ``count`` keys.
 
-    __slots__ = ("head", "pool", "tail", "fields", "since_reuse")
+    The source depends on ``count`` alone: the keys, their ``"key":`` texts
+    (``,"key":`` after the first), the text before the payload's first key
+    and the text from its closing brace to ``seq`` are ``make``'s arguments.
+    A line function hands a record whose payload is not a dict of ``count``
+    keys, or lacks one of them, to ``relay``.
+    """
+    fields = range(count)
+    params = ["head", "tail", "memo", "remember", "relay",
+              *(f"k{i}" for i in fields), *(f"p{i}" for i in fields)]
+    source = [
+        f"def make({', '.join(params)}):",
+        "    def line(record):",
+        "        payload = record.payload",
+        f"        if payload.__class__ is not dict or len(payload) != {count}:",
+        "            return relay(record)",
+    ]
+    if count:
+        source += ["        try:",
+                   *(f"            v{i} = payload[k{i}]" for i in fields),
+                   "        except KeyError:",
+                   "            return relay(record)"]
+    for i in fields:  # an exact int is left for the f-string, which formats it as repr does
+        source += [f"        c = v{i}.__class__",
+                   "        if c is str:",
+                   f"            v{i} = escape(v{i})",
+                   "        elif c is dict:",
+                   f"            t = memo.get(id(v{i}))",
+                   f"            v{i} = remember(v{i}) if t is None else t[1]",
+                   "        elif c is not int:",
+                   f"            v{i} = encode(v{i})"]
+    source += [
+        "        return f'{head}" + "".join(f"{{p{i}}}{{v{i}}}" for i in fields)
+        + """{tail}{record.seq},"tick":{record.tick}}}'""",
+        "    return line",
+    ]
+    return "\n".join(source) + "\n"
 
-    def __init__(self, kind: str):
-        self.head = f'{{"kind":{_escape(kind)},"payload":'
-        self.pool = self.tail = None
-        self.fields: tuple[tuple[str, str], ...] | None = None  # None: not laid out
-        self.since_reuse = _PROBE  # lines since one of the kind's lines reused a text
 
-    def lay_out(self, payload: dict):
-        """Lay the kind out from this payload's keys, sorted as the encoder
-        sorts them; None, and no layout, if a key is not a string."""
-        if not all(key.__class__ is str for key in payload):
-            return None
-        self.fields = tuple((key, f'{"," if i else ""}{_escape(key)}:')
-                            for i, key in enumerate(sorted(payload)))
-        return self.fields
+@functools.cache
+def _line_maker(count: int):
+    """``make`` for payloads of ``count`` keys, compiled once per count."""
+    namespace = {"escape": _escape, "encode": canonical_json}
+    exec(compile(_line_source(count), f"<trace line of {count} keys>", "exec"), namespace)
+    return namespace["make"]
 
 
 class _LineWriter:
     """Writes records as lines for one pass over a trace.
 
-    The line is joined by hand in the fixed layout
-    ``{"kind":K,"payload":P,"pool":O,"seq":N,"tick":T}`` from a
-    :class:`_Layout` learned per kind.  The payload is walked key by key,
-    in the key order the kind's layout holds while a payload has as many
-    keys and every laid-out key, so that a dict value shared by several
-    records (the context engine shares each value's payload between the
-    models it is written to) is encoded once and its text reused; a kind
-    whose records share nothing is encoded whole (``_PROBE``).  The memo is
-    keyed by identity and each entry holds its dict, so an id is not reused
-    while its entry exists.  Records do not change once emitted, so the
-    reused text is the text the dict would encode to again.
+    The line is joined in the fixed layout
+    ``{"kind":K,"payload":P,"pool":O,"seq":N,"tick":T}`` by one function per
+    (kind, pool), laid out from a payload's keys in the order the encoder
+    sorts them (``_line_source``).  It writes the payload key by key while
+    a payload has the laid-out keys and no other; another key set lays the
+    (kind, pool) out again, and a payload that is not a dict, has more than
+    ``_MAX_FIELDS`` keys or has a key that is not a string is encoded whole,
+    laying nothing out.  A dict value shared by several records (the context
+    engine shares each value's payload between the models it is written to)
+    is encoded once and its text reused.  The memo is keyed by identity and
+    each entry holds its dict, so an id is not reused while its entry
+    exists.  Records do not change once emitted, so the reused text is the
+    text the dict would encode to again.
     """
 
-    __slots__ = ("_memo", "_layouts")
+    __slots__ = ("_memo", "_lines")
 
     def __init__(self):
         self._memo: dict[int, tuple[dict, str]] = {}
-        self._layouts: dict[str, _Layout] = {}
+        self._lines: dict[tuple[str, str], Callable] = {}
 
     def line(self, record: "TraceRecord") -> str:
-        kind, payload = record.kind, record.payload
-        layout = self._layouts.get(kind)
-        if layout is None:
-            layout = self._layouts[kind] = _Layout(kind)
-        if record.pool != layout.pool:
-            layout.pool = record.pool
-            layout.tail = f',"pool":{_escape(record.pool)},"seq":'
-        lines = layout.since_reuse
-        if payload.__class__ is dict and (lines < _PROBE or lines % _PROBE < 2):
-            text = self._walk(payload, layout)
-        else:
-            layout.since_reuse = lines + 1
-            text = canonical_json(payload)
-        return f'{layout.head}{text}{layout.tail}{record.seq},"tick":{record.tick}}}'
+        line = self._lines.get((record.kind, record.pool))
+        return self._lay_out(record) if line is None else line(record)
 
-    def _walk(self, payload: dict, layout: _Layout) -> str:
-        fields = layout.fields
-        if fields is None or len(payload) != len(fields):
-            fields = layout.lay_out(payload)
-            if fields is None:  # a key that is not a string: the encoder decides
-                return canonical_json(payload)
+    def _lay_out(self, record: "TraceRecord") -> str:
+        """The record's line, after laying its (kind, pool) out from its
+        payload's keys, sorted as the encoder sorts them."""
+        kind, pool, payload = record.kind, record.pool, record.payload
+        head = f'{{"kind":{_escape(kind)},"payload":'
+        tail = f',"pool":{_escape(pool)},"seq":'
+        if (payload.__class__ is not dict or len(payload) > _MAX_FIELDS
+                or not all(key.__class__ is str for key in payload)):
+            return f'{head}{canonical_json(payload)}{tail}{record.seq},"tick":{record.tick}}}'
+        keys = sorted(payload)
+        prefixes = [f'{"," if i else ""}{_escape(key)}:' for i, key in enumerate(keys)]
+        line = self._lines[kind, pool] = _line_maker(len(keys))(
+            head + "{", "}" + tail, self._memo, self._remember, self._lay_out, *keys, *prefixes)
+        return line(record)
+
+    def _remember(self, value: dict) -> str:
         memo = self._memo
-        reused = False
-        parts = []
-        append = parts.append
-        try:
-            for key, prefix in fields:
-                value = payload[key]
-                cls = value.__class__
-                if cls is str:
-                    append(prefix + _escape(value))
-                elif cls is int:  # an exact int formats as int.__repr__ does
-                    append(f"{prefix}{value}")
-                elif cls is dict:
-                    entry = memo.get(id(value))
-                    if entry is None:
-                        if len(memo) >= _MEMO_BOUND:
-                            memo.clear()
-                        text = canonical_json(value)
-                        memo[id(value)] = (value, text)
-                    else:
-                        text = entry[1]
-                        reused = True
-                    append(prefix + text)
-                else:
-                    append(prefix + canonical_json(value))
-        except KeyError:  # as many keys, but not the laid-out ones
-            layout.fields = None
-            return self._walk(payload, layout)
-        layout.since_reuse = 0 if reused else layout.since_reuse + 1
-        return "{" + "".join(parts) + "}"
+        if len(memo) >= _MEMO_BOUND:
+            memo.clear()
+        text = canonical_json(value)
+        memo[id(value)] = (value, text)
+        return text
 
 
 @dataclass(slots=True)

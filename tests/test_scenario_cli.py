@@ -1,6 +1,7 @@
 import copy
 import enum
 import functools
+import itertools
 import json
 import os
 import random
@@ -18,7 +19,8 @@ from ctxflow.model import Violation
 from ctxflow.rule_dsl import MAX_CONDITION_NESTING
 from ctxflow.scenario import MAX_NESTING, parse_scenario, run_scenario_data
 from ctxflow.trace import (
-    _BLOCK, Trace, TraceRecord, _LineWriter, canonical_json, replay_verify,
+    _BLOCK, _MAX_FIELDS, Trace, TraceRecord, _line_maker, _line_source, _LineWriter,
+    canonical_json, replay_verify,
 )
 
 from .conftest import logistics_scenario_data
@@ -130,6 +132,41 @@ def test_a_deep_value_reported_as_unfit_gets_one_verdict():
     assert verdicts[0] == verdicts[1] == [Violation(
         "source-invalid", "sources[0]",
         "a value nested too deeply is not [a non-negative integer, a string, a JSON value]")]
+
+
+def with_deep_records(depth):
+    """Logistics with two record categories: a source's timeline and poll table
+    fill ``route``, and a lookup on the weather fills ``plan``, each with a
+    value that nests ``depth`` objects deep."""
+    deep = functools.reduce(lambda inner, _: {"next": inner}, range(depth - 1), {})
+    data = logistics_scenario_data()
+    for category in ("route", "plan"):
+        data["catalog"].append({"id": category, "kind": "record", "parent": "processObject"})
+        data["masters"][0]["categories"].append(category)
+    data["sources"].append({"id": "router", "provides": ["route"],
+                            "timeline": [[5, "route", deep]], "poll": {"route": [[0, deep]]}})
+    data["cause_effects"].append({"id": "weatherToPlan", "cause": "weather", "effect": "plan",
+                                  "function": {"type": "lookup", "table": {"clear": deep},
+                                               "default": deep}})
+    return data
+
+
+def test_a_payload_nested_too_deeply_to_be_traced_is_a_violation():
+    # at the bound the run's trace is written; past it (5,000 deep once
+    # validated clean, ran, and then could not be written) parse reports it
+    assembly, completed = run_scenario_data(with_deep_records(MAX_NESTING))
+    trace = assembly.simulation.trace_log
+    assert completed and trace.find("value_updated", category="route")
+    assert trace.find("value_updated", category="plan")
+    assert trace.to_text() == "".join(expected_lines(trace))
+    for depth in (MAX_NESTING + 1, 5000):
+        assert parse_scenario(with_deep_records(depth))[1] == [
+            Violation("source-invalid", "router", "nested too deeply"),
+            Violation("source-invalid", "router", "nested too deeply"),
+            Violation("relation-kind-mismatch", "weatherToPlan",
+                      "its value for 'clear' is nested too deeply"),
+            Violation("relation-kind-mismatch", "weatherToPlan",
+                      "its default is nested too deeply")]
 
 
 def test_validate_and_run_report_a_bad_file_alike(tmp_path, capsys):
@@ -1009,6 +1046,62 @@ def test_trace_file_of_many_blocks_is_its_text(tmp_path):
     trace.write(path)
     assert path.read_bytes() == trace.to_text().encode("ascii")
     assert trace.to_text() == "".join(expected_lines(trace))
+
+
+# Key texts that would break a line function whose source spelled them out.
+ODD_KEYS = ["'", '"', "{", "}", "\\", "%s", "\n", "\u00e9", "\U0001d11e", ""]
+
+
+def test_trace_writer_writes_keys_of_any_text():
+    shared = {"'": ["\n", "\U0001d11e"], "": {"%s": "}"}}
+    trace = Trace()
+    for key in ODD_KEYS:  # each key alone, with a value of each kind the writer tells apart
+        for value in (key, 7, shared, [key], None):
+            trace.emit(0, "context", "value_updated", {key: value})
+    mixed = dict(zip(ODD_KEYS, itertools.cycle([shared, "\\{%s}", -3, 1.5, True])))
+    for payload in (mixed, {**mixed, "plain": shared}, mixed, {"'": 1, "": mixed}):
+        trace.emit(1, "r\u00e9gles\n'{%s}", "kind \"'{\U0001d11e}", payload)
+    assert list(trace.lines()) == expected_lines(trace)
+    assert trace.to_text() == "".join(expected_lines(trace))
+
+
+def test_trace_writer_lays_each_kind_and_pool_out_once(monkeypatch):
+    laid_out = []
+    lay_out = _LineWriter._lay_out
+
+    def counted(writer, record):
+        laid_out.append((record.kind, record.pool))
+        return lay_out(writer, record)
+
+    monkeypatch.setattr(_LineWriter, "_lay_out", counted)
+    trace = Trace()
+    for i in range(40):  # Register goes process -> rules, then rules -> context
+        pool, to = ("process", "rules") if i % 2 == 0 else ("rules", "context")
+        trace.emit(i, pool, "Register", {"data": {"instance": f"p{i // 2}"}, "msg_seq": i,
+                                         "sent": i, "to": to})
+    assert list(trace.lines()) == expected_lines(trace)
+    assert laid_out == [("Register", "process"), ("Register", "rules")]
+
+
+def test_trace_writer_compiles_one_source_per_key_count(monkeypatch):
+    sources = []
+
+    def recorded(count):
+        sources.append((count, _line_source(count)))
+        return sources[-1][1]
+
+    monkeypatch.setattr("ctxflow.trace._line_source", recorded)
+    _line_maker.cache_clear()
+    keys = [("alpha", "beta", "gamma"), ("alpha", "beta", "delta"), ("omega", "psi", "chi")]
+    trace = Trace()
+    for i, key_set in enumerate(keys * 2):
+        trace.emit(i, f"pool{i % 2}", f"kind{i % 3}", dict(zip(key_set, ["text", i, {"v": i}])))
+    many = {f"key{i}": i for i in range(_MAX_FIELDS + 1)}  # encoded whole
+    trace.emit(9, "pool0", "kind0", many)
+    assert list(trace.lines()) == expected_lines(trace)
+    assert [count for count, _ in sources] == [3]
+    texts = {key for key_set in keys for key in key_set} | {"pool", "kind", "text"} | set(many)
+    assert not [text for text in texts if text in sources[0][1]]
 
 
 def test_trace_writer_memo_stays_bounded():
