@@ -66,10 +66,6 @@ class MissingContext(CtxflowError):
     """Snapshot lacks a category the gate's rules reference."""
 
 
-class StaleContext(CtxflowError):
-    """A required-freshness bound was violated for every applicable rule."""
-
-
 # --- choreography / harness ------------------------------------------------
 
 class ForbiddenRoute(CtxflowError):

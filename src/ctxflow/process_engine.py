@@ -124,12 +124,8 @@ class ProcessEngine:
 
     def register_mirrors(self, source_id: str, mirrors):
         for spec in mirrors:
-            if spec.trigger == "decision":
-                trigger = f"decision:{spec.gate_id}"
-            elif spec.trigger.startswith("task:"):
-                trigger = spec.trigger
-            else:
-                raise ValueError(f"unknown mirror trigger {spec.trigger!r}")
+            # the shape table admits only "decision" and "task:<name>"
+            trigger = f"decision:{spec.gate_id}" if spec.trigger == "decision" else spec.trigger
             self.mirrors.setdefault((spec.model_id, trigger), []).append((source_id, spec))
 
     def _mirror(self, instance: ProcessInstance, trigger: str):
@@ -155,11 +151,6 @@ class ProcessEngine:
     def start_instance(self, instance_id: str, model_id: str, principal: str,
                        share_with: str | None = None,
                        copy_from_instance: str | None = None):
-        if model_id not in self.models:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": "UnknownModel", "detail": model_id, "instance": instance_id,
-            })
-            return
         # the policy: any non-empty principal the scenario does not deny
         if not principal or principal in self.deny_principals:
             self.sim.trace(self.POOL, "auth", {
@@ -229,9 +220,7 @@ class ProcessEngine:
     def step(self, instance: ProcessInstance):
         """Advance until blocked on a task timer, a gate, or termination."""
         while instance.status == "Running":
-            if not instance.cursor:
-                self.complete_or_cancel(instance, "Completed")
-                return
+            # the top-level sequence holds an end node, so the cursor never empties
             frame = instance.cursor[-1]
             if frame.index >= len(frame.nodes):
                 instance.cursor.pop()
@@ -329,12 +318,9 @@ class ProcessEngine:
                 self._set_status(instance, "Running")
                 self.step(instance)
             return
+        # a gate decision selects a variant or continues, which changes nothing
         if kind == "select_variant":
             self._apply_select_variant(instance, action)
-        elif kind != "continue":  # a continue leaves the instance as it is
-            self.sim.trace(self.POOL, "decision_dropped", {
-                "instance": instance.instance_id, "reason": f"unknown action {kind!r}",
-            })
 
     def _apply_select_variant(self, instance: ProcessInstance, action: dict):
         gate_id = action["gate"]
@@ -349,13 +335,6 @@ class ProcessEngine:
                 "instance": instance.instance_id,
                 "gate": gate_id,
                 "pending": node.gate_id if node else None,
-            })
-            return
-        if variant_id not in node.variants:
-            self.sim.trace(self.POOL, "unexpected_decision", {
-                "instance": instance.instance_id,
-                "gate": gate_id,
-                "reason": f"unknown variant {variant_id!r}",
             })
             return
         instance.checkpoints.append(Checkpoint(
@@ -427,16 +406,7 @@ class ProcessEngine:
     # -- compensation ------------------------------------------------------------
 
     def handle_start_compensation(self, parent: ProcessInstance, payload: dict):
-        model = self.models[parent.model_id]
-        ref = payload["process_ref"]
-        comp_model_id = model.compensation_refs.get(ref)
-        if comp_model_id is None or comp_model_id not in self.models:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": "UnknownCompensationModel",
-                "instance": parent.instance_id,
-                "ref": ref,
-            })
-            return
+        comp_model_id = self.models[parent.model_id].compensation_refs[payload["process_ref"]]
         prior = parent.status
         self._set_status(parent, "Compensating")
         parent.comp_children += 1

@@ -215,28 +215,37 @@ class Propagation:
 def topological_order(nodes):
     """Order propagation nodes so producers precede consumers; reject cycles.
 
-    Nodes are told apart by position, so two that share an id both run.
+    Nodes are told apart by position, so two that share an id both run.  A
+    depth-first walk in declaration order, on a stack of its own: a long
+    chain is ordered whichever end of it is declared first.
     """
     produced_by: dict[str, list[int]] = {}
     for position, node in enumerate(nodes):
         for cat in node.outputs:
             produced_by.setdefault(cat, []).append(position)
+
+    def upstream(position):
+        return (up for cat in nodes[position].inputs for up in produced_by.get(cat, ()))
+
     ordered, done = [], {}  # position -> whether its producers are all ordered
-
-    def visit(position):
-        if done.get(position) is False:
-            raise ValueError("cause-effect/agent graph contains a cycle")
-        if position in done:
-            return
-        done[position] = False
-        for cat in nodes[position].inputs:
-            for upstream in produced_by.get(cat, ()):
-                visit(upstream)
-        done[position] = True
-        ordered.append(nodes[position])
-
-    for position in range(len(nodes)):
-        visit(position)
+    for root in range(len(nodes)):
+        if root in done:
+            continue
+        done[root] = False
+        stack = [(root, upstream(root))]
+        while stack:
+            position, producers = stack[-1]
+            for producer in producers:
+                if producer not in done:
+                    done[producer] = False
+                    stack.append((producer, upstream(producer)))
+                    break
+                if done[producer] is False:
+                    raise ValueError("cause-effect/agent graph contains a cycle")
+            else:
+                stack.pop()
+                done[position] = True
+                ordered.append(nodes[position])
     return ordered
 
 

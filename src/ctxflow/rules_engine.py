@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MissingContext, StaleContext
 from .rule_dsl import (
     BreakRollback,
     Rule,
@@ -59,11 +58,11 @@ class GatePlan:
 
     gate_id: str
     rules: tuple[tuple[Rule, tuple[tuple[str, int], ...]], ...]
-    default: str | None
+    default: str
     categories: list[str]
 
 
-def gate_plan(gate_id: str, rules: list[Rule], default: str | None) -> GatePlan:
+def gate_plan(gate_id: str, rules: list[Rule], default: str) -> GatePlan:
     categories: set[str] = set()
     checks = []
     for rule in rules:
@@ -78,7 +77,8 @@ def evaluate_gate(plan: GatePlan, env: dict, now: int) -> GateOutcome:
     ``env`` maps category -> (payload, ts).  A rule whose freshness bound
     is violated is skipped (a stale value must not trigger extreme
     actions); a rule whose references are missing from the snapshot is
-    skipped the same way, and the skip is reported in the outcome.
+    skipped the same way, and the skip is reported in the outcome.  When
+    no rule fires, the gate's default variant is selected.
     """
     used = {category: env[category][1] for category in plan.categories if category in env}
     complete = len(used) == len(plan.categories)
@@ -100,14 +100,7 @@ def evaluate_gate(plan: GatePlan, env: dict, now: int) -> GateOutcome:
                 continue
         if evaluate_condition(rule.condition, env, now):
             return GateOutcome(rule.rule_id, rule.action, used, skipped)
-    gate_id = plan.gate_id
-    if plan.default is None:
-        if skipped and all(s["reason"] == "stale" for s in skipped):
-            raise StaleContext(
-                f"every rule of gate {gate_id!r} was skipped on stale context"
-            )
-        raise MissingContext(f"gate {gate_id!r} has no default variant and no rule fired")
-    return GateOutcome(None, SelectVariant(gate_id, plan.default), used, skipped)
+    return GateOutcome(None, SelectVariant(plan.gate_id, plan.default), used, skipped)
 
 
 class RulesEngine:
@@ -128,12 +121,11 @@ class RulesEngine:
         return f"q{self._correlation}"
 
     # -- bind / unbind -----------------------------------------------------------
+    # process -> rules is one FIFO channel: an instance's Register (its id is
+    # unique in a run) comes first on it, and its one terminal message last
 
     def handle_register(self, payload: dict):
         instance = payload["instance"]
-        if instance in self.bindings:
-            self.sim.trace(self.POOL, "bind_duplicate", {"instance": instance})
-            return
         model_id = payload["process_model"]
         self.bindings[instance] = Binding(instance, model_id)
         self.sim.trace(self.POOL, "bound", {
@@ -145,8 +137,7 @@ class RulesEngine:
 
     def handle_process_terminal(self, payload: dict):
         instance = payload["instance"]
-        if self.bindings.pop(instance, None) is None:
-            return
+        del self.bindings[instance]
         for correlation in [c for c, p in self.pending.items() if p.instance_id == instance]:
             del self.pending[correlation]
         self.sim.trace(self.POOL, "unbound", {"instance": instance})
@@ -155,15 +146,7 @@ class RulesEngine:
     # -- evaluation request path ----------------------------------------------------
 
     def handle_rule_eval_request(self, payload: dict):
-        instance = payload["instance"]
-        gate = payload["gate"]
-        binding = self.bindings.get(instance)
-        if binding is None:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": "UnknownInstance", "detail": instance,
-            })
-            return
-        self._request_evaluation(binding, gate, "native")
+        self._request_evaluation(self.bindings[payload["instance"]], payload["gate"], "native")
 
     def _request_evaluation(self, binding: Binding, gate: str, evaluation: str):
         plan = self.plans[(binding.process_model_id, gate)]
@@ -203,12 +186,6 @@ class RulesEngine:
 
     def _handle_init_snapshot(self, payload: dict):
         instance = payload["instance"]
-        binding = self.bindings.get(instance)
-        if binding is None:
-            self.sim.trace(self.POOL, "snapshot_dropped", {
-                "instance": instance, "reason": "instance unbound",
-            })
-            return
         if payload.get("status") == "ok":
             self.sim.trace(self.POOL, "listening", {
                 "instance": instance, "context_model": payload["model"],
@@ -224,14 +201,7 @@ class RulesEngine:
 
     def _evaluate(self, binding: Binding, plan: GatePlan, evaluation: str, env: dict):
         gate = plan.gate_id
-        try:
-            outcome = evaluate_gate(plan, env, self.sim.now)
-        except (MissingContext, StaleContext) as err:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": type(err).__name__, "detail": str(err),
-                "instance": binding.instance_id, "gate": gate,
-            })
-            return
+        outcome = evaluate_gate(plan, env, self.sim.now)
         for skip in outcome.skipped:
             self.sim.trace(self.POOL, "rule_skipped", {
                 "instance": binding.instance_id, "gate": gate, **skip,
@@ -255,11 +225,10 @@ class RulesEngine:
 
     @staticmethod
     def _decide(outcome: GateOutcome, gate: str, evaluation: str,
-                default: str | None) -> tuple[dict, list]:
+                default: str) -> tuple[dict, list]:
         """The recorded decision, and the (kind, fields) messages that carry it."""
         action = outcome.action
-        fallback = (None if default is None
-                    else {"type": "select_variant", "gate": gate, "variant": default})
+        fallback = {"type": "select_variant", "gate": gate, "variant": default}
         if isinstance(action, BreakRollback):
             target = action.target if action.target is not None else gate
             return ({"type": "break_rollback", "target": target},
@@ -270,7 +239,7 @@ class RulesEngine:
                 # the context change invalidated the running plan: recall it
                 # (break + rollback to start) and hand over to the child
                 messages.append(("BreakRollback", {"target": "start", "disposition": "cancel"}))
-            elif fallback is not None:
+            else:
                 # natively started compensation runs alongside; the gate
                 # still selects its default branch so the parent continues
                 messages.append(("Decision", {"gate": gate, "evaluation": evaluation,
@@ -285,7 +254,7 @@ class RulesEngine:
                         "variant": action.variant_id}
         else:
             # a native continue: the gate still needs a branch, so the default
-            decision = fallback or {"type": "continue"}
+            decision = fallback
         return decision, [("Decision", {"gate": gate, "evaluation": evaluation,
                                         "action": decision})]
 

@@ -518,6 +518,10 @@ def _parse_propagation(doc, scenario, bad):
         outputs = entry["outputs"]
         if outputs is None:
             outputs = [] if entry["output"] is None else [entry["output"]]
+        # a split writes its fan_out categories, yet is ordered and checked by its outputs
+        if entry["kind"] == "split" and set(entry["spec"]["fan_out"].values()) != set(outputs):
+            bad("agent-invalid", entry["id"], "a split's fan_out categories must be its outputs")
+            continue
         entries.append(("agent", entry["id"], tuple(entry["inputs"]), tuple(outputs), entry))
     for section, node_id, inputs, outputs, entry in entries:
         _known(scenario, bad, f"{section}-unknown-category", node_id, inputs + outputs)
@@ -538,6 +542,17 @@ def _parse_propagation(doc, scenario, bad):
         scenario.propagation = propagation.topological_order(scenario.propagation)
     except ValueError as err:
         bad("propagation-cycle", "cause_effects/agents", str(err))
+        return
+    # a compose nests its record one level deeper than its inputs: the trace
+    # writer could meet the recursion limit below a long chain of them
+    composes = {}  # category -> compose nodes on the longest path that writes it
+    for node in scenario.propagation:
+        count = max(composes.get(cat, 0) for cat in node.inputs) + (node.kind == "compose")
+        for category in node.outputs:
+            composes[category] = max(composes.get(category, 0), count)
+        if node.kind == "compose" and count > MAX_NESTING:
+            bad("agent-invalid", node.node_id,
+                f"{count} compose nodes on its longest path, more than {MAX_NESTING}")
 
 
 def _parse_rules(doc, scenario, bad):

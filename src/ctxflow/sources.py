@@ -157,13 +157,9 @@ class ExternalSystems:
             self.sim.send(self.POOL, "context", "SourceEvent", event)
 
     def handle_message(self, kind: str, payload: dict):
-        """Answer a PollRequest, the one kind CHANNELS delivers here."""
-        source = self.sources.get(payload["source"])
-        if source is None:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": "UnknownSource", "detail": payload["source"],
-            })
-            return
+        """Answer a PollRequest, the one kind CHANNELS delivers here; the
+        context pool polls only the sources this pool holds."""
+        source = self.sources[payload["source"]]
         reply = respond_poll(source, payload["categories"], self.sim.now,
                              self.mirror_state[source.source_id])
         reply["purpose"] = payload.get("purpose", "refresh")

@@ -5,9 +5,6 @@ import json
 
 import pytest
 
-from ctxflow.errors import StaleContext
-from ctxflow.rule_dsl import parse_rule
-from ctxflow.rules_engine import evaluate_gate, gate_plan
 from ctxflow.scenario import build_simulation, parse_scenario
 from ctxflow.trace import canonical_json
 
@@ -348,17 +345,6 @@ def test_freshness_bound_on_an_uncatalogued_category_is_a_violation():
         ("rule-unknown-category", "Ground Preferred", "'nosuch' not in catalog")]
 
 
-def test_all_rules_stale_without_default_is_an_error():
-    rule = parse_rule("RULE R WHEN x < 5 THEN selectVariant(g, a) END")
-    stale_rule = rule.__class__(
-        rule_id=rule.rule_id, name=rule.name, condition=rule.condition,
-        action=rule.action, referenced_categories=rule.referenced_categories,
-        required_freshness={"x": 1},
-    )
-    with pytest.raises(StaleContext):
-        evaluate_gate(gate_plan("g", [stale_rule], None), {"x": (3, 0)}, now=10)
-
-
 # --- predefined categories (first-level constraint) --------------------------------------------
 
 
@@ -374,6 +360,48 @@ def test_step_budget_rejects_late_extensions_without_crashing():
     # budgeted snapshots still respect the step bound
     closed = trace.find("model_closed", model="ctx.p1")[0].payload
     assert closed["end_step"] <= 1 and closed["end"]["step"] == closed["end_step"]
+
+
+# --- replies that lack a requested category ----------------------------------------------------
+
+
+def replies(trace, instance):
+    return [(r.tick, r.payload["data"]["missing"]) for r in trace.find("ContextSnapshot")
+            if r.payload["data"].get("phase") == "reply"
+            and r.payload["data"]["instance"] == instance]
+
+
+def test_a_category_the_step_budget_keeps_out_is_missing_from_the_reply():
+    data = logistics_scenario_data()
+    data["limits"]["max_config_steps"] = 0
+    assembly, trace = run(data)
+    rejected = trace.find("extension_rejected", model="ctx.p1.comp1",
+                          categories=["shippingMethod"])
+    assert rejected and rejected[0].payload["error"] == "StepBudgetExceeded"
+    assert (47, ["shippingMethod"]) in replies(trace, "p1.comp1")
+    assert not assembly.simulation.truncated
+
+
+def test_a_category_its_source_has_no_value_for_yet_is_missing_from_the_reply():
+    # erp provides ``late`` from tick 1000 on: the poll that fetches it for
+    # the first request finds it absent, and the rule reading it is skipped
+    data = logistics_scenario_data()
+    data["catalog"].append({"id": "late", "kind": "numeric", "parent": "processObject"})
+    erp = next(source for source in data["sources"] if source["id"] == "erp")
+    erp["provides"].append("late")
+    erp["poll"]["late"] = [[1000, 5]]
+    data["rules"].insert(0, "RULE Late\nWHEN late > 3\nTHEN selectVariant(shipping, plane)\nEND")
+    data["process_models"][0]["nodes"][2]["rules"].insert(0, "Late")
+    _, trace = run(data)
+    fetch = trace.find("PollResponse", data={
+        "source": "erp", "values": [], "absent": ["late"], "purpose": "administer",
+        "model": "ctx.p1"})
+    assert [r.tick for r in fetch] == [11]
+    assert replies(trace, "p1")[0] == (12, ["late"])
+    skipped = trace.find("rule_skipped")[0]
+    assert (skipped.tick, skipped.payload) == (12, {
+        "instance": "p1", "gate": "shipping", "rule": "Late", "reason": "missing",
+        "category": "late"})
 
 
 def test_scenario_deny_list_blocks_principal():

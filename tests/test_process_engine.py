@@ -358,14 +358,6 @@ def test_compensation_of_compensation_chains():
     assert chain == 2
 
 
-def test_unknown_compensation_ref_is_error():
-    sim = FakeSim()
-    engine = make_engine(sim)
-    rolled_instance(sim, engine)
-    engine.handle_message("StartCompensation", {"instance": "p1", "process_ref": "nope"})
-    assert sim.records("engine_error")[-1].payload["error"] == "UnknownCompensationModel"
-
-
 # --- shutdown edge cases ---------------------------------------------------------------
 
 
@@ -458,9 +450,3 @@ def test_zero_duration_task_completes_in_its_tick():
     undone = [(r.payload["task"], r.payload["completed"])
               for r in sim.records("task_undone")]
     assert undone == [("deliver", False), ("stamp", True), ("fly", True)]
-
-
-def test_unknown_mirror_trigger_is_rejected():
-    engine = make_engine(FakeSim())
-    with pytest.raises(ValueError, match="unknown mirror trigger"):
-        engine.register_mirrors("bpm", [MirrorSpec("m", "g", "shippingMethod", "decision:g")])

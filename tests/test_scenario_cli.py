@@ -17,7 +17,7 @@ from ctxflow.cli import main
 from ctxflow.errors import ScenarioParseError
 from ctxflow.model import Violation
 from ctxflow.rule_dsl import MAX_CONDITION_NESTING
-from ctxflow.scenario import MAX_NESTING, parse_scenario, run_scenario_data
+from ctxflow.scenario import MAX_NESTING, build_simulation, parse_scenario, run_scenario_data
 from ctxflow.trace import (
     _BLOCK, _MAX_FIELDS, Trace, TraceRecord, _line_maker, _line_source, _LineWriter,
     canonical_json, replay_verify,
@@ -167,6 +167,71 @@ def test_a_payload_nested_too_deeply_to_be_traced_is_a_violation():
                       "its value for 'clear' is nested too deeply"),
             Violation("relation-kind-mismatch", "weatherToPlan",
                       "its default is nested too deeply")]
+
+
+def compose_chain(length, reverse=False):
+    """Logistics with ``length`` record categories, each composed from the one
+    before it and the first from the weather; declared last first if ``reverse``."""
+    data = logistics_scenario_data()
+    records = [f"record{i}" for i in range(length)]
+    data["catalog"] += [{"id": record, "kind": "record", "parent": "processObject"}
+                        for record in records]
+    data["masters"][0]["categories"] += records
+    data["agents"] = [{"id": f"compose{i}", "kind": "compose", "inputs": [cause],
+                       "output": record}
+                      for i, (cause, record) in enumerate(zip(["weather", *records], records))]
+    if reverse:
+        data["agents"].reverse()
+    return data
+
+
+def test_a_short_compose_chain_is_traced():
+    assembly, completed = run_scenario_data(compose_chain(10))
+    trace = assembly.simulation.trace_log
+    assert completed and trace.find("value_updated", category="record9")
+    assert trace.to_text() == "".join(expected_lines(trace))
+
+
+@pytest.mark.parametrize("length, reverse", [
+    (MAX_NESTING, False), (MAX_NESTING + 1, False), (1200, False), (1200, True)])
+def test_a_compose_chain_too_long_to_be_traced_is_a_violation(length, reverse):
+    # 1,200 once validated clean and ran, and then could not be written; in
+    # reverse order it was one scenario-invalid
+    assert parse_scenario(compose_chain(length, reverse))[1] == [
+        Violation("agent-invalid", f"compose{i}",
+                  f"{i + 1} compose nodes on its longest path, more than {MAX_NESTING}")
+        for i in range(MAX_NESTING, length)]
+
+
+def split_with_fan_out(outputs, fan_out):
+    """Logistics with a record ``rec`` split into the numerics ``x``, ``y`` and
+    ``z``, a relation ``yz`` from ``y`` to ``z``, and a push of the record."""
+    data = logistics_scenario_data()
+    data["catalog"] += [{"id": "rec", "kind": "record", "parent": "processObject"},
+                        *({"id": c, "kind": "numeric", "parent": "processObject"} for c in "xyz")]
+    data["masters"][0]["categories"] += ["rec", "x", "y", "z"]
+    data["cause_effects"].append({"id": "yz", "cause": "y", "effect": "z",
+                                  "function": {"type": "linear", "a": 1, "b": 0}})
+    data["agents"] = [{"id": "sp", "kind": "split", "inputs": ["rec"], "outputs": outputs,
+                       "spec": {"fan_out": fan_out}}]
+    data["sources"].append({"id": "feed", "provides": ["rec"],
+                            "timeline": [[30, "rec", {"a": 1, "b": 2, "c": 3}]]})
+    return data
+
+
+def test_a_split_fans_out_only_into_its_outputs():
+    # a fan_out category outside the outputs validated clean, and the split
+    # ran after the relation reading it: y was written, z never
+    data = split_with_fan_out(["x"], {"a": "x", "b": "y", "c": "uncatalogued"})
+    assert parse_scenario(data)[1] == [
+        Violation("agent-invalid", "sp", "a split's fan_out categories must be its outputs")]
+    scenario, violations = parse_scenario(split_with_fan_out(["x", "y"], {"a": "x", "b": "y"}))
+    assert violations == []
+    assert [node.node_id for node in scenario.propagation] == [
+        "weatherToEta", "etaToFine", "sp", "yz"]
+    trace = build_simulation(scenario).simulation.run()
+    assert [(r.tick, r.payload["value"]["payload"]) for r in trace.find(
+        "value_updated", category="z")] == [(31, 2)]
 
 
 def test_validate_and_run_report_a_bad_file_alike(tmp_path, capsys):
@@ -535,6 +600,11 @@ def rename_packaging_gate(data):
     shipping["variants"]["plane"][0]["id"] = "shipping"
 
 
+def start_second(data):
+    nodes = model(data, "spare_part_delivery")["nodes"]
+    nodes.insert(1, nodes.pop(0))
+
+
 def late_share(data):
     data["instances"].append({"id": "p2", "model": "spare_part_delivery", "share_with": "p1"})
 
@@ -567,12 +637,38 @@ CROSS_CHECKS = {
         "geospatial")),
     "model-no-master": edited(lambda data: model(data, "spare_part_delivery").pop(
         "context_master")),
+    "model-bad-default": edited(lambda data: model(data, "spare_part_delivery")["nodes"][2]
+                                .update(default="boat")),
+    "model-no-end": edited(lambda data: model(data, "spare_part_delivery")["nodes"].pop()),
+    "model-no-start": edited(start_second),
+    "model-start-count": edited(lambda data: model(data, "spare_part_delivery")["nodes"].insert(
+        -1, {"type": "start"})),
+    "instance-unknown-model": edited(lambda data: data["instances"][0].update(model="nowhere")),
+    "model-unknown-master": edited(lambda data: model(data, "spare_part_delivery").update(
+        context_master="nowhere")),
+    "threshold-unknown-model": edited(lambda data: data["thresholds"].update(nowhere=[])),
+    "threshold-unknown-category": edited(lambda data: data["thresholds"][
+        "spare_part_delivery"].append({"category": "nowhere"})),
+    "catalog-unknown-parent": edited(lambda data: data["catalog"][3].update(parent="nowhere")),
+    "master-unknown-category": edited(lambda data: data["masters"][0]["categories"].append(
+        "nowhere")),
+    "source-unknown-category": edited(lambda data: data["sources"][0]["provides"].append(
+        "nowhere")),
+}
+
+# cross-checks under a code that other rows already name: each keeps a
+# message that the engines do not handle from being sent
+CROSS_CHECKS_BY_ID = {
+    "undeclared-compensation-ref": (change_rule(
+        "start process.compensation.deliveryVariant", "start process.compensation.nowhere"),
+        "UnknownActionTarget"),
+    "mirror-trigger-of-no-kind": (change_mirror(trigger="decision:shipping"), "source-invalid"),
 }
 
 
 @pytest.mark.parametrize("change, code", [*MALFORMED.values(), *(
-    (change, code) for code, change in CROSS_CHECKS.items())],
-    ids=[*MALFORMED, *CROSS_CHECKS])
+    (change, code) for code, change in CROSS_CHECKS.items()), *CROSS_CHECKS_BY_ID.values()],
+    ids=[*MALFORMED, *CROSS_CHECKS, *CROSS_CHECKS_BY_ID])
 def test_malformed_document_is_a_violation(tmp_path, capsys, change, code):
     data = change(logistics_scenario_data())
     assert main(["validate", write_scenario(tmp_path, data)]) == 2

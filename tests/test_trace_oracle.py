@@ -28,6 +28,21 @@ def test_oracle_passes_on_pinned_scenario(name):
     assert check(trace_records(SCENARIOS[name]())) == []
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_oracle_passes_on_pinned_scenario_under_other_timing(name):
+    """The pools handle only the messages a valid document can send, in the
+    order each channel delivers them; other latencies and another seed
+    interleave the channels otherwise and must keep the trace sound."""
+    data = SCENARIOS[name]()
+    data["latency"] = {**data.get("latency", {}), "default": 3, "jitter": 3}
+    scenario, violations = parse_scenario(data)
+    assert not violations, violations[:3]
+    sim = build_simulation(scenario, seed=1).simulation
+    trace = sim.run()
+    assert not sim.truncated
+    assert check(json.loads(line) for line in trace.lines()) == []
+
+
 LOGISTICS = trace_records(logistics_scenario_data())
 
 
