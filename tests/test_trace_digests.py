@@ -149,8 +149,24 @@ def engine_paths_scenario():
     }
 
 
+def rollback_to_gate_scenario():
+    """The logistics scenario whose ``Delivery SLA`` rolls back to ``packaging``.
+
+    The re-evaluated shipping gate fires the rule in transit: the process
+    pool undoes the tasks run since the ``packaging`` checkpoint, keeps the
+    two checkpoints up to it, and resumes there.
+    """
+    data = logistics_scenario_data()
+    data["rules"] = [rule.replace("start process.compensation.deliveryVariant",
+                                  "rollback(packaging)")
+                     if rule.startswith("RULE Delivery SLA\n") else rule
+                     for rule in data["rules"]]
+    return data
+
+
 SCENARIOS = {
     "logistics": logistics_scenario_data,
+    "rollback-to-gate": rollback_to_gate_scenario,
     "propagation": propagation_scenario,
     "shared": shared_scenario,
     "shared-thunderstorm": shared_thunderstorm_scenario,

