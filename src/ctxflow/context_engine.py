@@ -4,19 +4,15 @@ Ingests pushed and polled source events, resolves multi-source conflicts,
 applies what propagation derives from them (``propagation.Propagation``),
 and emits threshold-gated change notifications.  One logical writer per
 instance model; everything observable happens in message-arrival order.
+Every message it takes was built by another pool from a valid document; a
+hand-built one outside that contract is a caller error (a ``KeyError``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    DeletionRejected,
-    KindMismatch,
-    LevelViolation,
-    StaleWrite,
-    StepBudgetExceeded,
-)
+from .errors import KindMismatch, StaleWrite, StepBudgetExceeded
 from .model import (
     Additions,
     ContextCategory,
@@ -176,10 +172,6 @@ class ContextEngine:
     def handle_register(self, payload: dict):
         """Register an instance with its process model's master and thresholds."""
         instance = payload["instance"]
-        if instance in self.registrations:
-            self._refuse(instance, "DuplicateRegistration",
-                         f"instance {instance!r} already registered")
-            return
         process_model = payload["process_model"]
         # the two names are instances; a share target without a live
         # registration is reported, and the sharer gets a model of its own
@@ -202,20 +194,13 @@ class ContextEngine:
                     "share_with": share_with,
                 })
             model_id = f"ctx.{instance}"
-            if copy_from is not None:
-                source = self.registrations.get(copy_from)
-                if source is None:
-                    self._refuse(instance, "UnknownModel",
-                                 f"no registered instance {copy_from!r} to copy")
-                    return
+            if copy_from is not None:  # the parent: live while it compensates
+                source = self.registrations[copy_from]
                 model = clone_instance_model(self.instances[source.model_id], [instance],
                                              model_id)
                 origin = {"master": model.master_id, "copy_of": source.model_id}
             else:
-                master_id = self.model_masters.get(process_model, "")
-                if master_id not in self.masters:
-                    self._refuse(instance, "UnknownMaster", f"no master model {master_id!r}")
-                    return
+                master_id = self.model_masters[process_model]
                 model = instantiate_from_master(self.masters[master_id], [instance],
                                                 model_id)
                 model.intersection.history_limit = self.propagation.history
@@ -233,15 +218,6 @@ class ContextEngine:
             thresholds=self.model_thresholds.get(process_model, {}),
         )
         self._continue_initialization(instance)
-
-    def _refuse(self, instance: str, error: str, detail: str):
-        """Report a registration refused with ``error``: the instance gets no model."""
-        self.sim.trace(self.POOL, "engine_error", {
-            "error": error, "detail": detail, "instance": instance,
-        })
-        self.sim.send(self.POOL, "rules", "ContextSnapshot", {
-            "instance": instance, "phase": "init", "status": "error", "detail": error,
-        })
 
     def _unvalued_requirements(self, model: InstanceContextModel) -> list[str]:
         out = []
@@ -314,18 +290,9 @@ class ContextEngine:
     # -- ingestion -------------------------------------------------------------
 
     def handle_source_event(self, payload: dict):
+        # a source pushes, and mirrors into, only categories it provides
         source_id = payload["source_id"]
-        if source_id not in self.sources:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": "UnknownSource", "detail": source_id,
-            })
-            return
         category = payload["category_id"]
-        if category not in self.catalog:
-            self.sim.trace(self.POOL, "engine_error", {
-                "error": "UnknownCategory", "detail": category,
-            })
-            return
         descriptor = self.sources[source_id]
         value = ContextValue(
             value_id=f"{category}@{source_id}",
@@ -488,11 +455,8 @@ class ContextEngine:
                     continue
                 if old is not None and new.payload == old.payload:
                     continue  # batch reverted the payload; no net change
-                try:
-                    transgressed = check_threshold(old, new, threshold)
-                except KindMismatch:
-                    transgressed = False
-                if transgressed:
+                # a numeric-delta threshold sits on a numeric category
+                if check_threshold(old, new, threshold):
                     changes.append({"category": category, "value": new.to_reading()})
             if changes:
                 self.sim.send(self.POOL, "rules", "ContextNotification", {
@@ -506,29 +470,19 @@ class ContextEngine:
 
     def handle_context_request(self, payload: dict):
         instance = payload["instance"]
-        correlation = payload["correlation"]
-        reg = self.registrations.get(instance)
-        if reg is None:
-            self.sim.send(self.POOL, "rules", "ContextSnapshot", {
-                "correlation": correlation, "status": "error",
-                "detail": "UnknownInstance", "instance": instance,
-            })
-            return
-        model_id = reg.model_id
+        # the rules pool unbinds an instance before its ShutdownModel
+        model_id = self.registrations[instance].model_id
         model = self.instances[model_id]
         requested = list(payload["categories"])
         pending = PendingRequest(
-            correlation=correlation,
+            correlation=payload["correlation"],
             model_id=model_id,
             instance_id=instance,
             requested=requested,
         )
         extendable = []
-        for category in requested:
+        for category in requested:  # catalogued, each once
             if category in model.intersection.categories:
-                continue
-            if category not in self.catalog:
-                pending.unavailable.append(category)
                 continue
             if category not in self.best_source:
                 self.sim.trace(self.POOL, "admin_no_source", {
@@ -556,12 +510,10 @@ class ContextEngine:
 
     def _administer_extension(self, model: InstanceContextModel,
                               categories: list[str]) -> list[str]:
-        """Extend a model with catalogued categories; one step per call."""
+        """Extend a model with catalogued categories it lacks; one step per call."""
         additions = Additions()
         queued: set[str] = set()
         for category in categories:
-            if category in model.intersection.categories or category not in self.catalog:
-                continue
             chain = catalog_chain(self.catalog, category)
             for level, ancestor in enumerate(chain, start=1):
                 if ancestor in model.intersection.categories or ancestor in queued:
@@ -571,11 +523,9 @@ class ContextEngine:
                 additions.categories.append((anc_entry.category, level))
                 if anc_entry.parent is not None:
                     additions.edges.append((anc_entry.parent, ancestor))
-        if not additions.categories:
-            return []
         try:
             added = model.apply_extension(additions, k=self.max_config_steps)
-        except (StepBudgetExceeded, LevelViolation, DeletionRejected) as err:
+        except StepBudgetExceeded as err:  # levels and edges follow the catalog
             self.sim.trace(self.POOL, "extension_rejected", {
                 "model": model.model_id,
                 "categories": [c.category_id for c, _ in additions.categories],
@@ -608,8 +558,6 @@ class ContextEngine:
 
     def _resolve_fetch(self, model_id: str, category: str, available: bool):
         for pending in self.pending_fetches.pop((model_id, category), []):
-            if category not in pending.outstanding:
-                continue  # the request listed the category twice
             pending.outstanding.discard(category)
             if not available:
                 pending.unavailable.append(category)
@@ -636,15 +584,10 @@ class ContextEngine:
     # -- shutdown ------------------------------------------------------------------
 
     def handle_shutdown_model(self, payload: dict):
-        # a ShutdownModel follows its instance's Register on one FIFO channel: an
-        # instance without a registration failed to register, reported already
+        # a ShutdownModel follows its instance's Register on one FIFO channel
         instance_id = payload["instance"]
-        reg = self.registrations.pop(instance_id, None)
-        model = None if reg is None else self.instances.get(reg.model_id)
-        if model is None:
-            return
-        if instance_id in model.bound_instances:
-            model.bound_instances.remove(instance_id)
+        model = self.instances[self.registrations.pop(instance_id).model_id]
+        model.bound_instances.remove(instance_id)
         if not model.bound_instances:
             del self.instances[model.model_id]
             # requests waiting on the model's fetches are never answered

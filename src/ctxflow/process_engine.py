@@ -307,20 +307,17 @@ class ProcessEngine:
     # -- decisions --------------------------------------------------------------
 
     def handle_decision(self, instance: ProcessInstance, payload: dict):
-        action = payload.get("action", {})
-        kind = action.get("type")
-        if payload.get("evaluation") == "init":
-            if kind == "abort":
-                if instance.status == "Initializing":
-                    self.complete_or_cancel(instance, "Cancelled")
-                return
-            if instance.status == "Initializing":
+        action = payload["action"]
+        if payload["evaluation"] == "init":
+            # an instance's one init Decision, while it initializes
+            if action["type"] == "abort":
+                self.complete_or_cancel(instance, "Cancelled")
+            else:
                 self._set_status(instance, "Running")
                 self.step(instance)
             return
-        # a gate decision selects a variant or continues, which changes nothing
-        if kind == "select_variant":
-            self._apply_select_variant(instance, action)
+        # the rules pool sends a gate Decision only to select a variant
+        self._apply_select_variant(instance, action)
 
     def _apply_select_variant(self, instance: ProcessInstance, action: dict):
         gate_id = action["gate"]

@@ -173,12 +173,6 @@ class RulesEngine:
                 "reason": "no pending evaluation",
             })
             return
-        if payload.get("status") != "ok":
-            self.sim.trace(self.POOL, "snapshot_dropped", {
-                "correlation": correlation,
-                "reason": payload.get("detail", payload.get("status", "error")),
-            })
-            return
         # an instance's end drops its pending evaluations: the binding is live
         binding = self.bindings[pending.instance_id]
         env = _env_from_snapshot(payload)
@@ -186,13 +180,13 @@ class RulesEngine:
 
     def _handle_init_snapshot(self, payload: dict):
         instance = payload["instance"]
-        if payload.get("status") == "ok":
+        if payload["status"] == "ok":
             self.sim.trace(self.POOL, "listening", {
                 "instance": instance, "context_model": payload["model"],
             })
             action = {"type": "continue"}
         else:
-            action = {"type": "abort", "reason": payload.get("status", "error")}
+            action = {"type": "abort", "reason": payload["status"]}  # "timeout"
         self.sim.send(self.POOL, "process", "Decision", {
             "instance": instance, "evaluation": "init", "action": action,
         })

@@ -240,41 +240,6 @@ def test_shared_registration_binds_one_model():
     assert len(engine.instances) == 1
 
 
-def assert_refused(sim, error, detail, instance="p1"):
-    """A refused registration writes its engine_error and sends only the error
-    init snapshot."""
-    assert [r.payload for r in sim.records("engine_error")] == [
-        {"error": error, "detail": detail, "instance": instance}]
-    assert sim.sent == [("context", "rules", "ContextSnapshot", {
-        "instance": instance, "phase": "init", "status": "error", "detail": error})]
-
-
-def test_duplicate_registration_rejected():
-    sim = FakeSim()
-    engine = make_engine(sim)
-    model = register_active(engine, "p1")
-    register(engine, "p1")
-    assert_refused(sim, "DuplicateRegistration", "instance 'p1' already registered")
-    assert engine.instances == {model.model_id: model}
-
-
-def test_unknown_master_rejected():
-    sim = FakeSim()
-    engine = make_engine(sim, model_masters={"flow": "nope"})
-    register(engine, "p1")
-    assert_refused(sim, "UnknownMaster", "no master model 'nope'")
-    assert engine.registrations == {} and engine.instances == {}
-
-
-def test_copy_of_an_unregistered_instance_rejected():
-    sim = FakeSim()
-    engine = make_engine(sim)
-    register(engine, "p1.comp1", copy_from_instance="p1")
-    assert_refused(sim, "UnknownModel", "no registered instance 'p1' to copy",
-                   instance="p1.comp1")
-    assert engine.registrations == {} and engine.instances == {}
-
-
 def test_register_takes_its_process_models_master_and_thresholds():
     sim = FakeSim()
     x_threshold = NotificationThreshold("x", "numeric-delta", theta=2)
@@ -790,29 +755,6 @@ def test_concurrent_requests_extend_once():
     assert [s["graph"]["values"]["z"]["payload"] for s in snapshots] == [7, 7]
 
 
-def test_category_listed_twice_is_fetched_and_answered_once():
-    sim = FakeSim()
-    engine = make_engine(sim)
-    model = register_active(engine)
-    engine.handle_context_request({
-        "instance": "p1", "categories": ["z", "z"], "correlation": "q1",
-    })
-    [extended] = sim.records("model_extended")
-    assert extended.payload["added"] == [{"category": "z", "level": 2}]
-    assert list(engine.pending_fetches) == [(model.model_id, "z")]
-    held = engine.pending_fetches[(model.model_id, "z")]
-    assert [pending.correlation for pending in held] == ["q1", "q1"]
-    engine.handle_poll_response({
-        "source": "certified", "purpose": "administer", "model": model.model_id,
-        "values": [{"category_id": "z", "payload": 7, "ts": sim.now,
-                    "reliability": 0.9}],
-        "absent": [],
-    })
-    assert [k for (_, _, k, _) in sim.sent] == ["PollRequest", "ContextSnapshot"]
-    assert sim.sent[-1][3]["graph"]["values"]["z"]["payload"] == 7
-    assert not engine.pending_fetches
-
-
 def test_closing_model_drops_its_in_flight_fetches():
     sim = FakeSim()
     engine = make_engine(sim)
@@ -888,22 +830,6 @@ def test_poll_goes_to_the_most_reliable_source_then_the_lowest_id():
         ("administer", "a-station", ["z"])]
     assert [r.payload for r in sim.records("admin_no_source")] == [
         {"model": "ctx.p1", "category": "v"}]
-
-
-def test_request_of_an_unregistered_instance_gets_an_error():
-    sim = FakeSim()
-    engine = make_engine(sim)
-    register_active(engine, "p1")
-    engine.handle_shutdown_model({"instance": "p1"})
-    sim.sent.clear()
-    for instance in ("p1", "p9"):  # shut down, never registered
-        engine.handle_context_request({
-            "instance": instance, "categories": ["x"], "correlation": f"q-{instance}",
-        })
-    assert [(k, p) for (_, _, k, p) in sim.sent] == [
-        ("ContextSnapshot", {"correlation": f"q-{instance}", "status": "error",
-                             "detail": "UnknownInstance", "instance": instance})
-        for instance in ("p1", "p9")]
 
 
 def test_repeated_request_same_tick_identical_snapshot():

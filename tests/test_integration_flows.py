@@ -274,22 +274,6 @@ def test_a_document_without_aggregates_keeps_no_history():
     assert graph.values and graph.history == {}
 
 
-# --- a process model without a context master -------------------------------------------------
-
-
-def test_an_unregistered_instance_shuts_down_quietly():
-    """Run without validation, the failed registration is the only error the
-    context pool writes: its ShutdownModel follows it and writes nothing."""
-    data = logistics_scenario_data()
-    del data["process_models"][0]["context_master"]
-    scenario, _ = parse_scenario(data)  # model-no-master
-    assembly = build_simulation(scenario)
-    trace = assembly.simulation.run()
-    assert [r.payload["error"] for r in trace.find("engine_error")] == ["UnknownMaster"]
-    assert trace.find("ShutdownModel", to="context")
-    assert outcomes(assembly) == {"p1": "Cancelled"}
-
-
 # --- freshness metadata ---------------------------------------------------------------------
 
 

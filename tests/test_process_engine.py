@@ -195,18 +195,6 @@ def test_decision_for_another_gate_names_the_awaited_one():
     assert awaited_gate(instance) == "g"
 
 
-def test_continue_decision_changes_nothing():
-    sim = FakeSim()
-    engine = make_engine(sim)
-    instance = started(engine, sim)
-    before = (instance.status, open_task(instance))
-    engine.handle_message("Decision", {
-        "instance": "p1", "evaluation": "re_evaluation",
-        "action": {"type": "continue"},
-    })
-    assert (instance.status, open_task(instance)) == before
-
-
 def test_subprocess_runs_inline():
     sim = FakeSim()
     model = ProcessModel("m", [

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxflow.context_engine import ContextEngine
 from ctxflow.errors import MissingContext, RuleTypeError
 from ctxflow.rule_dsl import (
     BreakRollback,
@@ -494,25 +493,6 @@ def test_each_decision_sends_exact_messages(action, default, evaluation, recorde
     assert all(sender == "rules" and receiver == "process"
                for (sender, receiver, _, _) in sent)
     assert [(kind, payload) for (_, _, kind, payload) in sent] == expected
-
-
-def test_request_of_an_instance_the_context_pool_lacks_is_dropped():
-    sim = FakeSim()
-    engine = make_engine(sim)
-    bind(engine, sim)  # its Register never reached the context pool
-    context = ContextEngine(FakeSim(), catalog={}, masters={}, sources={})
-    engine.handle_rule_eval_request({"instance": "p1", "gate": "shipping"})
-    [(_, _, _, request)] = sim.sent
-    context.handle_context_request(request)
-    [(_, _, _, reply)] = context.sim.sent
-    assert reply == {"correlation": "q1", "status": "error",
-                     "detail": "UnknownInstance", "instance": "p1"}
-    sim.sent.clear()
-    engine.handle_context_snapshot(reply)
-    assert sim.sent == [] and engine.pending == {}
-    assert [r.payload for r in sim.records("snapshot_dropped")] == [
-        {"correlation": "q1", "reason": "UnknownInstance"}]
-    assert sim.records("gate_evaluated") == []
 
 
 def test_terminal_instance_drops_its_evaluation_in_flight():

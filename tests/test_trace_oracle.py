@@ -242,3 +242,15 @@ def test_sharer_given_a_model_of_its_own_while_its_target_initializes_is_caught(
     own["seq"], own["tick"] = records[shared]["seq"], records[shared]["tick"]
     records[shared] = own
     assert invariants(records) == {"binding"}
+
+
+def test_registration_refused_with_an_engine_error_is_caught():
+    # every registration succeeds: no engine_error may stand for p1's model
+    # (p1.comp1, which then copies an unbound instance's model, is caught too)
+    records = logistics()
+    created = first(records, "model_instantiated", instance="p1")
+    records[created].update(kind="engine_error", payload={
+        "error": "UnknownMaster", "detail": "no master model 'logistics'", "instance": "p1"})
+    assert invariants(records) == {"binding"}
+    assert check(records)[0].startswith(
+        f"binding: seq {records[created]['seq']} (engine_error) for 'p1' ")

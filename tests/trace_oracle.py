@@ -251,7 +251,5 @@ def _check_binding(kind, payload, where, bound, failed, expecting, violations):
     if kind == want and all(payload.get(k) == v for k, v in fields.items()):
         return
     due.clear()
-    # another engine_error refused the registration, and reports it
-    if kind != "engine_error" or payload["error"] == "UnknownSharedModel":
-        violations.append(f"binding: {where} for {instance!r} is not the {want} "
-                          f"{fields} its Register asks for")
+    violations.append(f"binding: {where} for {instance!r} is not the {want} "
+                      f"{fields} its Register asks for")
