@@ -73,6 +73,8 @@ class DerivationAgent:
             raise ValueError(f"unknown node kind {self.kind!r}")
         if not self.inputs or not self.outputs:
             raise ValueError("a node needs at least one input and one output")
+        if len(self.outputs) > 1 and self.kind != "split":
+            raise ValueError("only a split writes more than one output")
 
 
 def CauseEffectRelation(relation_id: str, cause: str, effect: str,

@@ -234,6 +234,23 @@ def test_a_split_fans_out_only_into_its_outputs():
         "value_updated", category="z")] == [(31, 2)]
 
 
+@pytest.mark.parametrize("kind, spec", [
+    ("filter", {"op": ">", "value": 0}),
+    ("aggregate", {"window": 2, "reducer": "max"}),
+    ("translate", {"map": {}, "default": 1}),
+])
+def test_only_a_split_has_several_outputs(kind, spec):
+    # such an agent validated clean, and its run wrote only its first output
+    data = logistics_scenario_data()
+    data["catalog"] += [{"id": c, "kind": "numeric", "parent": "processObject",
+                         "requires_value": False} for c in ("derived", "derived2")]
+    data["masters"][0]["categories"] += ["derived", "derived2"]
+    data["agents"] = [{"id": "twice", "kind": kind, "inputs": ["estimatedDeliveryTime"],
+                       "outputs": ["derived", "derived2"], "spec": spec}]
+    assert parse_scenario(data)[1] == [
+        Violation("agent-invalid", "twice", "only a split writes more than one output")]
+
+
 def test_validate_and_run_report_a_bad_file_alike(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
