@@ -80,6 +80,21 @@ def test_initialization_polls_until_requirements_met():
     assert graph["values"]["estimatedSLAFine"]["payload"] == 0
 
 
+def test_a_requirement_no_source_provides_burns_a_round_per_tick():
+    # nothing to poll for customsClearance: each round is an init_round timer
+    data = logistics_scenario_data()
+    data["catalog"].append({"id": "customsClearance", "kind": "text",
+                            "parent": "processObject"})
+    data["masters"][0]["categories"].append("customsClearance")
+    data["limits"]["poll_budget"] = 3
+    assembly, trace = run(data)
+    [timeout] = trace.find("init_timeout")
+    assert (timeout.tick, timeout.payload) == (6, {
+        "instance": "p1", "model": "ctx.p1", "rounds": 3, "unvalued": ["customsClearance"]})
+    assert outcomes(assembly) == {"p1": "Cancelled"}
+    assert check(json.loads(line) for line in trace.lines()) == []
+
+
 # --- timing sanity ------------------------------------------------------------------
 
 
@@ -386,6 +401,25 @@ def test_a_category_its_source_has_no_value_for_yet_is_missing_from_the_reply():
     assert (skipped.tick, skipped.payload) == (12, {
         "instance": "p1", "gate": "shipping", "rule": "Late", "reason": "missing",
         "category": "late"})
+
+
+def test_a_derived_category_the_model_lacks_is_never_written():
+    # etaToFine derives estimatedSLAFine, which no master holds and no source
+    # provides: the value is dropped, the reply lacks it, and Delivery SLA is
+    # skipped
+    data = logistics_scenario_data()
+    data["masters"][0]["categories"].remove("estimatedSLAFine")
+    for thresholds in data["thresholds"].values():
+        thresholds[:] = [t for t in thresholds if t["category"] != "estimatedSLAFine"]
+    assembly, trace = run(data)
+    assert trace.find("value_updated", category="estimatedSLAFine") == []
+    assert all("estimatedSLAFine" not in r.payload["categories"]
+               for r in trace.find("model_instantiated"))
+    assert all(added["category"] != "estimatedSLAFine"
+               for r in trace.find("model_extended") for added in r.payload["added"])
+    assert trace.find("admin_no_source", category="estimatedSLAFine")
+    assert outcomes(assembly) == {"p1": "Completed"}
+    assert check(json.loads(line) for line in trace.lines()) == []
 
 
 def test_scenario_deny_list_blocks_principal():
