@@ -6,6 +6,7 @@ reported under that invariant's name, and under no other.
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -254,3 +255,59 @@ def test_registration_refused_with_an_engine_error_is_caught():
     assert invariants(records) == {"binding"}
     assert check(records)[0].startswith(
         f"binding: seq {records[created]['seq']} (engine_error) for 'p1' ")
+
+
+# --- logistics variants ---------------------------------------------------------------
+
+ACTIONS = ("continue", "break", "rollback(start)", "rollback(shipping)",
+           "rollback(packaging)", "start process.compensation.deliveryVariant",
+           "selectVariant(shipping, truck)")
+
+
+def logistics_variants():
+    """Logistics with one thing changed: a rule's action, a second instance
+    (alone or sharing p1's model), or the extension step budget."""
+    base = logistics_scenario_data()
+    for index, rule in enumerate(base["rules"]):
+        name = rule.split("\n", 1)[0].removeprefix("RULE ")
+        for action in ACTIONS:
+            data = logistics_scenario_data()
+            data["rules"][index] = re.sub(r"THEN .*\nEND", f"THEN {action}\nEND", rule)
+            yield f"{name} -> {action}", data
+    for start in (0, 1, 5, 25, 40, 60):
+        for share in (False, True):
+            data = logistics_scenario_data()
+            data["instances"].append({**data["instances"][0], "id": "p2", "start_tick": start,
+                                      **({"share_with": "p1"} if share else {})})
+            yield f"p2 at {start}{' sharing' if share else ''}", data
+    for steps in range(4):
+        data = logistics_scenario_data()
+        data["limits"]["max_config_steps"] = steps
+        yield f"max_config_steps {steps}", data
+
+
+VARIANTS = {name: data for name, data in logistics_variants()}
+INVALID_VARIANTS = {name for name, data in VARIANTS.items() if parse_scenario(data)[1]}
+
+
+def test_the_invalid_logistics_variants_are_the_known_ones():
+    # the compensation model's rules cannot start a compensation it does not
+    # declare, and a sharer must start after its target
+    assert INVALID_VARIANTS == {
+        *(f"{name} -> start process.compensation.deliveryVariant"
+          for name in ("Ground Preferred", "Minimal Packaging", "Rugged For Air")),
+        "p2 at 0 sharing",
+    }
+
+
+@pytest.mark.parametrize("jitter", [0, 1, 3])
+@pytest.mark.parametrize("name", sorted(set(VARIANTS) - INVALID_VARIANTS))
+def test_oracle_passes_on_logistics_variant(name, jitter):
+    # a rule that always breaks loops by design, so a run may be truncated
+    data = copy.deepcopy(VARIANTS[name])
+    data["latency"] = {**data["latency"], "jitter": jitter}
+    data["limits"]["max_steps"] = 3000
+    scenario, violations = parse_scenario(data)
+    assert not violations, violations[:3]
+    trace = build_simulation(scenario).simulation.run()
+    assert check(json.loads(line) for line in trace.lines()) == []
