@@ -470,7 +470,7 @@ class ContextEngine:
 
     def handle_context_request(self, payload: dict):
         instance = payload["instance"]
-        # the rules pool unbinds an instance before its ShutdownModel
+        # the rules pool asks only while the instance is bound, so registered
         model_id = self.registrations[instance].model_id
         model = self.instances[model_id]
         requested = list(payload["categories"])

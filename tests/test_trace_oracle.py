@@ -286,7 +286,7 @@ def logistics_variants():
         yield f"max_config_steps {steps}", data
 
 
-VARIANTS = {name: data for name, data in logistics_variants()}
+VARIANTS = dict(logistics_variants())
 INVALID_VARIANTS = {name for name, data in VARIANTS.items() if parse_scenario(data)[1]}
 
 
@@ -303,7 +303,7 @@ def test_the_invalid_logistics_variants_are_the_known_ones():
 @pytest.mark.parametrize("jitter", [0, 1, 3])
 @pytest.mark.parametrize("name", sorted(set(VARIANTS) - INVALID_VARIANTS))
 def test_oracle_passes_on_logistics_variant(name, jitter):
-    # a rule that always breaks loops by design, so a run may be truncated
+    # a run may be truncated: a rule that always breaks loops by design
     data = copy.deepcopy(VARIANTS[name])
     data["latency"] = {**data["latency"], "jitter": jitter}
     data["limits"]["max_steps"] = 3000
