@@ -33,8 +33,9 @@ CHANNELS = {
 DEFAULT_MAX_STEPS = 100_000
 
 # the young-generation collection threshold while a run lasts: a run keeps
-# every trace record alive and makes no cyclic garbage, so the collector's
-# full passes over those records would find nothing
+# every trace payload alive (the trace holds them in a list, with no object
+# per record) and makes no cyclic garbage, so the collector's full passes
+# over those payloads would find nothing
 YOUNG_GC_THRESHOLD = 10_000
 
 

@@ -14,7 +14,8 @@ import functools
 import itertools
 import json
 import json.encoder
-from collections.abc import Callable
+import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 # Built once: json.dumps builds a new encoder on every call.  No circular
@@ -29,7 +30,7 @@ else:
 
 _escape = json.encoder.encode_basestring_ascii
 
-# The memo is cleared when it holds this many values.  Every record is
+# The memo is cleared when it holds this many values.  Every payload is
 # alive while its trace is written, so what the memo keeps adds to the
 # peak memory of the write, and sharing is between nearby records anyway.
 _MEMO_BOUND = 64
@@ -54,24 +55,24 @@ def _line_source(count: int) -> str:
     The source depends on ``count`` alone: the keys, their ``"key":`` texts
     (``,"key":`` after the first), the text before the payload's first key
     and the text from its closing brace to ``seq`` are ``make``'s arguments.
-    A line function hands a record whose payload is not a dict of ``count``
-    keys, or lacks one of them, to ``relay``.
+    A line function takes a record's seq, tick and payload; it hands a
+    payload that is not a dict of ``count`` keys, or lacks one of them, to
+    ``relay``, with ``rp`` and ``rk`` (the pool and kind laid out) first.
     """
     fields = range(count)
-    params = ["head", "tail", "memo", "remember", "relay",
+    params = ["head", "tail", "memo", "remember", "relay", "rp", "rk",
               *(f"k{i}" for i in fields), *(f"p{i}" for i in fields)]
     source = [
         f"def make({', '.join(params)}):",
-        "    def line(record):",
-        "        payload = record.payload",
+        "    def line(seq, tick, payload):",
         f"        if payload.__class__ is not dict or len(payload) != {count}:",
-        "            return relay(record)",
+        "            return relay(rp, rk, seq, tick, payload)",
     ]
     if count:
         source += ["        try:",
                    *(f"            v{i} = payload[k{i}]" for i in fields),
                    "        except KeyError:",
-                   "            return relay(record)"]
+                   "            return relay(rp, rk, seq, tick, payload)"]
     for i in fields:  # an exact int is left for the f-string, which formats it as repr does
         source += [f"        c = v{i}.__class__",
                    "        if c is str:",
@@ -83,7 +84,7 @@ def _line_source(count: int) -> str:
                    f"            v{i} = encode(v{i})"]
     source += [
         "        return f'{head}" + "".join(f"{{p{i}}}{{v{i}}}" for i in fields)
-        + """{tail}{record.seq},"tick":{record.tick}}}'""",
+        + """{tail}{seq},"tick":{tick}}}'""",
         "    return line",
     ]
     return "\n".join(source) + "\n"
@@ -121,24 +122,31 @@ class _LineWriter:
         self._memo: dict[int, tuple[dict, str]] = {}
         self._lines: dict[tuple[str, str], Callable] = {}
 
-    def line(self, record: "TraceRecord") -> str:
-        line = self._lines.get((record.kind, record.pool))
-        return self._lay_out(record) if line is None else line(record)
+    def line(self, seq: int, tick: int, pool: str, kind: str, payload) -> str:
+        """The line of the record with these fields."""
+        return self.block((seq,), (tick,), (pool,), (kind,), (payload,))[0]
 
-    def _lay_out(self, record: "TraceRecord") -> str:
+    def block(self, seqs, ticks, pools, kinds, payloads) -> list[str]:
+        """The lines of the records whose fields are these columns."""
+        lines, lay_out = self._lines, self._lay_out
+        return [lay_out(pool, kind, seq, tick, payload)
+                if (line := lines.get((kind, pool))) is None else line(seq, tick, payload)
+                for seq, tick, pool, kind, payload in zip(seqs, ticks, pools, kinds, payloads)]
+
+    def _lay_out(self, pool: str, kind: str, seq: int, tick: int, payload) -> str:
         """The record's line, after laying its (kind, pool) out from its
         payload's keys, sorted as the encoder sorts them."""
-        kind, pool, payload = record.kind, record.pool, record.payload
         head = f'{{"kind":{_escape(kind)},"payload":'
         tail = f',"pool":{_escape(pool)},"seq":'
         if (payload.__class__ is not dict or len(payload) > _MAX_FIELDS
                 or not all(key.__class__ is str for key in payload)):
-            return f'{head}{canonical_json(payload)}{tail}{record.seq},"tick":{record.tick}}}'
+            return f'{head}{canonical_json(payload)}{tail}{seq},"tick":{tick}}}'
         keys = sorted(payload)
         prefixes = [f'{"," if i else ""}{_escape(key)}:' for i, key in enumerate(keys)]
         line = self._lines[kind, pool] = _line_maker(len(keys))(
-            head + "{", "}" + tail, self._memo, self._remember, self._lay_out, *keys, *prefixes)
-        return line(record)
+            head + "{", "}" + tail, self._memo, self._remember, self._lay_out, pool, kind,
+            *keys, *prefixes)
+        return line(seq, tick, payload)
 
     def _remember(self, value: dict) -> str:
         memo = self._memo
@@ -158,7 +166,7 @@ class TraceRecord:
     payload: dict
 
     def to_line(self) -> str:
-        return _LineWriter().line(self)
+        return _LineWriter().line(self.seq, self.tick, self.pool, self.kind, self.payload)
 
     @classmethod
     def from_line(cls, line: str) -> "TraceRecord":
@@ -172,37 +180,75 @@ class TraceRecord:
         )
 
 
+class _Records(Sequence):
+    """A trace's records, read-only and live: its length grows as the trace
+    is emitted to.  A record is built when it is read, so two reads of one
+    record give equal records, not the same object.  The view holds the
+    trace's columns, not the trace."""
+
+    __slots__ = ("_ticks", "_pools", "_kinds", "_payloads")
+
+    def __init__(self, ticks: list, pools: list, kinds: list, payloads: list):
+        self._ticks, self._pools, self._kinds, self._payloads = ticks, pools, kinds, payloads
+
+    def __len__(self) -> int:
+        return len(self._ticks)
+
+    def __getitem__(self, index):
+        seqs = range(len(self._ticks))[index]  # an index's or a slice's seqs, checked
+        return list(map(self._record, seqs)) if seqs.__class__ is range else self._record(seqs)
+
+    def _record(self, seq: int) -> TraceRecord:
+        return TraceRecord(seq, self._ticks[seq], self._pools[seq], self._kinds[seq],
+                           self._payloads[seq])
+
+    def __iter__(self):
+        return map(TraceRecord, itertools.count(), self._ticks, self._pools, self._kinds,
+                   self._payloads)
+
+
 class Trace:
-    """Ordered record sink; sequence numbers are assigned at emission."""
+    """Ordered record sink, kept as one list per field: a record's ``seq`` is
+    its index, and ``records`` builds a ``TraceRecord`` only when it is read."""
 
     def __init__(self):
-        self.records: list[TraceRecord] = []
-        self._next_seq = 0
+        self._ticks: list[int] = []
+        self._pools: list[str] = []
+        self._kinds: list[str] = []
+        self._payloads: list = []
+        self.records = _Records(self._ticks, self._pools, self._kinds, self._payloads)
 
-    def emit(self, tick: int, pool: str, kind: str, payload: dict) -> TraceRecord:
-        record = TraceRecord(self._next_seq, tick, pool, kind, payload)
-        self._next_seq += 1
-        self.records.append(record)
-        return record
+    def emit(self, tick: int, pool: str, kind: str, payload: dict) -> None:
+        self._ticks.append(tick)
+        self._pools.append(pool)
+        self._kinds.append(kind)
+        self._payloads.append(payload)
 
     def __iter__(self):
         return iter(self.records)
 
     def __len__(self):
-        return len(self.records)
+        return len(self._ticks)
+
+    def _line_blocks(self):
+        """The records' lines, without newlines, in lists of ``_BLOCK``."""
+        block = _LineWriter().block
+        ticks, pools, kinds, payloads = self._ticks, self._pools, self._kinds, self._payloads
+        for start in range(0, len(ticks), _BLOCK):
+            stop = start + _BLOCK
+            yield block(range(start, stop), ticks[start:stop], pools[start:stop],
+                        kinds[start:stop], payloads[start:stop])
 
     def lines(self):
         """Each record's line with its newline, one at a time."""
-        line = _LineWriter().line
-        for record in self.records:
-            yield line(record) + "\n"
+        for block in self._line_blocks():
+            for line in block:
+                yield line + "\n"
 
     def _blocks(self):
         """The trace text in blocks of ``_BLOCK`` lines, each line with its newline."""
-        line = _LineWriter().line
-        records = self.records
-        for start in range(0, len(records), _BLOCK):
-            yield "\n".join(map(line, records[start:start + _BLOCK])) + "\n"
+        for block in self._line_blocks():
+            yield "\n".join(block) + "\n"
 
     def to_text(self) -> str:
         return "".join(self._blocks())
@@ -218,25 +264,32 @@ class Trace:
 
     @classmethod
     def read(cls, path) -> "Trace":
+        """The trace in a file.  Its records' ``seq`` must count 0, 1, 2, ...
+        in file order, as the writer writes them; a record whose ``seq`` is
+        not its index raises ``ValueError`` naming its line."""
         trace = cls()
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
                 if line:
-                    trace.records.append(TraceRecord.from_line(line))
-        if trace.records:
-            trace._next_seq = trace.records[-1].seq + 1
+                    record = TraceRecord.from_line(line)
+                    if record.seq.__class__ is not int or record.seq != len(trace):
+                        raise ValueError(f"{path}: line {number}: seq {record.seq!r} "
+                                         f"is not the record's index {len(trace)}")
+                    trace.emit(record.tick, record.pool, record.kind, record.payload)
         return trace
 
     def find(self, kind: str | None = None, **payload_filters) -> list[TraceRecord]:
         """Records matching a kind and exact payload key/value pairs."""
-        out = []
-        for record in self.records:
-            if kind is not None and record.kind != kind:
-                continue
-            if all(record.payload.get(k) == v for k, v in payload_filters.items()):
-                out.append(record)
-        return out
+        kinds, payloads = self._kinds, self._payloads
+        if kind is None:
+            seqs = range(len(kinds))
+        else:
+            seqs = itertools.compress(itertools.count(),
+                                      map(operator.eq, kinds, itertools.repeat(kind)))
+        record = self.records._record
+        return [record(seq) for seq in seqs
+                if all(payloads[seq].get(k) == v for k, v in payload_filters.items())]
 
 
 def replay_verify(path_a, path_b) -> tuple[bool, str]:

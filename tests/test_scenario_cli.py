@@ -1026,6 +1026,9 @@ def test_trace_serialization_round_trips(tmp_path):
     main(["run", path, "--trace-out", str(out)])
     parsed = Trace.read(str(out))
     assert parsed.to_text() == out.read_text()
+    again = tmp_path / "b.trace"
+    parsed.write(again)
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_record_key_order_is_canonical():
@@ -1058,7 +1061,8 @@ json_values = st.recursive(
 def test_trace_lines_match_json_dumps(payloads, pool, kind):
     trace = Trace()
     for i, payload in enumerate(payloads):
-        record = trace.emit(i * 3, pool, kind, payload)
+        trace.emit(i * 3, pool, kind, payload)
+        record = trace.records[-1]
         assert canonical_json(payload) == oracle_json(payload)
         assert record.to_line() == oracle_json({
             "kind": kind, "payload": payload, "pool": pool, "seq": i, "tick": i * 3,
@@ -1182,9 +1186,9 @@ def test_trace_writer_lays_each_kind_and_pool_out_once(monkeypatch):
     laid_out = []
     lay_out = _LineWriter._lay_out
 
-    def counted(writer, record):
-        laid_out.append((record.kind, record.pool))
-        return lay_out(writer, record)
+    def counted(writer, pool, kind, *fields):
+        laid_out.append((kind, pool))
+        return lay_out(writer, pool, kind, *fields)
 
     monkeypatch.setattr(_LineWriter, "_lay_out", counted)
     trace = Trace()
@@ -1223,7 +1227,7 @@ def test_trace_writer_memo_stays_bounded():
     writer = _LineWriter()
     for seq in range(1000):
         value = {"seq": seq}  # reused within its record, so every record is walked
-        writer.line(TraceRecord(seq, 0, "context", "value_updated", {"a": value, "b": value}))
+        writer.line(seq, 0, "context", "value_updated", {"a": value, "b": value})
         assert len(writer._memo) <= 64
 
 
