@@ -129,7 +129,7 @@ class PendingRequest:
     instance_id: str
     requested: list[str]
     outstanding: set = field(default_factory=set)
-    unavailable: list[str] = field(default_factory=list)
+    unavailable: set = field(default_factory=set)
 
 
 class ContextEngine:
@@ -488,7 +488,8 @@ class ContextEngine:
                 self.sim.trace(self.POOL, "admin_no_source", {
                     "model": model_id, "category": category,
                 })
-                pending.unavailable.append(category)
+                # unavailable even if the extension adds it as an ancestor
+                pending.unavailable.add(category)
                 continue
             extendable.append(category)
         if extendable:
@@ -496,8 +497,7 @@ class ContextEngine:
         g = model.intersection
         for category in requested:
             if category not in g.categories:
-                if category in extendable:
-                    pending.unavailable.append(category)
+                pending.unavailable.add(category)
                 continue
             if category in g.values:
                 continue
@@ -560,7 +560,7 @@ class ContextEngine:
         for pending in self.pending_fetches.pop((model_id, category), []):
             pending.outstanding.discard(category)
             if not available:
-                pending.unavailable.append(category)
+                pending.unavailable.add(category)
             self._try_reply(pending)
 
     def _try_reply(self, pending: PendingRequest):
@@ -573,7 +573,7 @@ class ContextEngine:
         self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
             model, {"values": values, "step": g.step}, correlation=pending.correlation,
             instance=pending.instance_id, phase="reply",
-            missing=sorted(set(pending.unavailable))))
+            missing=sorted(pending.unavailable)))
 
     def _snapshot_payload(self, model: InstanceContextModel, graph: dict,
                           **fields) -> dict:

@@ -87,6 +87,7 @@ class Frame:
 @dataclass
 class Checkpoint:
     gate_id: str
+    variant: str  # the gate's decision, which stands while its checkpoint does
     cursor: list  # list of (nodes, index) pairs, nodes by reference
     exec_len: int
 
@@ -100,7 +101,6 @@ class ProcessInstance:
     cursor: list = field(default_factory=list)
     checkpoints: list = field(default_factory=list)
     executed: list = field(default_factory=list)  # {"task", "started", "finished"}
-    selected_variants: dict = field(default_factory=dict)
     started_tick: int = 0
     epoch: int = 0  # bumped on rollback and at the end; stale task timers are discarded
     comp_children: int = 0
@@ -130,7 +130,8 @@ class ProcessEngine:
 
     def _mirror(self, instance: ProcessInstance, trigger: str):
         for source_id, spec in self.mirrors.get((instance.model_id, trigger), ()):
-            variant = instance.selected_variants.get(spec.gate_id)
+            variant = next((checkpoint.variant for checkpoint in reversed(instance.checkpoints)
+                            if checkpoint.gate_id == spec.gate_id), None)
             if variant is not None:
                 self.mirror_emit(source_id, spec.category_id, variant)
 
@@ -336,10 +337,10 @@ class ProcessEngine:
             return
         instance.checkpoints.append(Checkpoint(
             gate_id=gate_id,
+            variant=variant_id,
             cursor=[(f.nodes, f.index, f.subprocess) for f in instance.cursor],
             exec_len=len(instance.executed),
         ))
-        instance.selected_variants[gate_id] = variant_id
         self.sim.trace(self.POOL, "checkpoint", {
             "instance": instance.instance_id,
             "gate": gate_id,

@@ -728,7 +728,7 @@ def _check_mirrors(doc, scenario, bad):
 
 
 def _bind_rules(scenario, bad):
-    """Action targets must exist in each process model that runs the rule's gate."""
+    """Rule targets exist in each model running the rule's gate; selectVariant names that gate."""
     for model_id, (gates, _) in scenario.runs.items():
         refs = scenario.process_models[model_id].compensation_refs
         for gate in gates.values():
@@ -739,6 +739,9 @@ def _bind_rules(scenario, bad):
                     if target is None:
                         bad("UnknownActionTarget", rule_id,
                             f"gate {action.gate_id!r} not in model {model_id!r}")
+                    elif target is not gate:  # its decision would never be pending
+                        bad("rule-foreign-gate", rule_id, f"selects gate {action.gate_id!r} "
+                            f"from gate {gate.gate_id!r} of model {model_id!r}")
                     elif action.variant_id not in target.variants:
                         bad("UnknownActionTarget", rule_id,
                             f"variant {action.variant_id!r} not in gate "

@@ -2,10 +2,23 @@
 
 One record per line, canonical key order, so that two runs of the same
 scenario with the same seed produce byte-identical files and a trace can
-be diffed as a stream.  A line is written in a fixed layout, by one
-function per record kind and pool compiled from a source that depends on
-the payload's key count alone; its bytes are those of ``canonical_json``
-over the record's five keys.
+be diffed as a stream.  A line is byte for byte ``canonical_json`` over the
+record's five keys, joined by hand in the fixed layout
+``{"kind":K,"payload":P,"pool":O,"seq":N,"tick":T}``.
+
+A writer lays each (kind, pool) out once, from a payload's keys as the
+encoder sorts them, as a line function compiled from a source that depends
+on the key count alone: keys, kind and pool are passed in as values, so no
+document text is compiled.  A line function writes a payload that has the
+laid-out keys and no other, and returns ``None`` for any other; the writer
+then lays the (kind, pool) out again or, for a payload that is not a dict,
+has more than ``_MAX_FIELDS`` keys or has a key that is not a string,
+encodes it whole.  A dict value that several records share (the context
+engine shares each value's payload between models) is encoded once per
+write, through a memo keyed by identity whose entries hold their dicts, so
+no id is reused while its entry exists; records do not change once
+emitted.  A line function holds the memo and nothing that leads back to
+its writer, so reference counting frees a write whole.
 """
 
 from __future__ import annotations
@@ -55,31 +68,29 @@ def _line_source(count: int) -> str:
     The source depends on ``count`` alone: the keys, their ``"key":`` texts
     (``,"key":`` after the first), the text before the payload's first key
     and the text from its closing brace to ``seq`` are ``make``'s arguments.
-    A line function takes a record's seq, tick and payload; it hands a
-    payload that is not a dict of ``count`` keys, or lacks one of them, to
-    ``relay``, with ``rp`` and ``rk`` (the pool and kind laid out) first.
+    A line function takes a record's seq, tick and payload; it returns
+    ``None`` for a payload other than a dict of exactly those keys.
     """
     fields = range(count)
-    params = ["head", "tail", "memo", "remember", "relay", "rp", "rk",
-              *(f"k{i}" for i in fields), *(f"p{i}" for i in fields)]
+    params = ["head", "tail", "memo", *(f"k{i}" for i in fields), *(f"p{i}" for i in fields)]
     source = [
         f"def make({', '.join(params)}):",
         "    def line(seq, tick, payload):",
         f"        if payload.__class__ is not dict or len(payload) != {count}:",
-        "            return relay(rp, rk, seq, tick, payload)",
+        "            return None",
     ]
     if count:
         source += ["        try:",
                    *(f"            v{i} = payload[k{i}]" for i in fields),
                    "        except KeyError:",
-                   "            return relay(rp, rk, seq, tick, payload)"]
+                   "            return None"]
     for i in fields:  # an exact int is left for the f-string, which formats it as repr does
         source += [f"        c = v{i}.__class__",
                    "        if c is str:",
                    f"            v{i} = escape(v{i})",
                    "        elif c is dict:",
                    f"            t = memo.get(id(v{i}))",
-                   f"            v{i} = remember(v{i}) if t is None else t[1]",
+                   f"            v{i} = remember(memo, v{i}) if t is None else t[1]",
                    "        elif c is not int:",
                    f"            v{i} = encode(v{i})"]
     source += [
@@ -90,31 +101,25 @@ def _line_source(count: int) -> str:
     return "\n".join(source) + "\n"
 
 
+def _remember(memo: dict, value: dict) -> str:
+    """``value``'s text, kept in ``memo`` under its id with the value itself."""
+    if len(memo) >= _MEMO_BOUND:
+        memo.clear()
+    text = canonical_json(value)
+    memo[id(value)] = (value, text)
+    return text
+
+
 @functools.cache
 def _line_maker(count: int):
     """``make`` for payloads of ``count`` keys, compiled once per count."""
-    namespace = {"escape": _escape, "encode": canonical_json}
+    namespace = {"escape": _escape, "encode": canonical_json, "remember": _remember}
     exec(compile(_line_source(count), f"<trace line of {count} keys>", "exec"), namespace)
     return namespace["make"]
 
 
 class _LineWriter:
-    """Writes records as lines for one pass over a trace.
-
-    The line is joined in the fixed layout
-    ``{"kind":K,"payload":P,"pool":O,"seq":N,"tick":T}`` by one function per
-    (kind, pool), laid out from a payload's keys in the order the encoder
-    sorts them (``_line_source``).  It writes the payload key by key while
-    a payload has the laid-out keys and no other; another key set lays the
-    (kind, pool) out again, and a payload that is not a dict, has more than
-    ``_MAX_FIELDS`` keys or has a key that is not a string is encoded whole,
-    laying nothing out.  A dict value shared by several records (the context
-    engine shares each value's payload between the models it is written to)
-    is encoded once and its text reused.  The memo is keyed by identity and
-    each entry holds its dict, so an id is not reused while its entry
-    exists.  Records do not change once emitted, so the reused text is the
-    text the dict would encode to again.
-    """
+    """Writes records as lines for one pass over a trace: a line function per (kind, pool)."""
 
     __slots__ = ("_memo", "_lines")
 
@@ -122,15 +127,12 @@ class _LineWriter:
         self._memo: dict[int, tuple[dict, str]] = {}
         self._lines: dict[tuple[str, str], Callable] = {}
 
-    def line(self, seq: int, tick: int, pool: str, kind: str, payload) -> str:
-        """The line of the record with these fields."""
-        return self.block((seq,), (tick,), (pool,), (kind,), (payload,))[0]
-
     def block(self, seqs, ticks, pools, kinds, payloads) -> list[str]:
         """The lines of the records whose fields are these columns."""
         lines, lay_out = self._lines, self._lay_out
-        return [lay_out(pool, kind, seq, tick, payload)
-                if (line := lines.get((kind, pool))) is None else line(seq, tick, payload)
+        # no line is empty: ``or`` lays out what no line function wrote
+        return [(line := lines.get((kind, pool))) is not None and line(seq, tick, payload)
+                or lay_out(pool, kind, seq, tick, payload)
                 for seq, tick, pool, kind, payload in zip(seqs, ticks, pools, kinds, payloads)]
 
     def _lay_out(self, pool: str, kind: str, seq: int, tick: int, payload) -> str:
@@ -144,17 +146,8 @@ class _LineWriter:
         keys = sorted(payload)
         prefixes = [f'{"," if i else ""}{_escape(key)}:' for i, key in enumerate(keys)]
         line = self._lines[kind, pool] = _line_maker(len(keys))(
-            head + "{", "}" + tail, self._memo, self._remember, self._lay_out, pool, kind,
-            *keys, *prefixes)
+            head + "{", "}" + tail, self._memo, *keys, *prefixes)
         return line(seq, tick, payload)
-
-    def _remember(self, value: dict) -> str:
-        memo = self._memo
-        if len(memo) >= _MEMO_BOUND:
-            memo.clear()
-        text = canonical_json(value)
-        memo[id(value)] = (value, text)
-        return text
 
 
 @dataclass(slots=True)
@@ -166,7 +159,8 @@ class TraceRecord:
     payload: dict
 
     def to_line(self) -> str:
-        return _LineWriter().line(self.seq, self.tick, self.pool, self.kind, self.payload)
+        return _LineWriter().block((self.seq,), (self.tick,), (self.pool,), (self.kind,),
+                                   (self.payload,))[0]
 
     @classmethod
     def from_line(cls, line: str) -> "TraceRecord":

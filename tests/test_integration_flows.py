@@ -403,6 +403,26 @@ def test_a_category_its_source_has_no_value_for_yet_is_missing_from_the_reply():
         "category": "late"})
 
 
+def test_a_sourceless_category_stays_missing_when_an_extension_adds_it():
+    # ``fleet`` has no source; the first request's extension adds it as the
+    # parent of ``truckCount``, and that reply still names it missing.  The
+    # same request later finds it in the model and names nothing
+    data = logistics_scenario_data()
+    data["catalog"] += [
+        {"id": "fleet", "kind": "text", "requires_value": False, "parent": "processObject"},
+        {"id": "truckCount", "kind": "numeric", "parent": "fleet"}]
+    erp = next(source for source in data["sources"] if source["id"] == "erp")
+    erp["provides"].append("truckCount")
+    erp["poll"]["truckCount"] = [[0, 3]]
+    data["rules"][1] = data["rules"][1].replace(
+        "WHEN ", 'WHEN fleet == "x" OR truckCount > 2 OR ')
+    _, trace = run(data)
+    assert [r.tick for r in trace.find("admin_no_source", category="fleet")] == [9]
+    assert [added["category"] for added in trace.find("model_extended")[0].payload["added"]] == [
+        "fleet", "truckCount"]
+    assert replies(trace, "p1") == [(12, ["fleet"]), (34, [])]
+
+
 def test_a_derived_category_the_model_lacks_is_never_written():
     # etaToFine derives estimatedSLAFine, which no master holds and no source
     # provides: the value is dropped, the reply lacks it, and Delivery SLA is
@@ -519,3 +539,23 @@ def test_mirror_goes_out_through_the_source_that_declares_it():
                 for event in (r.payload["data"] for r in trace.find("SourceEvent"))
                 if event["category_id"] != "weather"}
     assert mirrored == {("shippingMethod", "bpm"), ("packagingMethod", "wms")}
+
+
+def test_mirror_reports_only_the_decision_that_still_stands():
+    # receive_order completes before the shipping gate and again after a
+    # rollback to the start has undone the gate's decision: neither time is
+    # there a decision to mirror
+    data = logistics_scenario_data()
+    data["sources"][3]["mirrors"].append({"model": "spare_part_delivery", "gate": "shipping",
+                                          "category": "shippingMethod",
+                                          "trigger": "task:receive_order"})
+    data["rules"][2] = data["rules"][2].replace("selectVariant(packaging, eco)",
+                                                "rollback(start)")
+    data["limits"]["max_steps"] = 400
+    _, trace = run(data)
+    assert [(r.tick, r.payload["task"]) for r in trace.find("task_completed")][:2] == [
+        (7, "receive_order"), (16, "receive_order")]
+    assert [(r.tick, r.payload["checkpoints_kept"])
+            for r in trace.find("rollback_applied", target="start")][:1] == [(15, 0)]
+    assert [r.tick for r in trace.find("SourceEvent")
+            if r.payload["data"]["category_id"] == "shippingMethod" and r.tick <= 17] == []

@@ -163,7 +163,7 @@ def test_decision_applies_checkpoint_and_branch():
         "action": {"type": "select_variant", "gate": "g", "variant": "slow"},
     })
     assert [c.gate_id for c in instance.checkpoints] == ["g"]
-    assert instance.selected_variants == {"g": "slow"}
+    assert [c.variant for c in instance.checkpoints] == ["slow"]
     assert sim.records("checkpoint")[-1].payload["variant"] == "slow"
     assert open_task(instance) == "haul"
 

@@ -650,6 +650,8 @@ CROSS_CHECKS = {
     "instance-share-order": edited(late_share),
     "instance-reserved-id": edited(declare_instance("p1.comp1")),
     "UnknownActionTarget": change_rule("selectVariant(shipping, truck)", "rollback(nowhere)"),
+    "rule-foreign-gate": change_rule("selectVariant(packaging, eco)",
+                                     "selectVariant(shipping, truck)"),
     "master-missing-parent": edited(lambda data: data["masters"][0]["categories"].remove(
         "geospatial")),
     "model-no-master": edited(lambda data: model(data, "spare_part_delivery").pop(
@@ -692,6 +694,17 @@ def test_malformed_document_is_a_violation(tmp_path, capsys, change, code):
     assert code in [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     with pytest.raises(ScenarioParseError):
         run_scenario_data(data)
+
+
+def test_a_rule_may_select_a_variant_only_of_each_gate_it_is_attached_to():
+    # Ground Preferred selects a shipping variant: attached to packaging as
+    # well, it is reported there and not at either model's shipping gate
+    data = logistics_scenario_data()
+    model(data, "spare_part_delivery")["nodes"][2]["variants"]["truck"][0]["rules"].append(
+        "Ground Preferred")
+    assert [(v.code, v.subject, v.detail) for v in parse_scenario(data)[1]] == [(
+        "rule-foreign-gate", "Ground Preferred",
+        "selects gate 'shipping' from gate 'packaging' of model 'spare_part_delivery'")]
 
 
 def test_only_a_model_that_instances_start_needs_a_master(tmp_path, capsys):
@@ -1221,13 +1234,31 @@ def test_trace_writer_compiles_one_source_per_key_count(monkeypatch):
     assert not [text for text in texts if text in sources[0][1]]
 
 
+def test_a_line_function_holds_its_memo_and_not_its_writer():
+    # a payload it was not laid out for is refused with None, and the writer
+    # lays the record out itself
+    writer = _LineWriter()
+    trace = Trace()
+    for payload in ({"a": 1}, {"b": 1}, {"a": 1, "b": 2}, [1], {"a": {"c": 2}}):
+        trace.emit(0, "rules", "Decision", payload)
+    rows = zip(*((r.seq, r.tick, r.pool, r.kind, r.payload) for r in trace))
+    assert [line + "\n" for line in writer.block(*rows)] == expected_lines(trace)
+    line = writer._lines["Decision", "rules"]
+    assert [line(0, 0, payload) for payload in ({"b": 1}, {"a": 1, "b": 2}, [1])] == [None] * 3
+    held = [cell.cell_contents for cell in line.__closure__]
+    assert any(value is writer._memo for value in held)
+    assert not [value for value in held
+                if value is writer or getattr(value, "__self__", None) is writer]
+    assert "relay" not in _line_source(1)
+
+
 def test_trace_writer_memo_stays_bounded():
     # every record is alive while its trace is written, so the memo must not
     # keep a text for each of them
     writer = _LineWriter()
     for seq in range(1000):
         value = {"seq": seq}  # reused within its record, so every record is walked
-        writer.line(seq, 0, "context", "value_updated", {"a": value, "b": value})
+        writer.block((seq,), (0,), ("context",), ("value_updated",), ({"a": value, "b": value},))
         assert len(writer._memo) <= 64
 
 

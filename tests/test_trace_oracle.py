@@ -292,10 +292,13 @@ INVALID_VARIANTS = {name for name, data in VARIANTS.items() if parse_scenario(da
 
 def test_the_invalid_logistics_variants_are_the_known_ones():
     # the compensation model's rules cannot start a compensation it does not
-    # declare, and a sharer must start after its target
+    # declare, a packaging rule cannot select a shipping variant, and a
+    # sharer must start after its target
     assert INVALID_VARIANTS == {
         *(f"{name} -> start process.compensation.deliveryVariant"
           for name in ("Ground Preferred", "Minimal Packaging", "Rugged For Air")),
+        *(f"{name} -> selectVariant(shipping, truck)"
+          for name in ("Minimal Packaging", "Rugged For Air")),
         "p2 at 0 sharing",
     }
 

@@ -1,5 +1,6 @@
 """The in-memory trace: one list per field, records built when read."""
 
+import gc
 import tracemalloc
 
 import pytest
@@ -93,3 +94,22 @@ def test_find_is_a_filter_over_the_records():
                     r for r in records if (kind is None or r.kind == kind)
                     and r.payload.get(key) == value], (kind, key)
     assert trace.find("value_updated", category="no_such_category") == []
+
+
+def test_writing_a_trace_leaves_no_cyclic_garbage(tmp_path):
+    # a line function holds its writer's memo and nothing that leads back to
+    # the writer, so reference counting frees each write, memo and all
+    scenario, _ = parse_scenario(logistics_scenario_data())
+    trace = build_simulation(scenario).simulation.run()
+    writes = {"to_line": trace.records[0].to_line, "to_text": trace.to_text,
+              "write": lambda: trace.write(tmp_path / "logistics.trace")}
+    left = {}
+    gc.disable()
+    try:
+        for name, write in writes.items():
+            gc.collect()
+            write()
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == {"to_line": 0, "to_text": 0, "write": 0}
