@@ -65,7 +65,7 @@ def fresh_engine():
                            sources, propagation=relations, model_masters={"delivery": "m"})
     # the Register a run's rules pool forwards for an instance of "delivery"
     engine.handle_register({"instance": "p", "process_model": "delivery", "principal": "op"})
-    return engine, engine.instances[engine.registrations["p"].model_id]
+    return engine, engine.registrations["p"].model
 
 
 engine, model = fresh_engine()

@@ -114,7 +114,7 @@ def catalog_chain(catalog: dict[str, CatalogEntry], category: str) -> list[str]:
 @dataclass
 class Registration:
     instance_id: str
-    model_id: str
+    model: InstanceContextModel
     thresholds: dict[str, NotificationThreshold]
     active: bool = False
     init_rounds: int = 0
@@ -125,11 +125,10 @@ class Registration:
 @dataclass
 class PendingRequest:
     correlation: str
-    model_id: str
+    model: InstanceContextModel
     instance_id: str
     requested: list[str]
     outstanding: set = field(default_factory=set)
-    unavailable: set = field(default_factory=set)
 
 
 class ContextEngine:
@@ -164,8 +163,8 @@ class ContextEngine:
         self.max_config_steps = max_config_steps
         self.instances: dict[str, InstanceContextModel] = {}
         self.registrations: dict[str, Registration] = {}
-        # (model_id, category) -> requests waiting on an administered fetch
-        self.pending_fetches: dict[tuple[str, str], list[PendingRequest]] = {}
+        # model id -> category -> requests waiting on its administered fetch
+        self.pending_fetches: dict[str, dict[str, list[PendingRequest]]] = {}
 
     # -- registration / initialization ---------------------------------------
 
@@ -179,7 +178,7 @@ class ContextEngine:
         copy_from = payload.get("copy_from_instance")
         target = None if share_with is None else self.registrations.get(share_with)
         if target is not None and not target.failed:
-            model = self.instances[target.model_id]
+            model = target.model
             model.bound_instances.append(instance)
             self.sim.trace(self.POOL, "model_shared", {
                 "model": model.model_id,
@@ -195,10 +194,9 @@ class ContextEngine:
                 })
             model_id = f"ctx.{instance}"
             if copy_from is not None:  # the parent: live while it compensates
-                source = self.registrations[copy_from]
-                model = clone_instance_model(self.instances[source.model_id], [instance],
-                                             model_id)
-                origin = {"master": model.master_id, "copy_of": source.model_id}
+                parent = self.registrations[copy_from].model
+                model = clone_instance_model(parent, [instance], model_id)
+                origin = {"master": model.master_id, "copy_of": parent.model_id}
             else:
                 master_id = self.model_masters[process_model]
                 model = instantiate_from_master(self.masters[master_id], [instance],
@@ -206,6 +204,7 @@ class ContextEngine:
                 model.intersection.history_limit = self.propagation.history
                 origin = {"master": master_id}
             self.instances[model_id] = model
+            self.pending_fetches[model_id] = {}
             self.sim.trace(self.POOL, "model_instantiated", {
                 "model": model_id,
                 **origin,
@@ -214,25 +213,21 @@ class ContextEngine:
             })
         self.registrations[instance] = Registration(
             instance_id=instance,
-            model_id=model.model_id,
+            model=model,
             thresholds=self.model_thresholds.get(process_model, {}),
         )
         self._continue_initialization(instance)
 
     def _unvalued_requirements(self, model: InstanceContextModel) -> list[str]:
-        out = []
-        for cat in model.intersection.category_ids():
-            entry = self.catalog.get(cat)
-            required = entry.requires_value if entry else True
-            if required and cat not in model.intersection.values:
-                out.append(cat)
-        return out
+        g = model.intersection
+        return [cat for cat in g.category_ids()
+                if self.catalog[cat].requires_value and cat not in g.values]
 
     def _continue_initialization(self, instance_id: str):
         reg = self.registrations.get(instance_id)
         if reg is None or reg.active or reg.failed:
             return
-        model = self.instances[reg.model_id]
+        model = reg.model
         # the model's registrations still initializing, in binding order: the
         # first polls, and the others end their initialization with it
         bound = [self.registrations[i] for i in model.bound_instances]
@@ -318,32 +313,30 @@ class ContextEngine:
                 ts=item["ts"],
                 source_id=source_id,
                 reliability=item["reliability"],
-                cost=item.get("cost", 0.0),
+                cost=item["cost"],
             )
-            for item in payload.get("values", [])
+            for item in payload["values"]
         ]
-        purpose = payload.get("purpose", "refresh")
+        purpose = payload["purpose"]
         if purpose == "refresh":
             for model in list(self.instances.values()):
                 relevant = [v for v in values if v.category_id in model.intersection.categories]
                 if relevant:
                     self._ingest(model, relevant)
             return
-        model = self.instances.get(payload.get("model", ""))
+        model = self.instances.get(payload["model"])
         if model is None:
             return  # model shut down while the poll was in flight
         self._ingest(model, values)
         if purpose == "init":
-            reg = self.registrations.get(payload.get("instance", ""))
+            reg = self.registrations.get(payload["instance"])
             if reg is not None:
                 reg.init_outstanding.discard(source_id)
                 self._continue_initialization(reg.instance_id)
         elif purpose == "administer":
-            arrived = {v.category_id for v in values}
-            absent = set(payload.get("absent", []))
-            for category in sorted(arrived | absent):
-                self._resolve_fetch(model.model_id, category,
-                                    available=category in arrived)
+            # an administered fetch polls one category: it arrived or is absent
+            for category in [v.category_id for v in values] + payload["absent"]:
+                self._resolve_fetch(model, category)
 
     def handle_timer(self, payload: dict):
         kind = payload.get("kind")
@@ -471,12 +464,11 @@ class ContextEngine:
     def handle_context_request(self, payload: dict):
         instance = payload["instance"]
         # the rules pool asks only while the instance is bound, so registered
-        model_id = self.registrations[instance].model_id
-        model = self.instances[model_id]
+        model = self.registrations[instance].model
         requested = list(payload["categories"])
         pending = PendingRequest(
             correlation=payload["correlation"],
-            model_id=model_id,
+            model=model,
             instance_id=instance,
             requested=requested,
         )
@@ -486,24 +478,20 @@ class ContextEngine:
                 continue
             if category not in self.best_source:
                 self.sim.trace(self.POOL, "admin_no_source", {
-                    "model": model_id, "category": category,
+                    "model": model.model_id, "category": category,
                 })
-                # unavailable even if the extension adds it as an ancestor
-                pending.unavailable.add(category)
                 continue
             extendable.append(category)
         if extendable:
             self._administer_extension(model, extendable)
         g = model.intersection
+        fetches = self.pending_fetches[model.model_id]
         for category in requested:
-            if category not in g.categories:
-                pending.unavailable.add(category)
-                continue
-            if category in g.values:
+            if category in g.values or category not in g.categories:
                 continue
             # a category this request added, or one an earlier request's
             # fetch is still filling: wait for the fetch
-            if category in extendable or (model_id, category) in self.pending_fetches:
+            if category in extendable or category in fetches:
                 pending.outstanding.add(category)
                 self._request_fetch(model, category, pending)
         self._try_reply(pending)
@@ -542,12 +530,12 @@ class ContextEngine:
 
     def _request_fetch(self, model: InstanceContextModel, category: str,
                        pending: PendingRequest):
-        key = (model.model_id, category)
-        if key in self.pending_fetches:
+        fetches = self.pending_fetches[model.model_id]
+        if category in fetches:
             # a fetch is already in flight; requests share it
-            self.pending_fetches[key].append(pending)
+            fetches[category].append(pending)
             return
-        self.pending_fetches[key] = [pending]
+        fetches[category] = [pending]
         source = self.best_source[category]
         self.sim.send(self.POOL, "external", "PollRequest", {
             "source": source,
@@ -556,24 +544,23 @@ class ContextEngine:
             "model": model.model_id,
         })
 
-    def _resolve_fetch(self, model_id: str, category: str, available: bool):
-        for pending in self.pending_fetches.pop((model_id, category), []):
+    def _resolve_fetch(self, model: InstanceContextModel, category: str):
+        for pending in self.pending_fetches[model.model_id].pop(category):
             pending.outstanding.discard(category)
-            if not available:
-                pending.unavailable.add(category)
             self._try_reply(pending)
 
     def _try_reply(self, pending: PendingRequest):
+        """Answer a request from its model as it stands: the requested
+        categories that have a value, and the others as ``missing``."""
         if pending.outstanding:
             return
-        model = self.instances[pending.model_id]
+        model = pending.model
         g = model.intersection
-        values = {c: g.values[c].to_reading() for c in pending.requested
-                  if c in g.values and c not in pending.unavailable}
+        values = {c: g.values[c].to_reading() for c in pending.requested if c in g.values}
         self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
             model, {"values": values, "step": g.step}, correlation=pending.correlation,
             instance=pending.instance_id, phase="reply",
-            missing=sorted(pending.unavailable)))
+            missing=sorted(c for c in pending.requested if c not in values)))
 
     def _snapshot_payload(self, model: InstanceContextModel, graph: dict,
                           **fields) -> dict:
@@ -586,13 +573,12 @@ class ContextEngine:
     def handle_shutdown_model(self, payload: dict):
         # a ShutdownModel follows its instance's Register on one FIFO channel
         instance_id = payload["instance"]
-        model = self.instances[self.registrations.pop(instance_id).model_id]
+        model = self.registrations.pop(instance_id).model
         model.bound_instances.remove(instance_id)
         if not model.bound_instances:
             del self.instances[model.model_id]
             # requests waiting on the model's fetches are never answered
-            for key in [k for k in self.pending_fetches if k[0] == model.model_id]:
-                del self.pending_fetches[key]
+            del self.pending_fetches[model.model_id]
             self.sim.trace(self.POOL, "model_closed", {
                 "model": model.model_id,
                 "end_step": model.intersection.step,

@@ -24,6 +24,9 @@ _TRANSITIONS = {
 
 TERMINAL = ("Completed", "Cancelled")
 
+# a compensation child's id: its parent's id, this, and its number from 1
+COMP_CHILD_SEP = ".comp"
+
 
 @dataclass(frozen=True)
 class StartNode:
@@ -395,7 +398,7 @@ class ProcessEngine:
             "checkpoints_kept": keep,
         })
         self._set_status(instance, "Running")
-        if payload.get("disposition") == "cancel":
+        if payload["disposition"] == "cancel":
             # the shipment moved to a compensation child; this instance ends
             self.complete_or_cancel(instance, "Cancelled")
         else:
@@ -408,7 +411,7 @@ class ProcessEngine:
         prior = parent.status
         self._set_status(parent, "Compensating")
         parent.comp_children += 1
-        child_id = f"{parent.instance_id}.comp{parent.comp_children}"
+        child_id = f"{parent.instance_id}{COMP_CHILD_SEP}{parent.comp_children}"
         self.start_instance(
             child_id, comp_model_id, parent.principal,
             copy_from_instance=parent.instance_id,

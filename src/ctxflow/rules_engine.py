@@ -22,18 +22,19 @@ from .rule_dsl import (
 
 
 @dataclass
+class PendingEval:
+    plan: GatePlan
+    evaluation: str
+
+
+@dataclass
 class Binding:
     instance_id: str
     process_model_id: str
     # gate -> category -> ts of the value its latest evaluation used
     used: dict[str, dict[str, int]] = field(default_factory=dict)
-
-
-@dataclass
-class PendingEval:
-    instance_id: str
-    plan: GatePlan
-    evaluation: str
+    # correlation -> the evaluation waiting on that ContextRequest's reply
+    pending: dict[str, PendingEval] = field(default_factory=dict)
 
 
 @dataclass
@@ -113,7 +114,6 @@ class RulesEngine:
         self.plans = {key: gate_plan(key[1], rules, default)
                       for key, (rules, default) in gates.items()}
         self.bindings: dict[str, Binding] = {}
-        self.pending: dict[str, PendingEval] = {}
         self._correlation = 0
 
     def _next_correlation(self) -> str:
@@ -136,10 +136,9 @@ class RulesEngine:
         self.sim.send(self.POOL, "context", "Register", payload)
 
     def handle_process_terminal(self, payload: dict):
+        # the binding takes its pending evaluations with it
         instance = payload["instance"]
         del self.bindings[instance]
-        for correlation in [c for c, p in self.pending.items() if p.instance_id == instance]:
-            del self.pending[correlation]
         self.sim.trace(self.POOL, "unbound", {"instance": instance})
         self.sim.send(self.POOL, "context", "ShutdownModel", {"instance": instance})
 
@@ -154,7 +153,7 @@ class RulesEngine:
             self._evaluate(binding, plan, evaluation, env={})
             return
         correlation = self._next_correlation()
-        self.pending[correlation] = PendingEval(binding.instance_id, plan, evaluation)
+        binding.pending[correlation] = PendingEval(plan, evaluation)
         self.sim.send(self.POOL, "context", "ContextRequest", {
             "instance": binding.instance_id,
             "categories": plan.categories,
@@ -162,19 +161,18 @@ class RulesEngine:
         })
 
     def handle_context_snapshot(self, payload: dict):
-        if payload.get("phase") == "init":
+        if payload["phase"] == "init":
             self._handle_init_snapshot(payload)
             return
-        correlation = payload.get("correlation")
-        pending = self.pending.pop(correlation, None)
-        if pending is None:
+        correlation = payload["correlation"]
+        binding = self.bindings.get(payload["instance"])
+        if binding is None:  # the instance ended while its request was in flight
             self.sim.trace(self.POOL, "snapshot_dropped", {
-                "correlation": correlation or "",
+                "correlation": correlation,
                 "reason": "no pending evaluation",
             })
             return
-        # an instance's end drops its pending evaluations: the binding is live
-        binding = self.bindings[pending.instance_id]
+        pending = binding.pending.pop(correlation)
         env = _env_from_snapshot(payload)
         self._evaluate(binding, pending.plan, pending.evaluation, env)
 
@@ -261,10 +259,10 @@ class RulesEngine:
             self.sim.trace(self.POOL, "notification_dropped", {
                 "instance": instance,
                 "reason": "instance unbound",
-                "changes": sorted(c["category"] for c in payload.get("changes", [])),
+                "changes": sorted(c["category"] for c in payload["changes"]),
             })
             return
-        changed = {change["category"] for change in payload.get("changes", [])}
+        changed = {change["category"] for change in payload["changes"]}
         hits = [gate for gate, used in binding.used.items() if not changed.isdisjoint(used)]
         self.sim.trace(self.POOL, "re_evaluation_triggered", {
             "instance": instance,
@@ -292,4 +290,4 @@ class RulesEngine:
 
 def _env_from_snapshot(payload: dict) -> dict:
     return {category: (value["payload"], value["ts"])
-            for category, value in payload.get("graph", {}).get("values", {}).items()}
+            for category, value in payload["graph"]["values"].items()}

@@ -666,8 +666,8 @@ def _parse_thresholds(doc, scenario, bad):
                 bad("threshold-invalid", category, str(err))
 
 
-# the id a compensation child gets: its parent's id, ".comp", its number from 1
-_COMP_CHILD = re.compile(r"(.+)\.comp[1-9][0-9]*")
+# the id a compensation child gets; group 1 is its parent's id
+_COMP_CHILD = re.compile(rf"(.+){re.escape(process_engine.COMP_CHILD_SEP)}[1-9][0-9]*")
 
 
 def _check_instances(doc, scenario, bad):
@@ -680,7 +680,7 @@ def _check_instances(doc, scenario, bad):
             if instance_id in seen:
                 bad("instance-duplicate", instance_id, "duplicate instance id")
             seen.add(instance_id)
-    for instance_id in [key for key in starts if ".comp" in key]:
+    for instance_id in [key for key in starts if process_engine.COMP_CHILD_SEP in key]:
         head = instance_id
         while match := _COMP_CHILD.fullmatch(head):
             head = match[1]

@@ -162,7 +162,7 @@ class ExternalSystems:
         source = self.sources[payload["source"]]
         reply = respond_poll(source, payload["categories"], self.sim.now,
                              self.mirror_state[source.source_id])
-        reply["purpose"] = payload.get("purpose", "refresh")
+        reply["purpose"] = payload["purpose"]
         for key in ("instance", "model"):
             if key in payload:
                 reply[key] = payload[key]

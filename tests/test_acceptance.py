@@ -244,7 +244,7 @@ def acceptance_engine(sim, thresholds=None):
 def register(engine, instance):
     """Register ``instance`` of process model "flow" as a run does; returns its model."""
     engine.handle_register({"instance": instance, "process_model": "flow", "principal": "op"})
-    return engine.instances[engine.registrations[instance].model_id]
+    return engine.registrations[instance].model
 
 
 def test_criterion_4_propagation_order_independence():

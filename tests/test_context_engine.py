@@ -209,7 +209,7 @@ def register_active(engine, instance="p1"):
     register(engine, instance)
     engine.registrations[instance].active = True
     engine.sim.sent.clear()
-    return engine.instances[engine.registrations[instance].model_id]
+    return engine.registrations[instance].model
 
 
 def push(engine, sim, category, payload, ts, source="certified"):
@@ -542,15 +542,19 @@ def test_apply_value_keeps_the_winner_and_the_changes(n_streams, writes, batch):
 # --- one propagation per message ---------------------------------------------------
 
 
-def poll(engine, sim, category, payload, ts, model=None):
+def poll(engine, sim, category, payload, ts, model=None, purpose="init"):
     """One PollResponse from the certified source: a refresh reaches every
-    model that holds the category, an administered fetch only ``model``."""
+    model that holds the category, the answer to an init poll or to an
+    administered fetch only ``model``."""
     sim.tick = max(sim.tick, ts)
     message = {"source": "certified", "purpose": "refresh", "values": [
-        {"category_id": category, "payload": payload, "ts": ts, "reliability": 0.9},
-    ]}
+        {"category_id": category, "payload": payload, "ts": ts, "reliability": 0.9,
+         "cost": 0.0},
+    ], "absent": []}
     if model is not None:
-        message.update(purpose="administer", model=model.model_id)
+        message.update(purpose=purpose, model=model.model_id)
+        if purpose == "init":
+            message["instance"] = model.bound_instances[0]
     engine.handle_poll_response(message)
 
 
@@ -724,7 +728,7 @@ def test_context_request_administers_missing_category():
     engine.handle_poll_response({
         "source": "certified", "purpose": "administer", "model": model.model_id,
         "values": [{"category_id": "z", "payload": 7, "ts": sim.now,
-                    "reliability": 0.9}],
+                    "reliability": 0.9, "cost": 0.0}],
         "absent": [],
     })
     snapshots = [p for (_, _, k, p) in sim.sent if k == "ContextSnapshot"]
@@ -746,13 +750,30 @@ def test_concurrent_requests_extend_once():
     engine.handle_poll_response({
         "source": "certified", "purpose": "administer", "model": model.model_id,
         "values": [{"category_id": "z", "payload": 7, "ts": sim.now,
-                    "reliability": 0.9}],
+                    "reliability": 0.9, "cost": 0.0}],
         "absent": [],
     })
     snapshots = [p for (_, _, k, p) in sim.sent if k == "ContextSnapshot"]
     # q2 finds z in the model but still unvalued and joins q1's fetch
     assert [s["correlation"] for s in snapshots] == ["q1", "q2"]
     assert [s["graph"]["values"]["z"]["payload"] for s in snapshots] == [7, 7]
+
+
+def test_reply_reads_a_value_pushed_while_its_fetch_was_in_flight():
+    # the fetch finds z absent at its source, but a push filled z meanwhile:
+    # the reply reads the model as it stands when it is sent
+    sim = FakeSim()
+    engine = make_engine(sim)
+    model = register_active(engine)
+    assert request(engine, sim, model, ["z"], "q1") is None
+    push(engine, sim, "z", 7, 3)
+    engine.handle_poll_response({
+        "source": "certified", "purpose": "administer", "model": model.model_id,
+        "values": [], "absent": ["z"],
+    })
+    reply = sim.sent[-1][3]
+    assert (reply["correlation"], reply["graph"]["values"], reply["missing"]) == (
+        "q1", {"z": {"payload": 7, "ts": 3}}, [])
 
 
 def test_closing_model_drops_its_in_flight_fetches():
@@ -762,7 +783,7 @@ def test_closing_model_drops_its_in_flight_fetches():
     engine.handle_context_request({
         "instance": "p1", "categories": ["z"], "correlation": "q1",
     })
-    assert list(engine.pending_fetches) == [(model.model_id, "z")]
+    assert {m: list(f) for m, f in engine.pending_fetches.items()} == {model.model_id: ["z"]}
     engine.handle_shutdown_model({"instance": "p1"})
     assert sim.records("model_closed")
     assert engine.pending_fetches == {}
@@ -770,7 +791,7 @@ def test_closing_model_drops_its_in_flight_fetches():
     engine.handle_poll_response({
         "source": "certified", "purpose": "administer", "model": model.model_id,
         "values": [{"category_id": "z", "payload": 7, "ts": sim.now,
-                    "reliability": 0.9}],
+                    "reliability": 0.9, "cost": 0.0}],
         "absent": [],
     })
     assert sim.sent == []
@@ -972,7 +993,7 @@ def test_every_snapshot_matches_the_uncached_subgraph(seed):
             # administered: extend by z, then answer the fetch
             assert request(engine, sim, model, ["z"], f"c{step}") is None
             sim.tick = ts
-            poll(engine, sim, "z", ts, ts, model=model)
+            poll(engine, sim, "z", ts, ts, model=model, purpose="administer")
             reply = sim.sent[-1][3]
             categories = ["z"]
         else:

@@ -403,10 +403,9 @@ def test_a_category_its_source_has_no_value_for_yet_is_missing_from_the_reply():
         "category": "late"})
 
 
-def test_a_sourceless_category_stays_missing_when_an_extension_adds_it():
-    # ``fleet`` has no source; the first request's extension adds it as the
-    # parent of ``truckCount``, and that reply still names it missing.  The
-    # same request later finds it in the model and names nothing
+def fleet_scenario():
+    """Logistics whose Ground Preferred also reads ``fleet``, which no source
+    provides, and ``truckCount`` (erp), a child of ``fleet``."""
     data = logistics_scenario_data()
     data["catalog"] += [
         {"id": "fleet", "kind": "text", "requires_value": False, "parent": "processObject"},
@@ -416,11 +415,19 @@ def test_a_sourceless_category_stays_missing_when_an_extension_adds_it():
     erp["poll"]["truckCount"] = [[0, 3]]
     data["rules"][1] = data["rules"][1].replace(
         "WHEN ", 'WHEN fleet == "x" OR truckCount > 2 OR ')
-    _, trace = run(data)
+    return data
+
+
+def test_a_sourceless_category_stays_missing_when_an_extension_adds_it():
+    # the first request's extension adds ``fleet`` as the parent of
+    # ``truckCount``, and that reply still names it missing.  The same
+    # request later finds it in the model, still without a value, and names
+    # it missing again
+    _, trace = run(fleet_scenario())
     assert [r.tick for r in trace.find("admin_no_source", category="fleet")] == [9]
     assert [added["category"] for added in trace.find("model_extended")[0].payload["added"]] == [
         "fleet", "truckCount"]
-    assert replies(trace, "p1") == [(12, ["fleet"]), (34, [])]
+    assert replies(trace, "p1") == [(12, ["fleet"]), (34, ["fleet"])]
 
 
 def test_a_derived_category_the_model_lacks_is_never_written():

@@ -207,9 +207,10 @@ def bind(engine, sim, instance="p1"):
     sim.sent.clear()
 
 
-def snapshot_payload(correlation, **values):
+def snapshot_payload(correlation, instance="p1", **values):
     return {
         "phase": "reply", "correlation": correlation, "status": "ok",
+        "instance": instance,
         "graph": {"values": {
             name: {"payload": payload, "ts": 0, "value_id": f"{name}@s",
                    "category_id": name, "source_id": "s", "reliability": 1.0}
@@ -269,7 +270,7 @@ def evaluate_once(engine, sim, instance="p1", eta=40):
     correlation = [p for (_, _, k, p) in sim.sent
                    if k == "ContextRequest"][-1]["correlation"]
     engine.handle_context_snapshot(snapshot_payload(
-        correlation,
+        correlation, instance,
         executionTimeConstraint=72, estimatedDeliveryTime=eta,
         maxSLAFineAmount=25000, estimatedSLAFine=500 * eta - 20000,
     ))
@@ -502,8 +503,9 @@ def test_terminal_instance_drops_its_evaluation_in_flight():
     engine.handle_rule_eval_request({"instance": "p1", "gate": "shipping"})
     correlation = [p for (_, _, k, p) in sim.sent
                    if k == "ContextRequest"][-1]["correlation"]
+    assert list(engine.bindings["p1"].pending) == [correlation]
     engine.handle_process_terminal({"instance": "p1"})
-    assert engine.pending == {}
+    assert "p1" not in engine.bindings  # and its pending evaluation with it
     sim.sent.clear()
     engine.handle_context_snapshot(snapshot_payload(correlation, estimatedDeliveryTime=40))
     assert sim.sent == []

@@ -13,7 +13,7 @@ import pytest
 from ctxflow.scenario import build_simulation, parse_scenario
 
 from .conftest import logistics_scenario_data
-from .test_integration_flows import handover_scenario, shared_scenario
+from .test_integration_flows import fleet_scenario, handover_scenario, shared_scenario
 from .test_trace_digests import SCENARIOS
 from .trace_oracle import check
 
@@ -205,6 +205,28 @@ def test_evaluation_without_its_reply_is_caught():
     assert records[evaluated - 1]["kind"] == "ContextSnapshot"
     del records[evaluated - 1]
     assert invariants(renumbered(records)) == {"used"}
+
+
+def test_oracle_passes_on_a_sourceless_category_the_model_holds():
+    # ``fleet`` is in p1's model from the first request on and never has a
+    # value, so every reply to Ground Preferred's request names it missing
+    assert check(trace_records(fleet_scenario())) == []
+
+
+def test_reply_missing_a_category_it_carries_is_caught():
+    records = logistics()
+    reply = next(r["payload"]["data"] for r in records if r["kind"] == "ContextSnapshot"
+                 and r["payload"]["data"].get("correlation") == "q2")
+    assert list(reply["graph"]["values"]) == ["minPackaging"] and reply["missing"] == []
+    reply["missing"] = ["minPackaging"]
+    assert invariants(records) == {"reply"}
+
+
+def test_reply_carrying_a_category_its_request_did_not_name_is_caught():
+    records = logistics()
+    request = records[first(records, "ContextRequest")]
+    request["payload"]["data"]["categories"] = request["payload"]["data"]["categories"][1:]
+    assert invariants(records) == {"reply"}
 
 
 def test_sharer_bound_to_another_model_is_caught():

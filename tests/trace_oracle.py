@@ -26,6 +26,10 @@ invariant it breaks:
   evaluated, with ``used`` empty, while its own ``RuleEvalRequest`` is
   handled (after a ``seq`` gap the last message is unknown, and the check
   waits for the next one);
+- ``reply``: a reply ``ContextSnapshot`` carries values only for
+  categories its ``ContextRequest`` (same ``correlation``) named, and its
+  ``missing`` is exactly the named categories it carries no value for,
+  sorted (a reply whose request is not in the trace is not checked);
 - ``model``: a context model's categories only grow, its records name
   only categories it holds, and after ``model_closed`` no context record
   names it;
@@ -80,6 +84,7 @@ def check(records) -> list[str]:
     bound: dict[str, str] = {}  # registered instance -> its context model
     failed: set[str] = set()  # instances whose initialization timed out
     expecting: dict[str, list] = {}  # instance -> the (kind, fields) binding records due
+    asked: dict[str, list] = {}  # correlation -> the categories its ContextRequest named
 
     for record in records:
         kind, payload, pool = record["kind"], record["payload"], record["pool"]
@@ -114,8 +119,12 @@ def check(records) -> list[str]:
                     requested.pop(instance, {}), bound, failed)
             elif kind == "ShutdownModel":
                 bound.pop(payload["data"]["instance"], None)
+            elif kind == "ContextRequest":
+                asked[payload["data"]["correlation"]] = payload["data"]["categories"]
             elif kind in ("ContextSnapshot", "ContextNotification"):
                 _check_bound_model(payload["data"], where, bound, violations)
+                if payload["data"].get("phase") == "reply":
+                    _check_reply(payload["data"], where, asked, violations)
             if kind in GATE_MESSAGES:
                 _check_gate_message(kind, payload, where, evaluated_gates,
                                     evaluated_rules, violations)
@@ -178,6 +187,21 @@ def _check_used(payload, where, delivered, violations):
     if payload["used"] != read:
         violations.append(f"used: {where} for {instance!r} used {payload['used']}, "
                           f"not the {read} of its reply")
+
+
+def _check_reply(data, where, asked, violations):
+    named = asked.pop(data["correlation"], None)
+    if named is None:
+        return
+    values = data["graph"]["values"]
+    unasked = sorted(set(values) - set(named))
+    if unasked:
+        violations.append(f"reply: {where} carries values for {unasked}, which its "
+                          f"request {data['correlation']!r} did not name")
+    unvalued = sorted(set(named) - set(values))
+    if data["missing"] != unvalued:
+        violations.append(f"reply: {where} names {data['missing']} missing, not the "
+                          f"{unvalued} its request named and it carries no value for")
 
 
 def _check_model_record(kind, payload, where, live, closed, streams, violations):
