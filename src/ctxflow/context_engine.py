@@ -125,10 +125,8 @@ class Registration:
 @dataclass
 class PendingRequest:
     correlation: str
-    model: InstanceContextModel
     instance_id: str
     requested: list[str]
-    outstanding: set = field(default_factory=set)
 
 
 class ContextEngine:
@@ -163,8 +161,9 @@ class ContextEngine:
         self.max_config_steps = max_config_steps
         self.instances: dict[str, InstanceContextModel] = {}
         self.registrations: dict[str, Registration] = {}
-        # model id -> category -> requests waiting on its administered fetch
-        self.pending_fetches: dict[str, dict[str, list[PendingRequest]]] = {}
+        # model id -> (the categories whose administered fetch is in flight,
+        # the model's unanswered requests, oldest first)
+        self.pending_fetches: dict[str, tuple[set[str], list[PendingRequest]]] = {}
 
     # -- registration / initialization ---------------------------------------
 
@@ -204,7 +203,7 @@ class ContextEngine:
                 model.intersection.history_limit = self.propagation.history
                 origin = {"master": master_id}
             self.instances[model_id] = model
-            self.pending_fetches[model_id] = {}
+            self.pending_fetches[model_id] = (set(), [])
             self.sim.trace(self.POOL, "model_instantiated", {
                 "model": model_id,
                 **origin,
@@ -334,9 +333,9 @@ class ContextEngine:
                 reg.init_outstanding.discard(source_id)
                 self._continue_initialization(reg.instance_id)
         elif purpose == "administer":
-            # an administered fetch polls one category: it arrived or is absent
-            for category in [v.category_id for v in values] + payload["absent"]:
-                self._resolve_fetch(model, category)
+            fetching, _ = self.pending_fetches[model.model_id]
+            fetching.difference_update([v.category_id for v in values] + payload["absent"])
+            self._reply_ready(model)
 
     def handle_timer(self, payload: dict):
         kind = payload.get("kind")
@@ -466,12 +465,6 @@ class ContextEngine:
         # the rules pool asks only while the instance is bound, so registered
         model = self.registrations[instance].model
         requested = list(payload["categories"])
-        pending = PendingRequest(
-            correlation=payload["correlation"],
-            model=model,
-            instance_id=instance,
-            requested=requested,
-        )
         extendable = []
         for category in requested:  # catalogued, each once
             if category in model.intersection.categories:
@@ -482,22 +475,23 @@ class ContextEngine:
                 })
                 continue
             extendable.append(category)
+        fetching, waiting = self.pending_fetches[model.model_id]
         if extendable:
-            self._administer_extension(model, extendable)
-        g = model.intersection
-        fetches = self.pending_fetches[model.model_id]
-        for category in requested:
-            if category in g.values or category not in g.categories:
-                continue
-            # a category this request added, or one an earlier request's
-            # fetch is still filling: wait for the fetch
-            if category in extendable or category in fetches:
-                pending.outstanding.add(category)
-                self._request_fetch(model, category, pending)
-        self._try_reply(pending)
+            added = self._administer_extension(model, extendable)
+            for category in extendable:  # in the request's order, not added's
+                if category in added:
+                    fetching.add(category)
+                    self.sim.send(self.POOL, "external", "PollRequest", {
+                        "source": self.best_source[category],
+                        "categories": [category],
+                        "purpose": "administer",
+                        "model": model.model_id,
+                    })
+        waiting.append(PendingRequest(payload["correlation"], instance, requested))
+        self._reply_ready(model)
 
     def _administer_extension(self, model: InstanceContextModel,
-                              categories: list[str]) -> list[str]:
+                              categories: list[str]) -> set[str]:
         """Extend a model with catalogued categories it lacks; one step per call."""
         additions = Additions()
         queued: set[str] = set()
@@ -520,47 +514,31 @@ class ContextEngine:
                 "error": type(err).__name__,
                 "detail": str(err),
             })
-            return []
+            return set()
         self.sim.trace(self.POOL, "model_extended", {
             "model": model.model_id,
             "step": model.intersection.step,
             "added": [{"category": cat, "level": level} for cat, level in added],
         })
-        return [cat for cat, _ in added]
+        return {cat for cat, _ in added}
 
-    def _request_fetch(self, model: InstanceContextModel, category: str,
-                       pending: PendingRequest):
-        fetches = self.pending_fetches[model.model_id]
-        if category in fetches:
-            # a fetch is already in flight; requests share it
-            fetches[category].append(pending)
-            return
-        fetches[category] = [pending]
-        source = self.best_source[category]
-        self.sim.send(self.POOL, "external", "PollRequest", {
-            "source": source,
-            "categories": [category],
-            "purpose": "administer",
-            "model": model.model_id,
-        })
-
-    def _resolve_fetch(self, model: InstanceContextModel, category: str):
-        for pending in self.pending_fetches[model.model_id].pop(category):
-            pending.outstanding.discard(category)
-            self._try_reply(pending)
-
-    def _try_reply(self, pending: PendingRequest):
-        """Answer a request from its model as it stands: the requested
-        categories that have a value, and the others as ``missing``."""
-        if pending.outstanding:
-            return
-        model = pending.model
+    def _reply_ready(self, model: InstanceContextModel):
+        """Answer, oldest first, each waiting request whose every named category
+        holds a value or has no fetch in flight, from the model as it stands:
+        the requested categories that have a value, and the others as ``missing``."""
+        fetching, waiting = self.pending_fetches[model.model_id]
         g = model.intersection
-        values = {c: g.values[c].to_reading() for c in pending.requested if c in g.values}
-        self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
-            model, {"values": values, "step": g.step}, correlation=pending.correlation,
-            instance=pending.instance_id, phase="reply",
-            missing=sorted(c for c in pending.requested if c not in values)))
+        still_waiting = []
+        for pending in waiting:
+            if any(c in fetching and c not in g.values for c in pending.requested):
+                still_waiting.append(pending)
+                continue
+            values = {c: g.values[c].to_reading() for c in pending.requested if c in g.values}
+            self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
+                model, {"values": values, "step": g.step}, correlation=pending.correlation,
+                instance=pending.instance_id, phase="reply",
+                missing=sorted(c for c in pending.requested if c not in values)))
+        waiting[:] = still_waiting
 
     def _snapshot_payload(self, model: InstanceContextModel, graph: dict,
                           **fields) -> dict:

@@ -776,6 +776,41 @@ def test_reply_reads_a_value_pushed_while_its_fetch_was_in_flight():
         "q1", {"z": {"payload": 7, "ts": 3}}, [])
 
 
+def test_a_waiting_request_is_answered_once_its_categories_hold_values():
+    # a push fills z while its fetch is in flight: q1 is answered at the
+    # model's next request, before that request's own reply
+    sim = FakeSim()
+    engine = make_engine(sim)
+    model = register_active(engine)
+    assert request(engine, sim, model, ["z"], "q1") is None
+    push(engine, sim, "z", 7, 3)
+    start = len(sim.sent)
+    request(engine, sim, model, ["x"], "q2")
+    replies = [(p["correlation"], p["graph"]["values"], p["missing"])
+               for (_, _, k, p) in sim.sent[start:] if k == "ContextSnapshot"]
+    assert replies[0] == ("q1", {"z": {"payload": 7, "ts": 3}}, [])
+    assert [correlation for correlation, _, _ in replies] == ["q1", "q2"]
+
+
+def test_administered_fetches_follow_the_request_order():
+    # the extension adds region before temp, as the catalog nests them; the
+    # fetches go out as the request names them, temp first
+    sim = FakeSim()
+    engine = make_engine(sim, more_sources=[SourceDescriptor(
+        "station", "push", 0.9, provided_categories=("region", "temp"))])
+    engine.catalog.update({
+        "region": CatalogEntry(ContextCategory("region", "region"), parent="root"),
+        "temp": CatalogEntry(ContextCategory("temp", "temp", "numeric"), parent="region"),
+    })
+    model = register_active(engine)
+    assert request(engine, sim, model, ["temp", "region"], "q1") is None
+    [extended] = sim.records("model_extended")
+    assert [added["category"] for added in extended.payload["added"]] == ["region", "temp"]
+    assert [(p["purpose"], p["source"], p["categories"])
+            for (_, _, k, p) in sim.sent if k == "PollRequest"] == [
+        ("administer", "station", ["temp"]), ("administer", "station", ["region"])]
+
+
 def test_closing_model_drops_its_in_flight_fetches():
     sim = FakeSim()
     engine = make_engine(sim)
@@ -783,7 +818,10 @@ def test_closing_model_drops_its_in_flight_fetches():
     engine.handle_context_request({
         "instance": "p1", "categories": ["z"], "correlation": "q1",
     })
-    assert {m: list(f) for m, f in engine.pending_fetches.items()} == {model.model_id: ["z"]}
+    # z's fetch is in flight and q1 waits on it
+    assert {m: (fetching, [p.correlation for p in waiting])
+            for m, (fetching, waiting) in engine.pending_fetches.items()} == {
+        model.model_id: ({"z"}, ["q1"])}
     engine.handle_shutdown_model({"instance": "p1"})
     assert sim.records("model_closed")
     assert engine.pending_fetches == {}

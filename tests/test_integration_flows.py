@@ -430,6 +430,29 @@ def test_a_sourceless_category_stays_missing_when_an_extension_adds_it():
     assert replies(trace, "p1") == [(12, ["fleet"]), (34, ["fleet"])]
 
 
+def shared_fetch_scenario():
+    """``fleet_scenario()`` plus ``p2``, which shares p1's model from tick 1:
+    p2's request finds p1's administered ``truckCount`` fetch in flight."""
+    data = fleet_scenario()
+    data["instances"].append({**data["instances"][0], "id": "p2", "start_tick": 1,
+                              "share_with": "p1"})
+    return data
+
+
+@pytest.mark.parametrize("jitter", range(4))
+@pytest.mark.parametrize("latency", range(1, 5))
+def test_a_request_waits_on_the_fetch_another_instance_started(latency, jitter):
+    # one fetch of truckCount serves both instances' first requests
+    data = shared_fetch_scenario()
+    data["latency"] = {**data["latency"], "default": latency, "jitter": jitter}
+    _, trace = run(data)
+    assert [r.payload["data"]["categories"] for r in trace.find("PollRequest")
+            if r.payload["data"]["purpose"] == "administer"] == [["truckCount"]]
+    assert [replies(trace, instance)[0][1] for instance in ("p1", "p2")] == [
+        ["fleet"], ["fleet"]]
+    assert oracle_violations(trace) == []
+
+
 def test_a_derived_category_the_model_lacks_is_never_written():
     # etaToFine derives estimatedSLAFine, which no master holds and no source
     # provides: the value is dropped, the reply lacks it, and Delivery SLA is

@@ -18,7 +18,11 @@ from ctxflow.scenario import build_simulation, parse_scenario
 
 from .conftest import logistics_scenario_data
 from .scenario_gen import random_scenario
-from .test_integration_flows import shared_scenario, shared_thunderstorm_scenario
+from .test_integration_flows import (
+    shared_fetch_scenario,
+    shared_scenario,
+    shared_thunderstorm_scenario,
+)
 
 PINNED = json.loads((Path(__file__).parent / "trace_digests.json").read_text())
 
@@ -180,6 +184,7 @@ SCENARIOS = {
     },
     "ladder-n100": lambda: ladder_rung(100),
     "engine-paths": engine_paths_scenario,
+    "shared-fetch": shared_fetch_scenario,
 }
 
 
