@@ -8,7 +8,7 @@ context state is the same.
 
 import itertools
 
-from ctxflow.context_engine import CatalogEntry, ContextEngine
+from ctxflow.context_engine import CatalogEntry, ContextEngine, catalog_additions
 from ctxflow.model import ContextCategory, ContextIntersection, MasterContextModel
 from ctxflow.propagation import CauseEffectRelation
 from ctxflow.sources import SourceDescriptor
@@ -42,10 +42,7 @@ def fresh_engine():
         "fine": CatalogEntry(ContextCategory("fine", "fine", "numeric"), parent="root"),
     }
     g = ContextIntersection()
-    for cid in catalog:
-        g.add_category(catalog[cid].category, 1 if cid == "root" else 2)
-        if cid != "root":
-            g.add_edge("root", cid)
+    g.add_all(catalog_additions(catalog, catalog))
     relations = [
         CauseEffectRelation("weatherToEta", "weather", "eta", {
             "type": "lookup",

@@ -111,6 +111,18 @@ def catalog_chain(catalog: dict[str, CatalogEntry], category: str) -> list[str]:
     return chain
 
 
+def catalog_additions(catalog: dict[str, CatalogEntry], categories) -> Additions:
+    """The additions placing each category, in the given order, at its level,
+    with the edge from its parent."""
+    additions = Additions()
+    for category in categories:
+        entry = catalog[category]
+        additions.categories.append((entry.category, len(catalog_chain(catalog, category))))
+        if entry.parent is not None:
+            additions.edges.append((entry.parent, category))
+    return additions
+
+
 @dataclass
 class Registration:
     instance_id: str
@@ -338,10 +350,9 @@ class ContextEngine:
             self._reply_ready(model)
 
     def handle_timer(self, payload: dict):
-        kind = payload.get("kind")
-        if kind == "init_round":
+        if payload["kind"] == "init_round":
             self._continue_initialization(payload["instance"])
-        elif kind == "poll":
+        else:  # "poll": a poll source's refresh
             self._scheduled_poll(payload["source"])
 
     def schedule_polls(self):
@@ -493,18 +504,11 @@ class ContextEngine:
     def _administer_extension(self, model: InstanceContextModel,
                               categories: list[str]) -> set[str]:
         """Extend a model with catalogued categories it lacks; one step per call."""
-        additions = Additions()
-        queued: set[str] = set()
-        for category in categories:
-            chain = catalog_chain(self.catalog, category)
-            for level, ancestor in enumerate(chain, start=1):
-                if ancestor in model.intersection.categories or ancestor in queued:
-                    continue
-                queued.add(ancestor)
-                anc_entry = self.catalog[ancestor]
-                additions.categories.append((anc_entry.category, level))
-                if anc_entry.parent is not None:
-                    additions.edges.append((anc_entry.parent, ancestor))
+        # each missing ancestor once, ancestors before their descendants
+        additions = catalog_additions(self.catalog, dict.fromkeys(
+            ancestor for category in categories
+            for ancestor in catalog_chain(self.catalog, category)
+            if ancestor not in model.intersection.categories))
         try:
             added = model.apply_extension(additions, k=self.max_config_steps)
         except StepBudgetExceeded as err:  # levels and edges follow the catalog

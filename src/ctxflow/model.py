@@ -221,6 +221,13 @@ class ContextIntersection:
             )
         self.edges.append((from_category, to_category))
 
+    def add_all(self, additions: Additions):
+        """Insert an extension's categories, then its edges."""
+        for category, level in additions.categories:
+            self.add_category(category, level)
+        for from_cat, to_cat in additions.edges:
+            self.add_edge(from_cat, to_cat)
+
     def level_of(self, category_id: str) -> int:
         for i, level in enumerate(self.levels):
             if category_id in level:
@@ -331,10 +338,7 @@ def extend(g: ContextIntersection, additions: Additions,
         )
     result = g.clone()
     result.step = new_step
-    for category, level in additions.categories:
-        result.add_category(category, level)
-    for from_cat, to_cat in additions.edges:
-        result.add_edge(from_cat, to_cat)
+    result.add_all(additions)
     report = validate_intersection(result)
     if not report.ok:
         raise LevelViolation(f"extension breaks structure: {report.violations[0].detail}")

@@ -79,19 +79,10 @@ def walk_nodes(nodes) -> list:
 
 
 @dataclass
-class Frame:
-    nodes: list
-    index: int = 0
-    # end nodes inside an inlined sub-process pop the frame; end nodes in
-    # gate branches (or at the top level) complete the whole instance
-    subprocess: bool = False
-
-
-@dataclass
 class Checkpoint:
     gate_id: str
     variant: str  # the gate's decision, which stands while its checkpoint does
-    cursor: list  # list of (nodes, index) pairs, nodes by reference
+    cursor: tuple  # the instance's cursor at the gate
     exec_len: int
 
 
@@ -100,8 +91,10 @@ class ProcessInstance:
     instance_id: str
     model_id: str
     principal: str
+    # (nodes, index) pairs, nodes by reference, innermost last; a frame
+    # advances by replacing its pair, so a checkpoint keeps the pairs as they are
+    cursor: list
     status: str = "Initializing"
-    cursor: list = field(default_factory=list)
     checkpoints: list = field(default_factory=list)
     executed: list = field(default_factory=list)  # {"task", "started", "finished"}
     started_tick: int = 0
@@ -122,6 +115,12 @@ class ProcessEngine:
         # or when the task completes
         self.mirrors: dict[tuple[str, str], list] = {}
         self.mirror_emit = mirror_emit or (lambda source, category, payload: None)
+        # model_id -> the nodes its subprocess node runs inline: those before
+        # its first top-level end, so running off them returns to the caller
+        self.inlined = {
+            model_id: model.nodes[:next((i for i, node in enumerate(model.nodes)
+                                         if isinstance(node, EndNode)), None)]
+            for model_id, model in models.items()}
         self.instances: dict[str, ProcessInstance] = {}
         self.pending_starts = 0
 
@@ -171,8 +170,8 @@ class ProcessEngine:
             model_id=model_id,
             principal=principal,
             started_tick=self.sim.now,
+            cursor=[(self.models[model_id].nodes, 0)],
         )
-        instance.cursor = [Frame(self.models[model_id].nodes, 0)]
         self.instances[instance_id] = instance
         payload = {
             "instance": instance_id,
@@ -225,17 +224,16 @@ class ProcessEngine:
         """Advance until blocked on a task timer, a gate, or termination."""
         while instance.status == "Running":
             # the top-level sequence holds an end node, so the cursor never empties
-            frame = instance.cursor[-1]
-            if frame.index >= len(frame.nodes):
+            nodes, index = instance.cursor[-1]
+            if index >= len(nodes):
                 instance.cursor.pop()
                 continue
-            node = frame.nodes[frame.index]
+            node = nodes[index]
             if isinstance(node, StartNode):
-                frame.index += 1
+                instance.cursor[-1] = (nodes, index + 1)
             elif isinstance(node, EndNode):
-                if frame.subprocess:
-                    instance.cursor.pop()
-                    continue
+                # an inlined sub-process stops before its top-level end, so
+                # every end reached here completes the instance
                 self.complete_or_cancel(instance, "Completed")
                 return
             elif isinstance(node, TaskNode):
@@ -272,9 +270,8 @@ class ProcessEngine:
                 self.sim.trace(self.POOL, "subprocess_entered", {
                     "instance": instance.instance_id, "model": node.model_id,
                 })
-                frame.index += 1
-                instance.cursor.append(
-                    Frame(self.models[node.model_id].nodes, 0, subprocess=True))
+                instance.cursor[-1] = (nodes, index + 1)
+                instance.cursor.append((self.inlined[node.model_id], 0))
             else:
                 raise AssertionError(f"unknown node {node!r}")
 
@@ -287,22 +284,21 @@ class ProcessEngine:
             "instance": instance.instance_id, "task": entry["task"],
         })
         self._mirror(instance, f"task:{entry['task']}")
-        instance.cursor[-1].index += 1
+        nodes, index = instance.cursor[-1]
+        instance.cursor[-1] = (nodes, index + 1)
 
     def handle_timer(self, payload: dict):
-        if payload.get("kind") == "start_instance":
+        if payload["kind"] == "start_instance":
             self.pending_starts -= 1
             self.start_instance(
                 payload["instance"], payload["model"], payload["principal"],
-                share_with=payload.get("share_with"),
+                share_with=payload["share_with"],
             )
             return
-        instance = self.instances.get(payload["instance"])
-        if instance is None or instance.status != "Running":
-            return
-        # a timer of the current epoch names the open task: a task ends before
-        # its timer only by a rollback or by the instance ending, and both
-        # bump the epoch
+        instance = self.instances[payload["instance"]]
+        # a timer of the current epoch names the open task of a running
+        # instance: a task ends before its timer only by a rollback or by the
+        # instance ending, and both bump the epoch
         if payload["epoch"] != instance.epoch:
             return  # task was rolled back while the timer was in flight
         self._finish_task(instance)
@@ -329,8 +325,8 @@ class ProcessEngine:
         # while a decision is awaited, the cursor rests on the pending gate
         node = None
         if instance.status == "AwaitingDecision":
-            frame = instance.cursor[-1]
-            node = frame.nodes[frame.index]
+            nodes, index = instance.cursor[-1]
+            node = nodes[index]
         if node is None or node.gate_id != gate_id:
             self.sim.trace(self.POOL, "unexpected_decision", {
                 "instance": instance.instance_id,
@@ -341,7 +337,7 @@ class ProcessEngine:
         instance.checkpoints.append(Checkpoint(
             gate_id=gate_id,
             variant=variant_id,
-            cursor=[(f.nodes, f.index, f.subprocess) for f in instance.cursor],
+            cursor=tuple(instance.cursor),
             exec_len=len(instance.executed),
         ))
         self.sim.trace(self.POOL, "checkpoint", {
@@ -350,10 +346,10 @@ class ProcessEngine:
             "variant": variant_id,
             "position": len(instance.checkpoints),
         })
-        frame.index += 1
+        instance.cursor[-1] = (nodes, index + 1)
         branch = node.variants[variant_id]
         if branch:
-            instance.cursor.append(Frame(branch, 0))
+            instance.cursor.append((branch, 0))
         self._set_status(instance, "Running")
         self._mirror(instance, f"decision:{gate_id}")
         self.step(instance)
@@ -365,7 +361,7 @@ class ProcessEngine:
         target = payload["target"]
         if target == "start":
             keep, exec_len = 0, 0
-            cursor = [(self.models[instance.model_id].nodes, 0, False)]
+            cursor = [(self.models[instance.model_id].nodes, 0)]
         else:
             keep = max((i + 1 for i, checkpoint in enumerate(instance.checkpoints)
                         if checkpoint.gate_id == target), default=0)
@@ -376,8 +372,8 @@ class ProcessEngine:
                     "target": target,
                 })
                 return
-            exec_len = instance.checkpoints[keep - 1].exec_len
-            cursor = instance.checkpoints[keep - 1].cursor
+            checkpoint = instance.checkpoints[keep - 1]
+            exec_len, cursor = checkpoint.exec_len, list(checkpoint.cursor)
         # execution halts; tasks performed after the target are undone in
         # reverse order (trace-only: simulated tasks have no side effects)
         instance.epoch += 1
@@ -389,7 +385,7 @@ class ProcessEngine:
                 "completed": entry["finished"] is not None,
             })
         del instance.executed[exec_len:]
-        instance.cursor = [Frame(nodes, idx, sub) for nodes, idx, sub in cursor]
+        instance.cursor = cursor
         del instance.checkpoints[keep:]
         self._set_status(instance, "RolledBack")
         self.sim.trace(self.POOL, "rollback_applied", {

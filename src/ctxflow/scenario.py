@@ -22,7 +22,7 @@ from .context_engine import (
     CatalogEntry,
     ContextEngine,
     NotificationThreshold,
-    catalog_chain,
+    catalog_additions,
 )
 from .errors import RuleSyntaxError, RuleTypeError, ScenarioParseError
 from .model import (
@@ -450,7 +450,6 @@ def _parse_catalog(doc, scenario, bad):
 def _parse_masters(doc, scenario, bad):
     for entry in doc["masters"]:
         model_id, categories = entry["model_id"], entry["categories"]
-        graph = ContextIntersection()
         ok = _known(scenario, bad, "master-unknown-category", model_id, categories)
         for cat_id in categories:
             parent = scenario.catalog[cat_id].parent if cat_id in scenario.catalog else None
@@ -460,13 +459,9 @@ def _parse_masters(doc, scenario, bad):
                 ok = False
         if not ok:
             continue
-        for cat_id in categories:
-            graph.add_category(scenario.catalog[cat_id].category,
-                               len(catalog_chain(scenario.catalog, cat_id)))
-        for cat_id in categories:
-            parent = scenario.catalog[cat_id].parent
-            if parent is not None:
-                graph.add_edge(parent, cat_id)
+        graph = ContextIntersection()
+        # listed order within a level: it orders the init polls across sources
+        graph.add_all(catalog_additions(scenario.catalog, categories))
         predefined = entry["predefined"]
         if predefined is None:
             predefined = list(graph.levels[0]) if graph.levels else []

@@ -14,6 +14,7 @@ from ctxflow.context_engine import (
     CatalogEntry,
     ContextEngine,
     NotificationThreshold,
+    catalog_additions,
 )
 from ctxflow.model import (
     ContextCategory,
@@ -223,10 +224,7 @@ def acceptance_engine(sim, thresholds=None):
         "z": CatalogEntry(ContextCategory("z", "z", "numeric"), parent="root"),
     }
     g = ContextIntersection()
-    for cid in ("root", "x", "y", "z"):
-        g.add_category(catalog[cid].category, 1 if cid == "root" else 2)
-        if cid != "root":
-            g.add_edge("root", cid)
+    g.add_all(catalog_additions(catalog, catalog))
     master = MasterContextModel("acc", g, ["root"])
     relations = [
         CauseEffectRelation("rxy", "x", "y", {"type": "linear", "a": 2, "b": 1}),

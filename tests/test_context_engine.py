@@ -12,6 +12,7 @@ from ctxflow.context_engine import (
     CatalogEntry,
     ContextEngine,
     NotificationThreshold,
+    catalog_additions,
     check_threshold,
     resolve_conflict,
 )
@@ -170,13 +171,7 @@ def mini_catalog():
 
 def mini_master(catalog, categories=("root", "x", "y", "w")):
     g = ContextIntersection()
-    for cat_id in categories:
-        level = 1 if catalog[cat_id].parent is None else 2
-        g.add_category(catalog[cat_id].category, level)
-    for cat_id in categories:
-        parent = catalog[cat_id].parent
-        if parent is not None:
-            g.add_edge(parent, cat_id)
+    g.add_all(catalog_additions(catalog, categories))
     return MasterContextModel("mini", g, ["root"])
 
 
@@ -479,6 +474,30 @@ def test_split_agent_fans_out_record_fields():
     push(engine, sim, "w", {"load": 7, "speed": 3}, 2)
     assert model.intersection.values["x"].payload == 7
     assert model.intersection.values["y"].payload == 3
+
+
+def test_split_agent_over_a_non_record_derives_nothing():
+    split = DerivationAgent("burst", "split", ("x",), ("y", "z"),
+                            {"fan_out": {"load": "y", "speed": "z"}})
+    sim = FakeSim()
+    engine = make_engine(sim, agents=[split], categories=("root", "x", "y", "z", "w"))
+    register_active(engine)
+    push(engine, sim, "x", 7, 2)
+    assert [r.payload["category"] for r in sim.records("value_updated")] == ["x"]
+    assert sim.records("engine_error") == []
+
+
+def test_expr_relation_with_unary_minus_and_plus():
+    relations = [
+        CauseEffectRelation("negate", "x", "y", {"type": "expr", "expr": "-x + 2"}),
+        CauseEffectRelation("keep", "x", "z", {"type": "expr", "expr": "+x"}),
+    ]
+    sim = FakeSim()
+    engine = make_engine(sim, relations=relations, categories=("root", "x", "y", "z", "w"))
+    model = register_active(engine)
+    push(engine, sim, "x", 5, 1)
+    assert model.intersection.values["y"].payload == -3
+    assert model.intersection.values["z"].payload == 5
 
 
 def test_topological_order_rejects_cycles():

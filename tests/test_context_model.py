@@ -191,6 +191,14 @@ def test_relocation_rejected(master):
         extend(master.intersection, adds)
 
 
+def test_readding_a_category_at_its_level_or_an_edge_changes_nothing(master):
+    g = master.intersection
+    levels, edges = [list(level) for level in g.levels], list(g.edges)
+    result = extend(g, Additions(categories=[(g.categories["weather"], 2)],
+                                 edges=[("geospatial", "weather")]))
+    assert (result.levels, result.edges) == (levels, edges)
+
+
 def test_upward_new_edge_rejected(master):
     adds = Additions(edges=[("weather", "geospatial")])
     with pytest.raises(LevelViolation):

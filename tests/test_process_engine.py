@@ -70,8 +70,8 @@ def open_task(instance):
 def awaited_gate(instance):
     """The gate whose decision the instance waits on: the one its cursor rests on."""
     assert instance.status == "AwaitingDecision"
-    frame = instance.cursor[-1]
-    return frame.nodes[frame.index].gate_id
+    nodes, index = instance.cursor[-1]
+    return nodes[index].gate_id
 
 
 def started(engine, sim, instance="p1"):
@@ -209,6 +209,90 @@ def test_subprocess_runs_inline():
     assert engine.instances["p1"].status == "Completed"
     tasks = [r.payload["task"] for r in sim.records("task_completed")]
     assert tasks == ["noop", "wrap"]
+
+
+def inlining_engine(sim, sub_nodes, caller_nodes=None):
+    """A caller "m" that runs "sub" inline before its task "wrap", unless
+    ``caller_nodes`` says otherwise; p1 is started and running."""
+    caller = ProcessModel("m", caller_nodes or [
+        StartNode(), SubprocessNode("sub"), TaskNode("wrap", 1), EndNode(),
+    ])
+    engine = ProcessEngine(sim, {"m": caller, "sub": ProcessModel("sub", sub_nodes)})
+    started(engine, sim)
+    return engine
+
+
+def test_end_in_a_branch_of_an_inlined_subprocess_completes_the_instance():
+    sim = FakeSim()
+    engine = inlining_engine(sim, [
+        StartNode(),
+        GateNode("g", {"stop": [TaskNode("last", 1), EndNode()],
+                       "go": [TaskNode("on", 1)]}, "go"),
+        TaskNode("tail", 1),
+        EndNode(),
+    ])
+    instance = engine.instances["p1"]
+    assert awaited_gate(instance) == "g"
+    engine.handle_message("Decision", {
+        "instance": "p1", "evaluation": "native",
+        "action": {"type": "select_variant", "gate": "g", "variant": "stop"},
+    })
+    drive_timers(engine, sim, 10)
+    assert instance.status == "Completed"
+    # neither the sub-process's nor the caller's later nodes run
+    assert [r.payload["task"] for r in sim.records("task_started")] == ["last"]
+    assert [p["instance"] for (_, _, k, p) in sim.sent if k == "ProcessCompleted"] == ["p1"]
+
+
+def test_nodes_after_the_first_top_level_end_never_run_inline():
+    sim = FakeSim()
+    engine = inlining_engine(sim, [
+        StartNode(), TaskNode("inner", 1), EndNode(), TaskNode("dead", 1), EndNode(),
+    ])
+    drive_timers(engine, sim, 10)
+    assert engine.instances["p1"].status == "Completed"
+    # the caller continues after its subprocess node
+    assert [r.payload["task"] for r in sim.records("task_completed")] == ["inner", "wrap"]
+    assert [r.payload["model"] for r in sim.records("subprocess_entered")] == ["sub"]
+
+
+def test_rollback_to_a_gate_inside_an_inlined_subprocess():
+    sim = FakeSim()
+    engine = inlining_engine(sim, [
+        StartNode(),
+        GateNode("g", {"a": [TaskNode("ta", 1)], "b": [TaskNode("tb", 1)]}, "a"),
+        TaskNode("tail", 1),
+        EndNode(),
+    ], caller_nodes=[
+        StartNode(), TaskNode("prepare", 1), SubprocessNode("sub"), TaskNode("wrap", 1),
+        EndNode(),
+    ])
+    instance = engine.instances["p1"]
+    drive_timers(engine, sim, 1)
+    assert awaited_gate(instance) == "g"
+    engine.handle_message("Decision", {
+        "instance": "p1", "evaluation": "native",
+        "action": {"type": "select_variant", "gate": "g", "variant": "a"},
+    })
+    drive_timers(engine, sim, 2)
+    assert open_task(instance) == "tail"
+    engine.handle_message("BreakRollback", {"instance": "p1", "target": "g",
+                                            "disposition": "resume"})
+    # the tasks since the gate are undone, newest first, and the gate is decided again
+    assert [r.payload["task"] for r in sim.records("task_undone")] == ["tail", "ta"]
+    assert [e["task"] for e in instance.executed] == ["prepare"]
+    assert awaited_gate(instance) == "g"
+    assert [p["gate"] for (_, _, k, p) in sim.sent if k == "RuleEvalRequest"] == ["g", "g"]
+    engine.handle_message("Decision", {
+        "instance": "p1", "evaluation": "native",
+        "action": {"type": "select_variant", "gate": "g", "variant": "b"},
+    })
+    drive_timers(engine, sim, 10)
+    assert instance.status == "Completed"
+    # then the sub-process returns to its caller
+    assert [e["task"] for e in instance.executed] == ["prepare", "tb", "tail", "wrap"]
+    # the rollback kept g's checkpoint; deciding g again adds another
+    assert [(c.gate_id, c.variant) for c in instance.checkpoints] == [("g", "a"), ("g", "b")]
 
 
 # --- break and rollback ----------------------------------------------------------------

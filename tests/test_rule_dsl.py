@@ -103,6 +103,13 @@ def test_missing_name_rejected():
     assert (err.value.line, err.value.column) == (1, 5)
 
 
+@pytest.mark.parametrize("text, column", [("", 1), ("  WHEN x > 1 THEN continue END", 3)])
+def test_rule_without_its_head_rejected(text, column):
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rule(text)
+    assert str(err.value) == f"rule must begin with RULE (line 1, column {column})"
+
+
 @pytest.mark.parametrize("condition, action, message, line, column", [
     ("a < 3 & b", "continue", "unexpected character '&'", 2, 12),
     (None, "continue", "expected 'WHEN', found 'THEN'", 2, 1),

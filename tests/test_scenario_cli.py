@@ -696,6 +696,13 @@ def test_malformed_document_is_a_violation(tmp_path, capsys, change, code):
         run_scenario_data(data)
 
 
+def test_rule_text_without_its_head_is_a_parse_error_on_its_id():
+    data = logistics_scenario_data()
+    data["rules"].append({"id": "r", "text": "WHEN weather == \"storm\" THEN continue END"})
+    assert parse_scenario(data)[1] == [Violation(
+        "rule-parse-error", "r", "rule must begin with RULE (line 1, column 1)")]
+
+
 def test_a_rule_may_select_a_variant_only_of_each_gate_it_is_attached_to():
     # Ground Preferred selects a shipping variant: attached to packaging as
     # well, it is reported there and not at either model's shipping gate

@@ -54,6 +54,27 @@ def test_oracle_passes_on_pinned_scenario_under_other_timing(name):
     assert check(json.loads(line) for line in trace.lines()) == []
 
 
+# the hand-built pinned documents, and a fixed sample of CI's timing grid:
+# (default latency, jitter, seed), none of them a timing under which
+# rollback-to-gate hangs
+HAND_BUILT = ("logistics", "rollback-to-gate", "propagation", "shared",
+              "shared-thunderstorm", "engine-paths", "shared-fetch")
+SAMPLED_TIMINGS = [(2, 1, 0), (3, 1, 2), (1, 5, 1)]
+
+
+@pytest.mark.parametrize("latency, jitter, seed", SAMPLED_TIMINGS)
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_oracle_passes_on_hand_built_document_under_sampled_timing(name, latency, jitter, seed):
+    data = SCENARIOS[name]()
+    data["latency"] = {**data.get("latency", {}), "default": latency, "jitter": jitter}
+    scenario, violations = parse_scenario(data)
+    assert not violations, violations[:3]
+    sim = build_simulation(scenario, seed=seed, max_steps=20000).simulation
+    trace = sim.run()
+    assert not sim.truncated
+    assert check(json.loads(line) for line in trace.lines()) == []
+
+
 LOGISTICS = trace_records(logistics_scenario_data())
 
 
