@@ -32,12 +32,6 @@ CHANNELS = {
 
 DEFAULT_MAX_STEPS = 100_000
 
-# the young-generation collection threshold while a run lasts: a run keeps
-# every trace payload alive (the trace holds them in a list, with no object
-# per record) and makes no cyclic garbage, so the collector's full passes
-# over those payloads would find nothing
-YOUNG_GC_THRESHOLD = 10_000
-
 
 @dataclass
 class LatencyConfig:
@@ -48,11 +42,12 @@ class LatencyConfig:
     jitter: int = 0
 
 
-class Simulation:
-    """Owns the event queue, the clock, the channel table, the seeded RNG and the trace."""
+class Bus:
+    """What the pools use of a run: the clock, the event queue, the channel table,
+    the seeded RNG and the trace.  The pools never hold the ``Simulation`` that
+    holds their handlers, so reference counting frees a dropped assembly whole."""
 
-    def __init__(self, seed: int = 0, latency: LatencyConfig | None = None,
-                 max_steps: int = DEFAULT_MAX_STEPS):
+    def __init__(self, seed: int = 0, latency: LatencyConfig | None = None):
         latency = latency or LatencyConfig()
         self.now = 0  # the tick of the entry being handled; never decreases
         self.rng = random.Random(seed)
@@ -63,23 +58,13 @@ class Simulation:
             for pair, kinds in CHANNELS.items()}
         # (sender, receiver) -> tick of the channel's last delivery, under jitter
         self._last_delivery: dict[tuple[str, str], int] = {}
-        self.max_steps = max_steps
         self.trace_log = Trace()
-        self.handlers = {}   # pool -> handle_message(kind, payload)
-        self.timer_handlers = {}  # pool -> handle_timer(payload)
         # entries (tick, seq, pool, kind, payload, sender, sent tick); a timer
         # has no kind, sender or sent tick.  seq is unique, so the heap orders
         # entries by (tick, seq) and never compares past it.
-        self._queue: list[tuple] = []
+        self.queue: list[tuple] = []
         self._next_seq = 0
-        self._messages_in_flight = 0
-        self.truncated = False
-        self.is_quiescent = lambda: False
-
-    def register_pool(self, pool: str, handler, timer_handler=None):
-        self.handlers[pool] = handler
-        if timer_handler is not None:
-            self.timer_handlers[pool] = timer_handler
+        self.messages_in_flight = 0
 
     def route(self, sender: str, receiver: str, kind: str) -> int:
         """The base latency of channel sender -> receiver; reject a kind it does not carry."""
@@ -102,57 +87,72 @@ class Simulation:
             at = now + max(1, latency)
         seq = self._next_seq
         self._next_seq += 1
-        heapq.heappush(self._queue, (at, seq, receiver, kind, payload, sender, now))
-        self._messages_in_flight += 1
+        heapq.heappush(self.queue, (at, seq, receiver, kind, payload, sender, now))
+        self.messages_in_flight += 1
 
     def timer(self, pool: str, payload: dict, at_tick: int):
         seq = self._next_seq
         self._next_seq += 1
-        heapq.heappush(self._queue, (max(at_tick, self.now), seq, pool, None,
-                                     payload, None, None))
+        heapq.heappush(self.queue, (max(at_tick, self.now), seq, pool, None,
+                                    payload, None, None))
 
     def trace(self, pool: str, kind: str, payload: dict):
         self.trace_log.emit(self.now, pool, kind, payload)
+
+
+class Simulation:
+    """A bus, the handlers of the pools on it, and the loop that delivers its entries."""
+
+    def __init__(self, bus: Bus | None = None, pools=(), max_steps: int = DEFAULT_MAX_STEPS,
+                 is_quiescent=lambda: False):
+        self.bus = bus = bus or Bus()
+        self.trace_log = bus.trace_log
+        # pool -> handle_message(kind, payload), and pool -> handle_timer(payload)
+        self.handlers = {pool.POOL: pool.handle_message for pool in pools}
+        self.timer_handlers = {pool.POOL: pool.handle_timer for pool in pools
+                               if hasattr(pool, "handle_timer")}
+        self.max_steps = max_steps
+        self.is_quiescent = is_quiescent  # true once only idle timers can remain
+        self.truncated = False
+
+    @property
+    def now(self) -> int:
+        return self.bus.now
 
     def run(self) -> Trace:
         """Deliver queued entries in (tick, seq) order until the run is over;
         returns the trace.
 
-        While it runs, the interpreter's young-generation collection
-        threshold is raised to at least ``YOUNG_GC_THRESHOLD`` (unless the
-        host set it to 0, turning automatic collection off), and the saved
-        thresholds are restored when it returns or raises.  The thresholds
-        are process-wide, so two simulations must not run at once in
-        threads of one process.  Collecting less often is safe because a
-        run leaves no cyclic garbage, which
-        ``tests/test_trace_digests.py::test_run_leaves_no_cyclic_garbage``
-        checks on every pinned scenario.
+        The collector is off while the run lasts.  When it returns or raises,
+        the run's survivors and the host's young objects go straight to the
+        oldest generation (``gc.freeze()``, ``gc.unfreeze()``) unless the host
+        has frozen objects, and the host's enabled or disabled state is put
+        back.  So cyclic garbage the host makes during a run waits for a full
+        collection, and only one simulation may run at a time per process.
+        A run and its dropped assembly make no cyclic garbage
+        (``tests/test_trace_digests.py``), so the collector would find none.
         """
-        thresholds = gc.get_threshold()
-        if thresholds[0]:
-            gc.set_threshold(max(thresholds[0], YOUNG_GC_THRESHOLD), *thresholds[1:])
+        bus = self.bus
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             steps = 0
-            while self._queue:
-                if self._messages_in_flight == 0 and self.is_quiescent():
+            while bus.queue:
+                if bus.messages_in_flight == 0 and self.is_quiescent():
                     break  # only idle timers remain; the run is over
                 steps += 1
                 if steps > self.max_steps:
                     self.truncated = True
-                    self.trace("context", "run_truncated", {"max_steps": self.max_steps})
+                    bus.trace("context", "run_truncated", {"max_steps": self.max_steps})
                     break
-                tick, seq, pool, kind, payload, sender, sent = heapq.heappop(self._queue)
-                if tick < self.now:
-                    raise AssertionError(f"clock moved backwards: {self.now} -> {tick}")
-                self.now = tick
+                tick, seq, pool, kind, payload, sender, sent = heapq.heappop(bus.queue)
+                if tick < bus.now:
+                    raise AssertionError(f"clock moved backwards: {bus.now} -> {tick}")
+                bus.now = tick
                 if kind is not None:
-                    self._messages_in_flight -= 1
-                    self.trace(sender, kind, {
-                        "to": pool,
-                        "msg_seq": seq,
-                        "sent": sent,
-                        "data": payload,
-                    })
+                    bus.messages_in_flight -= 1
+                    bus.trace(sender, kind,
+                              {"to": pool, "msg_seq": seq, "sent": sent, "data": payload})
                     handler = self.handlers.get(pool)
                     if handler is not None:
                         handler(kind, payload)
@@ -160,6 +160,10 @@ class Simulation:
                     handler = self.timer_handlers.get(pool)
                     if handler is not None:
                         handler(payload)
-            return self.trace_log
+            return bus.trace_log
         finally:
-            gc.set_threshold(*thresholds)
+            if not gc.get_freeze_count():  # unfreeze would release the host's
+                gc.freeze()
+                gc.unfreeze()
+            if enabled:
+                gc.enable()

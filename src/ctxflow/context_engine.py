@@ -146,7 +146,7 @@ class ContextEngine:
 
     POOL = "context"
 
-    def __init__(self, sim, catalog: dict[str, CatalogEntry],
+    def __init__(self, bus, catalog: dict[str, CatalogEntry],
                  masters: dict[str, MasterContextModel],
                  sources: dict[str, SourceDescriptor],
                  propagation=(),  # the nodes, in topological order
@@ -154,7 +154,7 @@ class ContextEngine:
                  max_config_steps: int | None = None,
                  model_masters: dict[str, str] | None = None,
                  model_thresholds: dict[str, dict[str, NotificationThreshold]] | None = None):
-        self.sim = sim
+        self.bus = bus
         self.catalog = catalog
         self.masters = masters
         self.sources = sources
@@ -191,14 +191,14 @@ class ContextEngine:
         if target is not None and not target.failed:
             model = target.model
             model.bound_instances.append(instance)
-            self.sim.trace(self.POOL, "model_shared", {
+            self.bus.trace(self.POOL, "model_shared", {
                 "model": model.model_id,
                 "instance": instance,
                 "bound": sorted(model.bound_instances),
             })
         else:
             if share_with is not None:
-                self.sim.trace(self.POOL, "engine_error", {
+                self.bus.trace(self.POOL, "engine_error", {
                     "error": "UnknownSharedModel",
                     "instance": instance,
                     "share_with": share_with,
@@ -216,7 +216,7 @@ class ContextEngine:
                 origin = {"master": master_id}
             self.instances[model_id] = model
             self.pending_fetches[model_id] = (set(), [])
-            self.sim.trace(self.POOL, "model_instantiated", {
+            self.bus.trace(self.POOL, "model_instantiated", {
                 "model": model_id,
                 **origin,
                 "instance": instance,
@@ -255,13 +255,13 @@ class ContextEngine:
         if reg.init_rounds >= self.poll_budget:
             for each in waiting:
                 each.failed = True
-                self.sim.trace(self.POOL, "init_timeout", {
+                self.bus.trace(self.POOL, "init_timeout", {
                     "instance": each.instance_id,
                     "model": model.model_id,
                     "rounds": reg.init_rounds,
                     "unvalued": sorted(missing),
                 })
-                self.sim.send(self.POOL, "rules", "ContextSnapshot", {
+                self.bus.send(self.POOL, "rules", "ContextSnapshot", {
                     "instance": each.instance_id, "model": model.model_id,
                     "phase": "init", "status": "timeout",
                     "unvalued": sorted(missing),
@@ -275,7 +275,7 @@ class ContextEngine:
                 by_source.setdefault(source, []).append(cat)
         for source_id, cats in by_source.items():
             reg.init_outstanding.add(source_id)
-            self.sim.send(self.POOL, "external", "PollRequest", {
+            self.bus.send(self.POOL, "external", "PollRequest", {
                 "source": source_id,
                 "categories": sorted(cats),
                 "purpose": "init",
@@ -284,13 +284,13 @@ class ContextEngine:
             })
         if not by_source:
             # nothing pollable; burn a round per tick until budget or propagation fills it
-            self.sim.timer(self.POOL, {"kind": "init_round", "instance": instance_id},
-                           self.sim.now + 1)
+            self.bus.timer(self.POOL, {"kind": "init_round", "instance": instance_id},
+                           self.bus.now + 1)
 
     def _finish_initialization(self, reg: Registration, model: InstanceContextModel):
         reg.active = True
         # the whole graph: the instance's start configuration
-        self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
+        self.bus.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
             model, model.intersection.to_payload(), instance=reg.instance_id, phase="init"))
 
     # -- ingestion -------------------------------------------------------------
@@ -359,7 +359,7 @@ class ContextEngine:
         """Set each poll source's first refresh poll, at its poll interval."""
         for source_id, descriptor in self.sources.items():
             if descriptor.mode == "poll":
-                self.sim.timer(self.POOL, {"kind": "poll", "source": source_id},
+                self.bus.timer(self.POOL, {"kind": "poll", "source": source_id},
                                descriptor.poll_interval)
 
     def _scheduled_poll(self, source_id: str):
@@ -371,13 +371,13 @@ class ContextEngine:
                     wanted.append(category)
                     break
         if wanted:
-            self.sim.send(self.POOL, "external", "PollRequest", {
+            self.bus.send(self.POOL, "external", "PollRequest", {
                 "source": source_id,
                 "categories": sorted(wanted),
                 "purpose": "refresh",
             })
-        self.sim.timer(self.POOL, {"kind": "poll", "source": source_id},
-                       self.sim.now + descriptor.poll_interval)
+        self.bus.timer(self.POOL, {"kind": "poll", "source": source_id},
+                       self.bus.now + descriptor.poll_interval)
 
     def _ingest(self, model: InstanceContextModel, values: list[ContextValue]):
         """Apply values, propagate to quiescence and notify the rules engine.
@@ -392,7 +392,7 @@ class ContextEngine:
             self._apply_value(model, value, changed)
         for node, produced, fault in self.propagation.run(model.intersection, changed):
             if fault is not None:
-                self.sim.trace(self.POOL, "engine_error", {
+                self.bus.trace(self.POOL, "engine_error", {
                     "error": type(fault).__name__, "detail": str(fault),
                     "model": model.model_id, "relation": node.node_id})
             for value in produced:
@@ -410,7 +410,7 @@ class ContextEngine:
         try:
             update_value(g, value)
         except StaleWrite:
-            self.sim.trace(self.POOL, "value_rejected", {
+            self.bus.trace(self.POOL, "value_rejected", {
                 "model": model.model_id,
                 "category": category,
                 "stream": value.value_id,
@@ -419,7 +419,7 @@ class ContextEngine:
             })
             return
         except KindMismatch as err:
-            self.sim.trace(self.POOL, "engine_error", {
+            self.bus.trace(self.POOL, "engine_error", {
                 "error": "KindMismatch", "detail": str(err),
                 "model": model.model_id,
             })
@@ -432,7 +432,7 @@ class ContextEngine:
             current = resolve_conflict(list(streams.values()))
             if current is not value:
                 g.values[category] = current
-        self.sim.trace(self.POOL, "value_updated", {
+        self.bus.trace(self.POOL, "value_updated", {
             "model": model.model_id,
             "category": category,
             "value": current.to_payload(),
@@ -462,7 +462,7 @@ class ContextEngine:
                 if check_threshold(old, new, threshold):
                     changes.append({"category": category, "value": new.to_reading()})
             if changes:
-                self.sim.send(self.POOL, "rules", "ContextNotification", {
+                self.bus.send(self.POOL, "rules", "ContextNotification", {
                     "model": model.model_id,
                     "instance": reg.instance_id,
                     "step": model.intersection.step,
@@ -481,7 +481,7 @@ class ContextEngine:
             if category in model.intersection.categories:
                 continue
             if category not in self.best_source:
-                self.sim.trace(self.POOL, "admin_no_source", {
+                self.bus.trace(self.POOL, "admin_no_source", {
                     "model": model.model_id, "category": category,
                 })
                 continue
@@ -492,7 +492,7 @@ class ContextEngine:
             for category in extendable:  # in the request's order, not added's
                 if category in added:
                     fetching.add(category)
-                    self.sim.send(self.POOL, "external", "PollRequest", {
+                    self.bus.send(self.POOL, "external", "PollRequest", {
                         "source": self.best_source[category],
                         "categories": [category],
                         "purpose": "administer",
@@ -512,14 +512,14 @@ class ContextEngine:
         try:
             added = model.apply_extension(additions, k=self.max_config_steps)
         except StepBudgetExceeded as err:  # levels and edges follow the catalog
-            self.sim.trace(self.POOL, "extension_rejected", {
+            self.bus.trace(self.POOL, "extension_rejected", {
                 "model": model.model_id,
                 "categories": [c.category_id for c, _ in additions.categories],
                 "error": type(err).__name__,
                 "detail": str(err),
             })
             return set()
-        self.sim.trace(self.POOL, "model_extended", {
+        self.bus.trace(self.POOL, "model_extended", {
             "model": model.model_id,
             "step": model.intersection.step,
             "added": [{"category": cat, "level": level} for cat, level in added],
@@ -538,7 +538,7 @@ class ContextEngine:
                 still_waiting.append(pending)
                 continue
             values = {c: g.values[c].to_reading() for c in pending.requested if c in g.values}
-            self.sim.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
+            self.bus.send(self.POOL, "rules", "ContextSnapshot", self._snapshot_payload(
                 model, {"values": values, "step": g.step}, correlation=pending.correlation,
                 instance=pending.instance_id, phase="reply",
                 missing=sorted(c for c in pending.requested if c not in values)))
@@ -547,7 +547,7 @@ class ContextEngine:
     def _snapshot_payload(self, model: InstanceContextModel, graph: dict,
                           **fields) -> dict:
         """An ``ok`` ContextSnapshot of ``model`` carrying ``graph`` and ``fields``."""
-        return {"model": model.model_id, "graph": graph, "now": self.sim.now,
+        return {"model": model.model_id, "graph": graph, "now": self.bus.now,
                 "status": "ok", **fields}
 
     # -- shutdown ------------------------------------------------------------------
@@ -561,7 +561,7 @@ class ContextEngine:
             del self.instances[model.model_id]
             # requests waiting on the model's fetches are never answered
             del self.pending_fetches[model.model_id]
-            self.sim.trace(self.POOL, "model_closed", {
+            self.bus.trace(self.POOL, "model_closed", {
                 "model": model.model_id,
                 "end_step": model.intersection.step,
                 "end": model.intersection.to_payload(),

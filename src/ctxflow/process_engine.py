@@ -105,9 +105,9 @@ class ProcessInstance:
 class ProcessEngine:
     POOL = "process"
 
-    def __init__(self, sim, models: dict[str, ProcessModel],
+    def __init__(self, bus, models: dict[str, ProcessModel],
                  deny_principals=(), mirror_emit=None):
-        self.sim = sim
+        self.bus = bus
         self.models = models
         self.deny_principals = set(deny_principals)
         # (model_id, "decision:<gate>" | "task:<name>") -> [(source id, MirrorSpec)],
@@ -143,7 +143,7 @@ class ProcessEngine:
         """Set each scenario instance's start timer, at its ``start_tick``."""
         self.pending_starts += len(instances)
         for start in instances:
-            self.sim.timer(self.POOL, {
+            self.bus.timer(self.POOL, {
                 "kind": "start_instance",
                 "instance": start["id"],
                 "model": start["model"],
@@ -156,20 +156,20 @@ class ProcessEngine:
                        copy_from_instance: str | None = None):
         # the policy: any non-empty principal the scenario does not deny
         if not principal or principal in self.deny_principals:
-            self.sim.trace(self.POOL, "auth", {
+            self.bus.trace(self.POOL, "auth", {
                 "instance": instance_id, "principal": principal, "ok": False,
                 "detail": (f"principal {principal!r} denied by policy" if principal
                            else "empty principal"),
             })
             return
-        self.sim.trace(self.POOL, "auth", {
+        self.bus.trace(self.POOL, "auth", {
             "instance": instance_id, "principal": principal, "ok": True,
         })
         instance = ProcessInstance(
             instance_id=instance_id,
             model_id=model_id,
             principal=principal,
-            started_tick=self.sim.now,
+            started_tick=self.bus.now,
             cursor=[(self.models[model_id].nodes, 0)],
         )
         self.instances[instance_id] = instance
@@ -177,11 +177,11 @@ class ProcessEngine:
             "instance": instance_id,
             "model": model_id,
             "principal": principal,
-            "tick": self.sim.now,
+            "tick": self.bus.now,
         }
         if copy_from_instance is not None:
             payload["parent"] = copy_from_instance
-        self.sim.trace(self.POOL, "instance_created", payload)
+        self.bus.trace(self.POOL, "instance_created", payload)
         register = {
             "instance": instance_id,
             "process_model": model_id,
@@ -191,7 +191,7 @@ class ProcessEngine:
             register["share_with_instance"] = share_with
         if copy_from_instance is not None:
             register["copy_from_instance"] = copy_from_instance
-        self.sim.send(self.POOL, "rules", "Register", register)
+        self.bus.send(self.POOL, "rules", "Register", register)
 
     def _set_status(self, instance: ProcessInstance, status: str):
         if status not in _TRANSITIONS[instance.status]:
@@ -200,7 +200,7 @@ class ProcessEngine:
                 f"for {instance.instance_id}"
             )
         instance.status = status
-        self.sim.trace(self.POOL, "instance_status", {
+        self.bus.trace(self.POOL, "instance_status", {
             "instance": instance.instance_id, "status": status,
         })
 
@@ -211,12 +211,12 @@ class ProcessEngine:
         kind = "ProcessCompleted" if outcome == "Completed" else "ProcessCancelled"
         payload = {
             "instance": instance.instance_id,
-            "tick": self.sim.now,
+            "tick": self.bus.now,
             "started": instance.started_tick,
         }
         if model.execution_time_constraint is not None:
             payload["constraint"] = model.execution_time_constraint
-        self.sim.send(self.POOL, "rules", kind, payload)
+        self.bus.send(self.POOL, "rules", kind, payload)
 
     # -- stepping -------------------------------------------------------------
 
@@ -240,26 +240,26 @@ class ProcessEngine:
                 # step never runs while a task is open
                 instance.executed.append({
                     "task": node.name,
-                    "started": self.sim.now,
+                    "started": self.bus.now,
                     "finished": None,
                 })
-                self.sim.trace(self.POOL, "task_started", {
+                self.bus.trace(self.POOL, "task_started", {
                     "instance": instance.instance_id,
                     "task": node.name,
                     "duration": node.duration,
                 })
                 if node.duration > 0:
-                    self.sim.timer(self.POOL, {
+                    self.bus.timer(self.POOL, {
                         "kind": "task_done",
                         "instance": instance.instance_id,
                         "task": node.name,
                         "epoch": instance.epoch,
-                    }, self.sim.now + node.duration)
+                    }, self.bus.now + node.duration)
                     return
                 self._finish_task(instance)
             elif isinstance(node, GateNode):
                 self._set_status(instance, "AwaitingDecision")
-                self.sim.send(self.POOL, "rules", "RuleEvalRequest", {
+                self.bus.send(self.POOL, "rules", "RuleEvalRequest", {
                     "instance": instance.instance_id,
                     "gate": node.gate_id,
                 })
@@ -267,7 +267,7 @@ class ProcessEngine:
             elif isinstance(node, SubprocessNode):
                 # contextualized on a need-to-execute basis: the sub-model
                 # runs inline, sharing the parent's context registration
-                self.sim.trace(self.POOL, "subprocess_entered", {
+                self.bus.trace(self.POOL, "subprocess_entered", {
                     "instance": instance.instance_id, "model": node.model_id,
                 })
                 instance.cursor[-1] = (nodes, index + 1)
@@ -279,8 +279,8 @@ class ProcessEngine:
         # the open task is the last one executed: a task ends only by its own
         # timer or as a zero-duration pass, and a rollback truncates the list
         entry = instance.executed[-1]
-        entry["finished"] = self.sim.now
-        self.sim.trace(self.POOL, "task_completed", {
+        entry["finished"] = self.bus.now
+        self.bus.trace(self.POOL, "task_completed", {
             "instance": instance.instance_id, "task": entry["task"],
         })
         self._mirror(instance, f"task:{entry['task']}")
@@ -328,7 +328,7 @@ class ProcessEngine:
             nodes, index = instance.cursor[-1]
             node = nodes[index]
         if node is None or node.gate_id != gate_id:
-            self.sim.trace(self.POOL, "unexpected_decision", {
+            self.bus.trace(self.POOL, "unexpected_decision", {
                 "instance": instance.instance_id,
                 "gate": gate_id,
                 "pending": node.gate_id if node else None,
@@ -340,7 +340,7 @@ class ProcessEngine:
             cursor=tuple(instance.cursor),
             exec_len=len(instance.executed),
         ))
-        self.sim.trace(self.POOL, "checkpoint", {
+        self.bus.trace(self.POOL, "checkpoint", {
             "instance": instance.instance_id,
             "gate": gate_id,
             "variant": variant_id,
@@ -366,7 +366,7 @@ class ProcessEngine:
             keep = max((i + 1 for i, checkpoint in enumerate(instance.checkpoints)
                         if checkpoint.gate_id == target), default=0)
             if not keep:
-                self.sim.trace(self.POOL, "engine_error", {
+                self.bus.trace(self.POOL, "engine_error", {
                     "error": "UnknownCheckpoint",
                     "instance": instance.instance_id,
                     "target": target,
@@ -378,7 +378,7 @@ class ProcessEngine:
         # reverse order (trace-only: simulated tasks have no side effects)
         instance.epoch += 1
         for entry in reversed(instance.executed[exec_len:]):
-            self.sim.trace(self.POOL, "task_undone", {
+            self.bus.trace(self.POOL, "task_undone", {
                 "instance": instance.instance_id,
                 "task": entry["task"],
                 "started": entry["started"],
@@ -388,7 +388,7 @@ class ProcessEngine:
         instance.cursor = cursor
         del instance.checkpoints[keep:]
         self._set_status(instance, "RolledBack")
-        self.sim.trace(self.POOL, "rollback_applied", {
+        self.bus.trace(self.POOL, "rollback_applied", {
             "instance": instance.instance_id,
             "target": target,
             "checkpoints_kept": keep,
@@ -424,7 +424,7 @@ class ProcessEngine:
     def handle_message(self, kind: str, payload: dict):
         instance = self.instances.get(payload["instance"])
         if instance is None or instance.status in TERMINAL:
-            self.sim.trace(self.POOL, "decision_dropped", {
+            self.bus.trace(self.POOL, "decision_dropped", {
                 "instance": payload["instance"], "reason": "not live",
             })
             return

@@ -21,6 +21,22 @@ _EXPR_OPS = {
 }
 
 
+def _arithmetic(node):
+    # a module-level function, not a closure over itself: that is a reference
+    # cycle, which every compiled expression would leave to the collector
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        op, left, right = _EXPR_OPS[type(node.op)], _arithmetic(node.left), _arithmetic(node.right)
+        return lambda x: op(left(x), right(x))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+        op, operand = _EXPR_OPS[type(node.op)], _arithmetic(node.operand)
+        return lambda x: op(operand(x))
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return lambda x: node.value
+    if isinstance(node, ast.Name) and node.id == "x":
+        return lambda x: x
+    raise ValueError(f"disallowed construct in arithmetic expression: {ast.dump(node)}")
+
+
 def compile_arithmetic(expr: str):
     """Compile a small arithmetic expression over ``x`` (no eval).
 
@@ -28,21 +44,7 @@ def compile_arithmetic(expr: str):
     never evaluated here, so ``100 / x`` compiles and only a call at
     ``x == 0`` raises.
     """
-
-    def build(node):
-        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
-            op, left, right = _EXPR_OPS[type(node.op)], build(node.left), build(node.right)
-            return lambda x: op(left(x), right(x))
-        if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
-            op, operand = _EXPR_OPS[type(node.op)], build(node.operand)
-            return lambda x: op(operand(x))
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return lambda x: node.value
-        if isinstance(node, ast.Name) and node.id == "x":
-            return lambda x: x
-        raise ValueError(f"disallowed construct in arithmetic expression: {ast.dump(node)}")
-
-    return build(ast.parse(expr, mode="eval").body)
+    return _arithmetic(ast.parse(expr, mode="eval").body)
 
 
 REDUCERS = {

@@ -107,10 +107,10 @@ def evaluate_gate(plan: GatePlan, env: dict, now: int) -> GateOutcome:
 class RulesEngine:
     POOL = "rules"
 
-    def __init__(self, sim, gates: dict):
+    def __init__(self, bus, gates: dict):
         """``gates`` maps (process_model, gate) to the gate's (rules, default
         variant): every gate an instance of a process model may reach."""
-        self.sim = sim
+        self.bus = bus
         self.plans = {key: gate_plan(key[1], rules, default)
                       for key, (rules, default) in gates.items()}
         self.bindings: dict[str, Binding] = {}
@@ -128,19 +128,19 @@ class RulesEngine:
         instance = payload["instance"]
         model_id = payload["process_model"]
         self.bindings[instance] = Binding(instance, model_id)
-        self.sim.trace(self.POOL, "bound", {
+        self.bus.trace(self.POOL, "bound", {
             "instance": instance, "process_model": model_id,
         })
         # the context pool registers the instance by its process model and
         # resolves the instances it shares or copies
-        self.sim.send(self.POOL, "context", "Register", payload)
+        self.bus.send(self.POOL, "context", "Register", payload)
 
     def handle_process_terminal(self, payload: dict):
         # the binding takes its pending evaluations with it
         instance = payload["instance"]
         del self.bindings[instance]
-        self.sim.trace(self.POOL, "unbound", {"instance": instance})
-        self.sim.send(self.POOL, "context", "ShutdownModel", {"instance": instance})
+        self.bus.trace(self.POOL, "unbound", {"instance": instance})
+        self.bus.send(self.POOL, "context", "ShutdownModel", {"instance": instance})
 
     # -- evaluation request path ----------------------------------------------------
 
@@ -154,7 +154,7 @@ class RulesEngine:
             return
         correlation = self._next_correlation()
         binding.pending[correlation] = PendingEval(plan, evaluation)
-        self.sim.send(self.POOL, "context", "ContextRequest", {
+        self.bus.send(self.POOL, "context", "ContextRequest", {
             "instance": binding.instance_id,
             "categories": plan.categories,
             "correlation": correlation,
@@ -167,7 +167,7 @@ class RulesEngine:
         correlation = payload["correlation"]
         binding = self.bindings.get(payload["instance"])
         if binding is None:  # the instance ended while its request was in flight
-            self.sim.trace(self.POOL, "snapshot_dropped", {
+            self.bus.trace(self.POOL, "snapshot_dropped", {
                 "correlation": correlation,
                 "reason": "no pending evaluation",
             })
@@ -179,13 +179,13 @@ class RulesEngine:
     def _handle_init_snapshot(self, payload: dict):
         instance = payload["instance"]
         if payload["status"] == "ok":
-            self.sim.trace(self.POOL, "listening", {
+            self.bus.trace(self.POOL, "listening", {
                 "instance": instance, "context_model": payload["model"],
             })
             action = {"type": "continue"}
         else:
             action = {"type": "abort", "reason": payload["status"]}  # "timeout"
-        self.sim.send(self.POOL, "process", "Decision", {
+        self.bus.send(self.POOL, "process", "Decision", {
             "instance": instance, "evaluation": "init", "action": action,
         })
 
@@ -193,14 +193,14 @@ class RulesEngine:
 
     def _evaluate(self, binding: Binding, plan: GatePlan, evaluation: str, env: dict):
         gate = plan.gate_id
-        outcome = evaluate_gate(plan, env, self.sim.now)
+        outcome = evaluate_gate(plan, env, self.bus.now)
         for skip in outcome.skipped:
-            self.sim.trace(self.POOL, "rule_skipped", {
+            self.bus.trace(self.POOL, "rule_skipped", {
                 "instance": binding.instance_id, "gate": gate, **skip,
             })
         decision, messages = self._decide(outcome, gate, evaluation, plan.default)
         binding.used[gate] = outcome.used_context
-        self.sim.trace(self.POOL, "gate_evaluated", {
+        self.bus.trace(self.POOL, "gate_evaluated", {
             "instance": binding.instance_id,
             "gate": gate,
             "evaluation": evaluation,
@@ -209,7 +209,7 @@ class RulesEngine:
             "used": outcome.used_context,  # built in sorted order
         })
         for kind, fields in messages:
-            self.sim.send(self.POOL, "process", kind, {
+            self.bus.send(self.POOL, "process", kind, {
                 "instance": binding.instance_id,
                 "fired_rule": outcome.fired_rule,
                 **fields,
@@ -256,7 +256,7 @@ class RulesEngine:
         instance = payload["instance"]
         binding = self.bindings.get(instance)
         if binding is None:
-            self.sim.trace(self.POOL, "notification_dropped", {
+            self.bus.trace(self.POOL, "notification_dropped", {
                 "instance": instance,
                 "reason": "instance unbound",
                 "changes": sorted(c["category"] for c in payload["changes"]),
@@ -264,7 +264,7 @@ class RulesEngine:
             return
         changed = {change["category"] for change in payload["changes"]}
         hits = [gate for gate, used in binding.used.items() if not changed.isdisjoint(used)]
-        self.sim.trace(self.POOL, "re_evaluation_triggered", {
+        self.bus.trace(self.POOL, "re_evaluation_triggered", {
             "instance": instance,
             "changed": sorted(changed),
             "gates": hits,

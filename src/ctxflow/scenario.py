@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from . import process_engine, propagation
-from .choreography import CHANNELS, DEFAULT_MAX_STEPS, LatencyConfig, Simulation
+from .choreography import CHANNELS, DEFAULT_MAX_STEPS, Bus, LatencyConfig, Simulation
 from .context_engine import (
     DEFAULT_POLL_BUDGET,
     THRESHOLD_KINDS,
@@ -764,14 +764,10 @@ class Assembly:
 
 def build_simulation(scenario: Scenario, seed: int | None = None,
                      max_steps: int | None = None) -> Assembly:
-    sim = Simulation(
-        seed=scenario.seed if seed is None else seed,
-        latency=scenario.latency,
-        max_steps=scenario.max_steps if max_steps is None else max_steps,
-    )
-    externals = ExternalSystems(sim, scenario.sources)
+    bus = Bus(seed=scenario.seed if seed is None else seed, latency=scenario.latency)
+    externals = ExternalSystems(bus, scenario.sources)
     context = ContextEngine(
-        sim,
+        bus,
         catalog=scenario.catalog,
         masters=scenario.masters,
         sources={s.source_id: s.descriptor for s in scenario.sources.values()},
@@ -784,28 +780,25 @@ def build_simulation(scenario: Scenario, seed: int | None = None,
         model_thresholds=scenario.thresholds,
     )
     rules = RulesEngine(
-        sim,
+        bus,
         gates={(model_id, gate_id): (
             [scenario.rules[rid] for rid in gate.rule_ids if rid in scenario.rules],
             gate.default_variant)
             for model_id, (gates, _) in scenario.runs.items() for gate_id, gate in gates.items()},
     )
     process = ProcessEngine(
-        sim,
+        bus,
         models=scenario.process_models,
         deny_principals=scenario.deny_principals,
         mirror_emit=externals.emit_mirror,
     )
     for source in scenario.sources.values():
         process.register_mirrors(source.source_id, source.mirrors)
-    sim.register_pool("process", process.handle_message, process.handle_timer)
-    sim.register_pool("rules", rules.handle_message)
-    sim.register_pool("context", context.handle_message, context.handle_timer)
-    sim.register_pool("external", externals.handle_message, externals.handle_timer)
     externals.schedule_timeline()
     context.schedule_polls()
     process.schedule_starts(scenario.instances)
-    sim.is_quiescent = process.all_terminal
+    sim = Simulation(bus, (process, rules, context, externals),
+                     scenario.max_steps if max_steps is None else max_steps, process.all_terminal)
     return Assembly(sim, process, rules, context, externals, scenario)
 
 

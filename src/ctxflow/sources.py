@@ -138,8 +138,8 @@ class ExternalSystems:
 
     POOL = "external"
 
-    def __init__(self, sim, sources: dict[str, ScriptedSource]):
-        self.sim = sim
+    def __init__(self, bus, sources: dict[str, ScriptedSource]):
+        self.bus = bus
         self.sources = sources
         # source -> category -> last mirrored payload; per run, so a parsed
         # scenario built twice starts each run with nothing mirrored
@@ -149,32 +149,32 @@ class ExternalSystems:
     def schedule_timeline(self):
         for source in self.sources.values():
             for tick in source.due:  # ascending: the timeline is sorted
-                self.sim.timer(self.POOL, {"source": source.source_id, "at": tick}, tick)
+                self.bus.timer(self.POOL, {"source": source.source_id, "at": tick}, tick)
 
     def handle_timer(self, payload: dict):
         source = self.sources[payload["source"]]
         for event in advance(source, payload["at"]):
-            self.sim.send(self.POOL, "context", "SourceEvent", event)
+            self.bus.send(self.POOL, "context", "SourceEvent", event)
 
     def handle_message(self, kind: str, payload: dict):
         """Answer a PollRequest, the one kind CHANNELS delivers here; the
         context pool polls only the sources this pool holds."""
         source = self.sources[payload["source"]]
-        reply = respond_poll(source, payload["categories"], self.sim.now,
+        reply = respond_poll(source, payload["categories"], self.bus.now,
                              self.mirror_state[source.source_id])
         reply["purpose"] = payload["purpose"]
         for key in ("instance", "model"):
             if key in payload:
                 reply[key] = payload[key]
-        self.sim.send(self.POOL, "context", "PollResponse", reply)
+        self.bus.send(self.POOL, "context", "PollResponse", reply)
 
     def emit_mirror(self, source_id: str, category_id: str, payload):
         """The BPM system acting as an external context source: ``source_id``
         is the source that declares the mirror."""
         self.mirror_state[source_id][category_id] = payload
-        self.sim.send(self.POOL, "context", "SourceEvent", {
+        self.bus.send(self.POOL, "context", "SourceEvent", {
             "source_id": source_id,
             "category_id": category_id,
             "payload": payload,
-            "ts": self.sim.now,
+            "ts": self.bus.now,
         })

@@ -15,7 +15,7 @@ from ctxflow.trace import Trace
 
 
 class FakeSim:
-    """Stand-in for the simulation loop in engine-level unit tests."""
+    """Stand-in for the bus the pools use, in engine-level unit tests."""
 
     def __init__(self, now: int = 0):
         self.tick = now

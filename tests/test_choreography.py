@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ctxflow.choreography import CHANNELS, YOUNG_GC_THRESHOLD, LatencyConfig, Simulation
+from ctxflow.choreography import CHANNELS, Bus, LatencyConfig, Simulation
 from ctxflow.context_engine import ContextEngine
 from ctxflow.errors import ForbiddenRoute
 from ctxflow.process_engine import ProcessEngine
@@ -27,31 +27,31 @@ class Recorder:
 
 def test_rules_to_context_is_allowed():
     sim = Simulation()
-    sim.route("rules", "context", "ContextRequest")  # no exception
+    sim.bus.route("rules", "context", "ContextRequest")  # no exception
 
 
 def test_process_to_context_is_forbidden():
     sim = Simulation()
     with pytest.raises(ForbiddenRoute):
-        sim.route("process", "context", "ContextRequest")
+        sim.bus.route("process", "context", "ContextRequest")
     with pytest.raises(ForbiddenRoute):
-        sim.route("context", "process", "ContextSnapshot")
+        sim.bus.route("context", "process", "ContextSnapshot")
 
 
 def test_unknown_pool_and_kind_rejected():
     sim = Simulation()
     with pytest.raises(ForbiddenRoute):
-        sim.route("process", "nowhere", "Decision")
+        sim.bus.route("process", "nowhere", "Decision")
     with pytest.raises(ForbiddenRoute):
-        sim.route("process", "rules", "Telegram")
+        sim.bus.route("process", "rules", "Telegram")
 
 
 def test_real_kind_on_wrong_channel_is_forbidden():
     sim = Simulation()
     with pytest.raises(ForbiddenRoute):
-        sim.route("process", "rules", "Decision")
+        sim.bus.route("process", "rules", "Decision")
     with pytest.raises(ForbiddenRoute):
-        sim.route("rules", "context", "SourceEvent")
+        sim.bus.route("rules", "context", "SourceEvent")
 
 
 def test_each_engine_handles_exactly_what_its_channels_deliver():
@@ -67,7 +67,7 @@ def test_each_engine_handles_exactly_what_its_channels_deliver():
 def test_send_enforces_route():
     sim = Simulation()
     with pytest.raises(ForbiddenRoute):
-        sim.send("process", "context", "ContextRequest", {})
+        sim.bus.send("process", "context", "ContextRequest", {})
 
 
 # --- delivery ordering ---------------------------------------------------------
@@ -76,23 +76,23 @@ def test_send_enforces_route():
 def test_same_channel_same_tick_fifo():
     sim = Simulation()
     recorder = Recorder()
-    sim.register_pool("rules", recorder)
-    sim.send("process", "rules", "RuleEvalRequest", {"n": 1})
-    sim.send("process", "rules", "RuleEvalRequest", {"n": 2})
-    sim.send("process", "rules", "RuleEvalRequest", {"n": 3})
+    sim.handlers["rules"] = recorder
+    sim.bus.send("process", "rules", "RuleEvalRequest", {"n": 1})
+    sim.bus.send("process", "rules", "RuleEvalRequest", {"n": 2})
+    sim.bus.send("process", "rules", "RuleEvalRequest", {"n": 3})
     sim.is_quiescent = lambda: False
     sim.run()
     assert [p["n"] for (_, p) in recorder.deliveries] == [1, 2, 3]
 
 
 def test_jitter_keeps_each_channel_fifo():
-    sim = Simulation(seed=3, latency=LatencyConfig(jitter=4))
+    sim = Simulation(Bus(seed=3, latency=LatencyConfig(jitter=4)))
     rules, context = Recorder(), Recorder()
-    sim.register_pool("rules", lambda kind, payload: rules(kind, (payload, sim.now)))
-    sim.register_pool("context", lambda kind, payload: context(kind, (payload, sim.now)))
+    sim.handlers["rules"] = lambda kind, payload: rules(kind, (payload, sim.now))
+    sim.handlers["context"] = lambda kind, payload: context(kind, (payload, sim.now))
     for n in range(30):
-        sim.send("process", "rules", "RuleEvalRequest", {"n": n})
-        sim.send("external", "context", "SourceEvent", {"n": n})
+        sim.bus.send("process", "rules", "RuleEvalRequest", {"n": n})
+        sim.bus.send("external", "context", "SourceEvent", {"n": n})
     sim.run()
     for recorder in (rules, context):
         assert [p["n"] for (_, (p, _)) in recorder.deliveries] == list(range(30))
@@ -104,17 +104,17 @@ def test_jitter_keeps_each_channel_fifo():
 def test_latency_defaults_to_one_tick():
     sim = Simulation()
     seen = []
-    sim.register_pool("rules", lambda kind, payload: seen.append(sim.now))
-    sim.send("process", "rules", "RuleEvalRequest", {})
+    sim.handlers["rules"] = lambda kind, payload: seen.append(sim.now)
+    sim.bus.send("process", "rules", "RuleEvalRequest", {})
     sim.run()
     assert seen == [1]
 
 
 def test_channel_latency_override():
-    sim = Simulation(latency=LatencyConfig(default=1, channels={"process->rules": 5}))
+    sim = Simulation(Bus(latency=LatencyConfig(default=1, channels={"process->rules": 5})))
     seen = []
-    sim.register_pool("rules", lambda kind, payload: seen.append(sim.now))
-    sim.send("process", "rules", "RuleEvalRequest", {})
+    sim.handlers["rules"] = lambda kind, payload: seen.append(sim.now)
+    sim.bus.send("process", "rules", "RuleEvalRequest", {})
     sim.run()
     assert seen == [5]
 
@@ -122,10 +122,10 @@ def test_channel_latency_override():
 def test_clock_never_goes_backwards():
     sim = Simulation()
     ticks = []
-    sim.register_pool("rules", lambda kind, payload: ticks.append(sim.now))
+    sim.handlers["rules"] = lambda kind, payload: ticks.append(sim.now)
     for _ in range(5):
-        sim.send("process", "rules", "RuleEvalRequest", {})
-    sim.timer("rules", {}, 9)
+        sim.bus.send("process", "rules", "RuleEvalRequest", {})
+    sim.bus.timer("rules", {}, 9)
     sim.run()
     assert ticks == sorted(ticks)
 
@@ -141,55 +141,100 @@ def test_max_steps_truncates_and_marks_trace():
 
 
 @pytest.fixture
-def host_gc_thresholds():
-    """Restores the collector thresholds a test sets as the host's."""
-    saved = gc.get_threshold()
+def host_collector():
+    """Puts back the collector's enabled or disabled state a test sets as the host's."""
+    enabled = gc.isenabled()
     yield
-    gc.set_threshold(*saved)
+    (gc.enable if enabled else gc.disable)()
 
 
-def run_complete():
-    build_simulation(parse_scenario(logistics_scenario_data())[0]).simulation.run()
+def watched(sim, probe):
+    """``sim``, calling ``probe()`` before each message a pool handles."""
+    def watching(handler):
+        def handle(kind, payload):
+            probe()
+            handler(kind, payload)
+        return handle
+
+    sim.handlers = {pool: watching(handler) for pool, handler in sim.handlers.items()}
+    return sim
 
 
-def run_truncated():
-    sim = build_simulation(parse_scenario(logistics_scenario_data())[0], max_steps=5).simulation
+def run_complete(probe):
+    sim = watched(build_simulation(parse_scenario(logistics_scenario_data())[0]).simulation,
+                  probe)
+    sim.run()
+    assert not sim.truncated
+    return sim
+
+
+def run_truncated(probe):
+    sim = watched(build_simulation(parse_scenario(logistics_scenario_data())[0],
+                                   max_steps=5).simulation, probe)
     sim.run()
     assert sim.truncated
+    return sim
 
 
-def run_raising():
+def run_raising(probe):
     def handler(kind, payload):
         raise RuntimeError("handler failed")
 
     sim = Simulation()
-    sim.register_pool("rules", handler)
-    sim.send("process", "rules", "RuleEvalRequest", {})
+    sim.handlers["rules"] = handler
+    sim = watched(sim, probe)
+    sim.bus.send("process", "rules", "RuleEvalRequest", {"steps": [1, 2]})
     with pytest.raises(RuntimeError, match="handler failed"):
         sim.run()
+    return sim
 
 
-@pytest.mark.parametrize("run", [run_complete, run_truncated, run_raising])
-def test_run_restores_the_collector_thresholds(host_gc_thresholds, run):
-    gc.set_threshold(700, 9, 8)
-    run()
-    assert gc.get_threshold() == (700, 9, 8)
+RUNS = [run_complete, run_truncated, run_raising]
 
 
-@pytest.mark.parametrize("host, during", [
-    (700, YOUNG_GC_THRESHOLD),
-    (0, 0),  # automatic collection off stays off
-    (YOUNG_GC_THRESHOLD * 2, YOUNG_GC_THRESHOLD * 2),
-])
-def test_run_raises_the_young_threshold_while_it_runs(host_gc_thresholds, host, during):
-    gc.set_threshold(host, 9, 8)
-    sim = Simulation()
+@pytest.mark.parametrize("run", RUNS)
+@pytest.mark.parametrize("host_enabled", [True, False])
+def test_run_turns_the_collector_off_and_puts_the_hosts_state_back(
+        host_collector, run, host_enabled):
+    (gc.enable if host_enabled else gc.disable)()
     seen = []
-    sim.register_pool("rules", lambda kind, payload: seen.append(gc.get_threshold()))
-    sim.send("process", "rules", "RuleEvalRequest", {})
-    sim.run()
-    assert seen == [(during, 9, 8)]
-    assert gc.get_threshold() == (host, 9, 8)
+    run(lambda: seen.append(gc.isenabled()))
+    assert seen and not any(seen)
+    assert gc.isenabled() is host_enabled
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_run_keeps_the_hosts_frozen_objects_frozen(run):
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        run(lambda: None)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_run_moves_its_trace_payloads_to_the_oldest_generation(host_collector, run):
+    # they live as long as the trace: a young pass over them would find nothing
+    gc.enable()
+    sim = run(lambda: None)
+    payloads = {id(record.payload) for record in sim.trace_log.records
+                if gc.is_tracked(record.payload)}
+    young = {id(obj) for generation in (0, 1) for obj in gc.get_objects(generation=generation)}
+    assert payloads and not payloads & young
+
+
+def test_dropped_runs_leave_the_live_object_count_flat():
+    # the collector as the host set it: a run's survivors go to the oldest
+    # generation, so a dropped assembly must not wait for a full collection
+    data = logistics_scenario_data()
+    counts = {}
+    for round_ in range(1, 31):
+        build_simulation(parse_scenario(data)[0]).simulation.run()
+        if round_ in (5, 30):
+            counts[round_] = len(gc.get_objects())
+    assert counts[30] - counts[5] < 1_000, counts
 
 
 # --- trace-level properties -------------------------------------------------------

@@ -203,7 +203,7 @@ def register_active(engine, instance="p1"):
     """Register ``instance`` and mark it initialized; drops its init polls."""
     register(engine, instance)
     engine.registrations[instance].active = True
-    engine.sim.sent.clear()
+    engine.bus.sent.clear()
     return engine.registrations[instance].model
 
 
