@@ -31,6 +31,8 @@ CHANNELS = {
 }
 
 DEFAULT_MAX_STEPS = 100_000
+# the keys of a delivery record, which is emitted as a row (see trace.py)
+DELIVERY = ("data", "msg_seq", "sent", "to")
 
 
 @dataclass
@@ -96,7 +98,7 @@ class Bus:
         heapq.heappush(self.queue, (max(at_tick, self.now), seq, pool, None,
                                     payload, None, None))
 
-    def trace(self, pool: str, kind: str, payload: dict):
+    def trace(self, pool: str, kind: str, payload: dict | tuple):
         self.trace_log.emit(self.now, pool, kind, payload)
 
 
@@ -151,8 +153,7 @@ class Simulation:
                 bus.now = tick
                 if kind is not None:
                     bus.messages_in_flight -= 1
-                    bus.trace(sender, kind,
-                              {"to": pool, "msg_seq": seq, "sent": sent, "data": payload})
+                    bus.trace(sender, kind, (DELIVERY, payload, seq, sent, pool))
                     handler = self.handlers.get(pool)
                     if handler is not None:
                         handler(kind, payload)

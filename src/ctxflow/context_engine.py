@@ -30,6 +30,8 @@ from .propagation import Propagation
 from .sources import SourceDescriptor
 
 DEFAULT_POLL_BUDGET = 16
+# the keys of a value_updated record, which is emitted as a row (see trace.py)
+VALUE_UPDATED = ("category", "model", "value")
 
 
 # --- pure operations ---------------------------------------------------------
@@ -432,11 +434,8 @@ class ContextEngine:
             current = resolve_conflict(list(streams.values()))
             if current is not value:
                 g.values[category] = current
-        self.bus.trace(self.POOL, "value_updated", {
-            "model": model.model_id,
-            "category": category,
-            "value": current.to_payload(),
-        })
+        self.bus.trace(self.POOL, "value_updated",
+                       (VALUE_UPDATED, category, model.model_id, current.to_payload()))
         if current is old:
             changed.pop(category, None)  # batch restored the old value
         else:

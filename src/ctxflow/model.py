@@ -361,7 +361,9 @@ def update_value(g: ContextIntersection, v: ContextValue) -> ContextIntersection
             f"payload {v.payload!r} does not match kind {category.value_kind!r} "
             f"of category {v.category_id!r}"
         )
-    streams = g.streams.setdefault(v.category_id, {})
+    streams = g.streams.get(v.category_id)
+    if streams is None:
+        streams = g.streams[v.category_id] = {}
     stream_latest = streams.get(v.value_id)
     if stream_latest is not None and v.ts <= stream_latest.ts:
         raise StaleWrite(

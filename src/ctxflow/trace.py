@@ -6,19 +6,32 @@ be diffed as a stream.  A line is byte for byte ``canonical_json`` over the
 record's five keys, joined by hand in the fixed layout
 ``{"kind":K,"payload":P,"pool":O,"seq":N,"tick":T}``.
 
-A writer lays each (kind, pool) out once, from a payload's keys as the
-encoder sorts them, as a line function compiled from a source that depends
-on the key count alone: keys, kind and pool are passed in as values, so no
-document text is compiled.  A line function writes a payload that has the
-laid-out keys and no other, and returns ``None`` for any other; the writer
-then lays the (kind, pool) out again or, for a payload that is not a dict,
-has more than ``_MAX_FIELDS`` keys or has a key that is not a string,
-encodes it whole.  A dict value that several records share (the context
-engine shares each value's payload between models) is encoded once per
-write, through a memo keyed by identity whose entries hold their dicts, so
-no id is reused while its entry exists; records do not change once
-emitted.  A line function holds the memo and nothing that leads back to
-its writer, so reference counting frees a write whole.
+A payload is emitted as a dict or as a row: a tuple ``(layout, v0, v1, ...)``
+whose ``layout`` is a tuple of the payload's keys, in the order the writer
+writes them (as the encoder sorts them), shared by every row of its emit
+site.  Every tuple payload is a row.  A row holds less memory than the dict
+it stands for, so the two kinds of record a run makes most of are emitted
+as rows: ``value_updated`` (layout ``context_engine.VALUE_UPDATED``) and
+message deliveries (``choreography.DELIVERY``).  A row is written as that
+dict, and ``records``, iteration and ``find`` give that dict, a new one on
+each read.
+
+A writer lays each (kind, pool) out once, as a line function compiled from
+a source that depends on the key count alone: keys, kind and pool are
+passed in as values, so no document text is compiled.  A dict's layout is
+its keys as the encoder sorts them, a row's is its own.  A line function
+writes a dict that has the laid-out keys and no other, or a row whose
+layout is the laid-out one (told apart by identity), and returns ``None``
+for any other payload; the writer then lays the (kind, pool) out again or,
+for a payload that is not a dict, has more than ``_MAX_FIELDS`` keys or has
+a key that is not a string, encodes it whole.  A dict value that several
+records share (the context engine shares each value's payload between
+models) is encoded once per write, through a memo keyed by identity whose
+entries hold their dicts, so no id is reused while its entry exists.
+Records do not change once emitted: an emitted payload, dict or row, and
+every value it holds must not be mutated.  A line function holds the memo
+and nothing that leads back to its writer, so reference counting frees a
+write whole.
 """
 
 from __future__ import annotations
@@ -63,7 +76,7 @@ def canonical_json(obj) -> str:
 
 def _line_source(count: int) -> str:
     """The source of ``make``, which returns the line function of one
-    (kind, pool) whose payloads have ``count`` keys.
+    (kind, pool) whose payloads are dicts of ``count`` keys.
 
     The source depends on ``count`` alone: the keys, their ``"key":`` texts
     (``,"key":`` after the first), the text before the payload's first key
@@ -72,9 +85,8 @@ def _line_source(count: int) -> str:
     ``None`` for a payload other than a dict of exactly those keys.
     """
     fields = range(count)
-    params = ["head", "tail", "memo", *(f"k{i}" for i in fields), *(f"p{i}" for i in fields)]
     source = [
-        f"def make({', '.join(params)}):",
+        f"def make(head, tail, memo, {''.join(f'k{i}, ' for i in fields)}{_params(count)}):",
         "    def line(seq, tick, payload):",
         f"        if payload.__class__ is not dict or len(payload) != {count}:",
         "            return None",
@@ -84,7 +96,34 @@ def _line_source(count: int) -> str:
                    *(f"            v{i} = payload[k{i}]" for i in fields),
                    "        except KeyError:",
                    "            return None"]
-    for i in fields:  # an exact int is left for the f-string, which formats it as repr does
+    return "\n".join(source + _writing(count)) + "\n"
+
+
+def _row_line_source(count: int) -> str:
+    """The source of ``make`` for rows of ``count`` values, as
+    ``_line_source``'s but for the keys: ``make`` takes the layout, and a
+    line function returns ``None`` for a payload other than a row of that
+    very layout."""
+    source = [
+        f"def make(head, tail, memo, layout, {_params(count)}):",
+        "    def line(seq, tick, payload):",
+        "        if payload.__class__ is not tuple or payload[0] is not layout:",
+        "            return None",
+        f"        _, {''.join(f'v{i}, ' for i in range(count))}= payload",
+    ]
+    return "\n".join(source + _writing(count)) + "\n"
+
+
+def _params(count: int) -> str:
+    """``make``'s parameters for the ``"key":`` texts: ``p0, p1, ...``."""
+    return ", ".join(f"p{i}" for i in range(count))
+
+
+def _writing(count: int) -> list[str]:
+    """The source lines that encode the values ``v0``, ``v1``, ... and
+    return the line, ending ``make``."""
+    source = []
+    for i in range(count):  # an exact int is left for the f-string, which formats it as repr does
         source += [f"        c = v{i}.__class__",
                    "        if c is str:",
                    f"            v{i} = escape(v{i})",
@@ -93,12 +132,11 @@ def _line_source(count: int) -> str:
                    f"            v{i} = remember(memo, v{i}) if t is None else t[1]",
                    "        elif c is not int:",
                    f"            v{i} = encode(v{i})"]
-    source += [
-        "        return f'{head}" + "".join(f"{{p{i}}}{{v{i}}}" for i in fields)
+    return source + [
+        "        return f'{head}" + "".join(f"{{p{i}}}{{v{i}}}" for i in range(count))
         + """{tail}{seq},"tick":{tick}}}'""",
         "    return line",
     ]
-    return "\n".join(source) + "\n"
 
 
 def _remember(memo: dict, value: dict) -> str:
@@ -111,11 +149,30 @@ def _remember(memo: dict, value: dict) -> str:
 
 
 @functools.cache
-def _line_maker(count: int):
-    """``make`` for payloads of ``count`` keys, compiled once per count."""
+def _line_maker(count: int, row: bool = False):
+    """``make`` for dicts (or rows) of ``count`` keys, compiled once per count."""
     namespace = {"escape": _escape, "encode": canonical_json, "remember": _remember}
-    exec(compile(_line_source(count), f"<trace line of {count} keys>", "exec"), namespace)
+    source = _row_line_source(count) if row else _line_source(count)
+    name = f"<trace {'row' if row else 'line'} of {count} keys>"
+    exec(compile(source, name, "exec"), namespace)
     return namespace["make"]
+
+
+def _as_dict(row: tuple) -> dict:
+    """The payload a row stands for."""
+    return dict(zip(row[0], row[1:], strict=True))
+
+
+def _read(payload):
+    """A stored payload as it is read: a row's dict, a new one on each call."""
+    return _as_dict(payload) if payload.__class__ is tuple else payload
+
+
+def _follows(layout) -> bool:
+    """Whether a row line function can write this layout: at most
+    ``_MAX_FIELDS`` string keys, in the encoder's order."""
+    return (len(layout) <= _MAX_FIELDS and all(key.__class__ is str for key in layout)
+            and list(layout) == sorted(set(layout)))
 
 
 class _LineWriter:
@@ -137,16 +194,23 @@ class _LineWriter:
 
     def _lay_out(self, pool: str, kind: str, seq: int, tick: int, payload) -> str:
         """The record's line, after laying its (kind, pool) out from its
-        payload's keys, sorted as the encoder sorts them."""
+        payload: a row's layout, or a dict's keys sorted as the encoder sorts them."""
         head = f'{{"kind":{_escape(kind)},"payload":'
         tail = f',"pool":{_escape(pool)},"seq":'
-        if (payload.__class__ is not dict or len(payload) > _MAX_FIELDS
-                or not all(key.__class__ is str for key in payload)):
-            return f'{head}{canonical_json(payload)}{tail}{seq},"tick":{tick}}}'
-        keys = sorted(payload)
+        if payload.__class__ is tuple and _follows(payload[0]):
+            keys = payload[0]
+            make, named = _line_maker(len(keys), True), (keys,)
+        else:
+            if payload.__class__ is tuple:  # a layout out of the encoder's order
+                payload = _as_dict(payload)
+            if (payload.__class__ is not dict or len(payload) > _MAX_FIELDS
+                    or not all(key.__class__ is str for key in payload)):
+                return f'{head}{canonical_json(payload)}{tail}{seq},"tick":{tick}}}'
+            keys = sorted(payload)
+            make, named = _line_maker(len(keys)), keys
         prefixes = [f'{"," if i else ""}{_escape(key)}:' for i, key in enumerate(keys)]
-        line = self._lines[kind, pool] = _line_maker(len(keys))(
-            head + "{", "}" + tail, self._memo, *keys, *prefixes)
+        line = self._lines[kind, pool] = make(head + "{", "}" + tail, self._memo,
+                                              *named, *prefixes)
         return line(seq, tick, payload)
 
 
@@ -176,9 +240,9 @@ class TraceRecord:
 
 class _Records(Sequence):
     """A trace's records, read-only and live: its length grows as the trace
-    is emitted to.  A record is built when it is read, so two reads of one
-    record give equal records, not the same object.  The view holds the
-    trace's columns, not the trace."""
+    is emitted to.  A record, and a row's payload dict, is built when it is
+    read, so two reads of one record give equal records, not the same
+    object.  The view holds the trace's columns, not the trace."""
 
     __slots__ = ("_ticks", "_pools", "_kinds", "_payloads")
 
@@ -194,16 +258,17 @@ class _Records(Sequence):
 
     def _record(self, seq: int) -> TraceRecord:
         return TraceRecord(seq, self._ticks[seq], self._pools[seq], self._kinds[seq],
-                           self._payloads[seq])
+                           _read(self._payloads[seq]))
 
     def __iter__(self):
         return map(TraceRecord, itertools.count(), self._ticks, self._pools, self._kinds,
-                   self._payloads)
+                   map(_read, self._payloads))
 
 
 class Trace:
     """Ordered record sink, kept as one list per field: a record's ``seq`` is
-    its index, and ``records`` builds a ``TraceRecord`` only when it is read."""
+    its index, and ``records`` builds a ``TraceRecord`` only when it is read.
+    A payload is kept as emitted, a dict or a row."""
 
     def __init__(self):
         self._ticks: list[int] = []
@@ -212,7 +277,7 @@ class Trace:
         self._payloads: list = []
         self.records = _Records(self._ticks, self._pools, self._kinds, self._payloads)
 
-    def emit(self, tick: int, pool: str, kind: str, payload: dict) -> None:
+    def emit(self, tick: int, pool: str, kind: str, payload: dict | tuple) -> None:
         self._ticks.append(tick)
         self._pools.append(pool)
         self._kinds.append(kind)
@@ -274,16 +339,20 @@ class Trace:
         return trace
 
     def find(self, kind: str | None = None, **payload_filters) -> list[TraceRecord]:
-        """Records matching a kind and exact payload key/value pairs."""
-        kinds, payloads = self._kinds, self._payloads
+        """Records matching a kind and exact payload key/value pairs.  A
+        payload that is not a dict matches no pair."""
+        kinds = self._kinds
         if kind is None:
             seqs = range(len(kinds))
         else:
             seqs = itertools.compress(itertools.count(),
                                       map(operator.eq, kinds, itertools.repeat(kind)))
-        record = self.records._record
-        return [record(seq) for seq in seqs
-                if all(payloads[seq].get(k) == v for k, v in payload_filters.items())]
+        records = map(self.records._record, seqs)
+        if not payload_filters:
+            return list(records)
+        pairs = payload_filters.items()
+        return [record for record in records if isinstance(record.payload, dict)
+                and all(record.payload.get(k) == v for k, v in pairs)]
 
 
 def replay_verify(path_a, path_b) -> tuple[bool, str]:

@@ -1150,8 +1150,10 @@ def test_trace_writer_matches_json_dumps_when_records_share_values(trace):
 
 
 SHARED = {"x": [1, "\u00e9"]}
+AB = ("a", "b")
 # Payloads of one kind, in order; the dict SHARED keeps the kind walked, so
 # every payload after the first meets the layout the writer learned before it.
+# A row's layout is told apart by identity: tuple("ab") is equal to AB, not AB.
 LAYOUT_CHANGES = {
     "equal size, other keys": [{"a": SHARED, "b": 1}, {"a": SHARED, "c": 2},
                                {"b": SHARED, "c": "t"}],
@@ -1163,6 +1165,10 @@ LAYOUT_CHANGES = {
                         {"n": 2 ** 64 + 1, "s": SHARED}, {"n": Level.HIGH, "s": SHARED},
                         {"m": False, "n": Level.LOW, "o": 7, "s": SHARED},
                         {"n": -(2 ** 70), "s": SHARED}],
+    "dicts and rows": [{"a": SHARED, "b": 1}, (AB, SHARED, 1), (AB, SHARED, "t"),
+                       (("a", "b", "c"), SHARED, 1, 2), (tuple("ab"), SHARED, 3),
+                       {"a": SHARED, "b": 1}, (AB, 2 ** 64 + 1, SHARED),
+                       (("b", "a"), 1, SHARED), ((),), (AB, SHARED, 1)],
 }
 
 
@@ -1172,6 +1178,67 @@ def test_trace_writer_lays_a_kind_out_again(payloads):
     for payload in payloads:
         trace.emit(0, "context", "value_updated", payload)
     assert list(trace.lines()) == expected_lines(trace)
+
+
+def test_trace_writer_refuses_a_row_that_does_not_fit_its_layout():
+    for row in ((AB, 1), (AB, 1, 2, 3)):
+        trace = Trace()
+        trace.emit(0, "context", "value_updated", row)
+        with pytest.raises(ValueError):
+            trace.to_text()
+        with pytest.raises(ValueError):
+            trace.records[0]
+
+
+@st.composite
+def dicts_and_their_rows(draw):
+    """Records, each with its payload as a dict and as the row that stands
+    for it.  Rows of one key set share one layout or not, as drawn, and
+    values are shared between records, as the engines share them."""
+    shared = draw(st.lists(st.dictionaries(st.text(max_size=2), json_values, max_size=3),
+                           min_size=1, max_size=3))
+    value = json_values | int_like | st.sampled_from(shared)
+    layouts = {}
+    records = []
+    for tick in range(draw(st.integers(0, 8))):
+        payload = draw(st.dictionaries(st.sampled_from(["a", "b", "kind", "\u00e9", ""]),
+                                       value, max_size=4))
+        keys = tuple(sorted(payload))
+        layout = layouts.setdefault(keys, keys) if draw(st.booleans()) else tuple(list(keys))
+        records.append((tick, draw(st.sampled_from(["context", "r\u00e9gles"])),
+                        draw(st.sampled_from(["value_updated", "k\u00efnd"])), payload,
+                        (layout, *(payload[key] for key in keys)), draw(st.booleans())))
+    return records
+
+
+@settings(deadline=None)
+@given(records=dicts_and_their_rows())
+def test_a_row_is_written_and_read_as_the_dict_it_stands_for(records):
+    dicts, rows = Trace(), Trace()
+    for tick, pool, kind, payload, row, as_row in records:
+        dicts.emit(tick, pool, kind, payload)
+        rows.emit(tick, pool, kind, row if as_row else payload)
+        assert (TraceRecord(0, tick, pool, kind, row).to_line()
+                == TraceRecord(0, tick, pool, kind, payload).to_line())
+    assert list(rows.lines()) == list(dicts.lines()) == expected_lines(dicts)
+    assert rows.to_text() == dicts.to_text()
+    with tempfile.TemporaryDirectory() as directory:
+        for name, trace in (("rows", rows), ("dicts", dicts)):
+            trace.write(os.path.join(directory, name))
+        with open(os.path.join(directory, "rows"), "rb") as a, \
+                open(os.path.join(directory, "dicts"), "rb") as b:
+            assert a.read() == b.read()
+    expected = list(dicts)
+    assert list(rows) == list(rows.records) == expected
+    assert [rows.records[seq] for seq in range(len(rows))] == expected
+    for seq, (*_, as_row) in enumerate(records):  # a row's dict is built on each read
+        assert (rows.records[seq].payload is rows.records[seq].payload) is not as_row
+    for kind in (None, "value_updated", "k\u00efnd"):
+        assert rows.find(kind) == dicts.find(kind)
+        for _, _, _, payload, _, _ in records:
+            for key, value in payload.items():
+                if key != "kind":  # find's own parameter
+                    assert rows.find(kind, **{key: value}) == dicts.find(kind, **{key: value})
 
 
 def test_trace_file_of_many_blocks_is_its_text(tmp_path):

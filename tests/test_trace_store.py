@@ -9,6 +9,7 @@ from ctxflow.scenario import build_simulation, parse_scenario
 from ctxflow.trace import Trace, TraceRecord
 
 from .conftest import logistics_scenario_data
+from .test_trace_digests import ladder_rung
 
 
 def test_emit_keeps_no_object_per_record():
@@ -94,6 +95,33 @@ def test_find_is_a_filter_over_the_records():
                     r for r in records if (kind is None or r.kind == kind)
                     and r.payload.get(key) == value], (kind, key)
     assert trace.find("value_updated", category="no_such_category") == []
+
+
+def test_find_matches_no_pair_on_a_payload_that_is_not_a_dict(tmp_path):
+    path = tmp_path / "run.trace"
+    path.write_text('{"kind":"k","payload":[1],"pool":"p","seq":0,"tick":0}\n')
+    trace = Trace.read(path)
+    assert trace.find("k", a=1) == [] and trace.find(None, a=1) == []
+    assert trace.find("k") == trace.find() == [TraceRecord(0, 0, "p", "k", [1])]
+
+
+def test_a_run_holds_few_bytes_per_record():
+    # value_updated and delivery records, most of a run's, are kept as rows:
+    # about 185 B per record on CPython 3.11, against 298 as dicts
+    scenario, violations = parse_scenario(ladder_rung(100))
+    assert not violations, violations[:3]
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assembly = build_simulation(scenario)
+        trace = assembly.simulation.run()
+        del assembly
+        held = (tracemalloc.get_traced_memory()[0] - before) / len(trace)
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 250, f"{held:.0f} B per record"
 
 
 def test_writing_a_trace_leaves_no_cyclic_garbage(tmp_path):
